@@ -25,7 +25,7 @@ from typing import ClassVar, Iterator, Mapping
 
 import numpy as np
 
-from .experts import ExpertModel, make_expert
+from .experts import ExpertModel
 from .protocol import AdaptiveBlock, BlockResult, ObliviousBlock
 from .types import (
     ConfigError,
@@ -179,7 +179,7 @@ class _T1Run(ScenarioRun):
         if T == 0:
             return
         experts = sc.experts
-        groups = self.rng_groups.integers(0, 2, size=T).astype(np.int8)
+        groups = self.rng_groups.integers(0, 2, size=T)
         coins = self.rng_labels.integers(0, 2, size=T).astype(np.int8)
         half = T // 2
         sqrt_eps = math.sqrt(sc.epsilon)
@@ -276,7 +276,7 @@ class _T2Run(ScenarioRun):
         T = self.T
         if T == 0:
             return
-        groups = np.where(self.rng_groups.random(T) < sc.b, GROUP_A, GROUP_B).astype(np.int8)
+        groups = np.where(self.rng_groups.random(T) < sc.b, GROUP_A, GROUP_B)
         phase1 = T // 101  # floor(THETA * T) exactly, since THETA = 1/101
         gamma = sc.gamma
         count_threshold = sc.C * sc.b * T
@@ -389,9 +389,9 @@ class _T3Run(ScenarioRun):
         if sc.schedule == "blocks":
             base, extra = divmod(T, G)
             counts = [base + (1 if g < extra else 0) for g in range(G)]
-            groups = np.repeat(np.arange(G, dtype=np.int8), counts)
+            groups = np.repeat(np.arange(G, dtype=np.int64), counts)
         else:
-            groups = (np.arange(T) % G).astype(np.int8)
+            groups = np.arange(T, dtype=np.int64) % G
             counts = [int((groups == g).sum()) for g in range(G)]
         if sc.kappa > 0.0:
             delta = self.rng_extra.random((G, d)) * sc.kappa
@@ -453,7 +453,7 @@ class _T4Run(ScenarioRun):
         q = T // 4
         lengths = [q, q, q, T - 3 * q]
         self.info.update(quarter_rounds=lengths)
-        groups = np.empty(T, dtype=np.int8)
+        groups = np.empty(T, dtype=np.int64)
         losses = np.empty((T, 2), dtype=np.float64)
         start = 0
         for (g, row), length in zip(T4_QUARTERS, lengths):
@@ -509,7 +509,7 @@ class _T5Run(ScenarioRun):
             return UNLABELED_CODE, _T5_ROWS[leader]
 
         if half:
-            yield AdaptiveBlock(np.zeros(half, dtype=np.int8), step)
+            yield AdaptiveBlock(np.zeros(half, dtype=np.int64), step)
         len2 = penalties[0]
         len3 = penalties[1] + (T - half - penalties[0] - penalties[1])
         self.info.update(
@@ -520,13 +520,13 @@ class _T5Run(ScenarioRun):
         )
         if len2:
             yield ObliviousBlock(
-                np.ones(len2, dtype=np.int8),
+                np.ones(len2, dtype=np.int64),
                 np.full(len2, UNLABELED_CODE, dtype=np.int8),
                 np.tile(_T5_ROWS[0], (len2, 1)),
             )
         if len3:
             yield ObliviousBlock(
-                np.ones(len3, dtype=np.int8),
+                np.ones(len3, dtype=np.int64),
                 np.full(len3, UNLABELED_CODE, dtype=np.int8),
                 np.tile(_T5_ROWS[1], (len3, 1)),
             )
@@ -583,9 +583,9 @@ class _RandomIIDRun(ScenarioRun):
             return
         probs = sc.group_probs
         if probs is None:
-            groups = self.rng_groups.integers(0, sc.groups, size=T).astype(np.int8)
+            groups = self.rng_groups.integers(0, sc.groups, size=T)
         else:
-            groups = self.rng_groups.choice(sc.groups, size=T, p=probs).astype(np.int8)
+            groups = self.rng_groups.choice(sc.groups, size=T, p=probs)
         losses = self.rng_extra.random((T, sc.d))
         codes = np.full(T, UNLABELED_CODE, dtype=np.int8)
         yield ObliviousBlock(groups, codes, losses)

@@ -18,21 +18,9 @@ import sys
 from pathlib import Path
 
 from .experts import audit_fair_in_isolation
-from .harness import (
-    ExperimentConfig,
-    PRESETS,
-    get_preset,
-    preset_names,
-    run_experiment,
-)
-from .metrics import METRICS, learner_group_values, composition_gap
-from .types import (
-    ConfigError,
-    FairExpertsError,
-    InsufficientGroupsError,
-    Trace,
-    group_label,
-)
+from .harness import ExperimentConfig, get_preset, preset_names, run_experiment
+from .metrics import METRICS, gap_entry, rate_table, rate_values
+from .types import ConfigError, FairExpertsError, Trace, group_label
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,18 +138,12 @@ def _cmd_audit(args) -> int:
     except FileNotFoundError:
         raise ConfigError(f"trace file not found: {args.trace}")
     labels = [group_label(g) for g in range(trace.num_groups)]
-    values = learner_group_values(trace, args.metric)
+    values = rate_values(rate_table(trace, args.metric)[0], 0)
     learner_block: dict = {
         "metric": args.metric,
         "per_group": {labels[g]: values[g] for g in range(trace.num_groups)},
+        **gap_entry(values, labels),
     }
-    try:
-        gap, pair = composition_gap(values)
-        learner_block["gap"] = gap
-        learner_block["pair"] = [labels[pair[0]], labels[pair[1]]]
-    except InsufficientGroupsError:
-        learner_block["gap"] = None
-        learner_block["pair"] = None
     experts = []
     for f in range(trace.d):
         audit = audit_fair_in_isolation(trace, f, args.metric, args.tolerance)

@@ -10,11 +10,12 @@ exactly fair in isolation under any metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
+from .metrics import _rate, rate_table, rate_values
 from .types import (
     EmptySubpopulationError,
     GroupId,
@@ -22,15 +23,11 @@ from .types import (
     Outcome,
     POSITIVE_CODE,
     Trace,
-    _BIN_NEG,
-    _BIN_POS,
     losses_from_scores,
     max_pairwise_gap,
 )
 
 EXPERT_KINDS = ("always_negative", "always_positive", "unbiased", "fixed_score", "scripted")
-
-METRICS = ("fnr", "fpr", "eer")
 
 
 @dataclass(frozen=True)
@@ -199,28 +196,16 @@ class AuditResult:
     passed: bool | None
 
 
-def _metric_bins(metric: str) -> list[int]:
-    if metric == "fnr":
-        return [_BIN_POS]
-    if metric == "fpr":
-        return [_BIN_NEG]
-    if metric == "eer":
-        return [0, 1, 2]
-    raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+def _expert_column(trace: Trace, expert: int) -> int:
+    """Column of the expert in a rate table."""
+    if not 0 <= expert < trace.d:
+        raise ValueError(f"expert index {expert} outside 0..{trace.d - 1}")
+    return 1 + expert
 
 
 def expert_group_metric(trace: Trace, expert: int, group: GroupId, metric: str) -> float | None:
     """Mean loss of one expert over one group's subpopulation, None if empty."""
-    bins = _metric_bins(metric)
-    if not 0 <= expert < trace.d:
-        raise ValueError(f"expert index {expert} outside 0..{trace.d - 1}")
-    if not 0 <= group < trace.num_groups:
-        raise ValueError(f"group {group} outside 0..{trace.num_groups - 1}")
-    acc = trace.accumulators
-    n = int(acc.counts[group, bins].sum())
-    if n == 0:
-        return None
-    return float(acc.expert_loss[group, bins, expert].sum()) / n
+    return _rate(trace, group, metric, _expert_column(trace, expert))
 
 
 def audit_fair_in_isolation(
@@ -233,13 +218,9 @@ def audit_fair_in_isolation(
 
     Raises EmptySubpopulationError when no group has any qualifying round.
     """
-    per_group: dict[int, float | None] = {}
-    undefined: list[int] = []
-    for g in range(trace.num_groups):
-        value = expert_group_metric(trace, expert, g, metric)
-        per_group[g] = value
-        if value is None:
-            undefined.append(g)
+    rates, _ = rate_table(trace, metric)
+    per_group = rate_values(rates, _expert_column(trace, expert))
+    undefined = [g for g, v in per_group.items() if v is None]
     defined_count = trace.num_groups - len(undefined)
     if defined_count == 0:
         raise EmptySubpopulationError(

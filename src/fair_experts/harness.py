@@ -13,6 +13,7 @@ import copy
 import csv
 import dataclasses
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -48,6 +49,16 @@ _CONFIG_FIELDS = (
     "keep_traces",
 )
 
+# Numeric fields checked by type before their ranges; shifting_K may be None.
+_TYPED_FIELDS = (
+    ("T", numbers.Integral, "an integer"),
+    ("reps", numbers.Integral, "an integer"),
+    ("base_seed", numbers.Integral, "an integer"),
+    ("shifting_K", numbers.Integral, "an integer or null"),
+    ("epsilon", numbers.Real, "a number"),
+    ("alpha", numbers.Real, "a number"),
+)
+
 
 @dataclasses.dataclass
 class ExperimentConfig:
@@ -66,6 +77,12 @@ class ExperimentConfig:
     keep_traces: bool = False
 
     def validate(self) -> None:
+        for name, kind, what in _TYPED_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "shifting_K":
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.T < 0:
             raise ConfigError(f"T must be >= 0, got {self.T}")
         if self.reps < 1:

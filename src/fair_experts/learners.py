@@ -16,7 +16,7 @@ group and only the arriving group's table is read or updated.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -47,10 +47,15 @@ def _check_eta(eta: float) -> float:
 
 
 class Learner:
-    """Shared contract; subclasses fill in the state and the update."""
+    """Shared contract; subclasses fill in the state and the update.
+
+    Per-group kinds set ``per_group`` and keep one state table per group;
+    ``_table`` and ``_table_rows`` pick the table a round or a block reads.
+    """
 
     kind = "base"
     supports_blocks = False
+    per_group = False
 
     def __init__(self) -> None:
         self.d: int | None = None
@@ -75,6 +80,21 @@ class Learner:
     def _started(self) -> None:
         if self.d is None:
             raise ContractError("learner used before start()")
+
+    def _tables(self) -> int:
+        return self.num_groups if self.per_group else 1
+
+    def _table(self, group: GroupId) -> int:
+        return group if self.per_group else 0
+
+    def _table_rows(self, groups: np.ndarray) -> Iterator[tuple[int, slice | np.ndarray]]:
+        """(table, rows) pairs that cover a block, in table order. A shared
+        table takes every row as a slice, so indexing with it copies nothing."""
+        if not self.per_group:
+            yield 0, slice(None)
+            return
+        for g in np.unique(groups):
+            yield g, np.flatnonzero(groups == g)
 
     def _check_losses(self, losses) -> np.ndarray:
         losses = np.asarray(losses, dtype=np.float64)
@@ -107,21 +127,14 @@ class _MultiplicativeWeights(Learner):
     """Weights w_f = (1 - eta)^(cumulative loss), kept in log space."""
 
     supports_blocks = True
-    per_group = False
 
     def __init__(self, eta: float) -> None:
         super().__init__()
         self.eta = _check_eta(eta)
         self._log_decay = math.log1p(-self.eta)
 
-    def _tables(self) -> int:
-        return self.num_groups if self.per_group else 1
-
     def _init_state(self) -> None:
         self._log_w = np.zeros((self._tables(), self.d), dtype=np.float64)
-
-    def _table(self, group: GroupId) -> int:
-        return group if self.per_group else 0
 
     def next_distribution(self, group: GroupId) -> np.ndarray:
         self._started()
@@ -137,25 +150,14 @@ class _MultiplicativeWeights(Learner):
 
     def run_block(self, groups: np.ndarray, losses: np.ndarray) -> np.ndarray:
         self._started()
-        n = losses.shape[0]
-        p = np.empty((n, self.d), dtype=np.float64)
-        if not self.per_group:
-            cum = np.cumsum(losses, axis=0)
+        p = np.empty((losses.shape[0], self.d), dtype=np.float64)
+        for table, rows in self._table_rows(groups):
+            cum = np.cumsum(losses[rows], axis=0)
             before = np.empty_like(cum)
             before[0] = 0.0
             before[1:] = cum[:-1]
-            p[:] = _row_softmax(self._log_w[0] + self._log_decay * before)
-            self._log_w[0] += self._log_decay * cum[-1]
-        else:
-            for g in np.unique(groups):
-                idx = np.flatnonzero(groups == g)
-                sub = losses[idx]
-                cum = np.cumsum(sub, axis=0)
-                before = np.empty_like(cum)
-                before[0] = 0.0
-                before[1:] = cum[:-1]
-                p[idx] = _row_softmax(self._log_w[g] + self._log_decay * before)
-                self._log_w[g] += self._log_decay * cum[-1]
+            p[rows] = _row_softmax(self._log_w[table] + self._log_decay * before)
+            self._log_w[table] += self._log_decay * cum[-1]
         return p
 
 
@@ -163,7 +165,6 @@ class SingleMW(_MultiplicativeWeights):
     """One shared weight table; play is independent of the arriving group."""
 
     kind = "single_mw"
-    per_group = False
 
 
 class PerGroupMW(_MultiplicativeWeights):
@@ -242,7 +243,6 @@ class FixedShare(Learner):
     """
 
     kind = "fixed_share"
-    per_group = False
 
     def __init__(self, eta: float, rho: float) -> None:
         super().__init__()
@@ -252,11 +252,7 @@ class FixedShare(Learner):
             raise ConfigError(f"rho must lie in [0, 1], got {rho!r}")
 
     def _init_state(self) -> None:
-        tables = self.num_groups if self.per_group else 1
-        self._p = np.full((tables, self.d), 1.0 / self.d, dtype=np.float64)
-
-    def _table(self, group: GroupId) -> int:
-        return group if self.per_group else 0
+        self._p = np.full((self._tables(), self.d), 1.0 / self.d, dtype=np.float64)
 
     def next_distribution(self, group: GroupId) -> np.ndarray:
         self._started()

@@ -15,7 +15,7 @@ experts a bounded number of times, computed exactly by dynamic programming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,9 +23,7 @@ import numpy as np
 from .types import (
     ConfigError,
     ContractError,
-    EmptySubpopulationError,
     GroupId,
-    InsufficientGroupsError,
     Trace,
     _BIN_NEG,
     _BIN_POS,
@@ -35,46 +33,53 @@ from .types import (
 
 METRICS = ("fnr", "fpr", "eer")
 
-
-def _metric_bins(metric: str) -> list[int]:
-    if metric == "fnr":
-        return [_BIN_POS]
-    if metric == "fpr":
-        return [_BIN_NEG]
-    if metric == "eer":
-        return [0, 1, 2]
-    raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
+# Accumulator bins each metric's subpopulation is drawn from.
+_METRIC_BINS = {"fnr": [_BIN_POS], "fpr": [_BIN_NEG], "eer": [0, 1, 2]}
 
 
-def subpopulation_size(trace: Trace, group: GroupId, metric: str) -> int:
-    """Number of rounds of the group that qualify for the metric."""
-    bins = _metric_bins(metric)
+def rate_table(trace: Trace, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group rates of the learner and every expert, with subpopulation sizes.
+
+    Returns a (G, 1 + d) float array, column 0 the learner and column 1 + f
+    expert f, NaN where the group's subpopulation is empty; and the (G,)
+    subpopulation sizes.
+    """
+    if metric not in _METRIC_BINS:
+        raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
+    bins = _METRIC_BINS[metric]
+    acc = trace.accumulators
+    sums = np.concatenate([acc.learner_loss[:, bins, None], acc.expert_loss[:, bins]], axis=2)
+    sizes = acc.counts[:, bins].sum(axis=1)
+    rates = np.full((trace.num_groups, 1 + trace.d), np.nan)
+    np.divide(sums.sum(axis=1), sizes[:, None], out=rates, where=sizes[:, None] > 0)
+    return rates, sizes
+
+
+def rate_values(rates: np.ndarray, column: int) -> dict[int, float | None]:
+    """One column of a rate table as {group: rate}, None where undefined."""
+    return {g: None if np.isnan(v) else v for g, v in enumerate(rates[:, column].tolist())}
+
+
+def _rate(trace: Trace, group: GroupId, metric: str, column: int) -> float | None:
+    rates, _ = rate_table(trace, metric)
     if not 0 <= group < trace.num_groups:
         raise ValueError(f"group {group} outside 0..{trace.num_groups - 1}")
-    return int(trace.accumulators.counts[group, bins].sum())
+    return rate_values(rates, column)[group]
 
 
 def group_metric(trace: Trace, group: GroupId, metric: str) -> float | None:
     """The learner's mean expected loss over the group's subpopulation,
     or None when the subpopulation is empty."""
-    bins = _metric_bins(metric)
-    if not 0 <= group < trace.num_groups:
-        raise ValueError(f"group {group} outside 0..{trace.num_groups - 1}")
-    acc = trace.accumulators
-    n = int(acc.counts[group, bins].sum())
-    if n == 0:
-        return None
-    return float(acc.learner_loss[group, bins].sum()) / n
+    return _rate(trace, group, metric, 0)
 
 
-def learner_group_values(trace: Trace, metric: str) -> dict[int, float | None]:
-    return {g: group_metric(trace, g, metric) for g in range(trace.num_groups)}
-
-
-def composition_gap(values: Mapping[int, float | None]) -> tuple[float, tuple[int, int]]:
-    """Largest pairwise difference among defined per-group values, with the
-    attaining pair (lowest indices on ties). Needs two defined groups."""
-    return max_pairwise_gap(values)
+def gap_entry(values: Mapping[int, float | None], labels: Sequence[str]) -> dict:
+    """Largest pairwise gap among defined values and its labelled pair, both
+    None when fewer than two groups are defined."""
+    if sum(v is not None for v in values.values()) < 2:
+        return {"gap": None, "pair": None}
+    gap, pair = max_pairwise_gap(values)
+    return {"gap": gap, "pair": [labels[pair[0]], labels[pair[1]]]}
 
 
 def learner_total_loss(trace: Trace) -> float:
@@ -255,38 +260,22 @@ def build_report(
     the regret family."""
     G = trace.num_groups
     labels = [group_label(g) for g in range(G)]
-    counts = trace.accumulators.counts
-    if int(counts.sum()) != len(trace):
+    if int(trace.accumulators.counts.sum()) != len(trace):
         raise ContractError("accumulator counts disagree with the trace length")
 
     learner: dict = {}
     gaps: dict = {}
     sizes: dict = {}
+    experts: list = [{} for _ in range(trace.d)]
     for metric in METRICS:
-        values = learner_group_values(trace, metric)
+        rates, n = rate_table(trace, metric)
+        values = rate_values(rates, 0)
         learner[metric] = {labels[g]: values[g] for g in range(G)}
-        sizes[metric] = {labels[g]: subpopulation_size(trace, g, metric) for g in range(G)}
-        defined = sum(v is not None for v in values.values())
-        if defined >= 2:
-            gap, pair = max_pairwise_gap(values)
-            gaps[metric] = {"gap": gap, "pair": [labels[pair[0]], labels[pair[1]]]}
-        else:
-            gaps[metric] = {"gap": None, "pair": None}
-
-    experts: list = []
-    acc = trace.accumulators
-    for f in range(trace.d):
-        per_metric: dict = {}
-        for metric in METRICS:
-            bins = _metric_bins(metric)
-            row: dict = {}
-            for g in range(G):
-                n = int(counts[g, bins].sum())
-                row[labels[g]] = (
-                    None if n == 0 else float(acc.expert_loss[g, bins, f].sum()) / n
-                )
-            per_metric[metric] = row
-        experts.append(per_metric)
+        sizes[metric] = dict(zip(labels, n.tolist()))
+        gaps[metric] = gap_entry(values, labels)
+        for f in range(trace.d):
+            values = rate_values(rates, 1 + f)
+            experts[f][metric] = {labels[g]: values[g] for g in range(G)}
 
     if len(trace):
         apx = approx_regret(trace, epsilon)
@@ -358,18 +347,13 @@ def aggregate_reports(reports: Sequence[MetricReport]) -> dict:
                 per_group[label] = {"mean": None, "se": None, "n": 0, "defined_runs": 0}
                 mean_rates[label] = None
         learner[metric] = per_group
-        defined_means = {i: v for i, v in enumerate(mean_rates.values())}
+        mean_gap = gap_entry(dict(enumerate(mean_rates.values())), G_labels)
         run_gaps = [r.gaps[metric]["gap"] for r in reports if r.gaps[metric]["gap"] is not None]
-        entry: dict = {
-            "gap_of_mean_rates": None,
-            "pair": None,
+        gaps[metric] = {
+            "gap_of_mean_rates": mean_gap["gap"],
+            "pair": mean_gap["pair"],
             "mean_run_gap": _mean_se(run_gaps) if run_gaps else None,
         }
-        if sum(v is not None for v in defined_means.values()) >= 2:
-            gap, pair = max_pairwise_gap(defined_means)
-            entry["gap_of_mean_rates"] = gap
-            entry["pair"] = [G_labels[pair[0]], G_labels[pair[1]]]
-        gaps[metric] = entry
     agg["learner_metrics"] = learner
     agg["gaps"] = gaps
     agg["regret"] = _mean_se([r.regret for r in reports])

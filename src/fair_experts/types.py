@@ -16,10 +16,8 @@ serialization.
 from __future__ import annotations
 
 import csv
-import io
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence

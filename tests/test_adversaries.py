@@ -14,7 +14,8 @@ from fair_experts.adversaries import (
 )
 from fair_experts.experts import audit_fair_in_isolation, expert_group_metric
 from fair_experts.protocol import run
-from fair_experts.types import ConfigError, InvariantViolation, POSITIVE_CODE, NEGATIVE_CODE
+from fair_experts.metrics import rate_table
+from fair_experts.types import ConfigError, POSITIVE_CODE, NEGATIVE_CODE
 
 
 def _mw(eta=0.1):
@@ -180,6 +181,14 @@ class TestT3:
         tr = run(_mw(), sc, 6, seed=0)
         np.testing.assert_array_equal(tr.groups, [0, 1, 0, 1, 0, 1])
 
+    @pytest.mark.parametrize("schedule", ["blocks", "alternating"])
+    def test_more_groups_than_int8_holds(self, schedule):
+        sc = T3Synthetic(rates=(0.2, 0.6), groups=200, schedule=schedule)
+        tr = run({"kind": "per_group_mw", "eta": 0.1}, sc, 1000, seed=0)
+        np.testing.assert_array_equal(tr.group_counts(), np.full(200, 5))
+        rates, _ = rate_table(tr, "eer")
+        np.testing.assert_allclose(rates[:, 1:], np.tile([0.2, 0.6], (200, 1)))
+
     def test_rates_hit_targets_within_discretization(self):
         sc = T3Synthetic(rates=(0.1, 0.3, 0.5, 0.7), groups=2, schedule="blocks")
         tr = run({"kind": "per_group_mw", "eta": 0.05}, sc, 2000, seed=1)
@@ -290,6 +299,13 @@ class TestRandomIID:
         np.testing.assert_array_equal(a.groups, b.groups)
         c = run(_mw(), RandomIID(), 64, seed=124)
         assert not np.array_equal(a.losses, c.losses)
+
+    @pytest.mark.parametrize("probs", [None, tuple([0.0] * 100 + [0.01] * 100)])
+    def test_more_groups_than_int8_holds(self, probs):
+        tr = run(_mw(), RandomIID(groups=200, group_probs=probs), 4000, seed=5)
+        assert tr.num_groups == 200 and len(tr) == 4000
+        assert tr.groups.max() > 127
+        np.testing.assert_array_equal(tr.group_counts(), np.bincount(tr.groups, minlength=200))
 
 
 class TestMakeScenario:

@@ -92,6 +92,13 @@ class TestRunCommand:
         cfg = _small_config_file(tmp_path, horizon=10)
         assert main(["run", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("over", [{"T": "100"}, {"T": 1000.0}])
+    def test_mistyped_config_value(self, tmp_path, capsys, over):
+        cfg = _small_config_file(tmp_path, **over)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_invalid_override_value(self, tmp_path, capsys):
         cfg = _small_config_file(tmp_path)
         assert main(["run", "--config", str(cfg), "--epsilon", "1.5"]) == 2

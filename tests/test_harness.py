@@ -51,6 +51,14 @@ class TestConfig:
         {"world_mode": "three_pass"},
         {"shifting_K": -1},
         {"formats": ("parquet",)},
+        {"T": "100"},
+        {"T": 1000.0},
+        {"T": True},
+        {"reps": 2.0},
+        {"base_seed": "7"},
+        {"shifting_K": 1.5},
+        {"epsilon": "0.1"},
+        {"alpha": None},
     ])
     def test_validation(self, over):
         # the dataclass itself stays permissive, validate() is the gate

@@ -101,6 +101,24 @@ class TestFixedShare:
         np.testing.assert_allclose(lrn.next_distribution(0), [0.5, 0.5], atol=0)
         assert lrn.next_distribution(2)[0] < 0.5
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_per_group_equals_independent_learners(self, seed):
+        rng = np.random.default_rng(seed)
+        G, d, n = 4, 3, 200
+        groups = rng.integers(0, G, n)
+        losses = rng.random((n, d))
+        pooled = PerGroupFixedShare(0.2, 0.03)
+        pooled.start(d, G)
+        alone = [FixedShare(0.2, 0.03) for _ in range(G)]
+        for lrn in alone:
+            lrn.start(d, 1)
+        for g, row in zip(groups.tolist(), losses):
+            np.testing.assert_array_equal(pooled.next_distribution(g), alone[g].next_distribution(0))
+            pooled.observe(g, row)
+            alone[g].observe(0, row)
+        for g in range(G):
+            np.testing.assert_array_equal(pooled.next_distribution(g), alone[g].next_distribution(0))
+
 
 class TestFollowPerturbedLeader:
     def test_uniform_before_any_loss(self):

@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from fair_experts.adversaries import RandomIID
+from fair_experts.experts import expert_group_metric
+from fair_experts.learners import SingleMW
 from fair_experts.metrics import (
-    ComparatorPath,
     METRICS,
     aggregate_reports,
     approx_regret,
     best_shifting_comparator,
     build_report,
-    composition_gap,
     expert_total_losses,
     group_metric,
-    learner_group_values,
     learner_total_loss,
+    rate_table,
     regret,
     shifting_approx_regret,
-    subpopulation_size,
     switch_count,
 )
+from fair_experts.protocol import run
 from fair_experts.types import (
     ConfigError,
     ContractError,
@@ -29,6 +30,9 @@ from fair_experts.types import (
     RoundRecord,
     Trace,
     TraceBuilder,
+    _BIN_NEG,
+    _BIN_POS,
+    max_pairwise_gap,
 )
 
 POS, NEG = Outcome.POSITIVE, Outcome.NEGATIVE
@@ -70,7 +74,7 @@ class TestGroupMetrics:
 
     def test_subpopulation_sizes(self):
         tr = _trace(HAND_ROWS)
-        sizes = {(g, m): subpopulation_size(tr, g, m) for g in (0, 1) for m in METRICS}
+        sizes = {(g, m): int(rate_table(tr, m)[1][g]) for g in (0, 1) for m in METRICS}
         assert sizes == {
             (0, "fnr"): 1, (1, "fnr"): 2,
             (0, "fpr"): 1, (1, "fpr"): 1,
@@ -86,19 +90,102 @@ class TestGroupMetrics:
 
     def test_learner_group_values_and_gap(self):
         tr = _trace(HAND_ROWS)
-        vals = learner_group_values(tr, "fpr")
+        rates, _ = rate_table(tr, "fpr")
+        vals = dict(enumerate(rates[:, 0].tolist()))
         assert vals == {0: 0.5, 1: 0.0}
-        gap, pair = composition_gap(vals)
+        gap, pair = max_pairwise_gap(vals)
         assert gap == 0.5 and pair == (0, 1)
 
     def test_gap_needs_two_defined_groups(self):
         with pytest.raises(InsufficientGroupsError):
-            composition_gap({0: 0.5, 1: None})
+            max_pairwise_gap({0: 0.5, 1: None})
 
     def test_unknown_metric(self):
         tr = _trace(HAND_ROWS)
         with pytest.raises(ConfigError):
             group_metric(tr, 0, "accuracy")
+
+
+# Reference: the per-cell loops rate_table replaced, one group and column at a time.
+_REF_BINS = {"fnr": [_BIN_POS], "fpr": [_BIN_NEG], "eer": [0, 1, 2]}
+
+
+def _ref_size(trace, group, metric):
+    return int(trace.accumulators.counts[group, _REF_BINS[metric]].sum())
+
+
+def _ref_learner(trace, group, metric):
+    bins = _REF_BINS[metric]
+    n = _ref_size(trace, group, metric)
+    if n == 0:
+        return None
+    return float(trace.accumulators.learner_loss[group, bins].sum()) / n
+
+
+def _ref_expert(trace, expert, group, metric):
+    bins = _REF_BINS[metric]
+    n = _ref_size(trace, group, metric)
+    if n == 0:
+        return None
+    return float(trace.accumulators.expert_loss[group, bins, expert].sum()) / n
+
+
+def _labeled_iid_trace(seed, groups, d, probs=None, T=600):
+    """random_iid rounds relabeled with random outcomes, so that fnr and fpr
+    have non-trivial subpopulations."""
+    tr = run(SingleMW(0.1), RandomIID(d=d, groups=groups, group_probs=probs), T, seed,
+             retain="full")
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(-1, 2, size=len(tr))
+    recs = [
+        RoundRecord(t=k + 1, group=int(tr.groups[k]),
+                    outcome=None if c < 0 else Outcome(int(c)),
+                    distribution=tr.distributions[k], losses=tr.losses[k],
+                    expected_loss=float(tr.expected_loss[k]))
+        for k, c in enumerate(codes)
+    ]
+    return Trace.from_records(recs, num_groups=groups)
+
+
+class TestRateTableOracle:
+    @pytest.mark.parametrize("seed,groups,d,probs", [
+        (1, 2, 2, None),
+        (2, 5, 3, None),
+        (3, 4, 2, (0.5, 0.0, 0.3, 0.2)),  # group 1 never arrives
+    ])
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_matches_per_cell_reference(self, seed, groups, d, probs, labeled):
+        if labeled:
+            tr = _labeled_iid_trace(seed, groups, d, probs)
+        else:
+            tr = run(SingleMW(0.1), RandomIID(d=d, groups=groups, group_probs=probs), 600,
+                     seed, retain="summary")
+        for metric in METRICS:
+            rates, sizes = rate_table(tr, metric)
+            assert rates.shape == (groups, 1 + d) and sizes.shape == (groups,)
+            if probs is not None:
+                assert sizes[1] == 0 and np.isnan(rates[1]).all()
+            for g in range(groups):
+                assert int(sizes[g]) == _ref_size(tr, g, metric)
+                cells = [_ref_learner(tr, g, metric)]
+                cells += [_ref_expert(tr, f, g, metric) for f in range(d)]
+                for col, want in enumerate(cells):
+                    if want is None:
+                        assert np.isnan(rates[g, col])
+                    else:
+                        assert rates[g, col] == want
+                assert group_metric(tr, g, metric) == cells[0]
+                for f in range(d):
+                    assert expert_group_metric(tr, f, g, metric) == cells[1 + f]
+
+    def test_group_out_of_range(self):
+        tr = _trace(HAND_ROWS)
+        with pytest.raises(ValueError):
+            group_metric(tr, 2, "eer")
+        with pytest.raises(ValueError):
+            expert_group_metric(tr, 0, -1, "eer")
+        with pytest.raises(ValueError):
+            expert_group_metric(tr, 2, 0, "eer")
 
 
 class TestRegret:
