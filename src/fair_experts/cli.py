@@ -135,8 +135,8 @@ def _cmd_preset(args) -> int:
 def _cmd_audit(args) -> int:
     try:
         trace = Trace.from_jsonl(args.trace)
-    except FileNotFoundError:
-        raise ConfigError(f"trace file not found: {args.trace}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read trace file {args.trace}: {exc.strerror}") from exc
     labels = [group_label(g) for g in range(trace.num_groups)]
     values = rate_values(rate_table(trace, args.metric)[0], 0)
     learner_block: dict = {

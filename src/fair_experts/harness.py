@@ -25,7 +25,7 @@ from .adversaries import make_scenario
 from .learners import make_learner
 from .metrics import METRICS, MetricReport, aggregate_reports, build_report
 from .protocol import run
-from .types import ConfigError, Trace
+from .types import ConfigError, Trace, require_type
 
 DEFAULT_BASE_SEED = 12345
 
@@ -81,8 +81,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is None and name == "shifting_K":
                 continue
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
+            require_type(name, value, kind, what)
         if self.T < 0:
             raise ConfigError(f"T must be >= 0, got {self.T}")
         if self.reps < 1:

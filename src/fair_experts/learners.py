@@ -16,11 +16,12 @@ group and only the arriving group's table is read or updated.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .types import ConfigError, ContractError, GroupId
+from .types import ConfigError, ContractError, GroupId, require_type
 
 LEARNER_KINDS = (
     "single_mw",
@@ -40,6 +41,7 @@ DEFAULT_SWITCH_BUDGET = 2
 
 
 def _check_eta(eta: float) -> float:
+    require_type("eta", eta, numbers.Real, "a number")
     eta = float(eta)
     if not 0.0 < eta < 0.5:
         raise ConfigError(f"eta must lie in (0, 1/2), got {eta!r}")
@@ -191,6 +193,7 @@ class FollowPerturbedLeader(Learner):
     def __init__(self, eta: float, grid_m: int = DEFAULT_GRID_M) -> None:
         super().__init__()
         self.eta = _check_eta(eta)
+        require_type("grid_m", grid_m, numbers.Integral, "an integer")
         self.grid_m = int(grid_m)
         if self.grid_m < 1:
             raise ConfigError(f"grid_m must be >= 1, got {grid_m!r}")
@@ -203,6 +206,7 @@ class FollowPerturbedLeader(Learner):
         for f in range(self.d):
             grid[:, f] = quantiles[rng.permutation(m)]
         self._grid = grid
+        self._sorted_diffs = np.sort(grid[:, 0] - grid[:, 1]) if self.d == 2 else None
         self._cum = np.zeros(self.d, dtype=np.float64)
 
     def next_distribution(self, group: GroupId) -> np.ndarray:
@@ -216,12 +220,18 @@ class FollowPerturbedLeader(Learner):
 
     def run_block(self, groups: np.ndarray, losses: np.ndarray) -> np.ndarray:
         self._started()
-        n = losses.shape[0]
         cum = np.cumsum(losses, axis=0)
         before = np.empty_like(cum)
         before[0] = 0.0
         before[1:] = cum[:-1]
         before += self._cum
+        p = self._two_expert_play(before) if self.d == 2 else self._grid_play(before)
+        self._cum += cum[-1]
+        return p
+
+    def _grid_play(self, before: np.ndarray) -> np.ndarray:
+        """Per row of ``before``, the fraction of grid rows each expert leads."""
+        n = before.shape[0]
         p = np.empty((n, self.d), dtype=np.float64)
         # Chunked so the (rows, m, d) work array stays around 16 MB.
         chunk = max(1, 2_000_000 // (self.grid_m * self.d))
@@ -231,7 +241,35 @@ class FollowPerturbedLeader(Learner):
             leaders = pert.argmin(axis=2)
             for f in range(self.d):
                 p[s:e, f] = (leaders == f).mean(axis=1)
-        self._cum += cum[-1]
+        return p
+
+    def _two_expert_play(self, before: np.ndarray) -> np.ndarray:
+        """``_grid_play`` for d=2 by one search over the sorted grid differences.
+
+        Expert 0 leads under grid row k exactly when x = before0 - before1 is
+        at most D_k = g0_k - g1_k, so it leads m - #{k: D_k < x} rows. The
+        grid play compares the rounded before_f - g_f instead, which can round
+        the other way when x lies within a few ulps of some D_k; those rows go
+        through the grid play itself, so the result is bit-identical to it.
+        """
+        m = self.grid_m
+        diffs = self._sorted_diffs
+        x = before[:, 0] - before[:, 1]
+        idx = np.searchsorted(diffs, x, side="left")
+        lead0 = m - idx
+        p = np.empty((before.shape[0], 2), dtype=np.float64)
+        p[:, 0] = lead0 / m
+        p[:, 1] = (m - lead0) / m
+        # With S = max|before| + max|grid|, each rounding (x, D_k, both
+        # before_f - g_f) errs by at most eps/2 * S. So once |x - D_k| exceeds
+        # 2 eps S, x - D_k and the rounded (before0 - g0) - (before1 - g1)
+        # have the same strict sign; the margin doubles that bound.
+        margin = 4.0 * np.finfo(np.float64).eps * (np.abs(before).max() + self._grid.max())
+        below = np.abs(x - diffs[np.maximum(idx - 1, 0)])
+        above = np.abs(x - diffs[np.minimum(idx, m - 1)])
+        near = np.flatnonzero(np.minimum(below, above) <= margin)
+        if near.size:
+            p[near] = self._grid_play(before[near])
         return p
 
 
@@ -247,6 +285,7 @@ class FixedShare(Learner):
     def __init__(self, eta: float, rho: float) -> None:
         super().__init__()
         self.eta = _check_eta(eta)
+        require_type("rho", rho, numbers.Real, "a number")
         self.rho = float(rho)
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must lie in [0, 1], got {rho!r}")
@@ -322,6 +361,7 @@ def make_learner(
     switches = cfg.pop("switches", DEFAULT_SWITCH_BUDGET)
     if cfg:
         raise ConfigError(f"unknown keys for {kind!r}: {sorted(cfg)}")
+    require_type("switches", switches, numbers.Integral, "an integer")
     if rho is None:
         if not T:
             raise ConfigError(f"learner {kind!r} needs rho (or T to derive it)")

@@ -9,18 +9,16 @@ so a score and its complement always have losses summing to one.
 Traces store rounds in columnar numpy arrays plus streaming accumulators
 (per-group counts and loss sums split by outcome class) so that metrics can
 be computed without per-round python objects even for multi-million-round
-runs. ``RoundRecord`` is the per-round view used at API boundaries and for
-serialization.
+runs. ``RoundRecord`` is the per-round view used at API boundaries.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -67,6 +65,14 @@ class InsufficientGroupsError(FairExpertsError, ValueError):
 
 class InvariantViolation(FairExpertsError, RuntimeError):
     """A hard protocol invariant failed during execution."""
+
+
+def require_type(name: str, value, kind: type, what: str) -> None:
+    """ConfigError unless ``value`` is a ``kind`` (a class from ``numbers``)
+    and not a bool: a config value such as 2.5 or "0.1" is rejected, not
+    coerced."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 class Outcome(Enum):
@@ -187,19 +193,26 @@ def validate_distribution(p: np.ndarray, d: int | None = None) -> np.ndarray:
     return p
 
 
+def _first_off_simplex(p: np.ndarray) -> int | None:
+    """First row of a non-empty (n, d) block with a negative or non-finite
+    entry or a sum farther than SIMPLEX_ATOL from 1, or None. NaN fails
+    every comparison, so it needs no check of its own."""
+    with np.errstate(invalid="ignore"):
+        err = np.abs(p.sum(axis=1) - 1.0)
+        if p.min() >= 0.0 and err.max() <= SIMPLEX_ATOL:
+            return None
+        return int(np.argmin((p.min(axis=1) >= 0.0) & (err <= SIMPLEX_ATOL)))
+
+
 def validate_distribution_block(p: np.ndarray, d: int) -> None:
     """Simplex check over a (n, d) block of distributions at once."""
     if p.ndim != 2 or p.shape[1] != d:
         raise InvariantViolation(f"distribution block has shape {p.shape}, expected (*, {d})")
     if p.size == 0:
         return
-    if not np.all(np.isfinite(p)):
-        raise InvariantViolation("distribution block has non-finite entries")
-    if float(p.min()) < 0.0:
-        raise InvariantViolation("distribution block has a negative entry")
-    err = float(np.abs(p.sum(axis=1) - 1.0).max())
-    if err > SIMPLEX_ATOL:
-        raise InvariantViolation(f"distribution rows deviate from the simplex by {err!r}")
+    k = _first_off_simplex(p)
+    if k is not None:
+        raise InvariantViolation(f"distribution row {k} is off the simplex: {p[k].tolist()!r}")
 
 
 def validate_loss_vector(losses: np.ndarray, d: int | None = None) -> np.ndarray:
@@ -260,29 +273,6 @@ class RoundRecord:
         ell = np.asarray(losses, dtype=np.float64)
         return cls(t, group, outcome, p, ell, float(p @ ell))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "t": self.t,
-            "group": int(self.group),
-            "outcome": None if self.outcome is None else self.outcome.token,
-            "p": [float(x) for x in self.distribution],
-            "losses": [float(x) for x in self.losses],
-            "expected_loss": float(self.expected_loss),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "RoundRecord":
-        raw = obj.get("outcome")
-        outcome = None if raw is None else outcome_from_token(raw)
-        return cls(
-            t=int(obj["t"]),
-            group=int(obj["group"]),
-            outcome=outcome,
-            distribution=np.asarray(obj["p"], dtype=np.float64),
-            losses=np.asarray(obj["losses"], dtype=np.float64),
-            expected_loss=float(obj["expected_loss"]),
-        )
-
 
 # Outcome-class bins used by the accumulators: negatives, positives, unlabeled.
 _BIN_NEG = 0
@@ -335,6 +325,94 @@ class Accumulators:
             self.expert_loss[:, :, f] += np.bincount(
                 flat, weights=losses[:, f], minlength=size
             ).reshape(num_groups, N_BINS)
+
+
+# Rounds per chunk when a trace file is written or read: enough to amortize
+# the per-chunk numpy calls, few enough that no file is held whole in memory.
+_IO_CHUNK = 8192
+
+_OUTCOME_JSON = {NEGATIVE_CODE: '"-"', POSITIVE_CODE: '"+"', UNLABELED_CODE: "null"}
+_OUTCOME_CSV = {NEGATIVE_CODE: "-", POSITIVE_CODE: "+", UNLABELED_CODE: ""}
+# Outcome values a JSONL row may carry; a missing or empty one is unlabeled.
+_OUTCOME_CODES = {None: UNLABELED_CODE, "": UNLABELED_CODE, "-": NEGATIVE_CODE, "+": POSITIVE_CODE}
+
+
+def _json_chunks(path, fh) -> Iterator[tuple[list, list[int]]]:
+    """The JSON values on the non-blank lines of a file, with their 1-based
+    line numbers, _IO_CHUNK lines at a time."""
+    lines: list[str] = []
+    linenos: list[int] = []
+    for lineno, line in enumerate(fh, 1):
+        if line.strip():
+            lines.append(line)
+            linenos.append(lineno)
+            if len(lines) == _IO_CHUNK:
+                yield _json_values(path, lines, linenos), linenos
+                lines, linenos = [], []
+    if lines:
+        yield _json_values(path, lines, linenos), linenos
+
+
+def _json_values(path, lines: list[str], linenos: list[int]) -> list:
+    """One JSON value per line. The lines are parsed as one array, which costs
+    one decoder call; if that fails, or a line held more than one value, they
+    are parsed one by one so that the ConfigError names the line at fault."""
+    try:
+        values = json.loads("[" + ",".join(lines) + "]")
+        if len(values) == len(lines):
+            return values
+    except json.JSONDecodeError:
+        pass
+    values = []
+    for line, lineno in zip(lines, linenos):
+        try:
+            values.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} line {lineno}: not JSON ({exc.msg})") from exc
+    return values
+
+
+def _row_columns(rows: list[dict], d: int | None) -> tuple[np.ndarray, ...]:
+    """t, group, outcome code, p, losses and expected_loss columns of parsed
+    JSONL rows. Raises KeyError for a missing field, and TypeError or
+    ValueError for a value of the wrong kind or a width other than d."""
+    if not all(type(r) is dict for r in rows):
+        raise TypeError("not a JSON object")
+    t = np.array([r["t"] for r in rows])
+    groups = np.array([r["group"] for r in rows])
+    if t.dtype.kind != "i" or groups.dtype.kind != "i":
+        raise TypeError("t and group must be integers")
+    codes = np.array([_OUTCOME_CODES.get(r.get("outcome"), 2) for r in rows], dtype=np.int8)
+    if codes.max() == 2:
+        raise ValueError("outcome must be '+', '-' or null")
+    dists = np.array([r["p"] for r in rows], dtype=np.float64)
+    losses = np.array([r["losses"] for r in rows], dtype=np.float64)
+    expected = np.array([r["expected_loss"] for r in rows], dtype=np.float64)
+    if expected.ndim != 1:
+        raise TypeError("expected_loss must be a number")
+    for name, col in (("p", dists), ("losses", losses)):
+        if col.ndim != 2 or col.shape[1] == 0:
+            raise TypeError(f"{name} must be a non-empty list of numbers")
+        width = dists.shape[1] if d is None else d
+        if col.shape[1] != width:
+            raise ValueError(f"{name} has {col.shape[1]} entries, expected {width}")
+    return t.astype(np.int64), groups.astype(np.int64), codes, dists, losses, expected
+
+
+def _json_columns(path, rows: list[dict], linenos: list[int], d: int | None) -> tuple:
+    """``_row_columns`` of one chunk. A chunk that fails is parsed again row by
+    row, so that the ConfigError names the first line at fault."""
+    try:
+        return _row_columns(rows, d)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        for row, lineno in zip(rows, linenos):
+            try:
+                d = _row_columns([row], d)[3].shape[1]
+            except KeyError as row_exc:
+                raise ConfigError(f"{path} line {lineno}: missing field {row_exc}") from row_exc
+            except (TypeError, ValueError, OverflowError) as row_exc:
+                raise ConfigError(f"{path} line {lineno}: {row_exc}") from row_exc
+        raise ConfigError(f"{path} lines {linenos[0]}-{linenos[-1]}: {exc}") from exc
 
 
 class Trace:
@@ -421,35 +499,102 @@ class Trace:
 
     # -- serialization ----------------------------------------------------
 
+    def _export_chunks(self, outcome_text: Mapping[int, str]) -> Iterator[tuple]:
+        """Per chunk of rounds: t, group, outcome text, expected loss, then the
+        distribution and loss columns (d lists each), all as Python values."""
+        for s in range(0, len(self), _IO_CHUNK):
+            e = min(len(self), s + _IO_CHUNK)
+            yield (
+                range(s + 1, e + 1),
+                self.groups[s:e].tolist(),
+                [outcome_text[c] for c in self.outcome_codes[s:e].tolist()],
+                self.expected_loss[s:e].tolist(),
+                self.distributions[s:e].T.tolist(),
+                self.losses[s:e].T.tolist(),
+            )
+
     def to_jsonl(self, path: str | Path) -> None:
-        """One JSON round record per line."""
+        """One JSON round record per line: json.dumps(sort_keys=True) of
+        {expected_loss, group, losses, outcome, p, t}, floats by repr."""
         self._require_full("JSONL export")
+        floats = ", ".join(["%r"] * self.d)
+        row = (
+            '{"expected_loss": %r, "group": %d, "losses": [' + floats
+            + '], "outcome": %s, "p": [' + floats + '], "t": %d}\n'
+        )
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records():
-                fh.write(json.dumps(rec.to_json_obj(), sort_keys=True))
-                fh.write("\n")
+            for t, g, out, exp, p, ell in self._export_chunks(_OUTCOME_JSON):
+                fh.write("".join([row % v for v in zip(exp, g, *ell, out, *p, t)]))
 
     def to_csv(self, path: str | Path) -> None:
-        """Columns: t, group, outcome, expected_loss, p_0.., loss_0..  ."""
+        """Columns: t, group, outcome, expected_loss, p_0.., loss_0..  .
+
+        Laid out as csv.writer's default dialect lays them out: no field
+        needs quoting, and rows end with \\r\\n."""
         self._require_full("CSV export")
         header = ["t", "group", "outcome", "expected_loss"]
         header += [f"p_{f}" for f in range(self.d)]
         header += [f"loss_{f}" for f in range(self.d)]
+        row = "%d,%d,%s,%r" + ",%r" * (2 * self.d) + "\r\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(len(self)):
-                code = int(self.outcome_codes[k])
-                outcome = outcome_from_code(code)
-                row = [
-                    k + 1,
-                    int(self.groups[k]),
-                    "" if outcome is None else outcome.token,
-                    repr(float(self.expected_loss[k])),
-                ]
-                row += [repr(float(x)) for x in self.distributions[k]]
-                row += [repr(float(x)) for x in self.losses[k]]
-                writer.writerow(row)
+            fh.write(",".join(header) + "\r\n")
+            for t, g, out, exp, p, ell in self._export_chunks(_OUTCOME_CSV):
+                fh.write("".join([row % v for v in zip(t, g, out, exp, *p, *ell)]))
+
+    @classmethod
+    def _from_columns(
+        cls,
+        where: Callable[[int], str],
+        t: np.ndarray,
+        groups: np.ndarray,
+        codes: np.ndarray,
+        dists: np.ndarray,
+        losses: np.ndarray,
+        expected: np.ndarray,
+        *,
+        num_groups: int | None = None,
+        **meta,
+    ) -> "Trace":
+        """Check whole columns as RoundRecord checks one round, then fold them.
+
+        ``where(k)`` names row k in the ConfigError raised for the first row
+        that breaks a check.
+        """
+
+        def reject(bad: np.ndarray, what) -> None:
+            rows = np.flatnonzero(bad)
+            if rows.size:
+                k = int(rows[0])
+                raise ConfigError(f"{where(k)}: {what(k)}")
+
+        n, d = dists.shape
+        reject(t != np.arange(1, n + 1), lambda k: f"t is {t[k]}, expected {k + 1}")
+        if num_groups is None:
+            num_groups = int(groups.max()) + 1
+        reject((groups < 0) | (groups >= num_groups),
+               lambda k: f"group {groups[k]} outside 0..{num_groups - 1}")
+        k = _first_off_simplex(dists)
+        if k is not None:
+            raise ConfigError(f"{where(k)}: p {dists[k].tolist()} is off the simplex")
+        reject(~((losses.min(axis=1) >= 0.0) & (losses.max(axis=1) <= 1.0)),
+               lambda k: f"losses {losses[k].tolist()} outside [0, 1]")
+        derived = (dists * losses).sum(axis=1)
+        reject(~(np.abs(derived - expected) <= EXPECTED_LOSS_ATOL),
+               lambda k: f"expected_loss {expected[k]!r} disagrees with "
+                         f"p . losses = {derived[k]!r}")
+        acc = Accumulators.zeros(num_groups, d)
+        acc.add_block(groups, codes, losses, expected)
+        return cls(
+            d=d,
+            num_groups=num_groups,
+            groups=groups,
+            outcome_codes=codes,
+            expected_loss=expected,
+            distributions=dists,
+            losses=losses,
+            accumulators=acc,
+            **meta,
+        )
 
     @classmethod
     def from_records(
@@ -465,31 +610,18 @@ class Trace:
         """Build a full trace from round records (t must run 1..T)."""
         if not records:
             raise ValueError("cannot infer dimensions from an empty record list")
-        d = records[0].distribution.shape[0]
-        for k, rec in enumerate(records):
-            if rec.t != k + 1:
-                raise ValueError(f"record {k} has t={rec.t}, expected {k + 1}")
-        groups = np.array([r.group for r in records], dtype=np.int64)
-        if num_groups is None:
-            num_groups = int(groups.max()) + 1
-        codes = np.array(
-            [UNLABELED_CODE if r.outcome is None else r.outcome.code for r in records],
-            dtype=np.int8,
-        )
-        dists = np.stack([r.distribution for r in records])
-        losses = np.stack([r.losses for r in records])
-        expected = np.array([r.expected_loss for r in records], dtype=np.float64)
-        acc = Accumulators.zeros(num_groups, d)
-        acc.add_block(groups, codes, losses, expected)
-        return cls(
-            d=d,
+        return cls._from_columns(
+            lambda k: f"record {k + 1}",
+            np.array([r.t for r in records], dtype=np.int64),
+            np.array([r.group for r in records], dtype=np.int64),
+            np.array(
+                [UNLABELED_CODE if r.outcome is None else r.outcome.code for r in records],
+                dtype=np.int8,
+            ),
+            np.stack([r.distribution for r in records]),
+            np.stack([r.losses for r in records]),
+            np.array([r.expected_loss for r in records], dtype=np.float64),
             num_groups=num_groups,
-            groups=groups,
-            outcome_codes=codes,
-            expected_loss=expected,
-            distributions=dists,
-            losses=losses,
-            accumulators=acc,
             rng_seed=rng_seed,
             scenario_id=scenario_id,
             learner_id=learner_id,
@@ -498,13 +630,27 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, path: str | Path, **kwargs) -> "Trace":
-        records = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(RoundRecord.from_json_obj(json.loads(line)))
-        return cls.from_records(records, **kwargs)
+        """Read a trace written by ``to_jsonl``, a chunk of lines at a time.
+
+        A malformed file raises ConfigError naming the file and the line at
+        fault. ``kwargs`` are ``from_records``'s keyword arguments.
+        """
+        parts: list[tuple] = []
+        lines: list[list[int]] = []
+        d = None
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for rows, linenos in _json_chunks(path, fh):
+                    parts.append(_json_columns(path, rows, linenos, d))
+                    lines.append(linenos)
+                    d = parts[-1][3].shape[1]
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        if not parts:
+            raise ConfigError(f"{path}: no rounds")
+        line_of = np.concatenate(lines)
+        columns = [np.concatenate(col) for col in zip(*parts)]
+        return cls._from_columns(lambda k: f"{path} line {line_of[k]}", *columns, **kwargs)
 
     @classmethod
     def empty(

@@ -99,6 +99,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("learner", [
+        '{"kind": "fpl", "eta": "0.1", "grid_m": 2.5}',
+        '{"kind": "fpl", "eta": 0.1, "grid_m": 2.5}',
+        '{"kind": "per_group_fixed_share", "eta": 0.1, "switches": 1.5}',
+        '{"kind": "per_group_fixed_share", "eta": 0.1, "rho": true}',
+    ])
+    def test_mistyped_learner_value(self, tmp_path, capsys, learner):
+        cfg = _small_config_file(tmp_path)
+        assert main(["run", "--config", str(cfg), "--learner", learner]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_invalid_override_value(self, tmp_path, capsys):
         cfg = _small_config_file(tmp_path)
         assert main(["run", "--config", str(cfg), "--epsilon", "1.5"]) == 2
@@ -146,6 +158,37 @@ class TestAuditCommand:
 
     def test_missing_trace(self, tmp_path, capsys):
         assert main(["audit", "--trace", str(tmp_path / "gone.jsonl")]) == 2
+
+    def test_trace_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["audit", "--trace", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read trace file")
+
+    @pytest.mark.parametrize("line,edit", [
+        pytest.param(1, None, id="empty"),
+        pytest.param(2, lambda row: "{not json", id="not-json"),
+        pytest.param(3, lambda row: json.dumps({k: v for k, v in json.loads(row).items() if k != "p"}),
+                     id="no-p"),
+        pytest.param(2, lambda row: json.dumps({**json.loads(row), "p": [0.9, 0.9]}), id="off-simplex"),
+        pytest.param(3, lambda row: json.dumps({**json.loads(row), "losses": [0.0, 2.0]}),
+                     id="loss-range"),
+        pytest.param(2, lambda row: json.dumps({**json.loads(row), "t": 7}), id="t-order"),
+        pytest.param(3, lambda row: "[1, 2]", id="not-object"),
+        pytest.param(2, lambda row: row + ", " + row, id="two-values"),
+    ])
+    def test_malformed_trace(self, trace_path, tmp_path, capsys, line, edit):
+        rows = trace_path.read_text().splitlines()[:4]
+        bad = tmp_path / "bad.jsonl"
+        if edit is None:
+            bad.write_text("")
+        else:
+            rows[line - 1] = edit(rows[line - 1])
+            bad.write_text("\n".join(rows) + "\n")
+        assert main(["audit", "--trace", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(bad) in err
+        if edit is not None:
+            assert f"line {line}:" in err
 
 
 def test_module_entry_point():

@@ -11,6 +11,7 @@ from fair_experts.learners import (
     default_eta,
     make_learner,
 )
+from fair_experts.protocol import run
 from fair_experts.types import ConfigError, ContractError
 
 
@@ -260,3 +261,95 @@ class TestMakeLearner:
             make_learner({"kind": "single_mw", "eta": 0.1, "bogus": 1})
         with pytest.raises(ConfigError):
             make_learner({"kind": "fixed_share", "eta": 0.1})  # no rho, no T
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "fpl", "eta": 0.1, "grid_m": 2.5},
+        {"kind": "fpl", "eta": 0.1, "grid_m": True},
+        {"kind": "fpl", "eta": "0.1"},
+        {"kind": "single_mw", "eta": True},
+        {"kind": "fixed_share", "eta": 0.1, "rho": "0.01"},
+        {"kind": "fixed_share", "eta": 0.1, "switches": 1.5},
+        {"kind": "per_group_fixed_share", "eta": 0.1, "switches": False},
+    ])
+    def test_mistyped_values(self, config):
+        with pytest.raises(ConfigError):
+            make_learner(config, T=100)
+
+
+def _ref_fpl_run_block(lrn, losses):
+    """FPL's block path before the d=2 search kernel: the (rows, m, d)
+    perturbed-loss argmin, chunked. Advances ``lrn``'s cumulative loss."""
+    n = losses.shape[0]
+    cum = np.cumsum(losses, axis=0)
+    before = np.empty_like(cum)
+    before[0] = 0.0
+    before[1:] = cum[:-1]
+    before += lrn._cum
+    p = np.empty((n, lrn.d), dtype=np.float64)
+    chunk = max(1, 2_000_000 // (lrn.grid_m * lrn.d))
+    for s in range(0, n, chunk):
+        e = min(n, s + chunk)
+        pert = before[s:e, None, :] - lrn._grid[None, :, :]
+        leaders = pert.argmin(axis=2)
+        for f in range(lrn.d):
+            p[s:e, f] = (leaders == f).mean(axis=1)
+    lrn._cum += cum[-1]
+    return p
+
+
+def _fpl_pair(d, eta=0.1, grid_m=1024):
+    new, ref = FollowPerturbedLeader(eta, grid_m=grid_m), FollowPerturbedLeader(eta, grid_m=grid_m)
+    new.start(d)
+    ref.start(d)
+    return new, ref
+
+
+def _assert_blocks_match(new, ref, blocks):
+    for losses in blocks:
+        groups = np.zeros(losses.shape[0], dtype=np.int64)
+        assert np.array_equal(new.run_block(groups, losses), _ref_fpl_run_block(ref, losses))
+    assert np.array_equal(new.next_distribution(0), ref.next_distribution(0))
+
+
+class TestFPLKernelOracle:
+    """The d=2 search kernel must reproduce the argmin block path bit for bit."""
+
+    def test_t4(self):
+        tr = run({"kind": "fpl", "eta": 0.1}, {"kind": "t4"}, 100_000, seed=7, retain="full")
+        new, ref = _fpl_pair(2)
+        _assert_blocks_match(new, ref, [tr.losses])
+
+    @pytest.mark.parametrize("grid_m", [1, 2, 64, 1024])
+    @pytest.mark.parametrize("eta", [0.013, 0.1, 0.37])
+    def test_random_losses_over_consecutive_blocks(self, grid_m, eta):
+        rng = np.random.default_rng(grid_m * 1000 + int(eta * 1000))
+        new, ref = _fpl_pair(2, eta, grid_m)
+        blocks = [rng.random((n, 2)) * rng.random(2) for n in (1, 7, 300, 2000, 4000)]
+        _assert_blocks_match(new, ref, blocks)
+
+    @pytest.mark.parametrize("grid_m", [1, 2, 1024])
+    def test_exact_and_near_ties(self, grid_m):
+        probe, _ = _fpl_pair(2, 0.1, grid_m)
+        diffs = probe._grid[:, 0] - probe._grid[:, 1]
+        for diff in diffs[:: max(1, grid_m // 25)]:
+            new, ref = _fpl_pair(2, 0.1, grid_m)
+            # whole unit losses, then the exact remainder, on the expert that trails
+            whole, frac = divmod(abs(diff), 1.0)
+            unit = np.array([1.0, 0.0]) if diff >= 0 else np.array([0.0, 1.0])
+            for lrn in (new, ref):
+                for _ in range(int(whole)):
+                    lrn.observe(0, unit)
+                lrn.observe(0, frac * unit)
+            assert new._cum[0] - new._cum[1] == diff
+            # equal losses keep the difference at diff up to rounding
+            shifts = np.array([[0.0, 0.0], [0.5, 0.5], [0.1, 0.1], [0.0, 0.0], [1.0, 1.0], [0.3, 0.3]])
+            _assert_blocks_match(new, ref, [shifts, shifts[::-1]])
+
+    def test_three_experts_take_the_grid_path(self, monkeypatch):
+        def refuse(self, before):
+            raise AssertionError("the d=2 kernel ran for d=3")
+
+        monkeypatch.setattr(FollowPerturbedLeader, "_two_expert_play", refuse)
+        rng = np.random.default_rng(3)
+        new, ref = _fpl_pair(3, 0.2, 128)
+        _assert_blocks_match(new, ref, [rng.random((500, 3)), rng.random((300, 3))])

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fair_experts import RandomIID, SingleMW, run
 from fair_experts.types import (
     Accumulators,
     ConfigError,
@@ -169,10 +171,11 @@ class TestRoundRecord:
                 distribution=p, losses=np.array([0.0, 1.5]), expected_loss=0.75,
             )
 
-    def test_json_round_trip_keeps_unlabeled(self):
-        rec = RoundRecord.compute(3, 1, None, np.array([1.0, 0.0]), np.array([0.5, 0.25]))
-        obj = json.loads(json.dumps(rec.to_json_obj()))
-        back = RoundRecord.from_json_obj(obj)
+    def test_json_round_trip_keeps_unlabeled(self, tmp_path):
+        rec = RoundRecord.compute(1, 1, None, np.array([1.0, 0.0]), np.array([0.5, 0.25]))
+        path = tmp_path / "one.jsonl"
+        Trace.from_records([rec]).to_jsonl(path)
+        back = Trace.from_jsonl(path).record(1)
         assert back.outcome is None
         assert back.t == rec.t and back.group == rec.group
         np.testing.assert_array_equal(back.distribution, rec.distribution)
@@ -288,3 +291,174 @@ class TestTraceBuilder:
                     assert acc.expert_loss[g, b, f] == pytest.approx(
                         losses[mask, f].sum(), abs=1e-12
                     )
+
+
+# -- trace file oracle: the per-record export and import the block paths replaced
+
+def _ref_json_obj(rec):
+    return {
+        "t": rec.t,
+        "group": int(rec.group),
+        "outcome": None if rec.outcome is None else rec.outcome.token,
+        "p": [float(x) for x in rec.distribution],
+        "losses": [float(x) for x in rec.losses],
+        "expected_loss": float(rec.expected_loss),
+    }
+
+
+def _ref_record(obj):
+    raw = obj.get("outcome")
+    outcome = None if raw is None else outcome_from_token(raw)
+    return RoundRecord(
+        t=int(obj["t"]),
+        group=int(obj["group"]),
+        outcome=outcome,
+        distribution=np.asarray(obj["p"], dtype=np.float64),
+        losses=np.asarray(obj["losses"], dtype=np.float64),
+        expected_loss=float(obj["expected_loss"]),
+    )
+
+
+def _ref_to_jsonl(trace, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in trace.records():
+            fh.write(json.dumps(_ref_json_obj(rec), sort_keys=True))
+            fh.write("\n")
+
+
+def _ref_to_csv(trace, path):
+    header = ["t", "group", "outcome", "expected_loss"]
+    header += [f"p_{f}" for f in range(trace.d)]
+    header += [f"loss_{f}" for f in range(trace.d)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(len(trace)):
+            outcome = outcome_from_code(int(trace.outcome_codes[k]))
+            row = [
+                k + 1,
+                int(trace.groups[k]),
+                "" if outcome is None else outcome.token,
+                repr(float(trace.expected_loss[k])),
+            ]
+            row += [repr(float(x)) for x in trace.distributions[k]]
+            row += [repr(float(x)) for x in trace.losses[k]]
+            writer.writerow(row)
+
+
+def _ref_from_jsonl(path, num_groups=None):
+    """Records built and validated one by one, then stacked into columns."""
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                records.append(_ref_record(json.loads(line)))
+    if not records:
+        raise ValueError("cannot infer dimensions from an empty record list")
+    d = records[0].distribution.shape[0]
+    for k, rec in enumerate(records):
+        if rec.t != k + 1:
+            raise ValueError(f"record {k} has t={rec.t}, expected {k + 1}")
+    groups = np.array([r.group for r in records], dtype=np.int64)
+    if num_groups is None:
+        num_groups = int(groups.max()) + 1
+    codes = np.array([-1 if r.outcome is None else r.outcome.code for r in records], dtype=np.int8)
+    losses = np.stack([r.losses for r in records])
+    expected = np.array([r.expected_loss for r in records], dtype=np.float64)
+    acc = Accumulators.zeros(num_groups, d)
+    acc.add_block(groups, codes, losses, expected)
+    return Trace(d=d, num_groups=num_groups, groups=groups, outcome_codes=codes,
+                 expected_loss=expected, distributions=np.stack([r.distribution for r in records]),
+                 losses=losses, accumulators=acc)
+
+
+def _iid_trace(seed, d, groups, T, labeled):
+    tr = run(SingleMW(0.1), RandomIID(d=d, groups=groups), T, seed, retain="full")
+    codes = tr.outcome_codes
+    if labeled:
+        codes = np.random.default_rng(seed).integers(-1, 2, size=T).astype(np.int8)
+    builder = TraceBuilder(d, groups)
+    builder.append_block(tr.groups, codes, tr.losses, tr.distributions, tr.expected_loss)
+    return builder.build(rng_seed=seed, scenario_id="random_iid", learner_id="single_mw")
+
+
+def _same_trace(a, b):
+    assert (a.d, a.num_groups, len(a)) == (b.d, b.num_groups, len(b))
+    for name in ("groups", "outcome_codes", "expected_loss", "distributions", "losses"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for name in ("counts", "learner_loss", "expert_loss"):
+        assert np.array_equal(getattr(a.accumulators, name), getattr(b.accumulators, name)), name
+
+
+_IO_CASES = [
+    # (seed, d, groups, T, labeled); T above 8192 spans several I/O chunks,
+    # 30 groups run the labels past Z.
+    (1, 2, 2, 3000, False),
+    (2, 2, 2, 3000, True),
+    (3, 1, 3, 2000, True),
+    (4, 3, 4, 2000, False),
+    (5, 3, 30, 20000, True),
+]
+
+
+class TestTraceFileOracle:
+    @pytest.mark.parametrize("seed,d,groups,T,labeled", _IO_CASES)
+    def test_files_and_read_back_match_reference(self, tmp_path, seed, d, groups, T, labeled):
+        tr = _iid_trace(seed, d, groups, T, labeled)
+        tr.to_jsonl(tmp_path / "new.jsonl")
+        _ref_to_jsonl(tr, tmp_path / "ref.jsonl")
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+        tr.to_csv(tmp_path / "new.csv")
+        _ref_to_csv(tr, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back = Trace.from_jsonl(tmp_path / "new.jsonl")
+        _same_trace(back, _ref_from_jsonl(tmp_path / "ref.jsonl"))
+        _same_trace(back, tr)
+
+    def test_blank_lines_and_empty_outcome_are_accepted(self, tmp_path):
+        tr = _iid_trace(6, 2, 2, 50, True)
+        _ref_to_jsonl(tr, tmp_path / "ref.jsonl")
+        lines = (tmp_path / "ref.jsonl").read_text().splitlines()
+        lines = [ln.replace('"outcome": null', '"outcome": ""') for ln in lines]
+        (tmp_path / "odd.jsonl").write_text("\n\n".join(lines) + "\n\n")
+        _same_trace(Trace.from_jsonl(tmp_path / "odd.jsonl"), _ref_from_jsonl(tmp_path / "ref.jsonl"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("t", 0),
+        ("t", 5),
+        ("group", -1),
+        ("p", [0.7, 0.7]),
+        ("p", [-0.5, 1.5]),
+        ("p", [float("nan"), 1.0]),
+        ("p", [1.0]),
+        ("p", []),
+        ("losses", [0.0, 1.5]),
+        ("losses", [0.0, 1.0, 0.0]),
+        ("expected_loss", "shift"),
+        ("outcome", "x"),
+        ("p", None),
+    ])
+    def test_rejected_rows_stay_rejected(self, tmp_path, field, value):
+        recs = [RoundRecord.compute(t, t % 2, Outcome.POSITIVE, np.array([0.25, 0.75]),
+                                    np.array([1.0, 0.5])) for t in (1, 2, 3)]
+        objs = [_ref_json_obj(r) for r in recs]
+        if value == "shift":
+            objs[1]["expected_loss"] += 2e-9
+        elif value is None:
+            del objs[1][field]
+        else:
+            objs[1][field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        with pytest.raises((ValueError, KeyError)):
+            _ref_from_jsonl(path)
+        with pytest.raises(ConfigError, match="line 2"):
+            Trace.from_jsonl(path)
+
+    def test_group_outside_declared_set(self, tmp_path):
+        tr = _iid_trace(7, 2, 3, 40, False)
+        tr.to_jsonl(tmp_path / "t.jsonl")
+        with pytest.raises(ConfigError, match="outside 0..1"):
+            Trace.from_jsonl(tmp_path / "t.jsonl", num_groups=2)
