@@ -20,6 +20,7 @@ how many other random decisions a scenario makes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Mapping
 
@@ -34,6 +35,7 @@ from .types import (
     UNLABELED_CODE,
     Outcome,
     loss_of,
+    require_type,
 )
 
 SCENARIO_KINDS = ("t1", "t2", "t3_synthetic", "t4", "t5", "random_iid")
@@ -594,12 +596,37 @@ class _RandomIIDRun(ScenarioRun):
 # ---------------------------------------------------------------------------
 
 
+# Scenario fields checked by type before the scenario checks their ranges.
+_FIELD_TYPES = {
+    "d": (numbers.Integral, "an integer"),
+    "groups": (numbers.Integral, "an integer"),
+    "epsilon": (numbers.Real, "a number"),
+    "b": (numbers.Real, "a number"),
+    "kappa": (numbers.Real, "a number"),
+}
+_LIST_FIELDS = ("rates", "group_probs")
+
+
+def _check_types(cfg: Mapping) -> None:
+    for name, value in cfg.items():
+        if name in _FIELD_TYPES:
+            require_type(name, value, *_FIELD_TYPES[name])
+        elif name == "bernoulli_experts" and not isinstance(value, bool):
+            raise ConfigError(f"bernoulli_experts must be true or false, got {value!r}")
+        elif name in _LIST_FIELDS and value is not None:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+            for i, x in enumerate(value):
+                require_type(f"{name}[{i}]", x, numbers.Real, "a number")
+
+
 def make_scenario(config: Mapping) -> Scenario:
     """Build a scenario from its config mapping (the 'scenario' block of an
-    experiment config)."""
+    experiment config). Mistyped values raise ConfigError, not coerced."""
     cfg = dict(config)
     kind = cfg.pop("kind", None)
     cfg.pop("experts", None)  # echo-only
+    _check_types(cfg)
     if kind == "t1":
         if "epsilon" not in cfg:
             raise ConfigError("t1 needs epsilon")
@@ -617,7 +644,6 @@ def make_scenario(config: Mapping) -> Scenario:
     if kind == "t3_synthetic":
         if "rates" not in cfg:
             raise ConfigError("t3_synthetic needs rates")
-        cfg["rates"] = tuple(float(r) for r in cfg["rates"])
         try:
             return T3Synthetic(**cfg)
         except TypeError as exc:
@@ -631,8 +657,6 @@ def make_scenario(config: Mapping) -> Scenario:
             raise ConfigError(f"t5 takes no parameters, got {sorted(cfg)}")
         return T5Scenario()
     if kind == "random_iid":
-        if "group_probs" in cfg and cfg["group_probs"] is not None:
-            cfg["group_probs"] = tuple(float(x) for x in cfg["group_probs"])
         try:
             return RandomIID(**cfg)
         except TypeError as exc:

@@ -10,7 +10,8 @@ reported as None; gaps are taken over the defined groups only.
 Regret compares the learner's total expected loss to the best single
 expert in hindsight; the epsilon-approximate variant charges the comparator
 a (1 + epsilon) factor, and the shifting variant lets the comparator switch
-experts a bounded number of times, computed exactly by dynamic programming.
+experts a bounded number of times, computed exactly by one prefix-minimum
+pass per switch level.
 """
 
 from __future__ import annotations
@@ -133,17 +134,42 @@ def switch_count(experts: Sequence[int]) -> int:
     return int((arr[1:] != arr[:-1]).sum())
 
 
+def _level_losses(column: np.ndarray, prev_min: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """Best loss of a path that ends on one expert in each round, with at most
+    k switches, written into ``out``.
+
+    ``column`` is the expert's per-round losses and ``prev_min`` the per-round
+    minimum over experts at k - 1 switches (None for k = 0). With C the
+    cumulative loss, the value at round t is C(t) plus the most negative
+    prev_min(s - 1) - C(s - 1) over 1 <= s <= t, the gain from switching onto
+    the expert at round s, or plus 0 when no switch gains.
+    """
+    np.cumsum(column, out=out)
+    if prev_min is not None and out.shape[0] > 1:
+        gain = prev_min[:-1] - out[:-1]
+        np.minimum.accumulate(gain, out=gain)
+        np.minimum(gain, 0.0, out=gain)
+        out[1:] += gain
+    return out
+
+
 def best_shifting_comparator(
     trace_or_losses, K: int, group: GroupId | None = None
 ) -> ComparatorPath:
     """Minimum-loss expert sequence using at most K switches.
 
     Accepts a full trace (optionally restricted to one group's rounds) or a
-    raw (n, d) loss matrix. Exact dynamic programming over (round, switches
-    used, current expert); on equal loss the reconstruction keeps the
-    current expert rather than switching, switch sources and the final
-    expert take the lowest index, and at equal loss and expert the path
-    with fewer switches wins.
+    raw (n, d) loss matrix of finite values. Each switch level k is one
+    prefix-minimum pass per expert over the level below (``_level_losses``);
+    only each level's per-round minimum is kept. K is capped at n - 1, and
+    the levels stop once one repeats the level below, since every higher
+    level then equals it. The path is rebuilt backwards: at level k the
+    switch onto the current expert happens after the first round where the
+    switching gain reaches its minimum, if that gain is negative, and comes
+    from the lowest-index best expert of level k - 1 in that round. So on
+    equal loss the path keeps the current expert rather than switching,
+    switch sources and the final expert take the lowest index, and at equal
+    loss and expert the path with fewer switches wins.
     """
     if K < 0:
         raise ConfigError(f"switch budget K must be >= 0, got {K}")
@@ -161,45 +187,50 @@ def best_shifting_comparator(
         if group is not None:
             raise ValueError("group restriction applies to traces only")
         losses = np.asarray(trace_or_losses, dtype=np.float64)
+        if not np.isfinite(losses).all():
+            raise ValueError("loss matrix must hold finite values")
     if losses.ndim != 2:
         raise ValueError(f"loss matrix must be (rounds, experts), got shape {losses.shape}")
     n, d = losses.shape
     if n == 0:
         return ComparatorPath(np.zeros(0, dtype=np.int64), 0.0, 0)
-    levels = K + 1
-    dp = np.tile(losses[0], (levels, 1))
-    stayed = np.ones((n, levels, d), dtype=bool)
-    source = np.tile(np.arange(d, dtype=np.int32), (n, levels, 1))
-    arange_d = np.arange(d, dtype=np.int32)
-    for t in range(1, n):
-        prev_min = dp.min(axis=1)
-        prev_arg = dp.argmin(axis=1).astype(np.int32)
-        new = np.empty_like(dp)
-        new[0] = dp[0]
-        for k in range(1, levels):
-            switch_val = prev_min[k - 1]
-            use_stay = dp[k] <= switch_val
-            new[k] = np.where(use_stay, dp[k], switch_val)
-            stayed[t, k] = use_stay
-            source[t, k] = np.where(use_stay, arange_d, prev_arg[k - 1])
-        dp = new + losses[t]
+    column = np.empty(n)
+    mins: list[np.ndarray] = []  # per-round minimum over experts, per level
+    finals: list[np.ndarray] = []  # last-round loss of each expert, per level
+    for _ in range(min(K, n - 1) + 1):
+        prev_min = mins[-1] if mins else None
+        low = np.full(n, np.inf)
+        final = np.empty(d)
+        for f in range(d):
+            _level_losses(losses[:, f], prev_min, column)
+            np.minimum(low, column, out=low)
+            final[f] = column[-1]
+        mins.append(low)
+        finals.append(final)
+        if prev_min is not None and np.array_equal(low, prev_min):
+            break
     # Final cell: smallest loss, then lowest expert, then fewest switches.
-    best = None
-    for f in range(d):
-        for k in range(levels):
-            cand = (dp[k, f], f, k)
-            if best is None or cand < best:
-                best = cand
-    loss, f, k = best
+    finals = np.array(finals)
+    f = int(finals.min(axis=0).argmin())
+    k = int(finals[:, f].argmin())
+    loss = float(finals[k, f])
     path = np.empty(n, dtype=np.int64)
-    for t in range(n - 1, 0, -1):
-        path[t] = f
-        if not stayed[t, k, f]:
-            f = int(source[t, k, f])
-            k -= 1
-        # else both f and k carry over
-    path[0] = f
-    return ComparatorPath(path, float(loss), switch_count(path))
+    end = n  # path[:end] is not yet filled
+    while k > 0 and end > 1:
+        # gain borrows column's storage; the source row below overwrites it
+        gain = np.cumsum(losses[: end - 1, f], out=column[: end - 1])
+        np.subtract(mins[k - 1][: end - 1], gain, out=gain)
+        s = int(gain.argmin())
+        if not gain[s] < 0.0:
+            break
+        path[s + 1 : end] = f
+        below = mins[k - 2][: s + 1] if k > 1 else None
+        row = [_level_losses(losses[: s + 1, g], below, column[: s + 1])[-1] for g in range(d)]
+        f = int(np.argmin(row))
+        k -= 1
+        end = s + 1
+    path[:end] = f
+    return ComparatorPath(path, loss, switch_count(path))
 
 
 def shifting_approx_regret(trace: Trace, epsilon: float, K: int) -> dict:

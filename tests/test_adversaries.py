@@ -327,6 +327,28 @@ class TestMakeScenario:
         with pytest.raises(ConfigError):
             make_scenario({"kind": "t1", "epsilon": 0.01, "mystery": 2})
 
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "random_iid", "d": 2.5, "groups": 2},
+        {"kind": "random_iid", "d": True, "groups": 2},
+        {"kind": "random_iid", "d": 2, "groups": "2"},
+        {"kind": "random_iid", "d": 2, "groups": 2, "group_probs": [0.5, "0.5"]},
+        {"kind": "random_iid", "d": 2, "groups": 2, "group_probs": 1.0},
+        {"kind": "t1", "epsilon": "0.01"},
+        {"kind": "t1", "epsilon": 0.01, "bernoulli_experts": "no"},
+        {"kind": "t2", "b": True, "epsilon": 0.01},
+        {"kind": "t3_synthetic", "rates": ["0.2", "0.6"]},
+        {"kind": "t3_synthetic", "rates": [0.2, False]},
+        {"kind": "t3_synthetic", "rates": 0.2},
+        {"kind": "t3_synthetic", "rates": [0.2, 0.6], "groups": 2.0},
+        {"kind": "t3_synthetic", "rates": [0.2, 0.6], "kappa": "0"},
+    ])
+    def test_mistyped_values(self, cfg):
+        with pytest.raises(ConfigError):
+            make_scenario(cfg)
+
+    def test_integer_rates_accepted(self):
+        assert make_scenario({"kind": "t3_synthetic", "rates": [0, 1]}).rates == (0.0, 1.0)
+
     def test_config_echo_round_trips(self):
         for cfg in (
             {"kind": "t1", "epsilon": 0.02},

@@ -111,6 +111,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("scenario", [
+        '{"kind": "random_iid", "d": 2.5, "groups": 2}',
+        '{"kind": "random_iid", "d": true, "groups": 2}',
+        '{"kind": "t3_synthetic", "rates": ["0.2", "0.6"]}',
+        '{"kind": "random_iid", "groups": 2, "group_probs": [0.5, "0.5"]}',
+    ], ids=["d-float", "d-bool", "rates-str", "group_probs-str"])
+    def test_mistyped_scenario_value(self, tmp_path, capsys, scenario):
+        cfg = _small_config_file(tmp_path)
+        assert main(["run", "--config", str(cfg), "--scenario", scenario]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_invalid_override_value(self, tmp_path, capsys):
         cfg = _small_config_file(tmp_path)
         assert main(["run", "--config", str(cfg), "--epsilon", "1.5"]) == 2

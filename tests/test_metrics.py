@@ -1,11 +1,13 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 from pytest import approx
 
-from fair_experts.adversaries import RandomIID
+from fair_experts.adversaries import GROUP_B, RandomIID
 from fair_experts.experts import expert_group_metric
+from fair_experts.harness import get_preset, run_experiment
 from fair_experts.learners import SingleMW
 from fair_experts.metrics import (
     METRICS,
@@ -314,6 +316,136 @@ class TestShiftingComparator:
         assert out["switches"] == 1
         assert out["approx_regret"] == approx(2.5 - 1.2 * 0.75)
 
+
+
+def _ref_best_shifting_comparator(losses, K):
+    """The per-round dynamic program the prefix-minimum form replaced:
+    (path, loss, switches) over (round, switches used, current expert)."""
+    n, d = losses.shape
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), 0.0, 0
+    levels = K + 1
+    dp = np.tile(losses[0], (levels, 1))
+    stayed = np.ones((n, levels, d), dtype=bool)
+    source = np.tile(np.arange(d, dtype=np.int32), (n, levels, 1))
+    arange_d = np.arange(d, dtype=np.int32)
+    for t in range(1, n):
+        prev_min = dp.min(axis=1)
+        prev_arg = dp.argmin(axis=1).astype(np.int32)
+        new = np.empty_like(dp)
+        new[0] = dp[0]
+        for k in range(1, levels):
+            switch_val = prev_min[k - 1]
+            use_stay = dp[k] <= switch_val
+            new[k] = np.where(use_stay, dp[k], switch_val)
+            stayed[t, k] = use_stay
+            source[t, k] = np.where(use_stay, arange_d, prev_arg[k - 1])
+        dp = new + losses[t]
+    best = None
+    for f in range(d):
+        for k in range(levels):
+            cand = (dp[k, f], f, k)
+            if best is None or cand < best:
+                best = cand
+    loss, f, k = best
+    path = np.empty(n, dtype=np.int64)
+    for t in range(n - 1, 0, -1):
+        path[t] = f
+        if not stayed[t, k, f]:
+            f = int(source[t, k, f])
+            k -= 1
+    path[0] = f
+    return path, float(loss), switch_count(path)
+
+
+def _assert_matches_reference(losses, K):
+    path = best_shifting_comparator(losses, K)
+    ref_path, ref_loss, ref_switches = _ref_best_shifting_comparator(losses, K)
+    np.testing.assert_array_equal(path.experts, ref_path)
+    assert path.loss == ref_loss
+    assert path.switches == ref_switches
+
+
+@pytest.fixture(scope="module")
+def theorem5_trace():
+    cfg = get_preset("theorem5", keep_traces=True, out_dir=None)
+    return run_experiment(cfg).traces[0]
+
+
+class TestShiftingComparatorOracle:
+    """The prefix-minimum comparator against the per-round DP it replaced."""
+
+    @pytest.mark.parametrize("denominator, cases", [(4, 600), (1, 300)])
+    def test_dyadic_instances_exact(self, denominator, cases):
+        # tie-heavy losses in {0, 1/denominator, ..., 1}: every sum is exact,
+        # so any difference in tie handling shows as a different path
+        rng = np.random.default_rng(2024 + denominator)
+        for _ in range(cases):
+            n = int(rng.integers(1, 61))
+            d = int(rng.integers(1, 5))
+            K = int(rng.integers(0, 7))
+            losses = rng.integers(0, denominator + 1, size=(n, d)) / denominator
+            _assert_matches_reference(losses, K)
+
+    @pytest.mark.parametrize("group", [None, GROUP_B])
+    def test_theorem5_trace_exact(self, theorem5_trace, group):
+        losses = theorem5_trace.losses
+        if group is not None:
+            losses = losses[theorem5_trace.groups == group]
+        path = best_shifting_comparator(theorem5_trace, 2, group=group)
+        ref_path, ref_loss, ref_switches = _ref_best_shifting_comparator(losses, 2)
+        np.testing.assert_array_equal(path.experts, ref_path)
+        assert path.loss == ref_loss
+        assert path.switches == ref_switches
+
+    def test_random_floats_same_path_and_close_loss(self):
+        # the closed form adds the cumulative loss to a prefix minimum instead
+        # of summing round by round, so only the last ulps may differ
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 61))
+            d = int(rng.integers(1, 5))
+            K = int(rng.integers(0, 7))
+            losses = rng.random((n, d))
+            path = best_shifting_comparator(losses, K)
+            ref_path, ref_loss, ref_switches = _ref_best_shifting_comparator(losses, K)
+            np.testing.assert_array_equal(path.experts, ref_path)
+            assert path.switches == ref_switches
+            assert path.loss == approx(ref_loss, rel=1e-12, abs=0.0)
+
+    def test_repeated_level_still_picks_lowest_final_expert(self):
+        # level 1 has the same per-round minima as level 0, yet it lets
+        # expert 0 reach the best final loss through a switch
+        losses = np.array([[1.0, 0.0], [0.0, 0.0]])
+        path = best_shifting_comparator(losses, 1)
+        np.testing.assert_array_equal(path.experts, [1, 0])
+        assert path.loss == 0.0 and path.switches == 1
+        _assert_matches_reference(losses, 1)
+
+    def test_huge_budget_is_capped(self):
+        rng = np.random.default_rng(11)
+        losses = np.eye(2)[rng.integers(0, 2, size=1000)]
+        t0 = time.perf_counter()
+        path = best_shifting_comparator(losses, 10**6)
+        elapsed = time.perf_counter() - t0
+        capped = best_shifting_comparator(losses, 999)
+        np.testing.assert_array_equal(path.experts, capped.experts)
+        assert path.loss == capped.loss == 0.0
+        assert path.switches == capped.switches
+        assert elapsed < 1.0
+
+    def test_runtime_budget(self):
+        # a per-round loop takes seconds here
+        rng = np.random.default_rng(3)
+        losses = rng.integers(0, 5, size=(100_000, 2)) / 4.0
+        t0 = time.perf_counter()
+        best_shifting_comparator(losses, 2)
+        assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_losses_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            best_shifting_comparator(np.array([[bad, 0.0], [0.0, 1.0]]), 1)
 
 class TestReports:
     def test_build_report_hand_values(self):
