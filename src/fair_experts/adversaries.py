@@ -38,8 +38,6 @@ from .types import (
     require_type,
 )
 
-SCENARIO_KINDS = ("t1", "t2", "t3_synthetic", "t4", "t5", "random_iid")
-
 GROUP_A = 0
 GROUP_B = 1
 
@@ -57,11 +55,13 @@ class ScenarioRun:
         self.info: dict = {}
 
     def segments(self) -> Iterator:
-        raise NotImplementedError
+        if self.T:
+            yield from self.scenario.unroll(self)
 
 
 class Scenario:
-    """Config-level scenario; ``start`` binds it to a horizon and a seed."""
+    """Config-level scenario; ``start`` binds it to a horizon and a seed,
+    and ``unroll`` turns a bound run into protocol segments."""
 
     kind: ClassVar[str] = "base"
 
@@ -77,7 +77,23 @@ class Scenario:
         raise NotImplementedError
 
     def start(self, T: int, seed_seq: np.random.SeedSequence) -> ScenarioRun:
+        return ScenarioRun(self, T, seed_seq)
+
+    def unroll(self, run: ScenarioRun) -> Iterator:
+        """Yield the segments of ``run`` (T >= 1); each yield receives the
+        block's BlockResult back."""
         raise NotImplementedError
+
+
+def _reals(name: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats. ConfigError unless it is a list or
+    tuple of real numbers that are not bools; integers become floats, so
+    config echoes keep one form."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    for i, x in enumerate(values):
+        require_type(f"{name}[{i}]", x, numbers.Real, "a number")
+    return tuple(float(x) for x in values)
 
 
 def _expert_loss_block(
@@ -139,6 +155,11 @@ class T1Scenario(Scenario):
     num_groups: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
+        require_type("epsilon", self.epsilon, numbers.Real, "a number")
+        if not isinstance(self.bernoulli_experts, bool):
+            raise ConfigError(
+                f"bernoulli_experts must be true or false, got {self.bernoulli_experts!r}"
+            )
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         if self.beta > 1.0:
@@ -170,23 +191,15 @@ class T1Scenario(Scenario):
         cfg["experts"] = [ex.to_config() for ex in self.experts]
         return cfg
 
-    def start(self, T: int, seed_seq: np.random.SeedSequence) -> "_T1Run":
-        return _T1Run(self, T, seed_seq)
-
-
-class _T1Run(ScenarioRun):
-    def segments(self) -> Iterator:
-        sc: T1Scenario = self.scenario
-        T = self.T
-        if T == 0:
-            return
-        experts = sc.experts
-        groups = self.rng_groups.integers(0, 2, size=T)
-        coins = self.rng_labels.integers(0, 2, size=T).astype(np.int8)
+    def unroll(self, run: ScenarioRun) -> Iterator:
+        T = run.T
+        experts = self.experts
+        groups = run.rng_groups.integers(0, 2, size=T)
+        coins = run.rng_labels.integers(0, 2, size=T).astype(np.int8)
         half = T // 2
-        sqrt_eps = math.sqrt(sc.epsilon)
-        self.info.update(
-            beta=sc.beta,
+        sqrt_eps = math.sqrt(self.epsilon)
+        run.info.update(
+            beta=self.beta,
             phase1_rounds=half,
             world_threshold=sqrt_eps * T,
             asymptote_fnr_gap=0.375,
@@ -197,17 +210,17 @@ class _T1Run(ScenarioRun):
         if half:
             codes1 = np.where(groups[:half] == GROUP_B, NEGATIVE_CODE, coins[:half]).astype(np.int8)
             result: BlockResult = yield _expert_loss_block(
-                experts, 1, groups[:half], codes1, self.rng_extra
+                experts, 1, groups[:half], codes1, run.rng_extra
             )
             hu_mass = float(result.distributions[:, 1].sum())
-        world = sc.forced_world or ("a" if hu_mass > sqrt_eps * T else "b")
-        self.info.update(hu_probability_mass=hu_mass, world=world)
+        world = self.forced_world or ("a" if hu_mass > sqrt_eps * T else "b")
+        run.info.update(hu_probability_mass=hu_mass, world=world)
         rest = groups[half:]
         if world == "a":
             codes2 = np.full(T - half, NEGATIVE_CODE, dtype=np.int8)
         else:
             codes2 = np.where(rest == GROUP_B, POSITIVE_CODE, coins[half:]).astype(np.int8)
-        yield _expert_loss_block(experts, half + 1, rest, codes2, self.rng_extra)
+        yield _expert_loss_block(experts, half + 1, rest, codes2, run.rng_extra)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +256,8 @@ class T2Scenario(Scenario):
     THETA: ClassVar[float] = 1.0 / 101.0
 
     def __post_init__(self) -> None:
+        require_type("b", self.b, numbers.Real, "a number")
+        require_type("epsilon", self.epsilon, numbers.Real, "a number")
         if not 0.0 < self.b < 0.49:
             raise ConfigError(f"b must lie in (0, 0.49), got {self.b!r}")
         if not 0.0 < self.epsilon < 1.0:
@@ -268,28 +283,20 @@ class T2Scenario(Scenario):
         cfg["experts"] = [ex.to_config() for ex in self.experts]
         return cfg
 
-    def start(self, T: int, seed_seq: np.random.SeedSequence) -> "_T2Run":
-        return _T2Run(self, T, seed_seq)
-
-
-class _T2Run(ScenarioRun):
-    def segments(self) -> Iterator:
-        sc: T2Scenario = self.scenario
-        T = self.T
-        if T == 0:
-            return
-        groups = np.where(self.rng_groups.random(T) < sc.b, GROUP_A, GROUP_B)
+    def unroll(self, run: ScenarioRun) -> Iterator:
+        T = run.T
+        groups = np.where(run.rng_groups.random(T) < self.b, GROUP_A, GROUP_B)
         phase1 = T // 101  # floor(THETA * T) exactly, since THETA = 1/101
-        gamma = sc.gamma
-        count_threshold = sc.C * sc.b * T
-        neg_row, pos_row = _constant_loss_rows(sc.experts, self.rng_extra)
-        self.info.update(
+        gamma = self.gamma
+        count_threshold = self.C * self.b * T
+        neg_row, pos_row = _constant_loss_rows(self.experts, run.rng_extra)
+        run.info.update(
             gamma=gamma,
             phase1_rounds=phase1,
             world_threshold=count_threshold,
-            asymptote_fnr_a=0.99 - 0.02 * sc.epsilon,
-            fnr_b_limit=(0.5 + sc.epsilon) / (1.0 - sc.b),
-            asymptote_fnr_gap=(0.49 - 0.99 * sc.b) / (1.0 - sc.b),
+            asymptote_fnr_a=0.99 - 0.02 * self.epsilon,
+            fnr_b_limit=(0.5 + self.epsilon) / (1.0 - self.b),
+            asymptote_fnr_gap=(0.49 - 0.99 * self.b) / (1.0 - self.b),
         )
         qualifying = 0
 
@@ -302,8 +309,8 @@ class _T2Run(ScenarioRun):
 
         if phase1:
             yield AdaptiveBlock(groups[:phase1], step)
-        world = sc.forced_world or ("a" if qualifying < count_threshold else "b")
-        self.info.update(qualifying_rounds=qualifying, world=world)
+        world = self.forced_world or ("a" if qualifying < count_threshold else "b")
+        run.info.update(qualifying_rounds=qualifying, world=world)
         rest = groups[phase1:]
         n = rest.shape[0]
         if world == "a":
@@ -340,8 +347,10 @@ class T3Synthetic(Scenario):
     kind: ClassVar[str] = "t3_synthetic"
 
     def __post_init__(self) -> None:
-        rates = tuple(float(r) for r in self.rates)
+        rates = _reals("rates", self.rates)
         object.__setattr__(self, "rates", rates)
+        require_type("groups", self.groups, numbers.Integral, "an integer")
+        require_type("kappa", self.kappa, numbers.Real, "a number")
         if not rates:
             raise ConfigError("t3_synthetic needs at least one expert rate")
         for r in rates:
@@ -371,46 +380,38 @@ class T3Synthetic(Scenario):
             "kappa": self.kappa,
         }
 
-    def start(self, T: int, seed_seq: np.random.SeedSequence) -> "_T3Run":
-        return _T3Run(self, T, seed_seq)
-
-
-def _spread_pattern(n: int, rate: float, phase: float) -> np.ndarray:
-    """0/1 sequence of length n whose mean is within 1/n of rate."""
-    k = np.arange(n, dtype=np.float64)
-    return np.floor((k + 1.0) * rate + phase) - np.floor(k * rate + phase)
-
-
-class _T3Run(ScenarioRun):
-    def segments(self) -> Iterator:
-        sc: T3Synthetic = self.scenario
-        T = self.T
-        if T == 0:
-            return
-        G, d = sc.num_groups, sc.d
-        if sc.schedule == "blocks":
+    def unroll(self, run: ScenarioRun) -> Iterator:
+        T = run.T
+        G, d = self.num_groups, self.d
+        if self.schedule == "blocks":
             base, extra = divmod(T, G)
             counts = [base + (1 if g < extra else 0) for g in range(G)]
             groups = np.repeat(np.arange(G, dtype=np.int64), counts)
         else:
             groups = np.arange(T, dtype=np.int64) % G
             counts = [int((groups == g).sum()) for g in range(G)]
-        if sc.kappa > 0.0:
-            delta = self.rng_extra.random((G, d)) * sc.kappa
+        if self.kappa > 0.0:
+            delta = run.rng_extra.random((G, d)) * self.kappa
         else:
             delta = np.zeros((G, d))
-        target = np.clip(np.asarray(sc.rates)[None, :] + delta, 0.0, 1.0)
+        target = np.clip(np.asarray(self.rates)[None, :] + delta, 0.0, 1.0)
         losses = np.empty((T, d), dtype=np.float64)
         for g in range(G):
             idx = np.flatnonzero(groups == g)
             for f in range(d):
                 losses[idx, f] = _spread_pattern(counts[g], float(target[g, f]), g / G)
-        self.info.update(
+        run.info.update(
             group_rounds=counts,
             target_rates=[[float(x) for x in row] for row in target],
         )
         codes = np.full(T, UNLABELED_CODE, dtype=np.int8)
         yield ObliviousBlock(groups, codes, losses)
+
+
+def _spread_pattern(n: int, rate: float, phase: float) -> np.ndarray:
+    """0/1 sequence of length n whose mean is within 1/n of rate."""
+    k = np.arange(n, dtype=np.float64)
+    return np.floor((k + 1.0) * rate + phase) - np.floor(k * rate + phase)
 
 
 # ---------------------------------------------------------------------------
@@ -435,26 +436,11 @@ class T4Scenario(Scenario):
     def config(self) -> dict:
         return {"kind": self.kind}
 
-    def start(self, T: int, seed_seq: np.random.SeedSequence) -> "_T4Run":
-        return _T4Run(self, T, seed_seq)
-
-
-T4_QUARTERS = (
-    (GROUP_A, (0.0, 1.0)),
-    (GROUP_B, (1.0, 0.0)),
-    (GROUP_A, (1.0, 0.0)),
-    (GROUP_B, (0.0, 1.0)),
-)
-
-
-class _T4Run(ScenarioRun):
-    def segments(self) -> Iterator:
-        T = self.T
-        if T == 0:
-            return
+    def unroll(self, run: ScenarioRun) -> Iterator:
+        T = run.T
         q = T // 4
         lengths = [q, q, q, T - 3 * q]
-        self.info.update(quarter_rounds=lengths)
+        run.info.update(quarter_rounds=lengths)
         groups = np.empty(T, dtype=np.int64)
         losses = np.empty((T, 2), dtype=np.float64)
         start = 0
@@ -464,6 +450,14 @@ class _T4Run(ScenarioRun):
             start += length
         codes = np.full(T, UNLABELED_CODE, dtype=np.int8)
         yield ObliviousBlock(groups, codes, losses)
+
+
+T4_QUARTERS = (
+    (GROUP_A, (0.0, 1.0)),
+    (GROUP_B, (1.0, 0.0)),
+    (GROUP_A, (1.0, 0.0)),
+    (GROUP_B, (0.0, 1.0)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -490,18 +484,8 @@ class T5Scenario(Scenario):
     def config(self) -> dict:
         return {"kind": self.kind}
 
-    def start(self, T: int, seed_seq: np.random.SeedSequence) -> "_T5Run":
-        return _T5Run(self, T, seed_seq)
-
-
-_T5_ROWS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-
-class _T5Run(ScenarioRun):
-    def segments(self) -> Iterator:
-        T = self.T
-        if T == 0:
-            return
+    def unroll(self, run: ScenarioRun) -> Iterator:
+        T = run.T
         half = T // 2
         penalties = [0, 0]
 
@@ -514,7 +498,7 @@ class _T5Run(ScenarioRun):
             yield AdaptiveBlock(np.zeros(half, dtype=np.int64), step)
         len2 = penalties[0]
         len3 = penalties[1] + (T - half - penalties[0] - penalties[1])
-        self.info.update(
+        run.info.update(
             phase1_rounds=half,
             phase2_rounds=len2,
             phase3_rounds=len3,
@@ -534,6 +518,9 @@ class _T5Run(ScenarioRun):
             )
 
 
+_T5_ROWS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # random_iid: stochastic baseline
 
@@ -549,12 +536,14 @@ class RandomIID(Scenario):
     kind: ClassVar[str] = "random_iid"
 
     def __post_init__(self) -> None:
+        require_type("d", self.d, numbers.Integral, "an integer")
+        require_type("groups", self.groups, numbers.Integral, "an integer")
         if self.d < 1:
             raise ConfigError(f"need at least one expert, got d={self.d}")
         if self.groups < 1:
             raise ConfigError(f"need at least one group, got {self.groups}")
         if self.group_probs is not None:
-            probs = tuple(float(x) for x in self.group_probs)
+            probs = _reals("group_probs", self.group_probs)
             object.__setattr__(self, "group_probs", probs)
             if len(probs) != self.groups:
                 raise ConfigError(
@@ -573,22 +562,14 @@ class RandomIID(Scenario):
             cfg["group_probs"] = list(self.group_probs)
         return cfg
 
-    def start(self, T: int, seed_seq: np.random.SeedSequence) -> "_RandomIIDRun":
-        return _RandomIIDRun(self, T, seed_seq)
-
-
-class _RandomIIDRun(ScenarioRun):
-    def segments(self) -> Iterator:
-        sc: RandomIID = self.scenario
-        T = self.T
-        if T == 0:
-            return
-        probs = sc.group_probs
+    def unroll(self, run: ScenarioRun) -> Iterator:
+        T = run.T
+        probs = self.group_probs
         if probs is None:
-            groups = self.rng_groups.integers(0, sc.groups, size=T)
+            groups = run.rng_groups.integers(0, self.groups, size=T)
         else:
-            groups = self.rng_groups.choice(sc.groups, size=T, p=probs)
-        losses = self.rng_extra.random((T, sc.d))
+            groups = run.rng_groups.choice(self.groups, size=T, p=probs)
+        losses = run.rng_extra.random((T, self.d))
         codes = np.full(T, UNLABELED_CODE, dtype=np.int8)
         yield ObliviousBlock(groups, codes, losses)
 
@@ -596,28 +577,11 @@ class _RandomIIDRun(ScenarioRun):
 # ---------------------------------------------------------------------------
 
 
-# Scenario fields checked by type before the scenario checks their ranges.
-_FIELD_TYPES = {
-    "d": (numbers.Integral, "an integer"),
-    "groups": (numbers.Integral, "an integer"),
-    "epsilon": (numbers.Real, "a number"),
-    "b": (numbers.Real, "a number"),
-    "kappa": (numbers.Real, "a number"),
+_SCENARIOS = {
+    cls.kind: cls
+    for cls in (T1Scenario, T2Scenario, T3Synthetic, T4Scenario, T5Scenario, RandomIID)
 }
-_LIST_FIELDS = ("rates", "group_probs")
-
-
-def _check_types(cfg: Mapping) -> None:
-    for name, value in cfg.items():
-        if name in _FIELD_TYPES:
-            require_type(name, value, *_FIELD_TYPES[name])
-        elif name == "bernoulli_experts" and not isinstance(value, bool):
-            raise ConfigError(f"bernoulli_experts must be true or false, got {value!r}")
-        elif name in _LIST_FIELDS and value is not None:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-            for i, x in enumerate(value):
-                require_type(f"{name}[{i}]", x, numbers.Real, "a number")
+SCENARIO_KINDS = tuple(_SCENARIOS)
 
 
 def make_scenario(config: Mapping) -> Scenario:
@@ -626,39 +590,9 @@ def make_scenario(config: Mapping) -> Scenario:
     cfg = dict(config)
     kind = cfg.pop("kind", None)
     cfg.pop("experts", None)  # echo-only
-    _check_types(cfg)
-    if kind == "t1":
-        if "epsilon" not in cfg:
-            raise ConfigError("t1 needs epsilon")
-        try:
-            return T1Scenario(**cfg)
-        except TypeError as exc:
-            raise ConfigError(f"bad t1 config: {exc}") from exc
-    if kind == "t2":
-        if "b" not in cfg or "epsilon" not in cfg:
-            raise ConfigError("t2 needs b and epsilon")
-        try:
-            return T2Scenario(**cfg)
-        except TypeError as exc:
-            raise ConfigError(f"bad t2 config: {exc}") from exc
-    if kind == "t3_synthetic":
-        if "rates" not in cfg:
-            raise ConfigError("t3_synthetic needs rates")
-        try:
-            return T3Synthetic(**cfg)
-        except TypeError as exc:
-            raise ConfigError(f"bad t3_synthetic config: {exc}") from exc
-    if kind == "t4":
-        if cfg:
-            raise ConfigError(f"t4 takes no parameters, got {sorted(cfg)}")
-        return T4Scenario()
-    if kind == "t5":
-        if cfg:
-            raise ConfigError(f"t5 takes no parameters, got {sorted(cfg)}")
-        return T5Scenario()
-    if kind == "random_iid":
-        try:
-            return RandomIID(**cfg)
-        except TypeError as exc:
-            raise ConfigError(f"bad random_iid config: {exc}") from exc
-    raise ConfigError(f"scenario kind must be one of {SCENARIO_KINDS}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in _SCENARIOS:
+        raise ConfigError(f"scenario kind must be one of {SCENARIO_KINDS}, got {kind!r}")
+    try:
+        return _SCENARIOS[kind](**cfg)
+    except TypeError as exc:
+        raise ConfigError(f"bad {kind} config: {exc}") from exc

@@ -2,9 +2,7 @@
 
 An experiment is (scenario config, learner config, horizon, repetitions).
 Run i uses seed base_seed + i, so a config reruns to byte-identical output
-files. Runs execute serially by default; set FAIR_EXPERTS_THREADS to an
-integer above 1 to fan repetitions out over a thread pool (results keep
-their run order either way).
+files.
 """
 
 from __future__ import annotations
@@ -14,8 +12,6 @@ import csv
 import dataclasses
 import json
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Mapping
 
@@ -77,6 +73,15 @@ class ExperimentConfig:
     keep_traces: bool = False
 
     def validate(self) -> None:
+        for name in ("scenario", "learner"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ConfigError(f"{name} must be an object, got {getattr(self, name)!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, (str, Path)):
+            raise ConfigError(f"out_dir must be a path string or null, got {self.out_dir!r}")
+        if not isinstance(self.formats, (list, tuple)):
+            raise ConfigError(f"formats must be a list, got {self.formats!r}")
+        if not isinstance(self.keep_traces, bool):
+            raise ConfigError(f"keep_traces must be true or false, got {self.keep_traces!r}")
         for name, kind, what in _TYPED_FIELDS:
             value = getattr(self, name)
             if value is None and name == "shifting_K":
@@ -102,19 +107,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":
+        if not isinstance(data, Mapping):
+            raise ConfigError(f"experiment config must be an object, got {data!r}")
         extra = set(data) - set(_CONFIG_FIELDS)
         if extra:
             raise ConfigError(f"unknown experiment config keys: {sorted(extra)}")
         for key in ("scenario", "learner", "T"):
             if key not in data:
                 raise ConfigError(f"experiment config needs {key!r}")
-        kwargs = dict(data)
-        kwargs["scenario"] = dict(kwargs["scenario"])
-        kwargs["learner"] = dict(kwargs["learner"])
-        if "formats" in kwargs:
-            kwargs["formats"] = tuple(kwargs["formats"])
-        cfg = cls(**kwargs)
+        cfg = cls(**data)
         cfg.validate()
+        cfg.scenario = dict(cfg.scenario)
+        cfg.learner = dict(cfg.learner)
+        cfg.formats = tuple(cfg.formats)
         return cfg
 
     def to_dict(self) -> dict:
@@ -150,17 +155,6 @@ def _dump_json(path: Path, payload) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
     )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FAIR_EXPERTS_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"FAIR_EXPERTS_THREADS must be an integer, got {raw!r}")
-    return max(n, 1)
 
 
 @dataclasses.dataclass
@@ -267,14 +261,8 @@ def run_experiment(config: ExperimentConfig | Mapping) -> ExperimentResult:
         trace = run(learner, scn, config.T, config.base_seed + i, retain=retain)
         return build_report(trace, config.epsilon, config.shifting_K), trace
 
-    threads = _thread_count()
-
     def sweep(scn, retain: str) -> list[tuple[MetricReport, Trace]]:
-        indices = range(config.reps)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(lambda i: one_run(i, scn, retain), indices))
-        return [one_run(i, scn, retain) for i in indices]
+        return [one_run(i, scn, retain) for i in range(config.reps)]
 
     if config.world_mode == "two_pass":
         if scenario.kind not in ("t1", "t2"):

@@ -652,33 +652,6 @@ class Trace:
         columns = [np.concatenate(col) for col in zip(*parts)]
         return cls._from_columns(lambda k: f"{path} line {line_of[k]}", *columns, **kwargs)
 
-    @classmethod
-    def empty(
-        cls,
-        d: int,
-        num_groups: int,
-        *,
-        retain_full: bool = True,
-        rng_seed: int | None = None,
-        scenario_id: str = "",
-        learner_id: str = "",
-        scenario_info: dict | None = None,
-    ) -> "Trace":
-        return cls(
-            d=d,
-            num_groups=num_groups,
-            groups=np.zeros(0, dtype=np.int64),
-            outcome_codes=np.zeros(0, dtype=np.int8),
-            expected_loss=np.zeros(0, dtype=np.float64),
-            distributions=np.zeros((0, d)) if retain_full else None,
-            losses=np.zeros((0, d)) if retain_full else None,
-            accumulators=Accumulators.zeros(num_groups, d),
-            rng_seed=rng_seed,
-            scenario_id=scenario_id,
-            learner_id=learner_id,
-            scenario_info=scenario_info,
-        )
-
 
 class TraceBuilder:
     """Accumulates executed blocks and finalizes them into a Trace."""
@@ -691,13 +664,13 @@ class TraceBuilder:
         self.d = d
         self.num_groups = num_groups
         self.retain = retain
-        self._groups: list[np.ndarray] = []
-        self._codes: list[np.ndarray] = []
-        self._expected: list[np.ndarray] = []
-        self._dists: list[np.ndarray] = []
-        self._losses: list[np.ndarray] = []
+        # zero-length first entries give a T=0 run its typed, shaped columns
+        self._groups: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        self._codes: list[np.ndarray] = [np.zeros(0, dtype=np.int8)]
+        self._expected: list[np.ndarray] = [np.zeros(0, dtype=np.float64)]
+        self._dists: list[np.ndarray] = [np.zeros((0, d), dtype=np.float64)]
+        self._losses: list[np.ndarray] = [np.zeros((0, d), dtype=np.float64)]
         self.accumulators = Accumulators.zeros(num_groups, d)
-        self._n = 0
 
     def append_block(
         self,
@@ -726,7 +699,6 @@ class TraceBuilder:
         self.accumulators.add_block(
             self._groups[-1], self._codes[-1], np.asarray(losses, dtype=np.float64), self._expected[-1]
         )
-        self._n += n
 
     def build(
         self,
@@ -736,16 +708,6 @@ class TraceBuilder:
         learner_id: str,
         scenario_info: dict | None = None,
     ) -> Trace:
-        if self._n == 0:
-            return Trace.empty(
-                self.d,
-                self.num_groups,
-                retain_full=(self.retain == "full"),
-                rng_seed=rng_seed,
-                scenario_id=scenario_id,
-                learner_id=learner_id,
-                scenario_info=scenario_info,
-            )
         return Trace(
             d=self.d,
             num_groups=self.num_groups,

@@ -341,10 +341,31 @@ class TestMakeScenario:
         {"kind": "t3_synthetic", "rates": 0.2},
         {"kind": "t3_synthetic", "rates": [0.2, 0.6], "groups": 2.0},
         {"kind": "t3_synthetic", "rates": [0.2, 0.6], "kappa": "0"},
+        {"kind": ["t1"]},
     ])
     def test_mistyped_values(self, cfg):
         with pytest.raises(ConfigError):
             make_scenario(cfg)
+
+    @pytest.mark.parametrize("build", [
+        lambda: T3Synthetic(rates=("0.2", "0.6")),
+        lambda: T3Synthetic(rates="0.2"),
+        lambda: T3Synthetic(rates=(0.2,), groups=2.0),
+        lambda: T3Synthetic(rates=(0.2,), kappa="0"),
+        lambda: RandomIID(group_probs=("0.5", "0.5")),
+        lambda: RandomIID(group_probs=(True, False)),
+        lambda: RandomIID(d=2.5),
+        lambda: RandomIID(groups=True),
+        lambda: T1Scenario(epsilon="0.01"),
+        lambda: T1Scenario(epsilon=0.01, bernoulli_experts="no"),
+        lambda: T2Scenario(b=0.25, epsilon="0.01"),
+    ], ids=["rates-str", "rates-not-list", "groups-float", "kappa-str", "group_probs-str",
+            "group_probs-bool", "d-float", "groups-bool", "epsilon-str", "bernoulli-str",
+            "t2-epsilon-str"])
+    def test_direct_construction_checks_types(self, build):
+        # the dataclasses hold the one type check, so Python callers get it too
+        with pytest.raises(ConfigError):
+            build()
 
     def test_integer_rates_accepted(self):
         assert make_scenario({"kind": "t3_synthetic", "rates": [0, 1]}).rates == (0.0, 1.0)

@@ -99,6 +99,26 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("over", [
+        {"scenario": "t4"},
+        {"learner": "single_mw"},
+        {"out_dir": 5},
+        {"formats": 5},
+        {"keep_traces": "no"},
+    ], ids=["scenario-str", "learner-str", "out_dir-int", "formats-int", "keep_traces-str"])
+    def test_config_of_wrong_shape(self, tmp_path, capsys, over):
+        cfg = _small_config_file(tmp_path, **over)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_config_file_holding_a_list(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([{"scenario": {"kind": "t4"}}]))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("learner", [
         '{"kind": "fpl", "eta": "0.1", "grid_m": 2.5}',
         '{"kind": "fpl", "eta": 0.1, "grid_m": 2.5}',

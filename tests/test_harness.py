@@ -59,11 +59,23 @@ class TestConfig:
         {"shifting_K": 1.5},
         {"epsilon": "0.1"},
         {"alpha": None},
+        {"scenario": "t4"},
+        {"learner": "single_mw"},
+        {"out_dir": 5},
+        {"formats": 5},
+        {"keep_traces": "no"},
     ])
     def test_validation(self, over):
         # the dataclass itself stays permissive, validate() is the gate
         with pytest.raises(ConfigError):
             _small_config(**over).validate()
+        # from_dict runs the same gate on the file form of the config
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({**_small_config().to_dict(), **over})
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict([_small_config().to_dict()])
 
     def test_run_experiment_validates(self):
         with pytest.raises(ConfigError):
@@ -164,19 +176,6 @@ class TestRunExperiment:
         match, mismatch, errors = filecmp.cmpfiles(a, b, files, shallow=False)
         assert mismatch == [] and errors == []
         assert sorted(match) == sorted(files)
-
-    def test_thread_sweep_matches_serial(self, monkeypatch, tmp_path):
-        serial = run_experiment(_small_config(reps=4))
-        monkeypatch.setenv("FAIR_EXPERTS_THREADS", "3")
-        threaded = run_experiment(_small_config(reps=4))
-        assert json.dumps(threaded.aggregate, sort_keys=True) == json.dumps(
-            serial.aggregate, sort_keys=True
-        )
-
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv("FAIR_EXPERTS_THREADS", "many")
-        with pytest.raises(ConfigError):
-            run_experiment(_small_config())
 
 
 class TestWorldModes:
