@@ -9,6 +9,12 @@ path, and adaptive blocks whose step callback sees the committed
 distribution before choosing the round's losses. After a block runs, the
 scenario receives the realized distributions back, which is how
 realized-statistic branching between scenario phases is implemented.
+
+An oblivious block runs through the learner's ``run_block`` when it has one.
+Every other block is one ``Learner.run_rounds`` call, which owns the
+per-round loop; with two experts, MW and fixed share run it as an exact
+scalar kernel whose plays are bit-identical to the generic
+``next_distribution``/``observe`` loop.
 """
 
 from __future__ import annotations
@@ -73,24 +79,9 @@ def _execute_block(learner, block, builder: TraceBuilder) -> BlockResult:
         if learner.supports_blocks:
             p = learner.run_block(groups, losses)
         else:
-            p = np.empty((n, d), dtype=np.float64)
-            for i in range(n):
-                g = int(groups[i])
-                p[i] = learner.next_distribution(g)
-                learner.observe(g, losses[i])
+            p, _, _ = learner.run_rounds(groups, losses)
     else:
-        p = np.empty((n, d), dtype=np.float64)
-        losses = np.empty((n, d), dtype=np.float64)
-        codes = np.empty(n, dtype=np.int8)
-        step = block.step
-        for i in range(n):
-            g = int(groups[i])
-            pi = learner.next_distribution(g)
-            code, row = step(i, g, pi)
-            p[i] = pi
-            losses[i] = row
-            codes[i] = code
-            learner.observe(g, row)
+        p, losses, codes = learner.run_rounds(groups, step=block.step)
     expected = np.einsum("td,td->t", p, losses)
     builder.append_block(groups, codes, losses, p, expected)
     return BlockResult(p, expected)

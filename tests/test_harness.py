@@ -129,6 +129,14 @@ class TestRunExperiment:
         assert res.aggregate["runs"] == 1
         assert res.reports[0].to_dict()["regret"] == 0.0
 
+    @pytest.mark.parametrize("T", [0, 1, 2])
+    def test_theorem5_short_horizons(self, T):
+        # fixed share derives rho = (switches + 1) / T, capped at 1
+        res = run_experiment(get_preset("theorem5", T=T, reps=1))
+        assert res.aggregate["runs"] == 1
+        assert res.reports[0].to_dict()["T"] == T
+        assert res.config["learner"]["rho"] == 1.0
+
     def test_output_files(self, tmp_path):
         out = tmp_path / "exp"
         res = run_experiment(_small_config(out_dir=str(out), retain="full"))

@@ -1,17 +1,23 @@
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fair_experts import adversaries
+from fair_experts.adversaries import make_scenario
 from fair_experts.learners import (
     FixedShare,
     FollowPerturbedLeader,
+    Learner,
     PerGroupFixedShare,
     PerGroupMW,
     SingleMW,
     default_eta,
     make_learner,
 )
-from fair_experts.protocol import run
+from fair_experts.protocol import AdaptiveBlock, BlockResult, run
 from fair_experts.types import ConfigError, ContractError
 
 
@@ -252,6 +258,11 @@ class TestMakeLearner:
         lrn = make_learner({"kind": "fpl", "eta": 0.1, "grid_m": 32})
         assert lrn.grid_m == 32
 
+    @pytest.mark.parametrize("T, rho", [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0), (4, 0.75)])
+    def test_derived_rho_capped_at_one(self, T, rho):
+        for kind in ("fixed_share", "per_group_fixed_share"):
+            assert make_learner({"kind": kind, "eta": 0.1}, T=T).rho == rho
+
     def test_errors(self):
         with pytest.raises(ConfigError):
             make_learner({"kind": "mystery"})
@@ -353,3 +364,206 @@ class TestFPLKernelOracle:
         rng = np.random.default_rng(3)
         new, ref = _fpl_pair(3, 0.2, 128)
         _assert_blocks_match(new, ref, [rng.random((500, 3)), rng.random((300, 3))])
+
+
+def _ref_rounds(lrn, groups, losses=None, step=None):
+    """The per-round loops of ``protocol._execute_block`` before
+    ``Learner.run_rounds``: the oblivious fallback and the adaptive loop."""
+    n, d = groups.shape[0], lrn.d
+    p = np.empty((n, d), dtype=np.float64)
+    if step is None:
+        for i in range(n):
+            g = int(groups[i])
+            p[i] = lrn.next_distribution(g)
+            lrn.observe(g, losses[i])
+        return p, losses, None
+    losses = np.empty((n, d), dtype=np.float64)
+    codes = np.empty(n, dtype=np.int8)
+    for i in range(n):
+        g = int(groups[i])
+        pi = lrn.next_distribution(g)
+        code, row = step(i, g, pi)
+        p[i] = pi
+        losses[i] = row
+        codes[i] = code
+        lrn.observe(g, row)
+    return p, losses, codes
+
+
+_KERNEL_KINDS = {
+    "single_mw": lambda: SingleMW(0.23),
+    "per_group_mw": lambda: PerGroupMW(0.23),
+    "fpl": lambda: FollowPerturbedLeader(0.11, grid_m=64),
+    "fixed_share": lambda: FixedShare(0.23, 0.02),
+    "per_group_fixed_share": lambda: PerGroupFixedShare(0.23, 0.02),
+}
+
+
+def _final_state(lrn):
+    return lrn._cum if isinstance(lrn, FollowPerturbedLeader) else lrn._state()
+
+
+def _drive(lrn, scenario, T, seed, rounds, max_blocks=None):
+    """Play every block of a scenario (or the first ``max_blocks``) through
+    ``rounds``; returns each block's (plays, losses, codes)."""
+    scn = make_scenario(scenario)
+    lrn.start(scn.d, scn.num_groups)
+    gen = scn.start(T, np.random.SeedSequence(seed)).segments()
+    out = []
+    block = next(gen, None)
+    while block is not None and len(out) != max_blocks:
+        groups = np.asarray(block.groups, dtype=np.int64)
+        if isinstance(block, AdaptiveBlock):
+            p, losses, codes = rounds(lrn, groups, step=block.step)
+        else:
+            p, losses, codes = rounds(lrn, groups, np.asarray(block.losses, dtype=np.float64))
+        out.append((p, losses, codes))
+        try:
+            block = gen.send(BlockResult(p, np.einsum("td,td->t", p, losses)))
+        except StopIteration:
+            block = None
+    return out
+
+
+def _assert_same(new_out, ref_out, new, ref):
+    assert len(new_out) == len(ref_out)
+    for got, want in zip(new_out, ref_out):
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+    assert np.array_equal(_final_state(new), _final_state(ref))
+
+
+def _reading_step(rows):
+    """An adaptive step whose code and loss row depend on the play."""
+
+    def step(i, g, p):
+        return int(p[0] >= p[1]), rows[i] * (0.5 + p[0])
+
+    return step
+
+
+class TestTwoExpertKernelOracle:
+    """``run_rounds`` must reproduce the next_distribution/observe loop bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["per_group_fixed_share", "fixed_share"])
+    def test_t5(self, kind):
+        cfg = {"kind": kind, "eta": 0.05, "switches": 2}
+        new, ref = make_learner(cfg, T=100_000), make_learner(cfg, T=100_000)
+        new_out = _drive(new, {"kind": "t5"}, 100_000, 7, Learner.run_rounds)
+        ref_out = _drive(ref, {"kind": "t5"}, 100_000, 7, _ref_rounds)
+        assert len(new_out) == 3
+        _assert_same(new_out, ref_out, new, ref)
+
+    def test_t2_phase_one(self):
+        scenario = {"kind": "t2", "b": 0.25, "epsilon": 0.01}
+        new, ref = SingleMW(0.005), SingleMW(0.005)
+        new_out = _drive(new, scenario, 4_000_000, 7, Learner.run_rounds, max_blocks=1)
+        ref_out = _drive(ref, scenario, 4_000_000, 7, _ref_rounds, max_blocks=1)
+        assert new_out[0][0].shape == (39_603, 2)
+        _assert_same(new_out, ref_out, new, ref)
+
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_losses_over_mixed_blocks(self, kind, d):
+        rng = np.random.default_rng(d * 100 + len(kind))
+        new, ref = _KERNEL_KINDS[kind](), _KERNEL_KINDS[kind]()
+        G = 3
+        new.start(d, G)
+        ref.start(d, G)
+        # lengths straddle the kernel's row chunks
+        sizes = [1, 5, 300, 8200, 8193, 1] if d == 2 else [1, 5, 300, 40]
+        for k, n in enumerate(sizes):
+            groups = rng.integers(0, G, n).astype(np.int64)
+            rows = rng.random((n, d)) * rng.random(d)
+            if k % 2:
+                _assert_same([new.run_rounds(groups, step=_reading_step(rows))],
+                             [_ref_rounds(ref, groups, step=_reading_step(rows))], new, ref)
+            else:
+                _assert_same([new.run_rounds(groups, rows)], [_ref_rounds(ref, groups, rows)], new, ref)
+        for g in range(G):
+            assert np.array_equal(new.next_distribution(g), ref.next_distribution(g))
+
+    def test_mw_case_where_math_exp_differs(self):
+        # A kernel that called math.exp would fail this case: along the run,
+        # math.exp and numpy's exp disagree on some z = -|lw0 - lw1|.
+        rng = np.random.default_rng(5)
+        n = 2000
+        groups = np.zeros(n, dtype=np.int64)
+        rows = rng.random((n, 2))
+        new, ref = SingleMW(0.3), SingleMW(0.3)
+        new.start(2)
+        ref.start(2)
+        p_new = new.run_rounds(groups, step=_reading_step(rows))
+        p_ref = _ref_rounds(ref, groups, step=_reading_step(rows))
+        _assert_same([p_new], [p_ref], new, ref)
+        lw = np.zeros(2)
+        z = []
+        for row in p_ref[1]:
+            z.append(-abs(float(lw[0] - lw[1])))
+            lw += ref._log_decay * row
+        assert any(math.exp(x) != float(np.exp(x)) for x in z)
+
+    def test_weights_that_underflow(self):
+        # both fixed-share weights reach 0: numpy's 0/0 gives NaN plays, not an error
+        new, ref = FixedShare(0.4, 0.01), FixedShare(0.4, 0.01)
+        new.start(2)
+        ref.start(2)
+        rows = np.array([[1.0, 0.0], [2000.0, 2000.0], [0.0, 1.0]])
+        groups = np.zeros(3, dtype=np.int64)
+        with np.errstate(invalid="ignore"):
+            got, want = new.run_rounds(groups, rows), _ref_rounds(ref, groups, rows)
+        assert np.isnan(got[0][2]).all()
+        assert np.array_equal(got[0], want[0], equal_nan=True)
+
+
+class TestRunRoundsContract:
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("bad", [np.zeros(1), np.zeros(4), np.zeros((2, 1)), 0.5])
+    def test_wrong_shaped_row(self, kind, d, bad):
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(d, 2)
+        groups = np.array([0, 1, 0], dtype=np.int64)
+        with pytest.raises(ContractError):
+            lrn.run_rounds(groups, step=lambda i, g, p: (0, bad))
+
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("shape", [(3,), (2, 1), (3, 4), (4, 2)])
+    def test_wrong_shaped_block(self, kind, d, shape):
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(d, 2)
+        with pytest.raises(ContractError):
+            lrn.run_rounds(np.array([0, 1, 0], dtype=np.int64), np.zeros(shape))
+
+    @pytest.mark.parametrize("learner", [
+        {"kind": "per_group_fixed_share", "eta": 0.1, "rho": 0.01},
+        {"kind": "fpl", "eta": 0.1},
+    ])
+    def test_wrong_shaped_row_through_the_protocol(self, learner, monkeypatch):
+        monkeypatch.setattr(adversaries, "_T5_ROWS", (np.zeros(3), np.zeros(3)))
+        with pytest.raises(ContractError):
+            run(learner, {"kind": "t5"}, 10, seed=1)
+
+    def test_step_sees_a_row_of_the_plays(self):
+        seen = []
+
+        def step(i, g, p):
+            seen.append(p.copy() if i else p)
+            return 0, np.ones(2)
+
+        lrn = PerGroupFixedShare(0.2, 0.01)
+        lrn.start(2, 2)
+        p, _, _ = lrn.run_rounds(np.array([0, 1, 0], dtype=np.int64), step=step)
+        assert np.shares_memory(seen[0], p)
+        assert np.array_equal(np.array(seen), p)
+
+    def test_runtime_budget(self):
+        # the next_distribution/observe loop takes about 1.4 s
+        t0 = time.perf_counter()
+        run({"kind": "per_group_fixed_share", "eta": 0.05, "switches": 2}, {"kind": "t5"},
+            100_000, seed=7, retain="full")
+        assert time.perf_counter() - t0 < 0.75
