@@ -160,15 +160,15 @@ class Learner:
                 self.observe(g, losses[i])
             return p, losses, None
         losses = np.empty((n, self.d), dtype=np.float64)
-        codes = np.empty(n, dtype=np.int8)
+        codes = []
         for i in range(n):
             g = int(groups[i])
             p[i] = self.next_distribution(g)
             code, row = step(i, g, p[i])
             self.observe(g, row)
             losses[i] = row
-            codes[i] = code
-        return p, losses, codes
+            codes.append(code)
+        return p, losses, _outcome_codes(codes)
 
     def _two_expert_rounds(self, groups, losses, step):
         """``run_rounds`` for d=2 on tables held as pairs of Python floats.
@@ -186,7 +186,7 @@ class Learner:
         adaptive = step is not None
         if adaptive:
             losses = np.empty((n, 2), dtype=np.float64)
-            codes = np.empty(n, dtype=np.int8)
+            codes = []
         state = self._state()
         tables = state.tolist()
         play, update = self._play2, self._update2
@@ -203,13 +203,24 @@ class Learner:
                     code, row = step(i, g, p[i])
                     row = self._check_losses(row)
                     losses[i] = row
-                    codes[i] = code
+                    codes.append(code)
                     a0, a1 = self._row_terms(row)
                 else:
                     a0, a1 = terms0[i - s], terms1[i - s]
                 tables[t] = update(table, a0, a1)
         state[:] = tables
-        return p, losses, codes if adaptive else None
+        return p, losses, _outcome_codes(codes) if adaptive else None
+
+
+def _outcome_codes(codes: list) -> np.ndarray:
+    """The codes an adaptive stretch's step returned, as int8. The first that
+    is not an integer in {-1, 0, 1} raises ContractError naming its row."""
+    arr = np.array(codes, dtype=None if codes else np.int8)
+    if arr.dtype.kind not in "biu" or (codes and (arr.min() < -1 or arr.max() > 1)):
+        for i, code in enumerate(codes):
+            if not (isinstance(code, numbers.Integral) and -1 <= code <= 1):
+                raise ContractError(f"step returned outcome code {code!r} at row {i} of the stretch")
+    return arr.astype(np.int8)
 
 
 def _row_softmax(log_w: np.ndarray) -> np.ndarray:

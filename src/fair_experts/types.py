@@ -331,6 +331,27 @@ class Accumulators:
 # the per-chunk numpy calls, few enough that no file is held whole in memory.
 _IO_CHUNK = 8192
 
+# Values of a chunk column probed for repeats before its floats are formatted.
+_PROBE = 256
+
+
+def _float_text(col: np.ndarray) -> list[str]:
+    """repr of each float of a 1-D column. When at most half of its first
+    _PROBE values are distinct, each distinct bit pattern (so -0.0 keeps its
+    sign) is formatted once and the text gathered back; repr is most of a
+    trace writer's time, and FPL and loss columns repeat a few values."""
+    col = np.asarray(col, dtype=np.float64)
+    bits = col.view(np.int64)
+    # counted by sorting: np.unique without return_inverse imports numpy.ma,
+    # which would add 1 MB to the process
+    head = np.sort(bits[:_PROBE])
+    if 2 * (1 + np.count_nonzero(head[1:] != head[:-1])) > head.size:
+        return list(map(repr, col.tolist()))
+    uniq, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, uniq.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
 _OUTCOME_JSON = {NEGATIVE_CODE: '"-"', POSITIVE_CODE: '"+"', UNLABELED_CODE: "null"}
 _OUTCOME_CSV = {NEGATIVE_CODE: "-", POSITIVE_CODE: "+", UNLABELED_CODE: ""}
 # Outcome values a JSONL row may carry; a missing or empty one is unlabeled.
@@ -501,25 +522,26 @@ class Trace:
 
     def _export_chunks(self, outcome_text: Mapping[int, str]) -> Iterator[tuple]:
         """Per chunk of rounds: t, group, outcome text, expected loss, then the
-        distribution and loss columns (d lists each), all as Python values."""
+        distribution and loss columns (d lists each); ints as Python ints,
+        floats as their repr text."""
         for s in range(0, len(self), _IO_CHUNK):
             e = min(len(self), s + _IO_CHUNK)
             yield (
                 range(s + 1, e + 1),
                 self.groups[s:e].tolist(),
                 [outcome_text[c] for c in self.outcome_codes[s:e].tolist()],
-                self.expected_loss[s:e].tolist(),
-                self.distributions[s:e].T.tolist(),
-                self.losses[s:e].T.tolist(),
+                _float_text(self.expected_loss[s:e]),
+                [_float_text(col) for col in self.distributions[s:e].T],
+                [_float_text(col) for col in self.losses[s:e].T],
             )
 
     def to_jsonl(self, path: str | Path) -> None:
         """One JSON round record per line: json.dumps(sort_keys=True) of
         {expected_loss, group, losses, outcome, p, t}, floats by repr."""
         self._require_full("JSONL export")
-        floats = ", ".join(["%r"] * self.d)
+        floats = ", ".join(["%s"] * self.d)
         row = (
-            '{"expected_loss": %r, "group": %d, "losses": [' + floats
+            '{"expected_loss": %s, "group": %d, "losses": [' + floats
             + '], "outcome": %s, "p": [' + floats + '], "t": %d}\n'
         )
         with open(path, "w", encoding="utf-8") as fh:
@@ -535,7 +557,7 @@ class Trace:
         header = ["t", "group", "outcome", "expected_loss"]
         header += [f"p_{f}" for f in range(self.d)]
         header += [f"loss_{f}" for f in range(self.d)]
-        row = "%d,%d,%s,%r" + ",%r" * (2 * self.d) + "\r\n"
+        row = "%d,%d,%s,%s" + ",%s" * (2 * self.d) + "\r\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
             for t, g, out, exp, p, ell in self._export_chunks(_OUTCOME_CSV):
@@ -686,7 +708,8 @@ class TraceBuilder:
         validate_distribution_block(distributions, self.d)
         if losses.shape != (n, self.d):
             raise InvariantViolation(f"loss block has shape {losses.shape}, expected ({n}, {self.d})")
-        if float(losses.min(initial=0.0)) < 0.0 or float(losses.max(initial=0.0)) > 1.0:
+        # NaN fails both comparisons, so it is rejected with the out-of-range values
+        if not (losses.min() >= 0.0 and losses.max() <= 1.0):
             raise InvariantViolation("loss block has entries outside [0, 1]")
         if groups.min(initial=0) < 0 or groups.max(initial=0) >= self.num_groups:
             raise InvariantViolation("group ids outside the declared group set")

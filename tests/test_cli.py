@@ -1,11 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fair_experts.cli import main
 from fair_experts.harness import ExperimentConfig, run_experiment
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _small_config_file(tmp_path, **over):
@@ -224,9 +228,12 @@ class TestAuditCommand:
 
 
 def test_module_entry_point():
+    # the subprocess does not inherit pytest's pythonpath setting
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fair_experts.cli", "preset", "theorem5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["shifting_K"] == 2

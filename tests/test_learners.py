@@ -539,6 +539,26 @@ class TestRunRoundsContract:
 
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("bad", [7, -2, 300, "x", 1.0, None])
+    def test_bad_outcome_code_names_its_row(self, kind, d, bad):
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(d, 2)
+        groups = np.array([0, 1, 0, 1, 0], dtype=np.int64)
+        with pytest.raises(ContractError, match=f"code {bad!r} at row 2 "):
+            lrn.run_rounds(groups, step=lambda i, g, p: (bad if i >= 2 else 0, np.zeros(d)))
+
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_integer_outcome_codes_of_any_type(self, kind, d):
+        codes = [-1, np.int8(0), np.int64(1), True, False]
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(d, 2)
+        _, _, got = lrn.run_rounds(np.array([0, 1, 0, 1, 0], dtype=np.int64),
+                                   step=lambda i, g, p: (codes[i], np.zeros(d)))
+        assert got.dtype == np.int8 and got.tolist() == [-1, 0, 1, 1, 0]
+
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("shape", [(3,), (2, 1), (3, 4), (4, 2)])
     def test_wrong_shaped_block(self, kind, d, shape):
         lrn = _KERNEL_KINDS[kind]()

@@ -267,6 +267,14 @@ class TestTraceBuilder:
         with pytest.raises(InvariantViolation):
             builder.append_block(np.array([5]), codes, np.array([[0.0, 1.0]]), ok_p, np.array([0.5]))
 
+    @pytest.mark.parametrize("row", [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]])
+    def test_rejects_nan_losses(self, row):
+        builder = TraceBuilder(2, 2)
+        with pytest.raises(InvariantViolation, match="outside"):
+            builder.append_block(np.array([0, 1]), np.array([0, 1], dtype=np.int8),
+                                 np.array([[0.0, 1.0], row]), np.full((2, 2), 0.5), np.full(2, 0.5))
+        assert builder.accumulators.expert_loss.sum() == 0.0
+
     def test_empty_build(self):
         tr = TraceBuilder(3, 2).build(rng_seed=1, scenario_id="s", learner_id="l")
         assert tr.T == 0 and tr.d == 3
@@ -403,19 +411,94 @@ _IO_CASES = [
 ]
 
 
+def _built_trace(p, losses):
+    """A trace of the given plays and losses, groups alternating 0, 1."""
+    T, d = losses.shape
+    builder = TraceBuilder(d, 2)
+    builder.append_block(np.arange(T) % 2, np.zeros(T, dtype=np.int8), losses, p,
+                         np.einsum("td,td->t", p, losses))
+    return builder.build(rng_seed=0, scenario_id="", learner_id="")
+
+
+def _fpl_t4_trace():
+    return run({"kind": "fpl", "eta": 0.1}, {"kind": "t4"}, 20_000, 3, retain="full")
+
+
+def _signed_zero_trace():
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [0.5, 0.5]])
+    pick = np.random.default_rng(8).integers(0, 4, size=(3000, 2))
+    return _built_trace(rows[pick[:, 0]], rows[pick[:, 1]])
+
+
+def _regime_trace(T, repeat):
+    """Loss column 0 takes two values on the rows where ``repeat`` holds and
+    distinct random ones elsewhere; column 1 never repeats."""
+    rng = np.random.default_rng(T)
+    losses = rng.random((T, 2))
+    losses[repeat, 0] = rng.choice([0.25, 0.75], size=int(np.count_nonzero(repeat)))
+    return _built_trace(np.full((T, 2), 0.5), losses)
+
+
+def _chunk_regime_trace():
+    # loss column 0 changes branch from one 8192-row chunk to the next; the
+    # last chunk holds 100 rows, fewer than a probe
+    T = 3 * 8192 + 100
+    return _regime_trace(T, np.arange(T) // 8192 % 2 == 0)
+
+
+# (trace, chunk columns whose first 256 values repeat and so are formatted
+# once per distinct value): every column of the FPL and signed-zero traces;
+# elsewhere both p columns, plus loss column 0 where its head repeats
+_REPEAT_CASES = {
+    "fpl_t4": (_fpl_t4_trace, 15),
+    "signed_zeros": (_signed_zero_trace, 5),
+    "head_repeats": (lambda: _regime_trace(3000, np.arange(3000) < 256), 3),
+    "tail_repeats": (lambda: _regime_trace(3000, np.arange(3000) >= 256), 2),
+    "chunk_regimes": (_chunk_regime_trace, 10),
+}
+
+
+@pytest.fixture
+def memo_calls(monkeypatch):
+    """Counts np.unique calls with return_inverse: the trace writers make one
+    for each chunk column whose probe finds repeats."""
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("return_inverse", False))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    return calls
+
+
+def _assert_files_match_reference(tr, tmp_path):
+    tr.to_jsonl(tmp_path / "new.jsonl")
+    _ref_to_jsonl(tr, tmp_path / "ref.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+    tr.to_csv(tmp_path / "new.csv")
+    _ref_to_csv(tr, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    back = Trace.from_jsonl(tmp_path / "new.jsonl")
+    _same_trace(back, _ref_from_jsonl(tmp_path / "ref.jsonl"))
+    _same_trace(back, tr)
+
+
 class TestTraceFileOracle:
     @pytest.mark.parametrize("seed,d,groups,T,labeled", _IO_CASES)
     def test_files_and_read_back_match_reference(self, tmp_path, seed, d, groups, T, labeled):
-        tr = _iid_trace(seed, d, groups, T, labeled)
+        _assert_files_match_reference(_iid_trace(seed, d, groups, T, labeled), tmp_path)
+
+    @pytest.mark.parametrize("case", list(_REPEAT_CASES))
+    def test_repeated_values_match_reference(self, tmp_path, memo_calls, case):
+        make, memo = _REPEAT_CASES[case]
+        tr = make()
+        memo_calls.clear()
         tr.to_jsonl(tmp_path / "new.jsonl")
-        _ref_to_jsonl(tr, tmp_path / "ref.jsonl")
-        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
         tr.to_csv(tmp_path / "new.csv")
-        _ref_to_csv(tr, tmp_path / "ref.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        back = Trace.from_jsonl(tmp_path / "new.jsonl")
-        _same_trace(back, _ref_from_jsonl(tmp_path / "ref.jsonl"))
-        _same_trace(back, tr)
+        assert memo_calls == [True] * (2 * memo)
+        _assert_files_match_reference(tr, tmp_path)
 
     def test_blank_lines_and_empty_outcome_are_accepted(self, tmp_path):
         tr = _iid_trace(6, 2, 2, 50, True)
