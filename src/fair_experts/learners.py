@@ -144,12 +144,17 @@ class Learner:
         An oblivious stretch passes its (n, d) ``losses`` and gets codes None.
         An adaptive stretch passes ``step(i, group, p)``, which sees row i of
         the plays and returns (outcome_code, loss_row); its losses and codes
-        are returned. Losses of the wrong shape raise ContractError.
+        are returned. Losses of the wrong shape, or a loss outside [0, 1],
+        raise ContractError; an oblivious stretch is checked before its first
+        round, an adaptive row before the learner observes it.
         """
         self._started()
         n = groups.shape[0]
-        if step is None and np.shape(losses) != (n, self.d):
-            raise ContractError(f"loss block has shape {np.shape(losses)}, expected ({n}, {self.d})")
+        if step is None:
+            if np.shape(losses) != (n, self.d):
+                raise ContractError(f"loss block has shape {np.shape(losses)}, expected ({n}, {self.d})")
+            losses = np.asarray(losses, dtype=np.float64)
+            _check_loss_block(losses)
         if self.d == 2 and self.two_expert_kernel:
             return self._two_expert_rounds(groups, losses, step)
         p = np.empty((n, self.d), dtype=np.float64)
@@ -165,8 +170,9 @@ class Learner:
             g = int(groups[i])
             p[i] = self.next_distribution(g)
             code, row = step(i, g, p[i])
-            self.observe(g, row)
-            losses[i] = row
+            losses[i] = self._check_losses(row)
+            _check_loss_block(losses[i:i + 1], i)
+            self.observe(g, losses[i])
             codes.append(code)
         return p, losses, _outcome_codes(codes)
 
@@ -175,8 +181,9 @@ class Learner:
 
         A kind supplies ``_state()``, its (tables, 2) state array;
         ``_loss_terms(losses)``, the numpy part of ``observe`` applied to a
-        block of loss rows, and ``_row_terms(row)``, the same for one row as
-        two floats; and ``_play2(table)`` and ``_update2(table, a0, a1)``,
+        block of loss rows, and ``_row_terms(row, i)``, the same for row i of
+        the stretch as two floats, which also checks that its losses lie in
+        [0, 1]; and ``_play2(table)`` and ``_update2(table, a0, a1)``,
         which repeat ``next_distribution`` and the rest of ``observe`` on one
         table.
         """
@@ -204,12 +211,25 @@ class Learner:
                     row = self._check_losses(row)
                     losses[i] = row
                     codes.append(code)
-                    a0, a1 = self._row_terms(row)
+                    a0, a1 = self._row_terms(row, i)
                 else:
                     a0, a1 = terms0[i - s], terms1[i - s]
                 tables[t] = update(table, a0, a1)
         state[:] = tables
         return p, losses, _outcome_codes(codes) if adaptive else None
+
+
+def _loss_range_error(row: list, i: int) -> ContractError:
+    return ContractError(f"loss row {row!r} at row {i} of the stretch lies outside [0, 1]")
+
+
+def _check_loss_block(losses: np.ndarray, first: int = 0) -> None:
+    """ContractError naming the first row of an (n, d) loss block with a loss
+    outside [0, 1], NaN included: NaN fails both comparisons. ``first`` is the
+    block's first row within its stretch."""
+    if losses.size and not (losses.min() >= 0.0 and losses.max() <= 1.0):
+        k = int(np.argmin((losses.min(axis=1) >= 0.0) & (losses.max(axis=1) <= 1.0)))
+        raise _loss_range_error(losses[k].tolist(), first + k)
 
 
 def _outcome_codes(codes: list) -> np.ndarray:
@@ -257,6 +277,7 @@ class _MultiplicativeWeights(Learner):
 
     def run_block(self, groups: np.ndarray, losses: np.ndarray) -> np.ndarray:
         self._started()
+        _check_loss_block(losses)
         p = np.empty((losses.shape[0], self.d), dtype=np.float64)
         for table, rows in self._table_rows(groups):
             cum = np.cumsum(losses[rows], axis=0)
@@ -273,9 +294,11 @@ class _MultiplicativeWeights(Learner):
     def _loss_terms(self, losses: np.ndarray) -> np.ndarray:
         return self._log_decay * losses
 
-    def _row_terms(self, row: np.ndarray) -> tuple[float, float]:
+    def _row_terms(self, row: np.ndarray, i: int) -> tuple[float, float]:
         # a Python float product is the same IEEE multiply as numpy's
         r0, r1 = row.tolist()
+        if not (0.0 <= r0 <= 1.0 and 0.0 <= r1 <= 1.0):
+            raise _loss_range_error([r0, r1], i)
         return self._log_decay * r0, self._log_decay * r1
 
     def _play2(self, table: list) -> tuple[float, float]:
@@ -352,6 +375,7 @@ class FollowPerturbedLeader(Learner):
 
     def run_block(self, groups: np.ndarray, losses: np.ndarray) -> np.ndarray:
         self._started()
+        _check_loss_block(losses)
         cum = np.cumsum(losses, axis=0)
         before = np.empty_like(cum)
         before[0] = 0.0
@@ -445,14 +469,16 @@ class FixedShare(Learner):
     def _loss_terms(self, losses: np.ndarray) -> np.ndarray:
         return np.power(1.0 - self.eta, losses)
 
-    def _row_terms(self, row: np.ndarray) -> list:
+    def _row_terms(self, row: np.ndarray, i: int) -> list:
         # np.power on one row costs about 1.3 us, a memo hit about 0.3 us.
         # The memo pays because the scenarios' adaptive steps (t2 and t5) each
         # return one of two fixed rows; it is emptied at _MEMO_ROWS entries,
-        # so rows that never repeat cannot grow it.
+        # so rows that never repeat cannot grow it. A row is range-checked
+        # when it enters the memo, so a hit needs no check.
         key = row.tobytes()  # bits, so -0.0 and 0.0 stay apart
         terms = self._memo.get(key)
         if terms is None:
+            _check_loss_block(row[None], i)
             if len(self._memo) >= _MEMO_ROWS:
                 self._memo.clear()
             terms = self._memo[key] = self._loss_terms(row).tolist()
@@ -464,8 +490,7 @@ class FixedShare(Learner):
     def _update2(self, table: list, f0: float, f1: float) -> tuple[float, float]:
         w0 = table[0] * f0
         w1 = table[1] * f1
-        # numpy's 0/0 is NaN where Python's raises; both weights can underflow.
-        total = (w0 + w1) or math.nan
+        total = w0 + w1
         keep, share = 1.0 - self.rho, self.rho / 2
         return keep * (w0 / total) + share, keep * (w1 / total) + share
 

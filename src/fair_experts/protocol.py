@@ -75,7 +75,7 @@ def _execute_block(learner, block, builder: TraceBuilder) -> BlockResult:
         return BlockResult(np.zeros((0, d)), np.zeros(0))
     if isinstance(block, ObliviousBlock):
         losses = np.asarray(block.losses, dtype=np.float64)
-        codes = np.asarray(block.outcome_codes, dtype=np.int8)
+        codes = block.outcome_codes
         if learner.supports_blocks:
             p = learner.run_block(groups, losses)
         else:

@@ -193,15 +193,20 @@ def validate_distribution(p: np.ndarray, d: int | None = None) -> np.ndarray:
     return p
 
 
+def _off_simplex(p: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (n, d) block with a negative or non-finite
+    entry or a sum farther than SIMPLEX_ATOL from 1. NaN fails every
+    comparison, so it needs no check of its own."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return ~((p.min(axis=1) >= 0.0) & (np.abs(p.sum(axis=1) - 1.0) <= SIMPLEX_ATOL))
+
+
 def _first_off_simplex(p: np.ndarray) -> int | None:
-    """First row of a non-empty (n, d) block with a negative or non-finite
-    entry or a sum farther than SIMPLEX_ATOL from 1, or None. NaN fails
-    every comparison, so it needs no check of its own."""
-    with np.errstate(invalid="ignore"):
-        err = np.abs(p.sum(axis=1) - 1.0)
-        if p.min() >= 0.0 and err.max() <= SIMPLEX_ATOL:
+    """First row of a non-empty (n, d) block that ``_off_simplex`` marks, or None."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if p.min() >= 0.0 and np.abs(p.sum(axis=1) - 1.0).max() <= SIMPLEX_ATOL:
             return None
-        return int(np.argmin((p.min(axis=1) >= 0.0) & (err <= SIMPLEX_ATOL)))
+    return int(np.argmax(_off_simplex(p)))
 
 
 def validate_distribution_block(p: np.ndarray, d: int) -> None:
@@ -327,9 +332,13 @@ class Accumulators:
             ).reshape(num_groups, N_BINS)
 
 
-# Rounds per chunk when a trace file is written or read: enough to amortize
-# the per-chunk numpy calls, few enough that no file is held whole in memory.
+# Rounds per chunk when a trace file is written: enough to amortize the
+# per-chunk numpy calls, few enough that no file is held whole in memory.
 _IO_CHUNK = 8192
+
+# Lines per json.loads call when a trace file is read. A parsed line is a dict
+# of Python objects, about 1 KB, so a read holds fewer rows than a write.
+_READ_LINES = 1024
 
 # Values of a chunk column probed for repeats before its floats are formatted.
 _PROBE = 256
@@ -358,39 +367,20 @@ _OUTCOME_CSV = {NEGATIVE_CODE: "-", POSITIVE_CODE: "+", UNLABELED_CODE: ""}
 _OUTCOME_CODES = {None: UNLABELED_CODE, "": UNLABELED_CODE, "-": NEGATIVE_CODE, "+": POSITIVE_CODE}
 
 
-def _json_chunks(path, fh) -> Iterator[tuple[list, list[int]]]:
-    """The JSON values on the non-blank lines of a file, with their 1-based
-    line numbers, _IO_CHUNK lines at a time."""
+def _line_chunks(fh) -> Iterator[tuple[list[str], list[int]]]:
+    """The non-blank lines of a file with their 1-based line numbers,
+    _READ_LINES lines at a time."""
     lines: list[str] = []
     linenos: list[int] = []
     for lineno, line in enumerate(fh, 1):
         if line.strip():
             lines.append(line)
             linenos.append(lineno)
-            if len(lines) == _IO_CHUNK:
-                yield _json_values(path, lines, linenos), linenos
+            if len(lines) == _READ_LINES:
+                yield lines, linenos
                 lines, linenos = [], []
     if lines:
-        yield _json_values(path, lines, linenos), linenos
-
-
-def _json_values(path, lines: list[str], linenos: list[int]) -> list:
-    """One JSON value per line. The lines are parsed as one array, which costs
-    one decoder call; if that fails, or a line held more than one value, they
-    are parsed one by one so that the ConfigError names the line at fault."""
-    try:
-        values = json.loads("[" + ",".join(lines) + "]")
-        if len(values) == len(lines):
-            return values
-    except json.JSONDecodeError:
-        pass
-    values = []
-    for line, lineno in zip(lines, linenos):
-        try:
-            values.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} line {lineno}: not JSON ({exc.msg})") from exc
-    return values
+        yield lines, linenos
 
 
 def _row_columns(rows: list[dict], d: int | None) -> tuple[np.ndarray, ...]:
@@ -420,20 +410,72 @@ def _row_columns(rows: list[dict], d: int | None) -> tuple[np.ndarray, ...]:
     return t.astype(np.int64), groups.astype(np.int64), codes, dists, losses, expected
 
 
-def _json_columns(path, rows: list[dict], linenos: list[int], d: int | None) -> tuple:
-    """``_row_columns`` of one chunk. A chunk that fails is parsed again row by
-    row, so that the ConfigError names the first line at fault."""
+def _check_rows(
+    where: Callable[[int], str],
+    t0: int,
+    t: np.ndarray,
+    groups: np.ndarray,
+    dists: np.ndarray,
+    losses: np.ndarray,
+    expected: np.ndarray,
+    num_groups: int | None,
+) -> None:
+    """Check rows as RoundRecord checks one round, plus their order and
+    groups: row k must have t = t0 + k + 1 and a group in 0..num_groups - 1
+    (any group >= 0 when num_groups is None). The first row that breaks a
+    check raises ConfigError, with ``where(k)`` naming row k."""
+    upper = np.inf if num_groups is None else num_groups
+    with np.errstate(invalid="ignore", over="ignore"):
+        derived = (dists * losses).sum(axis=1)
+        checks = [
+            (t != np.arange(t0 + 1, t0 + t.shape[0] + 1),
+             lambda k: f"t is {t[k]}, expected {t0 + k + 1}"),
+            ((groups < 0) | (groups >= upper),
+             lambda k: f"group {groups[k]} "
+                       + ("is negative" if num_groups is None else f"outside 0..{num_groups - 1}")),
+            (_off_simplex(dists), lambda k: f"p {dists[k].tolist()} is off the simplex"),
+            (~((losses.min(axis=1) >= 0.0) & (losses.max(axis=1) <= 1.0)),
+             lambda k: f"losses {losses[k].tolist()} outside [0, 1]"),
+            (~(np.abs(derived - expected) <= EXPECTED_LOSS_ATOL),
+             lambda k: f"expected_loss {expected[k]!r} disagrees with "
+                       f"p . losses = {derived[k]!r}"),
+        ]
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        k = int(np.argmax(bad))
+        what = next(what for mask, what in checks if mask[k])
+        raise ConfigError(f"{where(k)}: {what(k)}")
+
+
+def _json_columns(path, lines: list[str], linenos: list[int], d: int | None, t0: int,
+                  num_groups: int | None) -> tuple:
+    """The checked group, outcome code, p, losses and expected_loss columns
+    of one chunk of lines, whose rounds follow round t0. The chunk is parsed
+    as one JSON array, one decoder call. If that fails, or a line holds more
+    than one value, the lines are parsed and checked one by one, so that the
+    ConfigError names the first line at fault."""
     try:
-        return _row_columns(rows, d)
+        rows = json.loads("[" + ",".join(lines) + "]")
+        if len(rows) != len(lines):
+            raise ValueError("a line holds more than one JSON value")
+        t, groups, codes, dists, losses, expected = _row_columns(rows, d)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        for row, lineno in zip(rows, linenos):
+        for k, (line, lineno) in enumerate(zip(lines, linenos)):
             try:
-                d = _row_columns([row], d)[3].shape[1]
+                t, groups, codes, dists, losses, expected = _row_columns([json.loads(line)], d)
+            except json.JSONDecodeError as row_exc:
+                raise ConfigError(f"{path} line {lineno}: not JSON ({row_exc.msg})") from row_exc
             except KeyError as row_exc:
                 raise ConfigError(f"{path} line {lineno}: missing field {row_exc}") from row_exc
             except (TypeError, ValueError, OverflowError) as row_exc:
                 raise ConfigError(f"{path} line {lineno}: {row_exc}") from row_exc
+            _check_rows(lambda _: f"{path} line {lineno}", t0 + k,
+                        t, groups, dists, losses, expected, num_groups)
+            d = dists.shape[1]
         raise ConfigError(f"{path} lines {linenos[0]}-{linenos[-1]}: {exc}") from exc
+    _check_rows(lambda k: f"{path} line {linenos[k]}", t0,
+                t, groups, dists, losses, expected, num_groups)
+    return groups, codes, dists, losses, expected
 
 
 class Trace:
@@ -564,10 +606,8 @@ class Trace:
                 fh.write("".join([row % v for v in zip(t, g, out, exp, *p, *ell)]))
 
     @classmethod
-    def _from_columns(
+    def _fold(
         cls,
-        where: Callable[[int], str],
-        t: np.ndarray,
         groups: np.ndarray,
         codes: np.ndarray,
         dists: np.ndarray,
@@ -577,33 +617,11 @@ class Trace:
         num_groups: int | None = None,
         **meta,
     ) -> "Trace":
-        """Check whole columns as RoundRecord checks one round, then fold them.
-
-        ``where(k)`` names row k in the ConfigError raised for the first row
-        that breaks a check.
-        """
-
-        def reject(bad: np.ndarray, what) -> None:
-            rows = np.flatnonzero(bad)
-            if rows.size:
-                k = int(rows[0])
-                raise ConfigError(f"{where(k)}: {what(k)}")
-
-        n, d = dists.shape
-        reject(t != np.arange(1, n + 1), lambda k: f"t is {t[k]}, expected {k + 1}")
+        """A full trace of checked columns, its accumulators folded once over
+        the whole columns. num_groups defaults to the largest group plus one."""
         if num_groups is None:
             num_groups = int(groups.max()) + 1
-        reject((groups < 0) | (groups >= num_groups),
-               lambda k: f"group {groups[k]} outside 0..{num_groups - 1}")
-        k = _first_off_simplex(dists)
-        if k is not None:
-            raise ConfigError(f"{where(k)}: p {dists[k].tolist()} is off the simplex")
-        reject(~((losses.min(axis=1) >= 0.0) & (losses.max(axis=1) <= 1.0)),
-               lambda k: f"losses {losses[k].tolist()} outside [0, 1]")
-        derived = (dists * losses).sum(axis=1)
-        reject(~(np.abs(derived - expected) <= EXPECTED_LOSS_ATOL),
-               lambda k: f"expected_loss {expected[k]!r} disagrees with "
-                         f"p . losses = {derived[k]!r}")
+        d = dists.shape[1]
         acc = Accumulators.zeros(num_groups, d)
         acc.add_block(groups, codes, losses, expected)
         return cls(
@@ -632,17 +650,21 @@ class Trace:
         """Build a full trace from round records (t must run 1..T)."""
         if not records:
             raise ValueError("cannot infer dimensions from an empty record list")
-        return cls._from_columns(
-            lambda k: f"record {k + 1}",
-            np.array([r.t for r in records], dtype=np.int64),
-            np.array([r.group for r in records], dtype=np.int64),
+        groups = np.array([r.group for r in records], dtype=np.int64)
+        dists = np.stack([r.distribution for r in records])
+        losses = np.stack([r.losses for r in records])
+        expected = np.array([r.expected_loss for r in records], dtype=np.float64)
+        _check_rows(lambda k: f"record {k + 1}", 0, np.array([r.t for r in records]),
+                    groups, dists, losses, expected, num_groups)
+        return cls._fold(
+            groups,
             np.array(
                 [UNLABELED_CODE if r.outcome is None else r.outcome.code for r in records],
                 dtype=np.int8,
             ),
-            np.stack([r.distribution for r in records]),
-            np.stack([r.losses for r in records]),
-            np.array([r.expected_loss for r in records], dtype=np.float64),
+            dists,
+            losses,
+            expected,
             num_groups=num_groups,
             rng_seed=rng_seed,
             scenario_id=scenario_id,
@@ -651,28 +673,36 @@ class Trace:
         )
 
     @classmethod
-    def from_jsonl(cls, path: str | Path, **kwargs) -> "Trace":
-        """Read a trace written by ``to_jsonl``, a chunk of lines at a time.
+    def from_jsonl(cls, path: str | Path, *, num_groups: int | None = None, **meta) -> "Trace":
+        """Read a trace written by ``to_jsonl``, _READ_LINES lines at a time.
 
-        A malformed file raises ConfigError naming the file and the line at
-        fault. ``kwargs`` are ``from_records``'s keyword arguments.
+        Each chunk is checked as soon as it is parsed, its t continuing from
+        the chunk before, and only its columns are kept. A malformed file
+        raises ConfigError naming the file and its first line at fault.
+        ``num_groups`` and ``meta`` are ``from_records``'s keyword arguments.
         """
-        parts: list[tuple] = []
-        lines: list[list[int]] = []
+        # groups, outcome codes, p, losses and expected_loss, one list of
+        # chunk columns each
+        parts: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
+        n = 0
         d = None
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                for rows, linenos in _json_chunks(path, fh):
-                    parts.append(_json_columns(path, rows, linenos, d))
-                    lines.append(linenos)
-                    d = parts[-1][3].shape[1]
+                for lines, linenos in _line_chunks(fh):
+                    for part, col in zip(parts, _json_columns(path, lines, linenos, d, n, num_groups)):
+                        part.append(col)
+                    n += len(lines)
+                    d = parts[2][-1].shape[1]
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-        if not parts:
+        if not n:
             raise ConfigError(f"{path}: no rounds")
-        line_of = np.concatenate(lines)
-        columns = [np.concatenate(col) for col in zip(*parts)]
-        return cls._from_columns(lambda k: f"{path} line {line_of[k]}", *columns, **kwargs)
+        columns = []
+        for part in parts:
+            # one column at a time, its chunks freed before the next is joined
+            columns.append(np.concatenate(part))
+            part.clear()
+        return cls._fold(*columns, num_groups=num_groups, **meta)
 
 
 class TraceBuilder:
@@ -713,8 +743,18 @@ class TraceBuilder:
             raise InvariantViolation("loss block has entries outside [0, 1]")
         if groups.min(initial=0) < 0 or groups.max(initial=0) >= self.num_groups:
             raise InvariantViolation("group ids outside the declared group set")
+        # checked before the int8 cast, which would wrap 256 to a valid 0
+        codes = np.asarray(outcome_codes)
+        if codes.shape != (n,) or codes.dtype.kind not in "biu":
+            raise InvariantViolation(
+                f"outcome code block has shape {codes.shape} and dtype {codes.dtype}, "
+                f"expected ({n},) integers"
+            )
+        if codes.min() < UNLABELED_CODE or codes.max() > POSITIVE_CODE:
+            k = int(np.argmax((codes < UNLABELED_CODE) | (codes > POSITIVE_CODE)))
+            raise InvariantViolation(f"outcome code {codes[k]} at row {k} of the block is not -1, 0 or 1")
         self._groups.append(np.asarray(groups, dtype=np.int64))
-        self._codes.append(np.asarray(outcome_codes, dtype=np.int8))
+        self._codes.append(codes.astype(np.int8, copy=False))
         self._expected.append(np.asarray(expected, dtype=np.float64))
         if self.retain == "full":
             self._dists.append(np.asarray(distributions, dtype=np.float64))

@@ -437,10 +437,11 @@ def _assert_same(new_out, ref_out, new, ref):
 
 
 def _reading_step(rows):
-    """An adaptive step whose code and loss row depend on the play."""
+    """An adaptive step whose code and loss row depend on the play; rows in
+    [0, 1] stay in [0, 1]."""
 
     def step(i, g, p):
-        return int(p[0] >= p[1]), rows[i] * (0.5 + p[0])
+        return int(p[0] >= p[1]), rows[i] * (0.5 + p[0] / 2)
 
     return step
 
@@ -514,16 +515,25 @@ class TestTwoExpertKernelOracle:
         assert any(math.exp(x) != float(np.exp(x)) for x in z)
 
     def test_weights_that_underflow(self):
-        # both fixed-share weights reach 0: numpy's 0/0 gives NaN plays, not an error
+        # a loss of 2000 would underflow both fixed-share weights to 0 and
+        # leave every later play NaN; it is refused before the first round
+        lrn = FixedShare(0.4, 0.01)
+        lrn.start(2)
+        rows = np.array([[1.0, 0.0], [2000.0, 2000.0], [0.0, 1.0]])
+        groups = np.zeros(3, dtype=np.int64)
+        with pytest.raises(ContractError, match=r"\[2000.0, 2000.0\] at row 1 "):
+            lrn.run_rounds(groups, rows)
+        assert np.array_equal(lrn._state(), [[0.5, 0.5]])
+        with pytest.raises(ContractError, match="at row 1 "):
+            lrn.run_rounds(groups, step=lambda i, g, p: (0, rows[i]))
+        # the extreme losses that are allowed: the kernel still matches the loop
         new, ref = FixedShare(0.4, 0.01), FixedShare(0.4, 0.01)
         new.start(2)
         ref.start(2)
-        rows = np.array([[1.0, 0.0], [2000.0, 2000.0], [0.0, 1.0]])
-        groups = np.zeros(3, dtype=np.int64)
-        with np.errstate(invalid="ignore"):
-            got, want = new.run_rounds(groups, rows), _ref_rounds(ref, groups, rows)
-        assert np.isnan(got[0][2]).all()
-        assert np.array_equal(got[0], want[0], equal_nan=True)
+        rows = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]] * 50)
+        groups = np.zeros(150, dtype=np.int64)
+        got, want = new.run_rounds(groups, rows), _ref_rounds(ref, groups, rows)
+        _assert_same([got], [want], new, ref)
 
 
 class TestRunRoundsContract:
@@ -546,6 +556,39 @@ class TestRunRoundsContract:
         groups = np.array([0, 1, 0, 1, 0], dtype=np.int64)
         with pytest.raises(ContractError, match=f"code {bad!r} at row 2 "):
             lrn.run_rounds(groups, step=lambda i, g, p: (bad if i >= 2 else 0, np.zeros(d)))
+
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan, np.inf, -np.inf, 2000.0])
+    def test_loss_outside_unit_interval_names_its_row(self, kind, d, bad):
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(d, 2)
+        start = _final_state(lrn).copy()
+        groups = np.array([0, 1, 0, 1, 0], dtype=np.int64)
+        rows = np.full((5, d), 0.5)
+        rows[2, d - 1] = bad
+        # an oblivious stretch is refused before its first round
+        with pytest.raises(ContractError, match=r"at row 2 of the stretch lies outside \[0, 1\]"):
+            lrn.run_rounds(groups, rows)
+        assert np.array_equal(_final_state(lrn), start)
+        if lrn.supports_blocks:
+            with pytest.raises(ContractError, match="at row 2 "):
+                lrn.run_block(groups, rows)
+            assert np.array_equal(_final_state(lrn), start)
+        # an adaptive row is refused before the learner observes it
+        with pytest.raises(ContractError, match="at row 2 "):
+            lrn.run_rounds(groups, step=lambda i, g, p: (0, rows[i]))
+        assert np.isfinite(_final_state(lrn)).all()
+
+    @pytest.mark.parametrize("learner", [
+        {"kind": "per_group_fixed_share", "eta": 0.1, "rho": 0.01},
+        {"kind": "single_mw", "eta": 0.1},
+        {"kind": "fpl", "eta": 0.1},
+    ])
+    def test_loss_outside_unit_interval_through_the_protocol(self, learner, monkeypatch):
+        monkeypatch.setattr(adversaries, "_T5_ROWS", (np.full(2, 2000.0), np.full(2, 2000.0)))
+        with pytest.raises(ContractError, match="outside"):
+            run(learner, {"kind": "t5"}, 10, seed=1)
 
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("d", [2, 3])

@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fair_experts import RandomIID, SingleMW, run
+from fair_experts.protocol import ObliviousBlock, _execute_block
 from fair_experts.types import (
     Accumulators,
     ConfigError,
@@ -275,6 +277,33 @@ class TestTraceBuilder:
                                  np.array([[0.0, 1.0], row]), np.full((2, 2), 0.5), np.full(2, 0.5))
         assert builder.accumulators.expert_loss.sum() == 0.0
 
+    @pytest.mark.parametrize("codes,row", [
+        ((3, 1), 0),  # would be counted as a negative of group 1
+        ((7,), 0),
+        ((0, 300), 1),  # an int8 cast would wrap it to 44
+        ((1, 256), 1),  # an int8 cast would wrap it to a valid 0
+        ((0, -2), 1),
+    ])
+    def test_rejects_bad_outcome_codes(self, codes, row):
+        n = len(codes)
+        builder = TraceBuilder(2, 2)
+        with pytest.raises(InvariantViolation, match=f"code {codes[row]} at row {row} of the block"):
+            builder.append_block(np.arange(n) % 2, np.array(codes), np.full((n, 2), 0.5),
+                                 np.full((n, 2), 0.5), np.full(n, 0.5))
+        assert builder.accumulators.counts.sum() == 0
+        # an oblivious block reaches the check with its codes as given
+        learner = SingleMW(0.1)
+        learner.start(2, 2)
+        block = ObliviousBlock(np.arange(n) % 2, np.array(codes), np.full((n, 2), 0.5))
+        with pytest.raises(InvariantViolation, match=f"code {codes[row]} at row {row} "):
+            _execute_block(learner, block, builder)
+
+    @pytest.mark.parametrize("codes", [np.array([0.0, 1.0]), np.array(["+", "-"]), np.zeros(3, dtype=int)])
+    def test_rejects_codes_of_the_wrong_kind(self, codes):
+        with pytest.raises(InvariantViolation, match="expected \\(2,\\) integers"):
+            TraceBuilder(2, 2).append_block(np.array([0, 1]), codes, np.full((2, 2), 0.5),
+                                            np.full((2, 2), 0.5), np.full(2, 0.5))
+
     def test_empty_build(self):
         tr = TraceBuilder(3, 2).build(rng_seed=1, scenario_id="s", learner_id="l")
         assert tr.T == 0 and tr.d == 3
@@ -458,6 +487,34 @@ _REPEAT_CASES = {
 }
 
 
+def _edit_field(name, value):
+    return lambda line: json.dumps({**json.loads(line), name: value(json.loads(line)[name])})
+
+
+# Edits that make one JSONL line bad, each with a different check
+_ROW_EDITS = {
+    "t": _edit_field("t", lambda t: t + 1),
+    "group": _edit_field("group", lambda g: -1),
+    "p": _edit_field("p", lambda p: [0.9, 0.9]),
+    "losses": _edit_field("losses", lambda ell: [0.0, 1.5]),
+    "expected_loss": _edit_field("expected_loss", lambda e: e + 1e-6),
+    "outcome": _edit_field("outcome", lambda o: "x"),
+    "missing": lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "p"}),
+    "not_json": lambda line: line[:-1],
+}
+
+
+def _jsonl_rows(tr, tmp_path):
+    _ref_to_jsonl(tr, tmp_path / "ref.jsonl")
+    return (tmp_path / "ref.jsonl").read_text().splitlines()
+
+
+def _write_rows(tmp_path, rows):
+    path = tmp_path / "edited.jsonl"
+    path.write_text("".join(row + "\n" for row in rows))
+    return path
+
+
 @pytest.fixture
 def memo_calls(monkeypatch):
     """Counts np.unique calls with return_inverse: the trace writers make one
@@ -545,3 +602,77 @@ class TestTraceFileOracle:
         tr.to_jsonl(tmp_path / "t.jsonl")
         with pytest.raises(ConfigError, match="outside 0..1"):
             Trace.from_jsonl(tmp_path / "t.jsonl", num_groups=2)
+
+    def test_group_outside_declared_set_in_the_last_chunk(self, tmp_path):
+        rows = _jsonl_rows(_iid_trace(10, 2, 2, 2500, False), tmp_path)
+        rows[-1] = json.dumps({**json.loads(rows[-1]), "group": 2})
+        path = _write_rows(tmp_path, rows)
+        with pytest.raises(ConfigError, match="line 2500: group 2 outside 0..1"):
+            Trace.from_jsonl(path, num_groups=2)
+        assert Trace.from_jsonl(path).num_groups == 3
+
+    def test_blank_lines_only(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n  \n\t\n\n")
+        with pytest.raises(ValueError):
+            _ref_from_jsonl(path)
+        with pytest.raises(ConfigError, match="no rounds"):
+            Trace.from_jsonl(path)
+
+    @pytest.mark.parametrize("edit", list(_ROW_EDITS))
+    def test_error_in_a_late_chunk_names_its_line(self, tmp_path, edit):
+        rows = _jsonl_rows(_iid_trace(9, 2, 2, 3000, True), tmp_path)
+        # row 2600 is in the third chunk of lines read
+        k = 2600
+        rows[k] = _ROW_EDITS[edit](rows[k])
+        # a blank line after every fifth row puts row j on line j + 1 + j // 5
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(row + "\n" + "\n" * (j % 5 == 4) for j, row in enumerate(rows)))
+        with pytest.raises((ValueError, KeyError)):
+            _ref_from_jsonl(path)
+        with pytest.raises(ConfigError, match=f"line {k + 1 + k // 5}:"):
+            Trace.from_jsonl(path)
+
+    @pytest.mark.parametrize("first,second", [
+        ("expected_loss", "t"),
+        ("losses", "not_json"),
+        ("not_json", "losses"),
+        ("missing", "group"),
+        ("outcome", "p"),
+    ])
+    def test_first_bad_line_in_file_order(self, tmp_path, first, second):
+        rows = _jsonl_rows(_iid_trace(11, 2, 2, 1500, True), tmp_path)
+        rows[1100] = _ROW_EDITS[first](rows[1100])
+        rows[1200] = _ROW_EDITS[second](rows[1200])
+        with pytest.raises(ConfigError, match="line 1101:"):
+            Trace.from_jsonl(_write_rows(tmp_path, rows))
+
+    @pytest.mark.parametrize("keep,resume,line,t", [
+        (1023, 1025, 1024, 1026),  # on the last line of the first chunk
+        (1024, 1029, 1025, 1030),  # on the first line of the second chunk
+        (1024, 0, 1025, 1),  # the second chunk starts again at t = 1
+    ])
+    def test_t_break_at_a_chunk_boundary(self, tmp_path, keep, resume, line, t):
+        rows = _jsonl_rows(_iid_trace(12, 2, 2, 3000, False), tmp_path)
+        path = _write_rows(tmp_path, rows[:keep] + rows[resume:])
+        with pytest.raises(ValueError):
+            _ref_from_jsonl(path)
+        with pytest.raises(ConfigError, match=f"line {line}: t is {t}, expected {line}$"):
+            Trace.from_jsonl(path)
+
+    def test_read_peak_memory(self, tmp_path):
+        # The reader holds one chunk of parsed lines and the columns kept so
+        # far, and joins one column at a time. The whole-file check it
+        # replaced peaked at 9.45 times the arrays it returned.
+        path = tmp_path / "fpl.jsonl"
+        run({"kind": "fpl", "eta": 0.1}, {"kind": "t4"}, 30_000, 3, retain="full").to_jsonl(path)
+        tracemalloc.start()
+        try:
+            back = Trace.from_jsonl(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        names = ("groups", "outcome_codes", "expected_loss", "distributions", "losses")
+        returned = sum(getattr(back, name).nbytes for name in names)
+        assert len(back) == 30_000
+        assert peak <= 2.5 * returned, (peak, returned)
