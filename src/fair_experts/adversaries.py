@@ -33,8 +33,7 @@ from .types import (
     NEGATIVE_CODE,
     POSITIVE_CODE,
     UNLABELED_CODE,
-    Outcome,
-    loss_of,
+    require_reals,
     require_type,
 )
 
@@ -85,17 +84,6 @@ class Scenario:
         raise NotImplementedError
 
 
-def _reals(name: str, values) -> tuple[float, ...]:
-    """``values`` as a tuple of floats. ConfigError unless it is a list or
-    tuple of real numbers that are not bools; integers become floats, so
-    config echoes keep one form."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
-    for i, x in enumerate(values):
-        require_type(f"{name}[{i}]", x, numbers.Real, "a number")
-    return tuple(float(x) for x in values)
-
-
 def _expert_loss_block(
     experts: tuple[ExpertModel, ...],
     t_start: int,
@@ -110,20 +98,6 @@ def _expert_loss_block(
     for f, ex in enumerate(experts):
         losses[:, f] = ex.losses(t, groups, codes, rng)
     return ObliviousBlock(groups, codes, losses)
-
-
-def _constant_loss_rows(
-    experts: tuple[ExpertModel, ...], rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Loss rows on a negative and on a positive round, for experts whose
-    scores do not depend on t or group."""
-    neg = np.array(
-        [loss_of(ex.predict(1, GROUP_A, Outcome.NEGATIVE, rng), Outcome.NEGATIVE) for ex in experts]
-    )
-    pos = np.array(
-        [loss_of(ex.predict(1, GROUP_A, Outcome.POSITIVE, rng), Outcome.POSITIVE) for ex in experts]
-    )
-    return neg, pos
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +263,11 @@ class T2Scenario(Scenario):
         phase1 = T // 101  # floor(THETA * T) exactly, since THETA = 1/101
         gamma = self.gamma
         count_threshold = self.C * self.b * T
-        neg_row, pos_row = _constant_loss_rows(self.experts, run.rng_extra)
+        # the experts' scores depend on neither t nor group
+        neg_row, pos_row = _expert_loss_block(
+            self.experts, 1, np.full(2, GROUP_A), np.array([NEGATIVE_CODE, POSITIVE_CODE]),
+            run.rng_extra,
+        ).losses
         run.info.update(
             gamma=gamma,
             phase1_rounds=phase1,
@@ -347,7 +325,7 @@ class T3Synthetic(Scenario):
     kind: ClassVar[str] = "t3_synthetic"
 
     def __post_init__(self) -> None:
-        rates = _reals("rates", self.rates)
+        rates = require_reals("rates", self.rates)
         object.__setattr__(self, "rates", rates)
         require_type("groups", self.groups, numbers.Integral, "an integer")
         require_type("kappa", self.kappa, numbers.Real, "a number")
@@ -543,7 +521,7 @@ class RandomIID(Scenario):
         if self.groups < 1:
             raise ConfigError(f"need at least one group, got {self.groups}")
         if self.group_probs is not None:
-            probs = _reals("group_probs", self.group_probs)
+            probs = require_reals("group_probs", self.group_probs)
             object.__setattr__(self, "group_probs", probs)
             if len(probs) != self.groups:
                 raise ConfigError(

@@ -116,10 +116,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    payload = get_preset(args.name).to_dict()
-    # out_dir/keep_traces are runtime choices, not part of the preset
-    payload.pop("out_dir")
-    payload.pop("keep_traces")
+    payload = get_preset(args.name).echo()
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -10,6 +10,7 @@ exactly fair in isolation under any metric.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .metrics import _rate, rate_table, rate_values
 from .types import (
+    ConfigError,
     EmptySubpopulationError,
     GroupId,
     HorizonMismatchError,
@@ -25,6 +27,9 @@ from .types import (
     Trace,
     losses_from_scores,
     max_pairwise_gap,
+    outcome_code,
+    require_reals,
+    require_type,
 )
 
 EXPERT_KINDS = ("always_negative", "always_positive", "unbiased", "fixed_score", "scripted")
@@ -55,6 +60,13 @@ class ExpertModel:
     def __post_init__(self) -> None:
         if self.kind not in EXPERT_KINDS:
             raise ValueError(f"unknown expert kind {self.kind!r}")
+        for name in ("beta", "score"):
+            if getattr(self, name) is not None:
+                require_type(name, getattr(self, name), numbers.Real, "a number")
+        if self.table is not None:
+            object.__setattr__(self, "table", require_reals("table", self.table))
+        if not isinstance(self.bernoulli, bool):
+            raise ConfigError(f"bernoulli must be true or false, got {self.bernoulli!r}")
         if self.kind == "unbiased":
             if self.beta is None or not 0.0 <= self.beta <= 1.0:
                 raise ValueError(f"unbiased expert needs beta in [0, 1], got {self.beta!r}")
@@ -80,29 +92,10 @@ class ExpertModel:
         outcome: Outcome | None,
         rng: np.random.Generator | None = None,
     ) -> float:
-        """Score for round t. Outcome-reading kinds require a labeled round."""
-        if self.kind == "always_negative":
-            return 0.0
-        if self.kind == "always_positive":
-            return 1.0
-        if self.kind == "fixed_score":
-            return float(self.score)
-        if self.kind == "scripted":
-            if not 1 <= t <= len(self.table):
-                raise HorizonMismatchError(
-                    f"scripted expert has {len(self.table)} rounds, asked for t={t}"
-                )
-            return float(self.table[t - 1])
-        # unbiased
-        if outcome is None:
-            raise ValueError("unbiased expert needs a labeled round")
-        if self.bernoulli:
-            if rng is None:
-                raise ValueError("bernoulli mode needs an rng")
-            wrong = rng.random() < self.beta
-            correct_score = 1.0 if outcome is Outcome.POSITIVE else 0.0
-            return 1.0 - correct_score if wrong else correct_score
-        return float(self.beta) if outcome is Outcome.NEGATIVE else 1.0 - float(self.beta)
+        """Score for round t, one row of ``scores``. Outcome-reading kinds
+        require a labeled round."""
+        codes = np.array([outcome_code(outcome)], dtype=np.int8)
+        return float(self.scores(np.array([t]), np.array([group]), codes, rng)[0])
 
     def scores(
         self,
@@ -111,7 +104,7 @@ class ExpertModel:
         outcome_codes: np.ndarray,
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
-        """Vectorized predict over aligned round arrays."""
+        """Scores over aligned round arrays."""
         n = len(t)
         if self.kind == "always_negative":
             return np.zeros(n)
@@ -168,9 +161,6 @@ def make_expert(config: Mapping) -> ExpertModel:
     kind = cfg.pop("kind", None)
     if kind is None:
         raise ValueError("expert config needs a 'kind' entry")
-    table = cfg.pop("table", None)
-    if table is not None:
-        cfg["table"] = tuple(float(x) for x in table)
     try:
         return ExpertModel(kind=kind, **cfg)
     except TypeError as exc:

@@ -29,22 +29,6 @@ RETAIN_MODES = ("summary", "full")
 WORLD_MODES = ("realized", "two_pass")
 TRACE_FORMATS = ("jsonl", "csv")
 
-_CONFIG_FIELDS = (
-    "scenario",
-    "learner",
-    "T",
-    "epsilon",
-    "alpha",
-    "reps",
-    "base_seed",
-    "retain",
-    "shifting_K",
-    "world_mode",
-    "out_dir",
-    "formats",
-    "keep_traces",
-)
-
 # Numeric fields checked by type before their ranges; shifting_K may be None.
 _TYPED_FIELDS = (
     ("T", numbers.Integral, "an integer"),
@@ -109,7 +93,7 @@ class ExperimentConfig:
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":
         if not isinstance(data, Mapping):
             raise ConfigError(f"experiment config must be an object, got {data!r}")
-        extra = set(data) - set(_CONFIG_FIELDS)
+        extra = set(data) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise ConfigError(f"unknown experiment config keys: {sorted(extra)}")
         for key in ("scenario", "learner", "T"):
@@ -125,6 +109,13 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
         out["formats"] = list(self.formats)
+        return out
+
+    def echo(self) -> dict:
+        """``to_dict`` without the runtime choices out_dir and keep_traces:
+        the experiment as config.json and ``fair-experts preset`` show it."""
+        out = self.to_dict()
+        del out["out_dir"], out["keep_traces"]
         return out
 
 
@@ -218,16 +209,11 @@ def _summary_rows(
 
 
 def _majority_world(reports: list[MetricReport]) -> str:
-    counts: dict[str, int] = {}
-    for rep in reports:
-        w = rep.scenario_info.get("world")
-        if w is not None:
-            counts[w] = counts.get(w, 0) + 1
+    counts = aggregate_reports(reports).get("worlds")
     if not counts:
         raise ConfigError("two_pass world mode needs a scenario that reports a world")
     # ties go to the alphabetically first world, for determinism
-    best = max(sorted(counts), key=lambda w: counts[w])
-    return best
+    return max(sorted(counts), key=counts.get)
 
 
 def run_experiment(config: ExperimentConfig | Mapping) -> ExperimentResult:
@@ -238,21 +224,11 @@ def run_experiment(config: ExperimentConfig | Mapping) -> ExperimentResult:
         config = ExperimentConfig.from_dict(config)
     config.validate()
     scenario = make_scenario(config.scenario)
-    resolved = {
-        "scenario": scenario.config(),
-        "learner": _resolved_learner_config(
-            config.learner, config.T, config.epsilon, config.alpha
-        ),
-        "T": config.T,
-        "epsilon": config.epsilon,
-        "alpha": config.alpha,
-        "reps": config.reps,
-        "base_seed": config.base_seed,
-        "retain": config.retain,
-        "shifting_K": config.shifting_K,
-        "world_mode": config.world_mode,
-        "formats": list(config.formats),
-    }
+    resolved = config.echo()
+    resolved["scenario"] = scenario.config()
+    resolved["learner"] = _resolved_learner_config(
+        config.learner, config.T, config.epsilon, config.alpha
+    )
 
     def one_run(i: int, scn, retain: str) -> tuple[MetricReport, Trace]:
         learner = make_learner(

@@ -6,7 +6,7 @@ effects, ``observe(group, losses)`` folds in one round's loss vector. Kinds
 whose distributions are closed-form functions of cumulative losses also
 implement ``run_block`` so oblivious stretches can be executed vectorized;
 the block path and the sequential path are the same algorithm and agree to
-floating-point noise.
+floating-point noise, and ``next_distribution`` is the play of a one-row block.
 
 ``run_rounds`` plays a stretch round by round, oblivious or adaptive. Its
 generic form is the ``next_distribution``/``observe`` loop. For two experts,
@@ -28,7 +28,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .types import ConfigError, ContractError, GroupId, require_type
+from .types import ConfigError, ContractError, GroupId, _first_off_unit, require_type
 
 LEARNER_KINDS = (
     "single_mw",
@@ -75,7 +75,7 @@ class Learner:
     supports_blocks = False
     per_group = False
     # Kinds with an exact scalar kernel for d=2 (see ``_two_expert_rounds``).
-    # The kernel repeats this class's next_distribution and observe without
+    # The kernel repeats this class's next_distribution and _update without
     # calling them, so a subclass that overrides either must set it False.
     two_expert_kernel = False
 
@@ -128,6 +128,15 @@ class Learner:
         raise NotImplementedError
 
     def observe(self, group: GroupId, losses) -> None:
+        """Fold in one round's loss vector. A vector of the wrong shape, or
+        with a loss outside [0, 1], raises ContractError and changes nothing."""
+        self._started()
+        losses = self._check_losses(losses)
+        _check_loss_block(losses[None])
+        self._update(self._table(group), losses)
+
+    def _update(self, table: int, losses: np.ndarray) -> None:
+        """``observe`` on a checked loss vector."""
         raise NotImplementedError
 
     def run_block(self, groups: np.ndarray, losses: np.ndarray) -> np.ndarray:
@@ -162,7 +171,7 @@ class Learner:
             for i in range(n):
                 g = int(groups[i])
                 p[i] = self.next_distribution(g)
-                self.observe(g, losses[i])
+                self._update(self._table(g), losses[i])
             return p, losses, None
         losses = np.empty((n, self.d), dtype=np.float64)
         codes = []
@@ -172,7 +181,7 @@ class Learner:
             code, row = step(i, g, p[i])
             losses[i] = self._check_losses(row)
             _check_loss_block(losses[i:i + 1], i)
-            self.observe(g, losses[i])
+            self._update(self._table(g), losses[i])
             codes.append(code)
         return p, losses, _outcome_codes(codes)
 
@@ -184,7 +193,7 @@ class Learner:
         block of loss rows, and ``_row_terms(row, i)``, the same for row i of
         the stretch as two floats, which also checks that its losses lie in
         [0, 1]; and ``_play2(table)`` and ``_update2(table, a0, a1)``,
-        which repeat ``next_distribution`` and the rest of ``observe`` on one
+        which repeat ``next_distribution`` and the rest of ``_update`` on one
         table.
         """
         n = groups.shape[0]
@@ -225,10 +234,10 @@ def _loss_range_error(row: list, i: int) -> ContractError:
 
 def _check_loss_block(losses: np.ndarray, first: int = 0) -> None:
     """ContractError naming the first row of an (n, d) loss block with a loss
-    outside [0, 1], NaN included: NaN fails both comparisons. ``first`` is the
-    block's first row within its stretch."""
-    if losses.size and not (losses.min() >= 0.0 and losses.max() <= 1.0):
-        k = int(np.argmin((losses.min(axis=1) >= 0.0) & (losses.max(axis=1) <= 1.0)))
+    outside [0, 1], NaN included. ``first`` is the block's first row within
+    its stretch."""
+    k = _first_off_unit(losses)
+    if k is not None:
         raise _loss_range_error(losses[k].tolist(), first + k)
 
 
@@ -265,15 +274,10 @@ class _MultiplicativeWeights(Learner):
 
     def next_distribution(self, group: GroupId) -> np.ndarray:
         self._started()
-        lw = self._log_w[self._table(group)]
-        z = lw - lw.max()
-        e = np.exp(z)
-        return e / e.sum()
+        return _row_softmax(self._log_w[self._table(group)][None])[0]
 
-    def observe(self, group: GroupId, losses) -> None:
-        self._started()
-        losses = self._check_losses(losses)
-        self._log_w[self._table(group)] += self._log_decay * losses
+    def _update(self, table: int, losses: np.ndarray) -> None:
+        self._log_w[table] += self._loss_terms(losses)
 
     def run_block(self, groups: np.ndarray, losses: np.ndarray) -> np.ndarray:
         self._started()
@@ -366,12 +370,10 @@ class FollowPerturbedLeader(Learner):
 
     def next_distribution(self, group: GroupId) -> np.ndarray:
         self._started()
-        leaders = np.argmin(self._cum[None, :] - self._grid, axis=1)
-        return np.bincount(leaders, minlength=self.d) / float(self.grid_m)
+        return self._grid_play(self._cum[None])[0]
 
-    def observe(self, group: GroupId, losses) -> None:
-        self._started()
-        self._cum += self._check_losses(losses)
+    def _update(self, table: int, losses: np.ndarray) -> None:
+        self._cum += losses
 
     def run_block(self, groups: np.ndarray, losses: np.ndarray) -> np.ndarray:
         self._started()
@@ -393,10 +395,11 @@ class FollowPerturbedLeader(Learner):
         chunk = max(1, 2_000_000 // (self.grid_m * self.d))
         for s in range(0, n, chunk):
             e = min(n, s + chunk)
-            pert = before[s:e, None, :] - self._grid[None, :, :]
-            leaders = pert.argmin(axis=2)
-            for f in range(self.d):
-                p[s:e, f] = (leaders == f).mean(axis=1)
+            # leader ids offset by row, so one bincount counts every row
+            leaders = (before[s:e, None, :] - self._grid[None, :, :]).argmin(axis=2)
+            leaders += self.d * np.arange(e - s)[:, None]
+            counts = np.bincount(leaders.ravel(), minlength=(e - s) * self.d)
+            p[s:e] = counts.reshape(e - s, self.d) / self.grid_m
         return p
 
     def _two_expert_play(self, before: np.ndarray) -> np.ndarray:
@@ -455,11 +458,8 @@ class FixedShare(Learner):
         self._started()
         return self._p[self._table(group)].copy()
 
-    def observe(self, group: GroupId, losses) -> None:
-        self._started()
-        losses = self._check_losses(losses)
-        table = self._table(group)
-        w = self._p[table] * np.power(1.0 - self.eta, losses)
+    def _update(self, table: int, losses: np.ndarray) -> None:
+        w = self._p[table] * self._loss_terms(losses)
         w /= w.sum()
         self._p[table] = (1.0 - self.rho) * w + self.rho / self.d
 

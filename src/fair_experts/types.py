@@ -15,6 +15,7 @@ runs. ``RoundRecord`` is the per-round view used at API boundaries.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -75,6 +76,17 @@ def require_type(name: str, value, kind: type, what: str) -> None:
         raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
+def require_reals(name: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats. ConfigError unless it is a list or
+    tuple of real numbers that are not bools; integers become floats, so
+    config echoes keep one form."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    for i, x in enumerate(values):
+        require_type(f"{name}[{i}]", x, numbers.Real, "a number")
+    return tuple(float(x) for x in values)
+
+
 class Outcome(Enum):
     """Binary round outcome. Exactly two states, no null member."""
 
@@ -102,6 +114,16 @@ def outcome_from_code(code: int) -> Outcome | None:
     if code == POSITIVE_CODE:
         return Outcome.POSITIVE
     raise ValueError(f"unknown outcome code {code!r}")
+
+
+def outcome_code(outcome: Outcome | None) -> int:
+    """The column code of an outcome, UNLABELED_CODE for None. Anything
+    else, such as a code or a token, raises TypeError."""
+    if outcome is None:
+        return UNLABELED_CODE
+    if not isinstance(outcome, Outcome):
+        raise TypeError(f"outcome must be an Outcome or None, got {outcome!r}")
+    return outcome.code
 
 
 def outcome_from_token(token: str) -> Outcome | None:
@@ -143,26 +165,27 @@ def max_pairwise_gap(values: Mapping[int, float | None]) -> tuple[float, tuple[i
 
 def loss_of(score: float, outcome: Outcome) -> float:
     """Loss of a graded prediction: the score on a negative round, its
-    complement on a positive round."""
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"score must lie in [0, 1], got {score!r}")
-    if outcome is Outcome.POSITIVE:
-        return 1.0 - score
-    if outcome is Outcome.NEGATIVE:
-        return float(score)
-    raise TypeError(f"outcome must be an Outcome, got {outcome!r}")
+    complement on a positive round. One row of ``losses_from_scores``."""
+    if not isinstance(outcome, Outcome):
+        raise TypeError(f"outcome must be an Outcome, got {outcome!r}")
+    return float(losses_from_scores([score], [outcome.code])[0])
 
 
 def losses_from_scores(scores: np.ndarray, outcome_codes: np.ndarray) -> np.ndarray:
-    """Vectorized loss_of over aligned score and outcome-code arrays.
+    """Losses of aligned score and outcome-code arrays: the score on a
+    negative round, its complement on a positive round.
 
     Every row must be labeled; unlabeled rounds have no score-based loss.
+    A score outside [0, 1], NaN included, raises ValueError.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
+    if scores.dtype.kind not in "biuf":
+        raise TypeError(f"scores must be numbers, got dtype {scores.dtype}")
+    scores = scores.astype(np.float64, copy=False)
     codes = np.asarray(outcome_codes)
     if np.any(codes == UNLABELED_CODE):
         raise ValueError("cannot derive score losses for unlabeled rounds")
-    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
+    if _first_off_unit(scores.reshape(-1, 1)) is not None:
         raise ValueError("scores must lie in [0, 1]")
     return np.where(codes == POSITIVE_CODE, 1.0 - scores, scores)
 
@@ -175,7 +198,8 @@ def uniform_distribution(d: int) -> np.ndarray:
 
 
 def validate_distribution(p: np.ndarray, d: int | None = None) -> np.ndarray:
-    """Shared simplex validator: entries >= 0 and sum within SIMPLEX_ATOL of 1."""
+    """One distribution checked as a row of ``validate_distribution_block``,
+    raising ValueError."""
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"distribution must be one-dimensional, got shape {p.shape}")
@@ -183,13 +207,8 @@ def validate_distribution(p: np.ndarray, d: int | None = None) -> np.ndarray:
         raise ValueError(f"distribution has {p.shape[0]} entries, expected {d}")
     if p.size == 0:
         raise ValueError("distribution must be non-empty")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("distribution has non-finite entries")
-    if p.min() < 0.0:
-        raise ValueError(f"distribution has a negative entry: {p.min()!r}")
-    total = float(p.sum())
-    if abs(total - 1.0) > SIMPLEX_ATOL:
-        raise ValueError(f"distribution sums to {total!r}, outside 1 +/- {SIMPLEX_ATOL}")
+    if _first_off_simplex(p[None]) is not None:
+        raise ValueError(f"distribution {p.tolist()!r} is off the simplex")
     return p
 
 
@@ -209,6 +228,21 @@ def _first_off_simplex(p: np.ndarray) -> int | None:
     return int(np.argmax(_off_simplex(p)))
 
 
+def _off_unit(x: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (n, d) block with an entry outside [0, 1]. NaN
+    fails both comparisons, so it is marked with the out-of-range values."""
+    return ~((x.min(axis=1) >= 0.0) & (x.max(axis=1) <= 1.0))
+
+
+def _first_off_unit(x: np.ndarray) -> int | None:
+    """First row of an (n, d) block that ``_off_unit`` marks, or None. The
+    whole block is checked first and the mask built only if that fails: on a
+    (100k, 2) block the mask costs over 100 times as much."""
+    if not x.size or (x.min() >= 0.0 and x.max() <= 1.0):
+        return None
+    return int(np.argmax(_off_unit(x)))
+
+
 def validate_distribution_block(p: np.ndarray, d: int) -> None:
     """Simplex check over a (n, d) block of distributions at once."""
     if p.ndim != 2 or p.shape[1] != d:
@@ -221,6 +255,7 @@ def validate_distribution_block(p: np.ndarray, d: int) -> None:
 
 
 def validate_loss_vector(losses: np.ndarray, d: int | None = None) -> np.ndarray:
+    """One loss vector, each loss in [0, 1], raising ValueError."""
     losses = np.asarray(losses, dtype=np.float64)
     if losses.ndim != 1:
         raise ValueError(f"loss vector must be one-dimensional, got shape {losses.shape}")
@@ -228,7 +263,7 @@ def validate_loss_vector(losses: np.ndarray, d: int | None = None) -> np.ndarray
         raise ValueError(f"loss vector has {losses.shape[0]} entries, expected {d}")
     if losses.size == 0:
         raise ValueError("loss vector must be non-empty")
-    if not np.all(np.isfinite(losses)) or losses.min() < 0.0 or losses.max() > 1.0:
+    if _first_off_unit(losses[None]) is not None:
         raise ValueError("losses must lie in [0, 1]")
     return losses
 
@@ -239,7 +274,7 @@ class RoundRecord:
 
     ``expected_loss`` must equal the dot product of distribution and losses
     within EXPECTED_LOSS_ATOL; the constructor enforces this along with the
-    simplex and loss-range invariants.
+    simplex and loss-range invariants, as one row of a trace is checked.
     """
 
     t: int
@@ -252,18 +287,14 @@ class RoundRecord:
     def __post_init__(self) -> None:
         if self.t < 1:
             raise ValueError(f"round index must be >= 1, got {self.t}")
-        if self.group < 0:
-            raise ValueError(f"group id must be >= 0, got {self.group}")
+        outcome_code(self.outcome)  # TypeError unless an Outcome or None
         p = validate_distribution(self.distribution)
         ell = validate_loss_vector(self.losses, d=p.shape[0])
         object.__setattr__(self, "distribution", p)
         object.__setattr__(self, "losses", ell)
-        derived = float(p @ ell)
-        if abs(derived - self.expected_loss) > EXPECTED_LOSS_ATOL:
-            raise ValueError(
-                f"expected_loss {self.expected_loss!r} disagrees with "
-                f"distribution . losses = {derived!r}"
-            )
+        _check_rows(lambda _: f"round {self.t}", self.t - 1, np.array([self.t]),
+                    np.array([self.group]), p[None], ell[None],
+                    np.array([self.expected_loss]), None)
 
     @classmethod
     def compute(
@@ -434,8 +465,7 @@ def _check_rows(
              lambda k: f"group {groups[k]} "
                        + ("is negative" if num_groups is None else f"outside 0..{num_groups - 1}")),
             (_off_simplex(dists), lambda k: f"p {dists[k].tolist()} is off the simplex"),
-            (~((losses.min(axis=1) >= 0.0) & (losses.max(axis=1) <= 1.0)),
-             lambda k: f"losses {losses[k].tolist()} outside [0, 1]"),
+            (_off_unit(losses), lambda k: f"losses {losses[k].tolist()} outside [0, 1]"),
             (~(np.abs(derived - expected) <= EXPECTED_LOSS_ATOL),
              lambda k: f"expected_loss {expected[k]!r} disagrees with "
                        f"p . losses = {derived[k]!r}"),
@@ -658,10 +688,7 @@ class Trace:
                     groups, dists, losses, expected, num_groups)
         return cls._fold(
             groups,
-            np.array(
-                [UNLABELED_CODE if r.outcome is None else r.outcome.code for r in records],
-                dtype=np.int8,
-            ),
+            np.array([outcome_code(r.outcome) for r in records], dtype=np.int8),
             dists,
             losses,
             expected,
@@ -738,9 +765,11 @@ class TraceBuilder:
         validate_distribution_block(distributions, self.d)
         if losses.shape != (n, self.d):
             raise InvariantViolation(f"loss block has shape {losses.shape}, expected ({n}, {self.d})")
-        # NaN fails both comparisons, so it is rejected with the out-of-range values
-        if not (losses.min() >= 0.0 and losses.max() <= 1.0):
-            raise InvariantViolation("loss block has entries outside [0, 1]")
+        k = _first_off_unit(losses)
+        if k is not None:
+            raise InvariantViolation(
+                f"loss row {k} of the block lies outside [0, 1]: {losses[k].tolist()!r}"
+            )
         if groups.min(initial=0) < 0 or groups.max(initial=0) >= self.num_groups:
             raise InvariantViolation("group ids outside the declared group set")
         # checked before the int8 cast, which would wrap 256 to a valid 0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fair_experts.experts import (
     make_expert,
 )
 from fair_experts.types import (
+    ConfigError,
     EmptySubpopulationError,
     HorizonMismatchError,
     Outcome,
@@ -182,3 +185,59 @@ class TestAudit:
         loose = audit_fair_in_isolation(tr, 0, metric="eer", tolerance=1.0)
         assert loose.passed is True
         assert eer.gap <= 1.0
+
+
+
+_ONE_OF_EACH = [ExpertModel("always_negative"), ExpertModel("always_positive"),
+                ExpertModel("fixed_score", score=0.4), ExpertModel("unbiased", beta=0.3),
+                ExpertModel("scripted", table=(0.1, 0.9, 0.35))]
+_BERNOULLI = ExpertModel("unbiased", beta=0.3, bernoulli=True)
+
+
+def _one_row(ex, t, group, outcome, rng=None):
+    code = -1 if outcome is None else outcome.code
+    return ex.scores(np.array([t]), np.array([group]), np.array([code], dtype=np.int8), rng)[0]
+
+
+class TestPredictIsOneRowOfScores:
+    @pytest.mark.parametrize("ex", _ONE_OF_EACH, ids=lambda ex: ex.kind)
+    def test_values(self, ex):
+        for t, g, o in itertools.product((1, 2, 3), (0, 1), [*Outcome, None]):
+            if o is not None or ex.kind != "unbiased":
+                got = ex.predict(t, g, o)
+                assert type(got) is float and got == _one_row(ex, t, g, o)
+
+    def test_bernoulli_draws(self):
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        for t in range(1, 301):
+            assert _BERNOULLI.predict(t, 0, Outcome(t % 2), a) == _one_row(_BERNOULLI, t, 0, Outcome(t % 2), b)
+
+    @pytest.mark.parametrize("ex,t,outcome,error", [
+        (_ONE_OF_EACH[3], 1, None, ValueError),
+        (_ONE_OF_EACH[4], 0, Outcome.NEGATIVE, HorizonMismatchError),
+        (_ONE_OF_EACH[4], 4, None, HorizonMismatchError),
+        (_BERNOULLI, 1, Outcome.NEGATIVE, ValueError),  # no rng
+    ])
+    def test_error_classes(self, ex, t, outcome, error):
+        with pytest.raises(error):
+            ex.predict(t, 0, outcome)
+        with pytest.raises(error):
+            _one_row(ex, t, 0, outcome)
+
+
+@pytest.mark.parametrize("fields", [
+    {"score": True}, {"score": "0.4"}, {"beta": "0.3"}, {"beta": False},
+    {"kind": "scripted", "table": (True, 0.5)}, {"kind": "scripted", "table": (0.5, "0.5")},
+    {"kind": "scripted", "table": "0.5"}, {"bernoulli": "yes"}, {"bernoulli": 1},
+])
+def test_expert_values_are_type_checked(fields):
+    fields = {"kind": "unbiased", "beta": 0.3, **fields}
+    with pytest.raises(ConfigError):
+        ExpertModel(**fields)
+    with pytest.raises(ConfigError):
+        make_expert(fields)
+
+
+def test_integer_expert_values_are_numbers():
+    assert make_expert({"kind": "scripted", "table": [0, 1]}).table == (0.0, 1.0)
+    assert ExpertModel("fixed_score", score=1).predict(1, 0, None) == 1.0

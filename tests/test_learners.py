@@ -637,3 +637,41 @@ class TestRunRoundsContract:
         run({"kind": "per_group_fixed_share", "eta": 0.05, "switches": 2}, {"kind": "t5"},
             100_000, seed=7, retain="full")
         assert time.perf_counter() - t0 < 0.75
+
+
+
+class TestScalarIsOneRowOfBlock:
+    @pytest.mark.parametrize("kind", ["single_mw", "per_group_mw", "fpl"])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("prefix", [0, 1, 40])
+    def test_next_distribution_is_row_zero_of_run_block(self, kind, d, prefix):
+        a, b = _KERNEL_KINDS[kind](), _KERNEL_KINDS[kind]()
+        rng = np.random.default_rng(prefix)
+        groups, losses = rng.integers(0, 2, prefix), rng.integers(0, 5, (prefix, d)) / 4.0
+        for lrn in (a, b):
+            lrn.start(d, 2)
+            if prefix:
+                lrn.run_block(groups, losses)
+        for g in (0, 1):
+            want = b.run_block(np.array([g]), np.zeros((1, d)))[0]
+            assert np.array_equal(a.next_distribution(g), want)
+            a.observe(g, np.zeros(d))
+
+
+class TestObserveRange:
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan, np.inf, -np.inf, 2000.0])
+    def test_observe_refuses_loss_outside_unit_interval(self, kind, d, bad):
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(d, 2)
+        lrn.observe(1, np.linspace(0.0, 1.0, d))
+        state = _final_state(lrn).copy()
+        plays = [lrn.next_distribution(g) for g in (0, 1)]
+        row = np.full(d, 0.5)
+        row[d - 1] = bad
+        for g in (0, 1):
+            with pytest.raises(ContractError, match=r"outside \[0, 1\]"):
+                lrn.observe(g, row)
+        assert np.array_equal(_final_state(lrn), state)
+        assert all(np.array_equal(lrn.next_distribution(g), plays[g]) for g in (0, 1))

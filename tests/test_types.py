@@ -85,6 +85,60 @@ class TestLoss:
             losses_from_scores(np.array([0.5]), np.array([-1], dtype=np.int8))
 
 
+def _accepts(fn, *args, error):
+    try:
+        fn(*args)
+    except error:
+        return False
+    return True
+
+
+class TestScalarIsOneRowOfBlock:
+    def test_loss_of_matches_losses_from_scores(self):
+        rng = np.random.default_rng(4)
+        scores = np.concatenate([[0.0, 1.0, 0.5, 5e-324], rng.random(300)])
+        codes = rng.integers(0, 2, scores.size)
+        for s, c, want in zip(scores.tolist(), codes.tolist(), losses_from_scores(scores, codes).tolist()):
+            got = loss_of(s, Outcome(c))
+            assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("p", [
+        [0.25, 0.75], [1.0, 0.0], [-0.0, 1.0], [1 / 3] * 3, [0.0, 0.0, 1.0], [1.0],
+        [0.5, 0.5 + 0.9e-9], [0.5, 0.5 - 0.9e-9], [0.5, 0.5 + 1.1e-9], [0.5, 0.5 - 1.1e-9],
+        [0.7, 0.7], [-0.1, 1.1], [-1e-300, 1.0], [np.nan, 1.0], [np.inf, 0.0], [-np.inf, np.inf],
+    ])
+    def test_validate_distribution_matches_block(self, p):
+        p = np.array(p)
+        assert (_accepts(validate_distribution, p, error=ValueError)
+                == _accepts(validate_distribution_block, p[None], p.size, error=InvariantViolation))
+
+
+class TestDriftBetweenScalarAndBlock:
+    @pytest.mark.parametrize("scores", [[np.nan], [0.5, np.nan]])
+    def test_losses_from_scores_rejects_nan(self, scores):
+        with pytest.raises(ValueError):
+            losses_from_scores(np.array(scores), np.zeros(len(scores), dtype=np.int8))
+
+    @pytest.mark.parametrize("score", ["0.5", None])
+    def test_loss_of_refuses_a_score_that_is_not_a_number(self, score):
+        with pytest.raises(TypeError):
+            loss_of(score, Outcome.NEGATIVE)
+
+    @pytest.mark.parametrize("outcome,expected,error", [
+        (None, np.nan, ValueError), (1, 0.5, TypeError), (0, 0.5, TypeError),
+        ("+", 0.5, TypeError), ("-", 0.5, TypeError),
+    ])
+    def test_round_record(self, outcome, expected, error):
+        # before, each of these was accepted, and Trace.from_records then
+        # raised ConfigError (NaN) or AttributeError (a code or a token)
+        with pytest.raises(error):
+            RoundRecord(t=1, group=0, outcome=outcome, distribution=np.array([0.5, 0.5]),
+                        losses=np.array([0.0, 1.0]), expected_loss=expected)
+        if error is TypeError:
+            with pytest.raises(TypeError):
+                loss_of(0.5, outcome)
+
+
 class TestDistributionValidator:
     def test_accepts_simplex(self):
         validate_distribution(np.array([0.25, 0.75]))
