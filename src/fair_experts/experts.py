@@ -59,7 +59,7 @@ class ExpertModel:
 
     def __post_init__(self) -> None:
         if self.kind not in EXPERT_KINDS:
-            raise ValueError(f"unknown expert kind {self.kind!r}")
+            raise ConfigError(f"unknown expert kind {self.kind!r}")
         for name in ("beta", "score"):
             if getattr(self, name) is not None:
                 require_type(name, getattr(self, name), numbers.Real, "a number")
@@ -69,17 +69,17 @@ class ExpertModel:
             raise ConfigError(f"bernoulli must be true or false, got {self.bernoulli!r}")
         if self.kind == "unbiased":
             if self.beta is None or not 0.0 <= self.beta <= 1.0:
-                raise ValueError(f"unbiased expert needs beta in [0, 1], got {self.beta!r}")
+                raise ConfigError(f"unbiased expert needs beta in [0, 1], got {self.beta!r}")
         if self.kind == "fixed_score":
             if self.score is None or not 0.0 <= self.score <= 1.0:
-                raise ValueError(f"fixed_score expert needs score in [0, 1], got {self.score!r}")
+                raise ConfigError(f"fixed_score expert needs score in [0, 1], got {self.score!r}")
         if self.kind == "scripted":
             if not self.table:
-                raise ValueError("scripted expert needs a non-empty score table")
+                raise ConfigError("scripted expert needs a non-empty score table")
             if any(not 0.0 <= s <= 1.0 for s in self.table):
-                raise ValueError("scripted table entries must lie in [0, 1]")
+                raise ConfigError("scripted table entries must lie in [0, 1]")
         if self.bernoulli and self.kind != "unbiased":
-            raise ValueError("bernoulli mode applies to the unbiased kind only")
+            raise ConfigError("bernoulli mode applies to the unbiased kind only")
 
     @property
     def name(self) -> str:
@@ -160,11 +160,11 @@ def make_expert(config: Mapping) -> ExpertModel:
     cfg = dict(config)
     kind = cfg.pop("kind", None)
     if kind is None:
-        raise ValueError("expert config needs a 'kind' entry")
+        raise ConfigError("expert config needs a 'kind' entry")
     try:
         return ExpertModel(kind=kind, **cfg)
     except TypeError as exc:
-        raise ValueError(f"bad expert config {dict(config)!r}: {exc}") from exc
+        raise ConfigError(f"bad expert config {dict(config)!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

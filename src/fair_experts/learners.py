@@ -14,6 +14,9 @@ multiplicative weights and fixed share run an exact scalar kernel instead:
 each table is a pair of Python floats, and every round does the same IEEE
 operations in the same order as ``next_distribution``/``observe`` (numpy's
 ``exp`` and ``power`` included), so the plays are bit-identical to the loop.
+The kernel steps an oblivious chunk that holds one table and one loss row
+only until its table is a fixed point of the update, and reads an adaptive
+float64 row as two Python floats.
 
 Group handling is the one axis of variation: single-table kinds ignore the
 group argument entirely, per-group kinds keep one independent table per
@@ -54,6 +57,10 @@ _ROUNDS_CHUNK = 256
 
 # Loss rows whose fixed-share factors are memoized (see FixedShare._row_terms).
 _MEMO_ROWS = 256
+
+# The dtype an adaptive row must have, compared by identity, for the kernel
+# to read it without conversion.
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _check_eta(eta: float) -> float:
@@ -190,11 +197,17 @@ class Learner:
 
         A kind supplies ``_state()``, its (tables, 2) state array;
         ``_loss_terms(losses)``, the numpy part of ``observe`` applied to a
-        block of loss rows, and ``_row_terms(row, i)``, the same for row i of
-        the stretch as two floats, which also checks that its losses lie in
-        [0, 1]; and ``_play2(table)`` and ``_update2(table, a0, a1)``,
+        block of loss rows, and ``_row_terms(r0, r1, i)``, the same for row i
+        of the stretch given as two floats, which also checks that its losses
+        lie in [0, 1]; and ``_play2(table)`` and ``_update2(table, a0, a1)``,
         which repeat ``next_distribution`` and the rest of ``_update`` on one
-        table.
+        table, a tuple of two floats.
+
+        An oblivious chunk whose rows share one table and one loss row is
+        stepped only until ``_update2`` returns its table unchanged: the
+        update is deterministic, so every later round of the chunk plays the
+        same pair. An adaptive row that is a float64 array of shape (2,) is
+        read as two floats; any other row goes through ``_check_losses``.
         """
         n = groups.shape[0]
         p = np.empty((n, 2), dtype=np.float64)
@@ -202,30 +215,64 @@ class Learner:
         adaptive = step is not None
         if adaptive:
             losses = np.empty((n, 2), dtype=np.float64)
+            seen = memoryview(losses.reshape(-1))
             codes = []
         state = self._state()
-        tables = state.tolist()
-        play, update = self._play2, self._update2
+        tables = [tuple(table) for table in state.tolist()]
+        play, update, row_terms = self._play2, self._update2, self._row_terms
+        ndarray, float64 = np.ndarray, _FLOAT64
         shared = not self.per_group
         for s in range(0, n, _ROUNDS_CHUNK):
             e = min(n, s + _ROUNDS_CHUNK)
+            chunk = groups[s:e]
             if not adaptive:
-                terms0, terms1 = self._loss_terms(losses[s:e]).T.tolist()
-            for i, g in enumerate(groups[s:e].tolist(), s):
+                block = losses[s:e]
+                bits = block.view(np.int64)  # rows equal bit for bit, -0.0 included
+                if (bits == bits[0]).all() and (shared or (chunk == chunk[0]).all()):
+                    t = 0 if shared else int(chunk[0])
+                    tables[t] = self._stationary_chunk(p, out, s, e, tables[t], block[:1])
+                    continue
+                terms0, terms1 = self._loss_terms(block).T.tolist()
+            for i, g in enumerate(chunk.tolist(), s):
                 t = 0 if shared else g
                 table = tables[t]
-                out[2 * i], out[2 * i + 1] = play(table)
+                j = 2 * i
+                out[j], out[j + 1] = play(table)
                 if adaptive:
                     code, row = step(i, g, p[i])
-                    row = self._check_losses(row)
-                    losses[i] = row
+                    if type(row) is ndarray and row.dtype is float64 and row.shape == (2,):
+                        r0, r1 = row.tolist()
+                    else:
+                        r0, r1 = self._check_losses(row).tolist()
+                    seen[j], seen[j + 1] = r0, r1
                     codes.append(code)
-                    a0, a1 = self._row_terms(row, i)
+                    a0, a1 = row_terms(r0, r1, i)
                 else:
                     a0, a1 = terms0[i - s], terms1[i - s]
                 tables[t] = update(table, a0, a1)
         state[:] = tables
         return p, losses, _outcome_codes(codes) if adaptive else None
+
+    def _stationary_chunk(self, p, out, s, e, table, row):
+        """Rounds s..e-1 of an oblivious stretch on one table and one loss
+        row; returns the table after them.
+
+        ``==`` on two tables is bit equality here, since no state entry is
+        NaN or -0.0. MW's log weights start at +0.0 and add terms, and x + y
+        is -0.0 only when both are. Fixed share's entries are sums, products
+        and quotients of non-negative numbers, and its total weight is at
+        least half its table's sum, as each factor (1 - eta)^loss is.
+        """
+        play, update = self._play2, self._update2
+        (a0, a1), = self._loss_terms(row).tolist()
+        for i in range(s, e):
+            out[2 * i], out[2 * i + 1] = play(table)
+            nxt = update(table, a0, a1)
+            if nxt == table:
+                p[i + 1:e] = p[i]
+                break
+            table = nxt
+        return table
 
 
 def _loss_range_error(row: list, i: int) -> ContractError:
@@ -298,14 +345,13 @@ class _MultiplicativeWeights(Learner):
     def _loss_terms(self, losses: np.ndarray) -> np.ndarray:
         return self._log_decay * losses
 
-    def _row_terms(self, row: np.ndarray, i: int) -> tuple[float, float]:
+    def _row_terms(self, r0: float, r1: float, i: int) -> tuple[float, float]:
         # a Python float product is the same IEEE multiply as numpy's
-        r0, r1 = row.tolist()
         if not (0.0 <= r0 <= 1.0 and 0.0 <= r1 <= 1.0):
             raise _loss_range_error([r0, r1], i)
         return self._log_decay * r0, self._log_decay * r1
 
-    def _play2(self, table: list) -> tuple[float, float]:
+    def _play2(self, table: tuple) -> tuple[float, float]:
         # The larger log weight has z = 0, and exp(0) = 1 exactly. The other z
         # goes through numpy's exp: math.exp differs from it in the last bit
         # on some inputs, and one bit can flip a scenario's threshold on p.
@@ -318,8 +364,8 @@ class _MultiplicativeWeights(Learner):
         total = e + 1.0
         return e / total, 1.0 / total
 
-    def _update2(self, table: list, a0: float, a1: float) -> list:
-        return [table[0] + a0, table[1] + a1]
+    def _update2(self, table: tuple, a0: float, a1: float) -> tuple[float, float]:
+        return table[0] + a0, table[1] + a1
 
 
 class SingleMW(_MultiplicativeWeights):
@@ -449,10 +495,11 @@ class FixedShare(Learner):
         self.rho = float(rho)
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must lie in [0, 1], got {rho!r}")
-        self._memo: dict[bytes, list] = {}
+        self._memo: dict[tuple[float, float], list] = {}
 
     def _init_state(self) -> None:
         self._p = np.full((self._tables(), self.d), 1.0 / self.d, dtype=np.float64)
+        self._keep, self._share = 1.0 - self.rho, self.rho / self.d
 
     def next_distribution(self, group: GroupId) -> np.ndarray:
         self._started()
@@ -461,7 +508,7 @@ class FixedShare(Learner):
     def _update(self, table: int, losses: np.ndarray) -> None:
         w = self._p[table] * self._loss_terms(losses)
         w /= w.sum()
-        self._p[table] = (1.0 - self.rho) * w + self.rho / self.d
+        self._p[table] = self._keep * w + self._share
 
     def _state(self) -> np.ndarray:
         return self._p
@@ -469,29 +516,32 @@ class FixedShare(Learner):
     def _loss_terms(self, losses: np.ndarray) -> np.ndarray:
         return np.power(1.0 - self.eta, losses)
 
-    def _row_terms(self, row: np.ndarray, i: int) -> list:
-        # np.power on one row costs about 1.3 us, a memo hit about 0.3 us.
-        # The memo pays because the scenarios' adaptive steps (t2 and t5) each
+    def _row_terms(self, r0: float, r1: float, i: int) -> list:
+        # np.power on one row costs about 1.3 us, a memo hit far less. The
+        # memo pays because the scenarios' adaptive steps (t2 and t5) each
         # return one of two fixed rows; it is emptied at _MEMO_ROWS entries,
         # so rows that never repeat cannot grow it. A row is range-checked
-        # when it enters the memo, so a hit needs no check.
-        key = row.tobytes()  # bits, so -0.0 and 0.0 stay apart
+        # when it enters the memo, so a hit needs no check. The key (-0.0, x)
+        # finds the entry of (0.0, x), which holds the same factors, as
+        # (1 - eta)^-0.0 and (1 - eta)^0.0 are both exactly 1.0.
+        key = r0, r1
         terms = self._memo.get(key)
         if terms is None:
-            _check_loss_block(row[None], i)
+            if not (0.0 <= r0 <= 1.0 and 0.0 <= r1 <= 1.0):
+                raise _loss_range_error([r0, r1], i)
             if len(self._memo) >= _MEMO_ROWS:
                 self._memo.clear()
-            terms = self._memo[key] = self._loss_terms(row).tolist()
+            terms = self._memo[key] = self._loss_terms(np.array(key)).tolist()
         return terms
 
-    def _play2(self, table: list) -> list:
+    def _play2(self, table: tuple) -> tuple:
         return table
 
-    def _update2(self, table: list, f0: float, f1: float) -> tuple[float, float]:
+    def _update2(self, table: tuple, f0: float, f1: float) -> tuple[float, float]:
         w0 = table[0] * f0
         w1 = table[1] * f1
         total = w0 + w1
-        keep, share = 1.0 - self.rho, self.rho / 2
+        keep, share = self._keep, self._share
         return keep * (w0 / total) + share, keep * (w1 / total) + share
 
 

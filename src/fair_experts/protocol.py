@@ -29,6 +29,7 @@ from .types import (
     InvariantViolation,
     Trace,
     TraceBuilder,
+    expected_losses,
 )
 
 
@@ -82,7 +83,7 @@ def _execute_block(learner, block, builder: TraceBuilder) -> BlockResult:
             p, _, _ = learner.run_rounds(groups, losses)
     else:
         p, losses, codes = learner.run_rounds(groups, step=block.step)
-    expected = np.einsum("td,td->t", p, losses)
+    expected = expected_losses(p, losses)
     builder.append_block(groups, codes, losses, p, expected)
     return BlockResult(p, expected)
 

@@ -228,6 +228,12 @@ def _first_off_simplex(p: np.ndarray) -> int | None:
     return int(np.argmax(_off_simplex(p)))
 
 
+def expected_losses(dists: np.ndarray, losses: np.ndarray) -> np.ndarray:
+    """p . losses for each row of two aligned (n, d) blocks: the one
+    expected-loss rule. A row's bits do not depend on the rows around it."""
+    return np.einsum("td,td->t", dists, losses)
+
+
 def _off_unit(x: np.ndarray) -> np.ndarray:
     """Mask of the rows of an (n, d) block with an entry outside [0, 1]. NaN
     fails both comparisons, so it is marked with the out-of-range values."""
@@ -307,7 +313,7 @@ class RoundRecord:
     ) -> "RoundRecord":
         p = np.asarray(distribution, dtype=np.float64)
         ell = np.asarray(losses, dtype=np.float64)
-        return cls(t, group, outcome, p, ell, float(p @ ell))
+        return cls(t, group, outcome, p, ell, float(expected_losses(p[None], ell[None])[0]))
 
 
 # Outcome-class bins used by the accumulators: negatives, positives, unlabeled.
@@ -457,7 +463,7 @@ def _check_rows(
     check raises ConfigError, with ``where(k)`` naming row k."""
     upper = np.inf if num_groups is None else num_groups
     with np.errstate(invalid="ignore", over="ignore"):
-        derived = (dists * losses).sum(axis=1)
+        derived = expected_losses(dists, losses)
         checks = [
             (t != np.arange(t0 + 1, t0 + t.shape[0] + 1),
              lambda k: f"t is {t[k]}, expected {t0 + k + 1}"),

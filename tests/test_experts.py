@@ -87,6 +87,22 @@ class TestPredict:
         with pytest.raises(ValueError):
             ExpertModel("always_negative", bernoulli=True)
 
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "nope"},
+        {"beta": 0.3},
+        {"kind": "unbiased", "beta": 0.3, "colour": "red"},
+        {"kind": "unbiased"},
+        {"kind": "unbiased", "beta": 1.5},
+        {"kind": "fixed_score", "score": 2.0},
+        {"kind": "fixed_score", "score": -0.1},
+        {"kind": "scripted", "table": []},
+        {"kind": "scripted", "table": [0.5, 1.2]},
+        {"kind": "always_negative", "bernoulli": True},
+    ])
+    def test_bad_configs_raise_config_error(self, cfg):
+        with pytest.raises(ConfigError):
+            make_expert(cfg)
+
 
 def _hand_trace():
     """Eight rounds, two groups, two experts (always_negative, unbiased 0.25).

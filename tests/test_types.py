@@ -203,6 +203,15 @@ class TestRoundRecord:
         )
         assert rec.expected_loss == pytest.approx(0.25, abs=1e-15)
 
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_compute_gives_the_protocols_bits(self, d):
+        # one p . losses rule: a record built from a trace row holds the
+        # expected loss the protocol wrote for that row, bit for bit
+        tr = run(SingleMW(0.1), RandomIID(d=d), 300, seed=d)
+        got = [RoundRecord.compute(k + 1, 0, None, p, ell).expected_loss
+               for k, (p, ell) in enumerate(zip(tr.distributions, tr.losses))]
+        assert np.array_equal(got, tr.expected_loss)
+
     def test_rejects_mismatched_expected_loss(self):
         with pytest.raises(ValueError):
             RoundRecord(
