@@ -18,6 +18,8 @@ import json
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice, repeat
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -197,16 +199,23 @@ def uniform_distribution(d: int) -> np.ndarray:
     return np.full(d, 1.0 / d, dtype=np.float64)
 
 
+def _vector(what: str, x, d: int | None) -> np.ndarray:
+    """x as a non-empty one-dimensional float64 array, of d entries when d is
+    given, raising ValueError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional, got shape {x.shape}")
+    if d is not None and x.shape[0] != d:
+        raise ValueError(f"{what} has {x.shape[0]} entries, expected {d}")
+    if x.size == 0:
+        raise ValueError(f"{what} must be non-empty")
+    return x
+
+
 def validate_distribution(p: np.ndarray, d: int | None = None) -> np.ndarray:
     """One distribution checked as a row of ``validate_distribution_block``,
     raising ValueError."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"distribution must be one-dimensional, got shape {p.shape}")
-    if d is not None and p.shape[0] != d:
-        raise ValueError(f"distribution has {p.shape[0]} entries, expected {d}")
-    if p.size == 0:
-        raise ValueError("distribution must be non-empty")
+    p = _vector("distribution", p, d)
     if _first_off_simplex(p[None]) is not None:
         raise ValueError(f"distribution {p.tolist()!r} is off the simplex")
     return p
@@ -260,20 +269,6 @@ def validate_distribution_block(p: np.ndarray, d: int) -> None:
         raise InvariantViolation(f"distribution row {k} is off the simplex: {p[k].tolist()!r}")
 
 
-def validate_loss_vector(losses: np.ndarray, d: int | None = None) -> np.ndarray:
-    """One loss vector, each loss in [0, 1], raising ValueError."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.ndim != 1:
-        raise ValueError(f"loss vector must be one-dimensional, got shape {losses.shape}")
-    if d is not None and losses.shape[0] != d:
-        raise ValueError(f"loss vector has {losses.shape[0]} entries, expected {d}")
-    if losses.size == 0:
-        raise ValueError("loss vector must be non-empty")
-    if _first_off_unit(losses[None]) is not None:
-        raise ValueError("losses must lie in [0, 1]")
-    return losses
-
-
 @dataclass(frozen=True)
 class RoundRecord:
     """One protocol round: who arrived, what happened, what the learner played.
@@ -294,8 +289,9 @@ class RoundRecord:
         if self.t < 1:
             raise ValueError(f"round index must be >= 1, got {self.t}")
         outcome_code(self.outcome)  # TypeError unless an Outcome or None
-        p = validate_distribution(self.distribution)
-        ell = validate_loss_vector(self.losses, d=p.shape[0])
+        # shapes here, values once, in _check_rows
+        p = _vector("distribution", self.distribution, None)
+        ell = _vector("loss vector", self.losses, p.shape[0])
         object.__setattr__(self, "distribution", p)
         object.__setattr__(self, "losses", ell)
         _check_rows(lambda _: f"round {self.t}", self.t - 1, np.array([self.t]),
@@ -373,78 +369,115 @@ class Accumulators:
 # per-chunk numpy calls, few enough that no file is held whole in memory.
 _IO_CHUNK = 8192
 
-# Lines per json.loads call when a trace file is read. A parsed line is a dict
-# of Python objects, about 1 KB, so a read holds fewer rows than a write.
+# Lines per chunk when a trace file is read. A parsed line is a dict of
+# Python objects, about 1 KB, so a read holds fewer rows than a write.
 _READ_LINES = 1024
 
-# Values of a chunk column probed for repeats before its floats are formatted.
+# Rows, or values, at the head of a chunk probed for repeats.
 _PROBE = 256
+
+# The C scanner behind json.loads: _scan(text, k) parses the JSON value that
+# starts at text[k] and returns it with the index just past its end.
+_scan = make_scanner(json.JSONDecoder())
+
+
+def _mostly_repeats(keys: np.ndarray) -> bool:
+    """True when at most half of the first _PROBE keys are distinct."""
+    # counted by sorting: np.unique without return_inverse imports numpy.ma,
+    # which would add 1 MB to the process
+    head = np.sort(keys[:_PROBE])
+    return 2 * (1 + np.count_nonzero(head[1:] != head[:-1])) <= head.size
+
+
+def _gather(texts: list[str], inverse: np.ndarray) -> list[str]:
+    """texts[i] for each i of inverse."""
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _float_text(col: np.ndarray) -> list[str]:
-    """repr of each float of a 1-D column. When at most half of its first
-    _PROBE values are distinct, each distinct bit pattern (so -0.0 keeps its
-    sign) is formatted once and the text gathered back; repr is most of a
-    trace writer's time, and FPL and loss columns repeat a few values."""
+    """repr of each float of a 1-D column. When its bit patterns (so -0.0
+    keeps its sign) mostly repeat, each distinct one is formatted once and the
+    text gathered back; repr is most of a trace writer's time."""
     col = np.asarray(col, dtype=np.float64)
     bits = col.view(np.int64)
-    # counted by sorting: np.unique without return_inverse imports numpy.ma,
-    # which would add 1 MB to the process
-    head = np.sort(bits[:_PROBE])
-    if 2 * (1 + np.count_nonzero(head[1:] != head[:-1])) > head.size:
+    if not _mostly_repeats(bits):
         return list(map(repr, col.tolist()))
     uniq, inverse = np.unique(bits, return_inverse=True)
-    text = np.array(list(map(repr, uniq.view(np.float64).tolist())), dtype=object)
-    return text[inverse].tolist()
+    return _gather(list(map(repr, uniq.view(np.float64).tolist())), inverse)
 
 
 _OUTCOME_JSON = {NEGATIVE_CODE: '"-"', POSITIVE_CODE: '"+"', UNLABELED_CODE: "null"}
 _OUTCOME_CSV = {NEGATIVE_CODE: "-", POSITIVE_CODE: "+", UNLABELED_CODE: ""}
 # Outcome values a JSONL row may carry; a missing or empty one is unlabeled.
 _OUTCOME_CODES = {None: UNLABELED_CODE, "": UNLABELED_CODE, "-": NEGATIVE_CODE, "+": POSITIVE_CODE}
+# Python types a JSON number parses to.
+_NUMBERS = {int, float}
 
 
-def _line_chunks(fh) -> Iterator[tuple[list[str], list[int]]]:
-    """The non-blank lines of a file with their 1-based line numbers,
-    _READ_LINES lines at a time."""
-    lines: list[str] = []
-    linenos: list[int] = []
-    for lineno, line in enumerate(fh, 1):
-        if line.strip():
-            lines.append(line)
-            linenos.append(lineno)
-            if len(lines) == _READ_LINES:
-                yield lines, linenos
-                lines, linenos = [], []
-    if lines:
-        yield lines, linenos
+def _line_chunks(fh) -> Iterator[tuple[list[str], Sequence[int]]]:
+    """The non-blank lines of a file with their 1-based line numbers, from
+    each _READ_LINES lines read."""
+    start = 1
+    while lines := list(islice(fh, _READ_LINES)):
+        linenos: Sequence[int] = range(start, start + len(lines))
+        start += len(lines)
+        if any(map(str.isspace, lines)):
+            keep = [k for k, line in enumerate(lines) if not line.isspace()]
+            lines = [lines[k] for k in keep]
+            linenos = [linenos[k] for k in keep]
+        if lines:
+            yield lines, linenos
 
 
-def _row_columns(rows: list[dict], d: int | None) -> tuple[np.ndarray, ...]:
-    """t, group, outcome code, p, losses and expected_loss columns of parsed
-    JSONL rows. Raises KeyError for a missing field, and TypeError or
-    ValueError for a value of the wrong kind or a width other than d."""
-    if not all(type(r) is dict for r in rows):
-        raise TypeError("not a JSON object")
-    t = np.array([r["t"] for r in rows])
-    groups = np.array([r["group"] for r in rows])
-    if t.dtype.kind != "i" or groups.dtype.kind != "i":
+def _int_column(values: list) -> np.ndarray:
+    """JSON integers as an int64 column. A bool, a float or an integer
+    beyond int64 raises TypeError."""
+    col = np.array(values)
+    if not set(map(type, values)) <= {int} or col.dtype.kind != "i":
         raise TypeError("t and group must be integers")
+    return col.astype(np.int64)
+
+
+def _number_rows(name: str, values: list, width: int | None) -> np.ndarray:
+    """n JSON lists of numbers as an (n, width) float64 block; a width of None
+    takes the first list's. TypeError unless each value is a non-empty list
+    of numbers, and ValueError for a list of another width."""
+    if set(map(type, values)) <= {list} and all(values):
+        flat = list(chain.from_iterable(values))
+        if set(map(type, flat)) <= _NUMBERS:
+            width = len(values[0]) if width is None else width
+            if set(map(len, values)) != {width}:
+                wrong = next(n for n in map(len, values) if n != width)
+                raise ValueError(f"{name} has {wrong} entries, expected {width}")
+            return np.array(flat, dtype=np.float64).reshape(len(values), width)
+    raise TypeError(f"{name} must be a non-empty list of numbers")
+
+
+def _row_fields(rows: Sequence[dict], d: int | None) -> tuple[np.ndarray, ...]:
+    """group, outcome code, p, losses and expected_loss columns of parsed
+    JSONL rows. Raises KeyError for a missing field, and TypeError or
+    ValueError for a value of the wrong kind or a width other than d. A
+    number must be a JSON number: np.array would turn "0.5" and true into
+    floats."""
+    groups = _int_column([r["group"] for r in rows])
     codes = np.array([_OUTCOME_CODES.get(r.get("outcome"), 2) for r in rows], dtype=np.int8)
     if codes.max() == 2:
         raise ValueError("outcome must be '+', '-' or null")
-    dists = np.array([r["p"] for r in rows], dtype=np.float64)
-    losses = np.array([r["losses"] for r in rows], dtype=np.float64)
-    expected = np.array([r["expected_loss"] for r in rows], dtype=np.float64)
-    if expected.ndim != 1:
+    p = [r["p"] for r in rows]
+    ell = [r["losses"] for r in rows]
+    exp = [r["expected_loss"] for r in rows]
+    if not set(map(type, exp)) <= _NUMBERS:
         raise TypeError("expected_loss must be a number")
-    for name, col in (("p", dists), ("losses", losses)):
-        if col.ndim != 2 or col.shape[1] == 0:
-            raise TypeError(f"{name} must be a non-empty list of numbers")
-        width = dists.shape[1] if d is None else d
-        if col.shape[1] != width:
-            raise ValueError(f"{name} has {col.shape[1]} entries, expected {width}")
-    return t.astype(np.int64), groups.astype(np.int64), codes, dists, losses, expected
+    dists = _number_rows("p", p, d)
+    return groups, codes, dists, _number_rows("losses", ell, dists.shape[1]), np.array(exp, dtype=np.float64)
+
+
+def _row_columns(rows: Sequence, d: int | None) -> tuple[np.ndarray, ...]:
+    """The t column, then ``_row_fields``, of parsed JSONL rows; TypeError
+    unless every row is a JSON object."""
+    if not set(map(type, rows)) <= {dict}:
+        raise TypeError("not a JSON object")
+    return (_int_column([r["t"] for r in rows]), *_row_fields(rows, d))
 
 
 def _check_rows(
@@ -483,32 +516,117 @@ def _check_rows(
         raise ConfigError(f"{where(k)}: {what(k)}")
 
 
-def _json_columns(path, lines: list[str], linenos: list[int], d: int | None, t0: int,
+def _rests(lines: list[str], t: int) -> list[str] | None:
+    """Each line less its tail ', "t": N}\\n', N counting up from t + 1; None
+    unless every line ends with its tail."""
+    tails = [f', "t": {n}}}\n' for n in range(t + 1, t + len(lines) + 1)]
+    if not all(map(str.endswith, lines, tails)):
+        return None
+    return list(map(str.removesuffix, lines, tails))
+
+
+def _repeated_rows(lines: list[str], d: int | None, t0: int) -> tuple | None:
+    """The t, group, outcome code, p, losses and expected_loss columns of a
+    chunk of lines whose rows repeat, each distinct row parsed once; None
+    when the chunk does not fit.
+
+    Line k fits when it ends with the tail ', "t": N}\\n', N = t0 + k + 1, as
+    ``Trace.to_jsonl`` writes it. What precedes the tail, plus "}", is the
+    line's body. The rows repeat when at most half of the first _PROBE bodies
+    are distinct. Each distinct body must scan as one non-empty JSON object
+    that ends exactly at the body's end.
+
+    Why the line is then that object with t = N: the scan ends exactly at
+    the body's end, so the appended "}" is the one that closes the top-level
+    object, outside any string. A string left open would fail the scan, and
+    none can run on from an earlier line, as a body holds no raw newline and
+    a strict JSON string no control character. What precedes that "}" is the
+    object less its closing brace, ending after a whole member, as the object
+    is not empty. The tail adds the member t = N and closes the object, and
+    JSON keeps the last of duplicate keys, as the t column built here does."""
+    rests = _rests(lines[:_PROBE], t0)
+    if rests is None or 2 * len(set(rests)) > len(rests):
+        return None
+    more = _rests(lines[_PROBE:], t0 + _PROBE)
+    if more is None:
+        return None
+    rests += more
+    index = {rest: j for j, rest in enumerate(dict.fromkeys(rests))}
+    inverse = np.fromiter(map(index.__getitem__, rests), dtype=np.intp, count=len(rests))
+    rows = []
+    for rest in index:
+        body = rest + "}"
+        try:
+            row, end = _scan(body, 0)
+        except (StopIteration, ValueError):
+            return None
+        if type(row) is not dict or not row or end != len(body):
+            return None
+        rows.append(row)
+    try:
+        fields = _row_fields(rows, d)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return (np.arange(t0 + 1, t0 + len(lines) + 1), *(col[inverse] for col in fields))
+
+
+def _scanned_rows(lines: list[str], d: int | None) -> tuple | None:
+    """The t, group, outcome code, p, losses and expected_loss columns of a
+    chunk of lines, each line scanned as exactly one JSON value and its
+    newline; None when a line is not that or a row is malformed."""
+    texts = list(map(str.removesuffix, lines, repeat("\n")))
+    try:
+        scans = list(map(_scan, texts, repeat(0)))
+    except ValueError:
+        return None
+    # a text with no JSON value at its start raises StopIteration, which ends
+    # the map early
+    if len(scans) != len(texts):
+        return None
+    rows, ends = zip(*scans)
+    if ends != tuple(map(len, texts)):
+        return None
+    try:
+        return _row_columns(rows, d)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+
+
+def _line_by_line(path, lines: list[str], linenos: Sequence[int], d: int | None, t0: int,
+                  num_groups: int | None) -> tuple:
+    """The columns of a chunk of lines, each line parsed by json.loads and
+    checked before the next: the ConfigError names the first line at fault,
+    whatever is wrong with it."""
+    parts = []
+    for k, (line, lineno) in enumerate(zip(lines, linenos)):
+        try:
+            row = _row_columns([json.loads(line)], d)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} line {lineno}: not JSON ({exc.msg})") from exc
+        except KeyError as exc:
+            raise ConfigError(f"{path} line {lineno}: missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{path} line {lineno}: {exc}") from exc
+        t, groups, _, dists, losses, expected = row
+        _check_rows(lambda _: f"{path} line {lineno}", t0 + k,
+                    t, groups, dists, losses, expected, num_groups)
+        d = dists.shape[1]
+        parts.append(row)
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _json_columns(path, lines: list[str], linenos: Sequence[int], d: int | None, t0: int,
                   num_groups: int | None) -> tuple:
     """The checked group, outcome code, p, losses and expected_loss columns
-    of one chunk of lines, whose rounds follow round t0. The chunk is parsed
-    as one JSON array, one decoder call. If that fails, or a line holds more
-    than one value, the lines are parsed and checked one by one, so that the
-    ConfigError names the first line at fault."""
-    try:
-        rows = json.loads("[" + ",".join(lines) + "]")
-        if len(rows) != len(lines):
-            raise ValueError("a line holds more than one JSON value")
-        t, groups, codes, dists, losses, expected = _row_columns(rows, d)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        for k, (line, lineno) in enumerate(zip(lines, linenos)):
-            try:
-                t, groups, codes, dists, losses, expected = _row_columns([json.loads(line)], d)
-            except json.JSONDecodeError as row_exc:
-                raise ConfigError(f"{path} line {lineno}: not JSON ({row_exc.msg})") from row_exc
-            except KeyError as row_exc:
-                raise ConfigError(f"{path} line {lineno}: missing field {row_exc}") from row_exc
-            except (TypeError, ValueError, OverflowError) as row_exc:
-                raise ConfigError(f"{path} line {lineno}: {row_exc}") from row_exc
-            _check_rows(lambda _: f"{path} line {lineno}", t0 + k,
-                        t, groups, dists, losses, expected, num_groups)
-            d = dists.shape[1]
-        raise ConfigError(f"{path} lines {linenos[0]}-{linenos[-1]}: {exc}") from exc
+    of one chunk of lines, whose rounds follow round t0.
+
+    A chunk whose rows repeat parses each distinct row once
+    (``_repeated_rows``); any other scans each line as exactly one JSON value
+    (``_scanned_rows``). If neither fits, the lines are parsed and checked
+    one by one (``_line_by_line``). Every row is checked."""
+    columns = (_repeated_rows(lines, d, t0) or _scanned_rows(lines, d)
+               or _line_by_line(path, lines, linenos, d, t0, num_groups))
+    t, groups, codes, dists, losses, expected = columns
     _check_rows(lambda k: f"{path} line {linenos[k]}", t0,
                 t, groups, dists, losses, expected, num_groups)
     return groups, codes, dists, losses, expected
@@ -598,48 +716,89 @@ class Trace:
 
     # -- serialization ----------------------------------------------------
 
+    def _row_keys(self, s: int, e: int) -> np.ndarray:
+        """One void key per round s + 1..e: the bits of its expected loss,
+        group, outcome code, p and losses. Rows with equal keys are written
+        alike, and -0.0 is not 0.0."""
+        def bits(x):
+            return np.asarray(x, dtype=np.float64).view(np.int64)
+        keys = np.column_stack([bits(self.expected_loss[s:e]), self.groups[s:e],
+                                self.outcome_codes[s:e], bits(self.distributions[s:e]),
+                                bits(self.losses[s:e])])
+        return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+
     def _export_chunks(self, outcome_text: Mapping[int, str]) -> Iterator[tuple]:
-        """Per chunk of rounds: t, group, outcome text, expected loss, then the
-        distribution and loss columns (d lists each); ints as Python ints,
-        floats as their repr text."""
+        """Per chunk of _IO_CHUNK rounds: its t values; the group, outcome
+        text and expected loss columns and the d distribution and d loss
+        columns of its rows, ints as Python ints and floats as their repr
+        text; and None.
+
+        When the chunk's rows mostly repeat (``_mostly_repeats`` on their
+        ``_row_keys``), the columns are those of its distinct rows instead,
+        and the None is the index that gathers them back into the chunk's
+        rows, so that a writer formats each distinct row once. FPL plays on
+        0/1 losses repeat this way: a 100k-round FPL trace on t4 holds 184
+        distinct rows."""
         for s in range(0, len(self), _IO_CHUNK):
             e = min(len(self), s + _IO_CHUNK)
+            rows, inverse = slice(s, e), None
+            if _mostly_repeats(self._row_keys(s, min(e, s + _PROBE))):
+                _, first, inverse = np.unique(self._row_keys(s, e), return_index=True,
+                                              return_inverse=True)
+                rows = s + first
             yield (
                 range(s + 1, e + 1),
-                self.groups[s:e].tolist(),
-                [outcome_text[c] for c in self.outcome_codes[s:e].tolist()],
-                _float_text(self.expected_loss[s:e]),
-                [_float_text(col) for col in self.distributions[s:e].T],
-                [_float_text(col) for col in self.losses[s:e].T],
+                self.groups[rows].tolist(),
+                [outcome_text[c] for c in self.outcome_codes[rows].tolist()],
+                _float_text(self.expected_loss[rows]),
+                [_float_text(col) for col in self.distributions[rows].T],
+                [_float_text(col) for col in self.losses[rows].T],
+                inverse,
             )
 
     def to_jsonl(self, path: str | Path) -> None:
         """One JSON round record per line: json.dumps(sort_keys=True) of
-        {expected_loss, group, losses, outcome, p, t}, floats by repr."""
+        {expected_loss, group, losses, outcome, p, t}, floats by repr.
+
+        A chunk of distinct rows (``_export_chunks``) formats each row's
+        text before its t, its body, once per distinct row, gathers the
+        bodies into row order and splices each row's t in. Other chunks
+        format each row whole. The bytes are the same either way."""
         self._require_full("JSONL export")
         floats = ", ".join(["%s"] * self.d)
-        row = (
+        body = (
             '{"expected_loss": %s, "group": %d, "losses": [' + floats
-            + '], "outcome": %s, "p": [' + floats + '], "t": %d}\n'
+            + '], "outcome": %s, "p": [' + floats + '], "t": '
         )
+        row = body + "%d}\n"
         with open(path, "w", encoding="utf-8") as fh:
-            for t, g, out, exp, p, ell in self._export_chunks(_OUTCOME_JSON):
-                fh.write("".join([row % v for v in zip(exp, g, *ell, out, *p, t)]))
+            for t, g, out, exp, p, ell, inverse in self._export_chunks(_OUTCOME_JSON):
+                if inverse is None:
+                    fh.write("".join([row % v for v in zip(exp, g, *ell, out, *p, t)]))
+                else:
+                    bodies = _gather([body % v for v in zip(exp, g, *ell, out, *p)], inverse)
+                    fh.write("".join([f"{b}{n}}}\n" for b, n in zip(bodies, t)]))
 
     def to_csv(self, path: str | Path) -> None:
         """Columns: t, group, outcome, expected_loss, p_0.., loss_0..  .
 
         Laid out as csv.writer's default dialect lays them out: no field
-        needs quoting, and rows end with \\r\\n."""
+        needs quoting, and rows end with \\r\\n. Distinct rows are
+        formatted once each, as in ``to_jsonl``, with t spliced in front."""
         self._require_full("CSV export")
         header = ["t", "group", "outcome", "expected_loss"]
         header += [f"p_{f}" for f in range(self.d)]
         header += [f"loss_{f}" for f in range(self.d)]
-        row = "%d,%d,%s,%s" + ",%s" * (2 * self.d) + "\r\n"
+        body = ",%d,%s,%s" + ",%s" * (2 * self.d) + "\r\n"
+        row = "%d" + body
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            for t, g, out, exp, p, ell in self._export_chunks(_OUTCOME_CSV):
-                fh.write("".join([row % v for v in zip(t, g, out, exp, *p, *ell)]))
+            for t, g, out, exp, p, ell, inverse in self._export_chunks(_OUTCOME_CSV):
+                if inverse is None:
+                    fh.write("".join([row % v for v in zip(t, g, out, exp, *p, *ell)]))
+                else:
+                    bodies = _gather([body % v for v in zip(g, out, exp, *p, *ell)], inverse)
+                    fh.write("".join([f"{n}{b}" for n, b in zip(t, bodies)]))
 
     @classmethod
     def _fold(
@@ -709,10 +868,14 @@ class Trace:
     def from_jsonl(cls, path: str | Path, *, num_groups: int | None = None, **meta) -> "Trace":
         """Read a trace written by ``to_jsonl``, _READ_LINES lines at a time.
 
-        Each chunk is checked as soon as it is parsed, its t continuing from
-        the chunk before, and only its columns are kept. A malformed file
-        raises ConfigError naming the file and its first line at fault.
-        ``num_groups`` and ``meta`` are ``from_records``'s keyword arguments.
+        Each line must hold exactly one JSON object. A chunk whose rows
+        repeat parses each distinct row once and gathers its columns back
+        (``_repeated_rows``); FPL traces read this way. Any other chunk is
+        scanned line by line. Every row of a chunk is checked as soon as it
+        is parsed, its t continuing from the chunk before, and only its
+        columns are kept. A malformed file raises ConfigError naming the
+        file and its first line at fault. ``num_groups`` and ``meta`` are
+        ``from_records``'s keyword arguments.
         """
         # groups, outcome codes, p, losses and expected_loss, one list of
         # chunk columns each

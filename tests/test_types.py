@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from fair_experts import RandomIID, SingleMW, run
+from fair_experts import RandomIID, SingleMW, run, types
 from fair_experts.protocol import ObliviousBlock, _execute_block
 from fair_experts.types import (
     Accumulators,
@@ -222,6 +226,18 @@ class TestRoundRecord:
                 losses=np.array([0.0, 1.0]),
                 expected_loss=0.5 + 2e-9,
             )
+
+    def test_checks_each_value_once(self, monkeypatch):
+        # the simplex and [0, 1] rules run once, in _check_rows; the block
+        # masks are the only calls made
+        calls = []
+        for name in ("_off_simplex", "_first_off_simplex", "_off_unit", "_first_off_unit"):
+            def spy(*args, _name=name, _fn=getattr(types, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(types, name, spy)
+        RoundRecord.compute(1, 0, Outcome.POSITIVE, np.array([0.25, 0.75]), np.array([1.0, 0.5]))
+        assert sorted(calls) == ["_off_simplex", "_off_unit"]
 
     def test_rejects_invalid_fields(self):
         p = np.array([0.5, 0.5])
@@ -538,15 +554,15 @@ def _chunk_regime_trace():
     return _regime_trace(T, np.arange(T) // 8192 % 2 == 0)
 
 
-# (trace, chunk columns whose first 256 values repeat and so are formatted
-# once per distinct value): every column of the FPL and signed-zero traces;
-# elsewhere both p columns, plus loss column 0 where its head repeats
+# (trace, 8192-row chunks whose first 256 rows repeat and so are formatted
+# once per distinct row): every chunk of the FPL and signed-zero traces; none
+# elsewhere, where loss column 1 never repeats, so only columns are reused
 _REPEAT_CASES = {
-    "fpl_t4": (_fpl_t4_trace, 15),
-    "signed_zeros": (_signed_zero_trace, 5),
-    "head_repeats": (lambda: _regime_trace(3000, np.arange(3000) < 256), 3),
-    "tail_repeats": (lambda: _regime_trace(3000, np.arange(3000) >= 256), 2),
-    "chunk_regimes": (_chunk_regime_trace, 10),
+    "fpl_t4": (_fpl_t4_trace, 3),
+    "signed_zeros": (_signed_zero_trace, 1),
+    "head_repeats": (lambda: _regime_trace(3000, np.arange(3000) < 256), 0),
+    "tail_repeats": (lambda: _regime_trace(3000, np.arange(3000) >= 256), 0),
+    "chunk_regimes": (_chunk_regime_trace, 0),
 }
 
 
@@ -580,13 +596,13 @@ def _write_rows(tmp_path, rows):
 
 @pytest.fixture
 def memo_calls(monkeypatch):
-    """Counts np.unique calls with return_inverse: the trace writers make one
-    for each chunk column whose probe finds repeats."""
+    """Flags each np.unique call that is on row keys: the trace writers make
+    one for each chunk that takes the per-distinct-row path."""
     calls = []
     unique = np.unique
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("return_inverse", False))
+        calls.append(np.asarray(args[0]).dtype.kind == "V")
         return unique(*args, **kwargs)
 
     monkeypatch.setattr(np, "unique", spy)
@@ -617,7 +633,7 @@ class TestTraceFileOracle:
         memo_calls.clear()
         tr.to_jsonl(tmp_path / "new.jsonl")
         tr.to_csv(tmp_path / "new.csv")
-        assert memo_calls == [True] * (2 * memo)
+        assert memo_calls.count(True) == 2 * memo
         _assert_files_match_reference(tr, tmp_path)
 
     def test_blank_lines_and_empty_outcome_are_accepted(self, tmp_path):
@@ -660,6 +676,67 @@ class TestTraceFileOracle:
         with pytest.raises(ConfigError, match="line 2"):
             Trace.from_jsonl(path)
 
+    @pytest.mark.parametrize("rows", [3, 300])
+    @pytest.mark.parametrize("field,value", [
+        ("p", ["0.49609375", "0.50390625"]),
+        ("losses", [False, True]),
+        ("expected_loss", "0.50390625"),
+    ])
+    def test_values_that_are_not_numbers(self, tmp_path, rows, field, value):
+        # np.array(..., dtype=float64) turns each into the row's own floats,
+        # and the oracle accepts them; 300 rows repeat, 3 do not
+        recs = [RoundRecord.compute(t, 0, Outcome.POSITIVE, np.array([0.49609375, 0.50390625]),
+                                    np.array([0.0, 1.0])) for t in range(1, rows + 1)]
+        objs = [_ref_json_obj(r) for r in recs]
+        objs[1][field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(json.dumps(o, sort_keys=True) + "\n" for o in objs))
+        assert len(_ref_from_jsonl(path)) == rows
+        with pytest.raises(ConfigError, match=f"line 2: {field} must be a"):
+            Trace.from_jsonl(path)
+
+    def test_one_json_value_per_line(self, tmp_path):
+        # one array of the chunk's lines read this file as 3 rows: the first
+        # spans lines 1 and 2, and line 3 holds two
+        objs = [_ref_json_obj(r) for r in _toy_records()[:3]]
+        lines = [json.dumps(objs[0])[:-1] + ', "x": [0', "1]}",
+                 json.dumps(objs[1]) + ", " + json.dumps(objs[2])]
+        path = tmp_path / "split.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError):
+            _ref_from_jsonl(path)
+        with pytest.raises(ConfigError, match="line 1: not JSON"):
+            Trace.from_jsonl(path)
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3000), st.integers(0, 6)), min_size=1, max_size=8),
+           st.integers(1, 1500), st.integers(0, 2**32 - 1))
+    def test_distinct_row_paths_match_reference(self, tmp_path_factory, segments, extra, seed):
+        # Segments of rows drawn from k of the pool's rows (k = 0: no
+        # repeats) past the 8192-row write edge and across 1024-line read
+        # edges. Pool rows differ only in a zero's sign, a group or an outcome.
+        T = 8192 + extra
+        zeros = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [0.25, 0.75]])
+        pool = np.array([(g, c, i, j) for g in (0, 1) for c in (-1, 0, 1)
+                         for i in (0, 1, 2) for j in (0, 1, 3)])
+        rng = np.random.default_rng(seed)
+        blocks, n_rows = [], 0
+        while n_rows < T:
+            for n, k in segments:
+                if k:
+                    g, c, i, j = pool[rng.choice(len(pool), k)[rng.integers(0, k, n)]].T
+                    blocks.append((g, c, zeros[i], zeros[j]))
+                else:
+                    blocks.append((rng.integers(0, 2, n), rng.integers(-1, 2, n),
+                                   rng.dirichlet(np.ones(2), n), rng.random((n, 2))))
+                n_rows += n
+        groups, codes, p, losses = (np.concatenate(col)[:T] for col in zip(*blocks))
+        builder = TraceBuilder(2, 2)
+        builder.append_block(groups, codes.astype(np.int8), losses, p,
+                             np.einsum("td,td->t", p, losses))
+        tr = builder.build(rng_seed=seed, scenario_id="", learner_id="")
+        _assert_files_match_reference(tr, tmp_path_factory.mktemp("paths"))
+
     def test_group_outside_declared_set(self, tmp_path):
         tr = _iid_trace(7, 2, 3, 40, False)
         tr.to_jsonl(tmp_path / "t.jsonl")
@@ -682,9 +759,15 @@ class TestTraceFileOracle:
         with pytest.raises(ConfigError, match="no rounds"):
             Trace.from_jsonl(path)
 
+    @pytest.mark.parametrize("make", [
+        lambda: _iid_trace(9, 2, 2, 3000, True),
+        # rows that repeat, so the chunk is read per distinct row until the
+        # edit makes it fall back
+        lambda: run({"kind": "fpl", "eta": 0.1}, {"kind": "t4"}, 3000, 3, retain="full"),
+    ], ids=["iid", "fpl"])
     @pytest.mark.parametrize("edit", list(_ROW_EDITS))
-    def test_error_in_a_late_chunk_names_its_line(self, tmp_path, edit):
-        rows = _jsonl_rows(_iid_trace(9, 2, 2, 3000, True), tmp_path)
+    def test_error_in_a_late_chunk_names_its_line(self, tmp_path, make, edit):
+        rows = _jsonl_rows(make(), tmp_path)
         # row 2600 is in the third chunk of lines read
         k = 2600
         rows[k] = _ROW_EDITS[edit](rows[k])
@@ -739,3 +822,29 @@ class TestTraceFileOracle:
         returned = sum(getattr(back, name).nbytes for name in names)
         assert len(back) == 30_000
         assert peak <= 2.5 * returned, (peak, returned)
+
+
+def test_trace_io_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique without return_inverse imports numpy.ma, about 1 MB of RSS;
+    # the writers' distinct rows and repeated columns, and the reader, must
+    # not. The subprocess starts without it, and does not inherit pytest's
+    # pythonpath setting.
+    code = """if True:
+        import sys
+        from pathlib import Path
+        from fair_experts import RandomIID, SingleMW, Trace, run
+        out = Path(sys.argv[1])
+        assert "numpy.ma" not in sys.modules
+        for tr in (run({"kind": "fpl", "eta": 0.1}, {"kind": "t4"}, 20_000, 3, retain="full"),
+                   run(SingleMW(0.1), RandomIID(d=3), 3000, 1, retain="full")):
+            tr.to_jsonl(out / "t.jsonl")
+            tr.to_csv(out / "t.csv")
+            assert len(Trace.from_jsonl(out / "t.jsonl")) == len(tr)
+        assert "numpy.ma" not in sys.modules
+    """
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
