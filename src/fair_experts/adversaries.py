@@ -263,11 +263,12 @@ class T2Scenario(Scenario):
         phase1 = T // 101  # floor(THETA * T) exactly, since THETA = 1/101
         gamma = self.gamma
         count_threshold = self.C * self.b * T
-        # the experts' scores depend on neither t nor group
-        neg_row, pos_row = _expert_loss_block(
+        # the experts' scores depend on neither t nor group; outcome 1 is the bait
+        outcomes = _expert_loss_block(
             self.experts, 1, np.full(2, GROUP_A), np.array([NEGATIVE_CODE, POSITIVE_CODE]),
             run.rng_extra,
-        ).losses
+        )
+        neg_row, pos_row = outcomes.losses
         run.info.update(
             gamma=gamma,
             phase1_rounds=phase1,
@@ -278,15 +279,15 @@ class T2Scenario(Scenario):
         )
         qualifying = 0
 
-        def step(i: int, g: int, p: np.ndarray) -> tuple[int, np.ndarray]:
+        def step(i: int, g: int, p: tuple) -> int:
             nonlocal qualifying
             if g == GROUP_A and p[0] >= gamma:
                 qualifying += 1
-                return POSITIVE_CODE, pos_row
-            return NEGATIVE_CODE, neg_row
+                return 1
+            return 0
 
         if phase1:
-            yield AdaptiveBlock(groups[:phase1], step)
+            yield AdaptiveBlock(groups[:phase1], outcomes.losses, outcomes.outcome_codes, step)
         world = self.forced_world or ("a" if qualifying < count_threshold else "b")
         run.info.update(qualifying_rounds=qualifying, world=world)
         rest = groups[phase1:]
@@ -467,13 +468,14 @@ class T5Scenario(Scenario):
         half = T // 2
         penalties = [0, 0]
 
-        def step(i: int, g: int, p: np.ndarray) -> tuple[int, np.ndarray]:
+        def step(i: int, g: int, p: tuple) -> int:
             leader = 0 if p[0] >= p[1] else 1
             penalties[leader] += 1
-            return UNLABELED_CODE, _T5_ROWS[leader]
+            return leader
 
         if half:
-            yield AdaptiveBlock(np.zeros(half, dtype=np.int64), step)
+            yield AdaptiveBlock(np.zeros(half, dtype=np.int64), _T5_ROWS,
+                                np.full(2, UNLABELED_CODE), step)
         len2 = penalties[0]
         len3 = penalties[1] + (T - half - penalties[0] - penalties[1])
         run.info.update(

@@ -15,8 +15,8 @@ each table is a pair of Python floats, and every round does the same IEEE
 operations in the same order as ``next_distribution``/``observe`` (numpy's
 ``exp`` and ``power`` included), so the plays are bit-identical to the loop.
 The kernel steps an oblivious chunk that holds one table and one loss row
-only until its table is a fixed point of the update, and reads an adaptive
-float64 row as two Python floats.
+only until its table is a fixed point of the update, and takes the update
+terms of an adaptive stretch's declared rows once.
 
 Group handling is the one axis of variation: single-table kinds ignore the
 group argument entirely, per-group kinds keep one independent table per
@@ -54,13 +54,6 @@ DEFAULT_SWITCH_BUDGET = 2
 # theorem5, 8192-row chunks grew the process by 1 MB more than the numpy loop
 # did, 1024-row chunks by 0.13 MB and 256-row chunks by 0.04 MB.
 _ROUNDS_CHUNK = 256
-
-# Loss rows whose fixed-share factors are memoized (see FixedShare._row_terms).
-_MEMO_ROWS = 256
-
-# The dtype an adaptive row must have, compared by identity, for the kernel
-# to read it without conversion.
-_FLOAT64 = np.dtype(np.float64)
 
 
 def _check_eta(eta: float) -> float:
@@ -125,12 +118,6 @@ class Learner:
         for g in np.unique(groups):
             yield g, np.flatnonzero(groups == g)
 
-    def _check_losses(self, losses) -> np.ndarray:
-        losses = np.asarray(losses, dtype=np.float64)
-        if losses.shape != (self.d,):
-            raise ContractError(f"loss vector has shape {losses.shape}, expected ({self.d},)")
-        return losses
-
     def next_distribution(self, group: GroupId) -> np.ndarray:
         raise NotImplementedError
 
@@ -138,7 +125,9 @@ class Learner:
         """Fold in one round's loss vector. A vector of the wrong shape, or
         with a loss outside [0, 1], raises ContractError and changes nothing."""
         self._started()
-        losses = self._check_losses(losses)
+        losses = np.asarray(losses, dtype=np.float64)
+        if losses.shape != (self.d,):
+            raise ContractError(f"loss vector has shape {losses.shape}, expected ({self.d},)")
         _check_loss_block(losses[None])
         self._update(self._table(group), losses)
 
@@ -154,104 +143,101 @@ class Learner:
         """
         raise ContractError(f"{self.kind} has no vectorized block path")
 
-    def run_rounds(self, groups: np.ndarray, losses: np.ndarray | None = None, step=None):
-        """Play a stretch of rounds one at a time; returns (plays, losses, codes).
+    def run_rounds(self, groups: np.ndarray, losses, step=None):
+        """Play a stretch of rounds one at a time; returns (plays, choices).
 
-        An oblivious stretch passes its (n, d) ``losses`` and gets codes None.
-        An adaptive stretch passes ``step(i, group, p)``, which sees row i of
-        the plays and returns (outcome_code, loss_row); its losses and codes
-        are returned. Losses of the wrong shape, or a loss outside [0, 1],
-        raise ContractError; an oblivious stretch is checked before its first
-        round, an adaptive row before the learner observes it.
+        An oblivious stretch passes its (n, d) ``losses`` and gets choices
+        None. An adaptive stretch passes the (K, d) loss rows it may choose
+        from and ``step(i, group, p)``, which sees round i's play as a tuple
+        of d Python floats and returns the index of its row, a Python int in
+        range(K); choices holds those indices. Losses of the wrong shape, or
+        outside [0, 1], raise ContractError before the first round, and a
+        choice that is not an int in range(K) once the rounds before it are
+        observed.
         """
         self._started()
         n = groups.shape[0]
+        shape = np.shape(losses)
         if step is None:
-            if np.shape(losses) != (n, self.d):
-                raise ContractError(f"loss block has shape {np.shape(losses)}, expected ({n}, {self.d})")
-            losses = np.asarray(losses, dtype=np.float64)
-            _check_loss_block(losses)
+            if shape != (n, self.d):
+                raise ContractError(f"loss block has shape {shape}, expected ({n}, {self.d})")
+        elif len(shape) != 2 or shape[0] < 1 or shape[1] != self.d:
+            raise ContractError(f"declared loss rows have shape {shape}, expected (K, {self.d}), K >= 1")
+        rows = np.asarray(losses, dtype=np.float64)
+        _check_loss_block(rows, "row {} of the stretch" if step is None else "declared index {}")
         if self.d == 2 and self.two_expert_kernel:
-            return self._two_expert_rounds(groups, losses, step)
+            return self._two_expert_rounds(groups, rows, step)
         p = np.empty((n, self.d), dtype=np.float64)
-        if step is None:
-            for i in range(n):
-                g = int(groups[i])
-                p[i] = self.next_distribution(g)
-                self._update(self._table(g), losses[i])
-            return p, losses, None
-        losses = np.empty((n, self.d), dtype=np.float64)
-        codes = []
+        choices = None if step is None else np.empty(n, dtype=np.intp)
+        K = rows.shape[0]
         for i in range(n):
             g = int(groups[i])
-            p[i] = self.next_distribution(g)
-            code, row = step(i, g, p[i])
-            losses[i] = self._check_losses(row)
-            _check_loss_block(losses[i:i + 1], i)
-            self._update(self._table(g), losses[i])
-            codes.append(code)
-        return p, losses, _outcome_codes(codes)
+            p[i] = pi = self.next_distribution(g)
+            k = i
+            if step is not None:
+                k = step(i, g, tuple(pi.tolist()))
+                if type(k) is not int or not 0 <= k < K:
+                    raise _choice_error(k, i, K)
+                choices[i] = k
+            self._update(self._table(g), rows[k])
+        return p, choices
 
-    def _two_expert_rounds(self, groups, losses, step):
+    def _two_expert_rounds(self, groups, rows, step):
         """``run_rounds`` for d=2 on tables held as pairs of Python floats.
 
         A kind supplies ``_state()``, its (tables, 2) state array;
         ``_loss_terms(losses)``, the numpy part of ``observe`` applied to a
-        block of loss rows, and ``_row_terms(r0, r1, i)``, the same for row i
-        of the stretch given as two floats, which also checks that its losses
-        lie in [0, 1]; and ``_play2(table)`` and ``_update2(table, a0, a1)``,
-        which repeat ``next_distribution`` and the rest of ``_update`` on one
-        table, a tuple of two floats.
+        block of loss rows; and ``_play2(table)`` and ``_update2(table, a0,
+        a1)``, which repeat ``next_distribution`` and the rest of ``_update``
+        on one table, a tuple of two floats.
 
-        An oblivious chunk whose rows share one table and one loss row is
-        stepped only until ``_update2`` returns its table unchanged: the
-        update is deterministic, so every later round of the chunk plays the
-        same pair. An adaptive row that is a float64 array of shape (2,) is
-        read as two floats; any other row goes through ``_check_losses``.
+        An adaptive stretch takes its declared rows' terms once. An oblivious
+        chunk takes its own rows' terms, unless its rows share one table and
+        one loss row: then it is stepped only until ``_update2`` returns its
+        table unchanged, as the update is deterministic and every later round
+        of the chunk plays the same pair.
         """
         n = groups.shape[0]
         p = np.empty((n, 2), dtype=np.float64)
         out = memoryview(p.reshape(-1))
-        adaptive = step is not None
-        if adaptive:
-            losses = np.empty((n, 2), dtype=np.float64)
-            seen = memoryview(losses.reshape(-1))
-            codes = []
         state = self._state()
         tables = [tuple(table) for table in state.tolist()]
-        play, update, row_terms = self._play2, self._update2, self._row_terms
-        ndarray, float64 = np.ndarray, _FLOAT64
+        play, update = self._play2, self._update2
         shared = not self.per_group
+        adaptive = step is not None
+        if adaptive:
+            K = rows.shape[0]
+            terms = self._loss_terms(rows).tolist()
+            choices = np.empty(n, dtype=np.intp)
+            chosen = memoryview(choices)
         for s in range(0, n, _ROUNDS_CHUNK):
             e = min(n, s + _ROUNDS_CHUNK)
             chunk = groups[s:e]
             if not adaptive:
-                block = losses[s:e]
+                block = rows[s:e]
                 bits = block.view(np.int64)  # rows equal bit for bit, -0.0 included
                 if (bits == bits[0]).all() and (shared or (chunk == chunk[0]).all()):
                     t = 0 if shared else int(chunk[0])
                     tables[t] = self._stationary_chunk(p, out, s, e, tables[t], block[:1])
                     continue
-                terms0, terms1 = self._loss_terms(block).T.tolist()
+                terms = self._loss_terms(block).tolist()
             for i, g in enumerate(chunk.tolist(), s):
                 t = 0 if shared else g
                 table = tables[t]
-                j = 2 * i
-                out[j], out[j + 1] = play(table)
+                pair = play(table)
+                out[2 * i], out[2 * i + 1] = pair
                 if adaptive:
-                    code, row = step(i, g, p[i])
-                    if type(row) is ndarray and row.dtype is float64 and row.shape == (2,):
-                        r0, r1 = row.tolist()
-                    else:
-                        r0, r1 = self._check_losses(row).tolist()
-                    seen[j], seen[j + 1] = r0, r1
-                    codes.append(code)
-                    a0, a1 = row_terms(r0, r1, i)
+                    k = step(i, g, pair)
+                    if type(k) is not int or not 0 <= k < K:
+                        state[:] = tables
+                        raise _choice_error(k, i, K)
+                    chosen[i] = k
                 else:
-                    a0, a1 = terms0[i - s], terms1[i - s]
+                    k = i - s
+                a0, a1 = terms[k]
                 tables[t] = update(table, a0, a1)
         state[:] = tables
-        return p, losses, _outcome_codes(codes) if adaptive else None
+        return p, choices if adaptive else None
 
     def _stationary_chunk(self, p, out, s, e, table, row):
         """Rounds s..e-1 of an oblivious stretch on one table and one loss
@@ -275,34 +261,36 @@ class Learner:
         return table
 
 
-def _loss_range_error(row: list, i: int) -> ContractError:
-    return ContractError(f"loss row {row!r} at row {i} of the stretch lies outside [0, 1]")
-
-
-def _check_loss_block(losses: np.ndarray, first: int = 0) -> None:
+def _check_loss_block(losses: np.ndarray, where: str = "row {} of the stretch") -> None:
     """ContractError naming the first row of an (n, d) loss block with a loss
-    outside [0, 1], NaN included. ``first`` is the block's first row within
-    its stretch."""
+    outside [0, 1], NaN included; ``where.format(k)`` names row k."""
     k = _first_off_unit(losses)
     if k is not None:
-        raise _loss_range_error(losses[k].tolist(), first + k)
+        raise ContractError(f"loss row {losses[k].tolist()!r} at {where.format(k)} lies outside [0, 1]")
 
 
-def _outcome_codes(codes: list) -> np.ndarray:
-    """The codes an adaptive stretch's step returned, as int8. The first that
-    is not an integer in {-1, 0, 1} raises ContractError naming its row."""
-    arr = np.array(codes, dtype=None if codes else np.int8)
-    if arr.dtype.kind not in "biu" or (codes and (arr.min() < -1 or arr.max() > 1)):
-        for i, code in enumerate(codes):
-            if not (isinstance(code, numbers.Integral) and -1 <= code <= 1):
-                raise ContractError(f"step returned outcome code {code!r} at row {i} of the stretch")
-    return arr.astype(np.int8)
+def _choice_error(k, i: int, K: int) -> ContractError:
+    return ContractError(f"step returned choice {k!r} at row {i} of the stretch, not an int in range({K})")
 
 
 def _row_softmax(log_w: np.ndarray) -> np.ndarray:
     z = log_w - log_w.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _two_expert_softmax(log_w: np.ndarray) -> np.ndarray:
+    """``_row_softmax`` of an (n, 2) block by ``_play2``'s operations on
+    whole columns: with e = exp(-|lw0 - lw1|), the larger weight gets
+    1/(1+e) and the smaller e/(1+e). The bits are ``_row_softmax``'s, whose
+    larger z is 0 (exp(0) = 1 exactly) and smaller z is -|lw0 - lw1|."""
+    x = log_w[:, 0] - log_w[:, 1]
+    first = x >= 0.0
+    e = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
+    total = e + 1.0
+    big = 1.0 / total
+    small = np.divide(e, total, out=e)
+    return np.column_stack([np.where(first, big, small), np.where(first, small, big)])
 
 
 class _MultiplicativeWeights(Learner):
@@ -321,7 +309,11 @@ class _MultiplicativeWeights(Learner):
 
     def next_distribution(self, group: GroupId) -> np.ndarray:
         self._started()
-        return _row_softmax(self._log_w[self._table(group)][None])[0]
+        return self._play(self._log_w[self._table(group)][None])[0]
+
+    def _play(self, log_w: np.ndarray) -> np.ndarray:
+        """The plays of an (n, d) block of log weights."""
+        return _two_expert_softmax(log_w) if self.d == 2 else _row_softmax(log_w)
 
     def _update(self, table: int, losses: np.ndarray) -> None:
         self._log_w[table] += self._loss_terms(losses)
@@ -335,7 +327,7 @@ class _MultiplicativeWeights(Learner):
             before = np.empty_like(cum)
             before[0] = 0.0
             before[1:] = cum[:-1]
-            p[rows] = _row_softmax(self._log_w[table] + self._log_decay * before)
+            p[rows] = self._play(self._log_w[table] + self._log_decay * before)
             self._log_w[table] += self._log_decay * cum[-1]
         return p
 
@@ -344,12 +336,6 @@ class _MultiplicativeWeights(Learner):
 
     def _loss_terms(self, losses: np.ndarray) -> np.ndarray:
         return self._log_decay * losses
-
-    def _row_terms(self, r0: float, r1: float, i: int) -> tuple[float, float]:
-        # a Python float product is the same IEEE multiply as numpy's
-        if not (0.0 <= r0 <= 1.0 and 0.0 <= r1 <= 1.0):
-            raise _loss_range_error([r0, r1], i)
-        return self._log_decay * r0, self._log_decay * r1
 
     def _play2(self, table: tuple) -> tuple[float, float]:
         # The larger log weight has z = 0, and exp(0) = 1 exactly. The other z
@@ -495,7 +481,6 @@ class FixedShare(Learner):
         self.rho = float(rho)
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must lie in [0, 1], got {rho!r}")
-        self._memo: dict[tuple[float, float], list] = {}
 
     def _init_state(self) -> None:
         self._p = np.full((self._tables(), self.d), 1.0 / self.d, dtype=np.float64)
@@ -515,24 +500,6 @@ class FixedShare(Learner):
 
     def _loss_terms(self, losses: np.ndarray) -> np.ndarray:
         return np.power(1.0 - self.eta, losses)
-
-    def _row_terms(self, r0: float, r1: float, i: int) -> list:
-        # np.power on one row costs about 1.3 us, a memo hit far less. The
-        # memo pays because the scenarios' adaptive steps (t2 and t5) each
-        # return one of two fixed rows; it is emptied at _MEMO_ROWS entries,
-        # so rows that never repeat cannot grow it. A row is range-checked
-        # when it enters the memo, so a hit needs no check. The key (-0.0, x)
-        # finds the entry of (0.0, x), which holds the same factors, as
-        # (1 - eta)^-0.0 and (1 - eta)^0.0 are both exactly 1.0.
-        key = r0, r1
-        terms = self._memo.get(key)
-        if terms is None:
-            if not (0.0 <= r0 <= 1.0 and 0.0 <= r1 <= 1.0):
-                raise _loss_range_error([r0, r1], i)
-            if len(self._memo) >= _MEMO_ROWS:
-                self._memo.clear()
-            terms = self._memo[key] = self._loss_terms(np.array(key)).tolist()
-        return terms
 
     def _play2(self, table: tuple) -> tuple:
         return table

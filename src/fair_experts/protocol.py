@@ -5,10 +5,10 @@ distribution over experts, the scenario produces the outcome (or nothing,
 for direct-loss streams) and the loss vector, and the learner observes the
 full vector. Scenarios hand the executor *segments*: oblivious blocks whose
 rounds are fixed in advance and can run through a learner's vectorized
-path, and adaptive blocks whose step callback sees the committed
-distribution before choosing the round's losses. After a block runs, the
-scenario receives the realized distributions back, which is how
-realized-statistic branching between scenario phases is implemented.
+path, and adaptive blocks that declare their possible outcomes and whose
+step callback sees the committed distribution before choosing one. After a
+block runs, the scenario receives the realized distributions back, which is
+how realized-statistic branching between scenario phases is implemented.
 
 An oblivious block runs through the learner's ``run_block`` when it has one.
 Every other block is one ``Learner.run_rounds`` call, which owns the
@@ -26,9 +26,11 @@ import numpy as np
 
 from .types import (
     ConfigError,
+    ContractError,
     InvariantViolation,
     Trace,
     TraceBuilder,
+    _check_outcome_codes,
     expected_losses,
 )
 
@@ -49,12 +51,28 @@ class ObliviousBlock:
 class AdaptiveBlock:
     """A stretch of rounds chosen against the learner's committed play.
 
-    ``step(i, group, p)`` is called once per round with the block-local
-    index and must return (outcome_code, loss_row).
+    ``rows`` (K, d) and ``codes`` (K,) declare the block's possible losses
+    and outcome codes. ``step(i, group, p)`` is called once per round with
+    the block-local index, the group and the committed play as a tuple of d
+    Python floats, and returns the index k, a Python int in range(K), of the
+    round's outcome: losses ``rows[k]``, code ``codes[k]``. Malformed rows or
+    codes raise ContractError here; the learner checks the rows' width and range.
     """
 
     groups: np.ndarray
-    step: Callable[[int, int, np.ndarray], tuple[int, np.ndarray]]
+    rows: np.ndarray
+    codes: np.ndarray
+    step: Callable[[int, int, tuple], int]
+
+    def __post_init__(self) -> None:
+        try:
+            rows, codes = np.asarray(self.rows), np.asarray(self.codes)
+        except ValueError as exc:
+            raise ContractError(f"declared loss rows or outcome codes are not arrays: {exc}") from exc
+        if rows.ndim != 2 or rows.dtype.kind not in "biuf":
+            raise ContractError(f"declared loss rows have shape {rows.shape} and dtype {rows.dtype}")
+        self.rows = rows.astype(np.float64)
+        self.codes = _check_outcome_codes(codes, rows.shape[0], "declared index {}", ContractError)
 
     def __len__(self) -> int:
         return int(np.asarray(self.groups).shape[0])
@@ -80,9 +98,10 @@ def _execute_block(learner, block, builder: TraceBuilder) -> BlockResult:
         if learner.supports_blocks:
             p = learner.run_block(groups, losses)
         else:
-            p, _, _ = learner.run_rounds(groups, losses)
+            p, _ = learner.run_rounds(groups, losses)
     else:
-        p, losses, codes = learner.run_rounds(groups, step=block.step)
+        p, choices = learner.run_rounds(groups, block.rows, block.step)
+        losses, codes = block.rows[choices], block.codes[choices]
     expected = expected_losses(p, losses)
     builder.append_block(groups, codes, losses, p, expected)
     return BlockResult(p, expected)

@@ -199,6 +199,19 @@ def uniform_distribution(d: int) -> np.ndarray:
     return np.full(d, 1.0 / d, dtype=np.float64)
 
 
+def _check_outcome_codes(codes, n: int, where: str, error: type) -> np.ndarray:
+    """``codes`` as int8 once checked to be n integers in {-1, 0, 1} (the
+    cast would wrap 256 to a valid 0); ``where.format(k)`` names code k."""
+    codes = np.asarray(codes)
+    if codes.shape != (n,) or codes.dtype.kind not in "biu":
+        raise error(f"outcome codes have shape {codes.shape} and dtype {codes.dtype}, "
+                    f"expected ({n},) integers")
+    if codes.size and (codes.min() < UNLABELED_CODE or codes.max() > POSITIVE_CODE):
+        k = int(np.argmax((codes < UNLABELED_CODE) | (codes > POSITIVE_CODE)))
+        raise error(f"outcome code {codes[k]} at {where.format(k)} is not -1, 0 or 1")
+    return codes.astype(np.int8, copy=False)
+
+
 def _vector(what: str, x, d: int | None) -> np.ndarray:
     """x as a non-empty one-dimensional float64 array, of d entries when d is
     given, raising ValueError."""
@@ -493,13 +506,19 @@ def _check_rows(
     """Check rows as RoundRecord checks one round, plus their order and
     groups: row k must have t = t0 + k + 1 and a group in 0..num_groups - 1
     (any group >= 0 when num_groups is None). The first row that breaks a
-    check raises ConfigError, with ``where(k)`` naming row k."""
+    check raises ConfigError, with ``where(k)`` naming row k. The whole
+    block is checked with reductions first, and the per-row masks are built
+    only if one of them fails."""
     upper = np.inf if num_groups is None else num_groups
     with np.errstate(invalid="ignore", over="ignore"):
         derived = expected_losses(dists, losses)
+        in_order = t == np.arange(t0 + 1, t0 + t.shape[0] + 1)
+        if not t.size or (in_order.all() and groups.min() >= 0 and groups.max() < upper
+                          and _first_off_simplex(dists) is None and _first_off_unit(losses) is None
+                          and np.abs(derived - expected).max() <= EXPECTED_LOSS_ATOL):
+            return
         checks = [
-            (t != np.arange(t0 + 1, t0 + t.shape[0] + 1),
-             lambda k: f"t is {t[k]}, expected {t0 + k + 1}"),
+            (~in_order, lambda k: f"t is {t[k]}, expected {t0 + k + 1}"),
             ((groups < 0) | (groups >= upper),
              lambda k: f"group {groups[k]} "
                        + ("is negative" if num_groups is None else f"outside 0..{num_groups - 1}")),
@@ -941,18 +960,9 @@ class TraceBuilder:
             )
         if groups.min(initial=0) < 0 or groups.max(initial=0) >= self.num_groups:
             raise InvariantViolation("group ids outside the declared group set")
-        # checked before the int8 cast, which would wrap 256 to a valid 0
-        codes = np.asarray(outcome_codes)
-        if codes.shape != (n,) or codes.dtype.kind not in "biu":
-            raise InvariantViolation(
-                f"outcome code block has shape {codes.shape} and dtype {codes.dtype}, "
-                f"expected ({n},) integers"
-            )
-        if codes.min() < UNLABELED_CODE or codes.max() > POSITIVE_CODE:
-            k = int(np.argmax((codes < UNLABELED_CODE) | (codes > POSITIVE_CODE)))
-            raise InvariantViolation(f"outcome code {codes[k]} at row {k} of the block is not -1, 0 or 1")
+        codes = _check_outcome_codes(outcome_codes, n, "row {} of the block", InvariantViolation)
         self._groups.append(np.asarray(groups, dtype=np.int64))
-        self._codes.append(codes.astype(np.int8, copy=False))
+        self._codes.append(codes)
         self._expected.append(np.asarray(expected, dtype=np.float64))
         if self.retain == "full":
             self._dists.append(np.asarray(distributions, dtype=np.float64))

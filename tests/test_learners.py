@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -14,6 +15,8 @@ from fair_experts.learners import (
     PerGroupFixedShare,
     PerGroupMW,
     SingleMW,
+    _row_softmax,
+    _two_expert_softmax,
     default_eta,
     make_learner,
 )
@@ -366,28 +369,20 @@ class TestFPLKernelOracle:
         _assert_blocks_match(new, ref, [rng.random((500, 3)), rng.random((300, 3))])
 
 
-def _ref_rounds(lrn, groups, losses=None, step=None):
-    """The per-round loops of ``protocol._execute_block`` before
-    ``Learner.run_rounds``: the oblivious fallback and the adaptive loop."""
+def _ref_rounds(lrn, groups, rows, step=None):
+    """The reference for ``Learner.run_rounds``: the next_distribution/observe
+    loop on rows[i], or on rows[k] for the k that ``step`` chooses."""
     n, d = groups.shape[0], lrn.d
     p = np.empty((n, d), dtype=np.float64)
-    if step is None:
-        for i in range(n):
-            g = int(groups[i])
-            p[i] = lrn.next_distribution(g)
-            lrn.observe(g, losses[i])
-        return p, losses, None
-    losses = np.empty((n, d), dtype=np.float64)
-    codes = np.empty(n, dtype=np.int8)
+    choices = None if step is None else np.empty(n, dtype=np.intp)
     for i in range(n):
         g = int(groups[i])
-        pi = lrn.next_distribution(g)
-        code, row = step(i, g, pi)
-        p[i] = pi
-        losses[i] = row
-        codes[i] = code
-        lrn.observe(g, row)
-    return p, losses, codes
+        p[i] = lrn.next_distribution(g)
+        k = i
+        if step is not None:
+            k = choices[i] = step(i, g, tuple(p[i].tolist()))
+        lrn.observe(g, rows[k])
+    return p, choices
 
 
 _KERNEL_KINDS = {
@@ -403,9 +398,16 @@ def _final_state(lrn):
     return lrn._cum if isinstance(lrn, FollowPerturbedLeader) else lrn._state()
 
 
+def _started_pair(kind, d, G=2):
+    new, ref = _KERNEL_KINDS[kind](), _KERNEL_KINDS[kind]()
+    new.start(d, G)
+    ref.start(d, G)
+    return new, ref
+
+
 def _drive(lrn, scenario, T, seed, rounds, max_blocks=None):
     """Play every block of a scenario (or the first ``max_blocks``) through
-    ``rounds``; returns each block's (plays, losses, codes)."""
+    ``rounds``; returns each block's (plays, choices)."""
     scn = make_scenario(scenario)
     lrn.start(scn.d, scn.num_groups)
     gen = scn.start(T, np.random.SeedSequence(seed)).segments()
@@ -414,10 +416,12 @@ def _drive(lrn, scenario, T, seed, rounds, max_blocks=None):
     while block is not None and len(out) != max_blocks:
         groups = np.asarray(block.groups, dtype=np.int64)
         if isinstance(block, AdaptiveBlock):
-            p, losses, codes = rounds(lrn, groups, step=block.step)
+            p, choices = rounds(lrn, groups, block.rows, block.step)
+            losses = block.rows[choices]
         else:
-            p, losses, codes = rounds(lrn, groups, np.asarray(block.losses, dtype=np.float64))
-        out.append((p, losses, codes))
+            losses = np.asarray(block.losses, dtype=np.float64)
+            p, choices = rounds(lrn, groups, losses)
+        out.append((p, choices))
         try:
             block = gen.send(BlockResult(p, np.einsum("td,td->t", p, losses)))
         except StopIteration:
@@ -431,7 +435,7 @@ def _same_bits(a, b):
 
 
 def _assert_same(new_out, ref_out, new, ref):
-    """Plays, losses, codes and final state agree bit for bit, -0.0 included."""
+    """Plays, choices and final state agree bit for bit, -0.0 included."""
     assert len(new_out) == len(ref_out)
     for got, want in zip(new_out, ref_out):
         for a, b in zip(got, want):
@@ -441,14 +445,22 @@ def _assert_same(new_out, ref_out, new, ref):
     assert _same_bits(_final_state(new), _final_state(ref))
 
 
-def _reading_step(rows):
-    """An adaptive step whose code and loss row depend on the play; rows in
-    [0, 1] stay in [0, 1]."""
+def _reading_step(K):
+    """An adaptive step whose choice among K rows depends on the play and on
+    the round."""
 
     def step(i, g, p):
-        return int(p[0] >= p[1]), rows[i] * (0.5 + p[0] / 2)
+        return (int(p[0] * 4096.0) + (i % 3) + g) % K
 
     return step
+
+
+def _declared_rows(rng, K, d):
+    """K random loss rows; about a third of their entries are 0.0, -0.0 or 1.0."""
+    rows = rng.random((K, d))
+    special = rng.random((K, d)) < 0.35
+    rows[special] = rng.choice([0.0, -0.0, 1.0], int(special.sum()))
+    return rows
 
 
 class TestTwoExpertKernelOracle:
@@ -473,26 +485,29 @@ class TestTwoExpertKernelOracle:
 
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("d", [2, 3])
-    def test_random_losses_over_mixed_blocks(self, kind, d):
-        rng = np.random.default_rng(d * 100 + len(kind))
-        new, ref = _KERNEL_KINDS[kind](), _KERNEL_KINDS[kind]()
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_losses_over_mixed_blocks(self, kind, d, seed):
+        # oblivious stretches of random rows alternate with adaptive ones that
+        # declare 1 to 8 rows, groups interleave, and stretches cross chunk edges
+        rng = np.random.default_rng(d * 100 + len(kind) + 1000 * seed)
         G = 3
-        new.start(d, G)
-        ref.start(d, G)
-        # lengths straddle the kernel's row chunks
-        sizes = [1, 5, 300, 8200, 8193, 1] if d == 2 else [1, 5, 300, 40]
+        new, ref = _started_pair(kind, d, G)
+        sizes = [1, 5, 300, 8200, 8193, 1, 257, 600] if d == 2 else [1, 5, 300, 40, 257]
         for k, n in enumerate(sizes):
             groups = rng.integers(0, G, n).astype(np.int64)
-            rows = rng.random((n, d)) * rng.random(d)
             if k % 2:
-                _assert_same([new.run_rounds(groups, step=_reading_step(rows))],
-                             [_ref_rounds(ref, groups, step=_reading_step(rows))], new, ref)
+                if k % 4 == 3:
+                    groups = (np.arange(n) // 100 % G).astype(np.int64)
+                rows = _declared_rows(rng, int(rng.integers(1, 9)), d)
+                step = _reading_step(rows.shape[0])
+                got, want = new.run_rounds(groups, rows, step), _ref_rounds(ref, groups, rows, step)
+                assert len(set(got[1].tolist())) > 1 or n < 300 or rows.shape[0] == 1
             else:
-                _assert_same([new.run_rounds(groups, rows)], [_ref_rounds(ref, groups, rows)], new, ref)
+                rows = rng.random((n, d)) * rng.random(d)
+                got, want = new.run_rounds(groups, rows), _ref_rounds(ref, groups, rows)
+            _assert_same([got], [want], new, ref)
         for g in range(G):
             assert np.array_equal(new.next_distribution(g), ref.next_distribution(g))
-        # the adaptive rows here never repeat; fixed share's memo stays bounded
-        assert len(getattr(new, "_memo", ())) <= 256
 
     def test_mw_case_where_math_exp_differs(self):
         # A kernel that called math.exp would fail this case: along the run,
@@ -500,13 +515,13 @@ class TestTwoExpertKernelOracle:
         rng = np.random.default_rng(5)
         n = 2000
         groups = np.zeros(n, dtype=np.int64)
-        rows = rng.random((n, 2))
+        rows = rng.random((8, 2))
         new, ref = SingleMW(0.3), SingleMW(0.3)
         new.start(2)
         ref.start(2)
-        p_new = new.run_rounds(groups, step=_reading_step(rows))
-        p_ref = _ref_rounds(ref, groups, step=_reading_step(rows))
-        _assert_same([p_new], [p_ref], new, ref)
+        got = new.run_rounds(groups, rows, _reading_step(8))
+        want = _ref_rounds(ref, groups, rows, _reading_step(8))
+        _assert_same([got], [want], new, ref)
         # numpy uses its own exp only where the CPU has the SIMD code for it;
         # elsewhere it calls the C library's, as math.exp does
         probe = np.random.default_rng(0).uniform(-30.0, 0.0, 10_000)
@@ -514,7 +529,7 @@ class TestTwoExpertKernelOracle:
             pytest.skip("numpy's exp is the C library's on this CPU")
         lw = np.zeros(2)
         z = []
-        for row in p_ref[1]:
+        for row in rows[want[1]]:
             z.append(-abs(float(lw[0] - lw[1])))
             lw += ref._log_decay * row
         assert any(math.exp(x) != float(np.exp(x)) for x in z)
@@ -529,8 +544,9 @@ class TestTwoExpertKernelOracle:
         with pytest.raises(ContractError, match=r"\[2000.0, 2000.0\] at row 1 "):
             lrn.run_rounds(groups, rows)
         assert np.array_equal(lrn._state(), [[0.5, 0.5]])
-        with pytest.raises(ContractError, match="at row 1 "):
-            lrn.run_rounds(groups, step=lambda i, g, p: (0, rows[i]))
+        with pytest.raises(ContractError, match=r"\[2000.0, 2000.0\] at declared index 1 "):
+            lrn.run_rounds(groups, rows, lambda i, g, p: 0)
+        assert np.array_equal(lrn._state(), [[0.5, 0.5]])
         # the extreme losses that are allowed: the kernel still matches the loop
         new, ref = FixedShare(0.4, 0.01), FixedShare(0.4, 0.01)
         new.start(2)
@@ -538,6 +554,9 @@ class TestTwoExpertKernelOracle:
         rows = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]] * 50)
         groups = np.zeros(150, dtype=np.int64)
         got, want = new.run_rounds(groups, rows), _ref_rounds(ref, groups, rows)
+        _assert_same([got], [want], new, ref)
+        step = _reading_step(3)
+        got, want = new.run_rounds(groups, rows[:3], step), _ref_rounds(ref, groups, rows[:3], step)
         _assert_same([got], [want], new, ref)
 
 
@@ -632,26 +651,83 @@ class TestStationaryChunks:
             self._compare(_KERNEL_KINDS[kind], groups, rows)
 
 
+class _Declared:
+    """A scenario of one adaptive block on alternating groups, with the
+    given declared rows, codes and step."""
+
+    id = "declared"
+    num_groups = 2
+
+    def __init__(self, rows, codes, step):
+        self.d = np.shape(rows)[1]
+        self.rows, self.codes, self.step = rows, codes, step
+
+    def start(self, T, seed_seq):
+        scenario = self
+
+        class Run:
+            info: dict = {}
+
+            def segments(self):
+                yield AdaptiveBlock(np.arange(T) % 2, scenario.rows, scenario.codes, scenario.step)
+
+        return Run()
+
+
+def _counting_steps(monkeypatch):
+    """Wrap the step of every adaptive block a scenario yields, as a tracer
+    does; returns the list the wrappers append their calls to."""
+    calls = []
+    segments = adversaries.ScenarioRun.segments
+
+    def counted(self):
+        gen, result = segments(self), None
+        while True:
+            try:
+                block = gen.send(result)
+            except StopIteration:
+                return
+            if isinstance(block, AdaptiveBlock):
+                def step(i, g, p, _step=block.step):
+                    calls.append(i)
+                    return _step(i, g, p)
+                block.step = step
+            result = yield block
+
+    monkeypatch.setattr(adversaries.ScenarioRun, "segments", counted)
+    return calls
+
+
 class TestRunRoundsContract:
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("bad", [np.zeros(1), np.zeros(4), np.zeros((2, 1)), 0.5])
-    def test_wrong_shaped_row(self, kind, d, bad):
+    @pytest.mark.parametrize("shape", ["flat", "narrow", "wide", "empty", "scalar", "deep"])
+    def test_wrong_shaped_declared_rows(self, kind, d, shape):
+        bad = {"flat": np.zeros(d), "narrow": np.zeros((2, d - 1)), "wide": np.zeros((2, d + 1)),
+               "empty": np.zeros((0, d)), "scalar": 0.5, "deep": np.zeros((2, d, 1))}[shape]
         lrn = _KERNEL_KINDS[kind]()
         lrn.start(d, 2)
-        groups = np.array([0, 1, 0], dtype=np.int64)
-        with pytest.raises(ContractError):
-            lrn.run_rounds(groups, step=lambda i, g, p: (0, bad))
+        start = _final_state(lrn).copy()
+        steps = []
+        with pytest.raises(ContractError, match="declared loss rows have shape"):
+            lrn.run_rounds(np.array([0, 1, 0], dtype=np.int64), bad, lambda *a: steps.append(a) or 0)
+        assert steps == [] and _same_bits(_final_state(lrn), start)
 
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("bad", [7, -2, 300, "x", 1.0, None])
-    def test_bad_outcome_code_names_its_row(self, kind, d, bad):
-        lrn = _KERNEL_KINDS[kind]()
-        lrn.start(d, 2)
+    @pytest.mark.parametrize("bad", [3, -1, 1.0, "x", None, True, np.int64(0)])
+    def test_bad_choice_names_its_row(self, kind, d, bad):
+        # the rounds before the bad choice are observed, and no later one
+        new, ref = _started_pair(kind, d)
         groups = np.array([0, 1, 0, 1, 0], dtype=np.int64)
-        with pytest.raises(ContractError, match=f"code {bad!r} at row 2 "):
-            lrn.run_rounds(groups, step=lambda i, g, p: (bad if i >= 2 else 0, np.zeros(d)))
+        rows = np.linspace(0.0, 1.0, 3 * d).reshape(3, d)
+        step = lambda i, g, p: bad if i >= 2 else i  # noqa: E731
+        with pytest.raises(ContractError, match=rf"choice {re.escape(repr(bad))} at row 2 .*range\(3\)"):
+            new.run_rounds(groups, rows, step)
+        _ref_rounds(ref, groups[:2], rows, step)
+        assert _same_bits(_final_state(new), _final_state(ref))
+        for g in (0, 1):
+            assert _same_bits(new.next_distribution(g), ref.next_distribution(g))
 
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("d", [2, 3])
@@ -671,10 +747,11 @@ class TestRunRoundsContract:
             with pytest.raises(ContractError, match="at row 2 "):
                 lrn.run_block(groups, rows)
             assert np.array_equal(_final_state(lrn), start)
-        # an adaptive row is refused before the learner observes it
-        with pytest.raises(ContractError, match="at row 2 "):
-            lrn.run_rounds(groups, step=lambda i, g, p: (0, rows[i]))
-        assert np.isfinite(_final_state(lrn)).all()
+        # so is an adaptive one whose declared rows hold such a loss
+        steps = []
+        with pytest.raises(ContractError, match=r"at declared index 2 lies outside \[0, 1\]"):
+            lrn.run_rounds(groups, rows, lambda *a: steps.append(a) or 0)
+        assert steps == [] and np.array_equal(_final_state(lrn), start)
 
     @pytest.mark.parametrize("learner", [
         {"kind": "per_group_fixed_share", "eta": 0.1, "rho": 0.01},
@@ -688,13 +765,34 @@ class TestRunRoundsContract:
 
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("d", [2, 3])
-    def test_integer_outcome_codes_of_any_type(self, kind, d):
+    def test_declared_codes_of_any_integer_type(self, kind, d):
         codes = [-1, np.int8(0), np.int64(1), True, False]
-        lrn = _KERNEL_KINDS[kind]()
-        lrn.start(d, 2)
-        _, _, got = lrn.run_rounds(np.array([0, 1, 0, 1, 0], dtype=np.int64),
-                                   step=lambda i, g, p: (codes[i], np.zeros(d)))
-        assert got.dtype == np.int8 and got.tolist() == [-1, 0, 1, 1, 0]
+        rows = np.linspace(0.0, 1.0, 5 * d).reshape(5, d)
+        trace = run(_KERNEL_KINDS[kind](), _Declared(rows, codes, lambda i, g, p: 4 - i % 5), 7, seed=1)
+        assert trace.outcome_codes.dtype == np.int8
+        assert trace.outcome_codes.tolist() == [0, 1, 1, 0, -1, 0, 1]
+        assert _same_bits(trace.losses, rows[[4, 3, 2, 1, 0, 4, 3]])
+
+    @pytest.mark.parametrize("rows, codes, match", [
+        ([[0.5, 0.5], [0.5]], [0, 1], "not arrays"),
+        ([[0.5, 0.5], [0.5, 0.5]], [[0], [1, 0]], "not arrays"),
+        ([["a", "b"], ["c", "d"]], [0, 1], "declared loss rows have shape"),
+        ([[0.5, 0.5], [0.5, 0.5]], [0], r"outcome codes have shape \(1,\)"),
+        ([[0.5, 0.5], [0.5, 0.5]], [[0, 1]], r"outcome codes have shape \(1, 2\)"),
+        ([[0.5, 0.5], [0.5, 0.5]], [0.0, 1.0], "dtype float64, expected"),
+        ([[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]], [0, 1, 7], "code 7 at declared index 2 is not -1, 0 or 1"),
+        ([[0.5, 0.5], [0.5, 0.5]], [-2, 0], "code -2 at declared index 0 "),
+        ([[0.5, 0.5], [0.5, 1.25]], [0, 0], r"\[0.5, 1.25\] at declared index 1 lies outside"),
+        ([[0.5, 0.5], [0.5, 0.5]], np.array([300, 0], dtype=np.int16), "code 300 at declared index 0 "),
+    ])
+    @pytest.mark.parametrize("learner", ["per_group_fixed_share", "single_mw", "fpl"])
+    def test_malformed_declarations_fail_before_the_first_round(self, rows, codes, match, learner):
+        steps = []
+        scenario = _Declared(np.zeros((2, 2)), codes, lambda *a: steps.append(a) or 0)
+        scenario.rows = rows
+        with pytest.raises(ContractError, match=match):
+            run(_KERNEL_KINDS[learner](), scenario, 5, seed=1)
+        assert steps == []
 
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("d", [2, 3])
@@ -715,54 +813,81 @@ class TestRunRoundsContract:
             run(learner, {"kind": "t5"}, 10, seed=1)
 
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
-    def test_rows_of_any_form(self, kind):
+    def test_declared_rows_of_any_form(self, kind):
         class Sub(np.ndarray):
             pass
 
-        rows = [
-            np.array([-0.0, 0.5]), np.array([0.0, 0.5]), np.array([0.5, -0.0]),
-            [0.25, 1.0], (1, 0), np.array([0.5, 0.125], dtype=np.float32),
-            np.array([0.75, 0.0]).view(Sub), np.array([0.375, 0.5], dtype=">f8"),
-            np.array([0.25, 9.0, 0.5])[::2], np.array([1, 0]), np.array([False, True]),
+        forms = [
+            [[0.25, 1.0], [-0.0, 0.5]], ((1, 0), (0.5, -0.0)),
+            np.array([[0.5, 0.125], [1.0, 0.0]], dtype=np.float32),
+            np.array([[0.75, 0.0], [0.0, -0.0]]).view(Sub),
+            np.array([[0.375, 0.5], [1.0, 0.25]], dtype=">f8"),
+            np.array([[0.25, 9.0, 0.5], [1.0, 9.0, 0.0]])[:, ::2],
+            np.array([[1, 0], [0, 1]]), np.array([[False, True], [True, True]]),
         ]
-        groups = np.arange(len(rows)) % 2
-        new, ref = _KERNEL_KINDS[kind](), _KERNEL_KINDS[kind]()
-        new.start(2, 2)
-        ref.start(2, 2)
-        for _ in range(2):
-            _assert_same([new.run_rounds(groups, step=lambda i, g, p: (0, rows[i]))],
-                         [_ref_rounds(ref, groups, step=lambda i, g, p: (0, rows[i]))], new, ref)
-        assert len(getattr(new, "_memo", ())) <= 256
-        # the same forms holding a loss outside [0, 1] are refused as before,
-        # with the row read as float64
-        for bad, text in [([0.5, 1.5], "0.5, 1.5"), (np.array([2, 0]), "2.0, 0.0"),
-                          (np.array([-0.25, 0.0], dtype=np.float32), "-0.25, 0.0"),
-                          (np.array([np.nan, 0.0]).view(Sub), "nan, 0.0"),
-                          (np.array([0.5, np.inf], dtype=">f8"), "0.5, inf")]:
-            with pytest.raises(ContractError, match=rf"row \[{text}\] at row 1 of the stretch lies outside"):
-                new.run_rounds(groups[:2], step=lambda i, g, p: (0, bad if i else rows[0]))
-            assert np.isfinite(_final_state(new)).all()
+        groups = np.arange(11) % 2
+        step = _reading_step(2)
+        new, ref = _started_pair(kind, 2)
+        for rows in forms:
+            _assert_same([new.run_rounds(groups, rows, step)],
+                         [_ref_rounds(ref, groups, np.asarray(rows, dtype=np.float64), step)], new, ref)
+        # the same forms holding a loss outside [0, 1] are refused, read as float64
+        for bad, text in [([[0.5, 0.5], [0.5, 1.5]], "0.5, 1.5"), (np.array([[0, 0], [2, 0]]), "2.0, 0.0"),
+                          (np.array([[0, 0], [-0.25, 0.0]], dtype=np.float32), "-0.25, 0.0"),
+                          (np.array([[0, 0], [np.nan, 0.0]]).view(Sub), "nan, 0.0"),
+                          (np.array([[0, 0], [0.5, np.inf]], dtype=">f8"), "0.5, inf")]:
+            with pytest.raises(ContractError, match=rf"row \[{text}\] at declared index 1 lies outside"):
+                new.run_rounds(groups, bad, step)
+        assert _same_bits(_final_state(new), _final_state(ref))
 
-    def test_step_sees_a_row_of_the_plays(self):
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_step_sees_the_play_as_floats(self, kind, d):
         seen = []
 
         def step(i, g, p):
-            seen.append(p.copy() if i else p)
-            return 0, np.ones(2)
+            seen.append(p)
+            return i % 2
 
-        lrn = PerGroupFixedShare(0.2, 0.01)
-        lrn.start(2, 2)
-        p, _, _ = lrn.run_rounds(np.array([0, 1, 0], dtype=np.int64), step=step)
-        assert np.shares_memory(seen[0], p)
-        assert np.array_equal(np.array(seen), p)
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(d, 2)
+        p, choices = lrn.run_rounds(np.array([0, 1, 0, 0], dtype=np.int64), np.eye(2, d), step)
+        assert all(type(x) is tuple and len(x) == d and {type(v) for v in x} == {float} for x in seen)
+        assert _same_bits(np.array(seen), p)
+        assert choices.tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("learner", ["per_group_fixed_share", "single_mw", "fpl"])
+    @pytest.mark.parametrize("scenario, T, calls", [
+        ({"kind": "t5"}, 1001, 500),
+        ({"kind": "t2", "b": 0.25, "epsilon": 0.01}, 20_300, 200),
+    ])
+    def test_step_is_called_once_per_adaptive_round(self, learner, scenario, T, calls, monkeypatch):
+        # a tracer that wraps each adaptive block's step counts its rounds
+        seen = _counting_steps(monkeypatch)
+        run(_KERNEL_KINDS[learner](), scenario, T, seed=3)
+        assert seen == list(range(calls))
 
     def test_runtime_budget(self):
         # the next_distribution/observe loop takes about 1.4 s
         t0 = time.perf_counter()
         run({"kind": "per_group_fixed_share", "eta": 0.05, "switches": 2}, {"kind": "t5"},
             100_000, seed=7, retain="full")
-        assert time.perf_counter() - t0 < 0.5
+        assert time.perf_counter() - t0 < 0.25
 
+
+class TestTwoExpertSoftmax:
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1e1, 1e3, 1e4])
+    def test_block_form_row_softmax_and_play2_agree(self, scale):
+        # MW's d=2 block play, its general softmax and the kernel's scalar
+        # play are one rule written three times; they agree bit for bit
+        rng = np.random.default_rng(round(math.log10(scale)) + 10)
+        log_w = rng.standard_normal((20_000, 2)) * scale
+        log_w[::7, 1] = log_w[::7, 0]
+        log_w[1::7] = np.cumsum(-rng.random((log_w[1::7].shape[0], 2)), axis=0) * scale
+        block = _two_expert_softmax(log_w)
+        assert _same_bits(block, _row_softmax(log_w))
+        play2 = SingleMW(0.1)._play2
+        assert _same_bits(block, np.array([play2(tuple(row)) for row in log_w.tolist()]))
 
 
 class TestScalarIsOneRowOfBlock:

@@ -228,8 +228,8 @@ class TestRoundRecord:
             )
 
     def test_checks_each_value_once(self, monkeypatch):
-        # the simplex and [0, 1] rules run once, in _check_rows; the block
-        # masks are the only calls made
+        # the simplex and [0, 1] rules run once, in _check_rows; on a valid
+        # record the whole-block reductions are the only calls made
         calls = []
         for name in ("_off_simplex", "_first_off_simplex", "_off_unit", "_first_off_unit"):
             def spy(*args, _name=name, _fn=getattr(types, name)):
@@ -237,7 +237,7 @@ class TestRoundRecord:
                 return _fn(*args)
             monkeypatch.setattr(types, name, spy)
         RoundRecord.compute(1, 0, Outcome.POSITIVE, np.array([0.25, 0.75]), np.array([1.0, 0.5]))
-        assert sorted(calls) == ["_off_simplex", "_off_unit"]
+        assert sorted(calls) == ["_first_off_simplex", "_first_off_unit"]
 
     def test_rejects_invalid_fields(self):
         p = np.array([0.5, 0.5])
