@@ -31,7 +31,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .types import ConfigError, ContractError, GroupId, _first_off_unit, require_type
+from .types import ConfigError, ContractError, GroupId, _first_off_unit, _numbers, require_type
 
 LEARNER_KINDS = (
     "single_mw",
@@ -150,20 +150,21 @@ class Learner:
         None. An adaptive stretch passes the (K, d) loss rows it may choose
         from and ``step(i, group, p)``, which sees round i's play as a tuple
         of d Python floats and returns the index of its row, a Python int in
-        range(K); choices holds those indices. Losses of the wrong shape, or
-        outside [0, 1], raise ContractError before the first round, and a
-        choice that is not an int in range(K) once the rounds before it are
-        observed.
+        range(K); choices holds those indices. Losses that are ragged, not
+        numbers, of the wrong shape or outside [0, 1] raise ContractError
+        before the first round, and a choice that is not an int in range(K)
+        once the rounds before it are observed.
         """
         self._started()
         n = groups.shape[0]
-        shape = np.shape(losses)
+        losses = _numbers(losses, "losses" if step is None else "declared loss rows")
+        shape = losses.shape
         if step is None:
             if shape != (n, self.d):
                 raise ContractError(f"loss block has shape {shape}, expected ({n}, {self.d})")
         elif len(shape) != 2 or shape[0] < 1 or shape[1] != self.d:
             raise ContractError(f"declared loss rows have shape {shape}, expected (K, {self.d}), K >= 1")
-        rows = np.asarray(losses, dtype=np.float64)
+        rows = losses.astype(np.float64, copy=False)
         _check_loss_block(rows, "row {} of the stretch" if step is None else "declared index {}")
         if self.d == 2 and self.two_expert_kernel:
             return self._two_expert_rounds(groups, rows, step)

@@ -31,17 +31,34 @@ from .types import (
     Trace,
     TraceBuilder,
     _check_outcome_codes,
+    _numbers,
     expected_losses,
 )
 
 
+def _check_groups(groups) -> None:
+    """ContractError unless ``groups`` is one-dimensional and of integers: the
+    int64 cast a block is played through would floor 0.7 to group 0."""
+    groups = _numbers(groups, "group ids")
+    if groups.ndim != 1 or groups.dtype.kind not in "iu":
+        raise ContractError(f"group ids have shape {groups.shape} and dtype {groups.dtype}, "
+                            "expected (n,) integers")
+
+
 @dataclass
 class ObliviousBlock:
-    """A stretch of rounds fixed before the learner plays them."""
+    """A stretch of rounds fixed before the learner plays them. Group ids
+    that are not integers, and ragged or non-numeric losses, raise
+    ContractError here; the learner checks the losses' shape and range, and
+    the trace builder the outcome codes."""
 
     groups: np.ndarray
     outcome_codes: np.ndarray
     losses: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_groups(self.groups)
+        self.losses = _numbers(self.losses, "losses").astype(np.float64, copy=False)
 
     def __len__(self) -> int:
         return int(np.asarray(self.groups).shape[0])
@@ -55,8 +72,9 @@ class AdaptiveBlock:
     and outcome codes. ``step(i, group, p)`` is called once per round with
     the block-local index, the group and the committed play as a tuple of d
     Python floats, and returns the index k, a Python int in range(K), of the
-    round's outcome: losses ``rows[k]``, code ``codes[k]``. Malformed rows or
-    codes raise ContractError here; the learner checks the rows' width and range.
+    round's outcome: losses ``rows[k]``, code ``codes[k]``. Group ids that
+    are not integers, and malformed rows or codes, raise ContractError here;
+    the learner checks the rows' width and range.
     """
 
     groups: np.ndarray
@@ -65,13 +83,15 @@ class AdaptiveBlock:
     step: Callable[[int, int, tuple], int]
 
     def __post_init__(self) -> None:
-        try:
-            rows, codes = np.asarray(self.rows), np.asarray(self.codes)
-        except ValueError as exc:
-            raise ContractError(f"declared loss rows or outcome codes are not arrays: {exc}") from exc
-        if rows.ndim != 2 or rows.dtype.kind not in "biuf":
+        _check_groups(self.groups)
+        rows = _numbers(self.rows, "declared loss rows")
+        if rows.ndim != 2:
             raise ContractError(f"declared loss rows have shape {rows.shape} and dtype {rows.dtype}")
         self.rows = rows.astype(np.float64)
+        try:
+            codes = np.asarray(self.codes)
+        except ValueError as exc:
+            raise ContractError(f"declared outcome codes are not arrays: {exc}") from exc
         self.codes = _check_outcome_codes(codes, rows.shape[0], "declared index {}", ContractError)
 
     def __len__(self) -> int:
@@ -93,8 +113,7 @@ def _execute_block(learner, block, builder: TraceBuilder) -> BlockResult:
     if n == 0:
         return BlockResult(np.zeros((0, d)), np.zeros(0))
     if isinstance(block, ObliviousBlock):
-        losses = np.asarray(block.losses, dtype=np.float64)
-        codes = block.outcome_codes
+        losses, codes = block.losses, block.outcome_codes
         if learner.supports_blocks:
             p = learner.run_block(groups, losses)
         else:

@@ -14,11 +14,12 @@ runs. ``RoundRecord`` is the per-round view used at API boundaries.
 
 from __future__ import annotations
 
+import io
 import json
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from json.scanner import make_scanner
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -197,6 +198,18 @@ def uniform_distribution(d: int) -> np.ndarray:
     if d < 1:
         raise ConfigError(f"need at least one expert, got d={d}")
     return np.full(d, 1.0 / d, dtype=np.float64)
+
+
+def _numbers(x, what: str) -> np.ndarray:
+    """x as an array of numbers; ContractError naming ``what`` when it is
+    ragged or holds something else."""
+    try:
+        x = np.asarray(x)
+    except ValueError as exc:
+        raise ContractError(f"{what} are not arrays: {exc}") from exc
+    if x.dtype.kind not in "biuf":
+        raise ContractError(f"{what} have shape {x.shape} and dtype {x.dtype}, expected numbers")
+    return x
 
 
 def _check_outcome_codes(codes, n: int, where: str, error: type) -> np.ndarray:
@@ -382,12 +395,25 @@ class Accumulators:
 # per-chunk numpy calls, few enough that no file is held whole in memory.
 _IO_CHUNK = 8192
 
-# Lines per chunk when a trace file is read. A parsed line is a dict of
-# Python objects, about 1 KB, so a read holds fewer rows than a write.
-_READ_LINES = 1024
+# Characters per block when a trace file is read, extended to the end of the
+# block's last line: about 1000 lines of a two-expert trace. A parsed line is
+# a dict of Python objects, about 1 KB, so a read holds fewer rows than a
+# write; at 256 KiB the reader's traced peak on an FPL trace went from 1.7 to
+# 2.8 times the arrays it returns.
+_READ_CHARS = 1 << 17
 
-# Rows, or values, at the head of a chunk probed for repeats.
+# Rows in a long run. A run is a stretch of consecutive rows that are alike
+# but for t. A writer lays out each run of at least _RUN rows as byte blocks
+# from its first line, and a read block whose lines fall in runs of _RUN lines
+# on average is checked by byte compares and each run's row parsed once.
+_RUN = 32
+
+# Values at the head of a column probed for repeats.
 _PROBE = 256
+
+# The text around t's digits at the end of a JSONL line.
+_T_HEAD = b', "t": '
+_T_TAIL = b"}\n"
 
 # The C scanner behind json.loads: _scan(text, k) parses the JSON value that
 # starts at text[k] and returns it with the index just past its end.
@@ -402,11 +428,6 @@ def _mostly_repeats(keys: np.ndarray) -> bool:
     return 2 * (1 + np.count_nonzero(head[1:] != head[:-1])) <= head.size
 
 
-def _gather(texts: list[str], inverse: np.ndarray) -> list[str]:
-    """texts[i] for each i of inverse."""
-    return np.array(texts, dtype=object)[inverse].tolist()
-
-
 def _float_text(col: np.ndarray) -> list[str]:
     """repr of each float of a 1-D column. When its bit patterns (so -0.0
     keeps its sign) mostly repeat, each distinct one is formatted once and the
@@ -416,7 +437,45 @@ def _float_text(col: np.ndarray) -> list[str]:
     if not _mostly_repeats(bits):
         return list(map(repr, col.tolist()))
     uniq, inverse = np.unique(bits, return_inverse=True)
-    return _gather(list(map(repr, uniq.view(np.float64).tolist())), inverse)
+    return np.array(list(map(repr, uniq.view(np.float64).tolist())), dtype=object)[inverse].tolist()
+
+
+def _same_width(first: int, last: int) -> Iterator[tuple[int, int]]:
+    """first..last cut where t gains a digit, as (lo, hi) pairs."""
+    while first <= last:
+        hi = min(last, 10 ** len(str(first)) - 1)
+        yield first, hi
+        first = hi + 1
+
+
+def _line_block(head: bytes, t: np.ndarray, tail: bytes) -> np.ndarray:
+    """The (L, W) uint8 block whose row i is the text head, t[i]'s digits and
+    tail; the L values of t have one number of digits."""
+    digits = len(str(int(t[0])))
+    a, b = len(head), len(head) + digits
+    block = np.empty((t.shape[0], b + len(tail)), dtype=np.uint8)
+    block[:, :a] = np.frombuffer(head, dtype=np.uint8)
+    for j in range(b - 1, a - 1, -1):
+        t, block[:, j] = np.divmod(t, 10)
+    block[:, a:b] += 48
+    block[:, b:] = np.frombuffer(tail, dtype=np.uint8)
+    return block
+
+
+def _write_lines(fh, lines: list[str], runs: list[tuple[int, int, int]],
+                 split: Callable[[str, int], tuple[str, str]]) -> None:
+    """Write formatted lines to the binary handle fh, each long run as byte
+    blocks. ``runs`` lists (k, first, last): lines[k] is the line of round
+    first, and rounds first..last repeat it with their own t. ``split(line,
+    n)`` cuts a line around the n digits of its t."""
+    done = 0
+    for k, first, last in runs:
+        fh.write("".join(lines[done:k]).encode())
+        head, tail = (text.encode() for text in split(lines[k], len(str(first))))
+        for lo, hi in _same_width(first, last):
+            fh.write(_line_block(head, np.arange(lo, hi + 1), tail))
+        done = k + 1
+    fh.write("".join(lines[done:]).encode())
 
 
 _OUTCOME_JSON = {NEGATIVE_CODE: '"-"', POSITIVE_CODE: '"+"', UNLABELED_CODE: "null"}
@@ -425,21 +484,6 @@ _OUTCOME_CSV = {NEGATIVE_CODE: "-", POSITIVE_CODE: "+", UNLABELED_CODE: ""}
 _OUTCOME_CODES = {None: UNLABELED_CODE, "": UNLABELED_CODE, "-": NEGATIVE_CODE, "+": POSITIVE_CODE}
 # Python types a JSON number parses to.
 _NUMBERS = {int, float}
-
-
-def _line_chunks(fh) -> Iterator[tuple[list[str], Sequence[int]]]:
-    """The non-blank lines of a file with their 1-based line numbers, from
-    each _READ_LINES lines read."""
-    start = 1
-    while lines := list(islice(fh, _READ_LINES)):
-        linenos: Sequence[int] = range(start, start + len(lines))
-        start += len(lines)
-        if any(map(str.isspace, lines)):
-            keep = [k for k, line in enumerate(lines) if not line.isspace()]
-            lines = [lines[k] for k in keep]
-            linenos = [linenos[k] for k in keep]
-        if lines:
-            yield lines, linenos
 
 
 def _int_column(values: list) -> np.ndarray:
@@ -535,46 +579,22 @@ def _check_rows(
         raise ConfigError(f"{where(k)}: {what(k)}")
 
 
-def _rests(lines: list[str], t: int) -> list[str] | None:
-    """Each line less its tail ', "t": N}\\n', N counting up from t + 1; None
-    unless every line ends with its tail."""
-    tails = [f', "t": {n}}}\n' for n in range(t + 1, t + len(lines) + 1)]
-    if not all(map(str.endswith, lines, tails)):
-        return None
-    return list(map(str.removesuffix, lines, tails))
+def _body_fields(bodies: Sequence[str], d: int | None) -> tuple | None:
+    """``_row_fields`` of the rows that bodies hold, each of which must scan
+    as one non-empty JSON object that ends exactly at the body's end; None
+    when one does not or a row is malformed.
 
-
-def _repeated_rows(lines: list[str], d: int | None, t0: int) -> tuple | None:
-    """The t, group, outcome code, p, losses and expected_loss columns of a
-    chunk of lines whose rows repeat, each distinct row parsed once; None
-    when the chunk does not fit.
-
-    Line k fits when it ends with the tail ', "t": N}\\n', N = t0 + k + 1, as
-    ``Trace.to_jsonl`` writes it. What precedes the tail, plus "}", is the
-    line's body. The rows repeat when at most half of the first _PROBE bodies
-    are distinct. Each distinct body must scan as one non-empty JSON object
-    that ends exactly at the body's end.
-
-    Why the line is then that object with t = N: the scan ends exactly at
-    the body's end, so the appended "}" is the one that closes the top-level
-    object, outside any string. A string left open would fail the scan, and
-    none can run on from an earlier line, as a body holds no raw newline and
-    a strict JSON string no control character. What precedes that "}" is the
-    object less its closing brace, ending after a whole member, as the object
-    is not empty. The tail adds the member t = N and closes the object, and
-    JSON keeps the last of duplicate keys, as the t column built here does."""
-    rests = _rests(lines[:_PROBE], t0)
-    if rests is None or 2 * len(set(rests)) > len(rests):
-        return None
-    more = _rests(lines[_PROBE:], t0 + _PROBE)
-    if more is None:
-        return None
-    rests += more
-    index = {rest: j for j, rest in enumerate(dict.fromkeys(rests))}
-    inverse = np.fromiter(map(index.__getitem__, rests), dtype=np.intp, count=len(rests))
+    A body is a line less its tail ', "t": N}\\n', plus "}". Why the line is
+    then that object with t = N: the scan ends exactly at the body's end, so
+    the appended "}" is the one that closes the top-level object, outside any
+    string. A string left open would fail the scan, and none can run on from
+    an earlier line, as a body holds no raw newline and a strict JSON string
+    no control character. What precedes that "}" is the object less its
+    closing brace, ending after a whole member, as the object is not empty.
+    The tail adds the member t = N and closes the object, and JSON keeps the
+    last of duplicate keys, as the t columns built from the tails do."""
     rows = []
-    for rest in index:
-        body = rest + "}"
+    for body in bodies:
         try:
             row, end = _scan(body, 0)
         except (StopIteration, ValueError):
@@ -583,10 +603,60 @@ def _repeated_rows(lines: list[str], d: int | None, t0: int) -> tuple | None:
             return None
         rows.append(row)
     try:
-        fields = _row_fields(rows, d)
+        return _row_fields(rows, d)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    return (np.arange(t0 + 1, t0 + len(lines) + 1), *(col[inverse] for col in fields))
+
+
+def _run_rows(text: str, d: int | None, t0: int) -> tuple | None:
+    """The t, group, outcome code, p, losses and expected_loss columns of a
+    block of lines that fall in long runs, each run's row parsed once; None
+    when the block does not fit.
+
+    Line k fits when it ends with the tail ', "t": N}\\n', N = t0 + k + 1, as
+    ``Trace.to_jsonl`` writes it. A run is a stretch of lines alike before
+    their tails, and the block fits when it is ASCII, every line fits and its
+    runs hold _RUN lines on average. Lines of one width whose t have one
+    number of digits are compared as one (L, W) byte array: each line's tail
+    against the tails it should have, and each line's text before the tail
+    against the line before's. Each run's body (``_body_fields``) is scanned
+    once and its columns repeated for its lines."""
+    if not text.isascii() or not text.endswith("\n"):
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10) + 1
+    m = ends.shape[0]
+    starts = np.concatenate(([0], ends[:-1]))
+    t = np.arange(t0 + 1, t0 + m + 1)
+    width = ends - starts
+    # stretches of lines of one width whose t have one number of digits
+    cut = np.diff(width) != 0
+    cut[[lo - t0 - 2 for lo, _ in _same_width(t0 + 1, t0 + m)][1:]] = True
+    cuts = (np.flatnonzero(cut) + 1).tolist()
+    if (len(cuts) + 1) * _RUN > m:
+        return None
+    firsts, sizes = [], []
+    for i, j in zip([0] + cuts, cuts + [m]):
+        # the length of each line's text before its tail
+        size = int(width[i]) - len(_T_HEAD) - len(_T_TAIL) - len(str(t0 + 1 + i))
+        lines = buf[starts[i]:ends[j - 1]].reshape(j - i, -1)
+        if size < 1 or not np.array_equal(lines[:, size:], _line_block(_T_HEAD, t[i:j], _T_TAIL)):
+            return None
+        rests = lines[:, :size]
+        if (rests == rests[0]).all():
+            new = np.array([i])
+        else:
+            new = i + np.flatnonzero(np.concatenate(([True], (rests[1:] != rests[:-1]).any(axis=1))))
+        firsts.append(new)
+        sizes += [size] * new.shape[0]
+    if len(sizes) * _RUN > m:
+        return None
+    firsts = np.concatenate(firsts)
+    fields = _body_fields([text[s:s + size] + "}" for s, size in zip(starts[firsts].tolist(), sizes)], d)
+    if fields is None:
+        return None
+    counts = np.diff(np.concatenate((firsts, [m])))
+    return (t, *(np.repeat(col, counts, axis=0) for col in fields))
 
 
 def _scanned_rows(lines: list[str], d: int | None) -> tuple | None:
@@ -634,21 +704,41 @@ def _line_by_line(path, lines: list[str], linenos: Sequence[int], d: int | None,
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _json_columns(path, lines: list[str], linenos: Sequence[int], d: int | None, t0: int,
-                  num_groups: int | None) -> tuple:
+def _file_columns(path, fh, num_groups: int | None) -> Iterator[tuple]:
     """The checked group, outcome code, p, losses and expected_loss columns
-    of one chunk of lines, whose rounds follow round t0.
+    of each block of a JSONL trace, _READ_CHARS characters extended to the
+    end of a line, its rounds following the blocks before.
 
-    A chunk whose rows repeat parses each distinct row once
-    (``_repeated_rows``); any other scans each line as exactly one JSON value
-    (``_scanned_rows``). If neither fits, the lines are parsed and checked
-    one by one (``_line_by_line``). Every row is checked."""
-    columns = (_repeated_rows(lines, d, t0) or _scanned_rows(lines, d)
-               or _line_by_line(path, lines, linenos, d, t0, num_groups))
-    t, groups, codes, dists, losses, expected = columns
-    _check_rows(lambda k: f"{path} line {linenos[k]}", t0,
-                t, groups, dists, losses, expected, num_groups)
-    return groups, codes, dists, losses, expected
+    A block whose lines fall in long runs parses each run's row once
+    (``_run_rows``). In any other, blank lines are dropped and each line is
+    scanned as exactly one JSON value (``_scanned_rows``). If neither fits,
+    the lines are parsed and checked one by one (``_line_by_line``). Every
+    row is checked."""
+    t0, d, lineno = 0, None, 1
+    while text := fh.read(_READ_CHARS):
+        if not text.endswith("\n"):
+            text += fh.readline()
+        columns = _run_rows(text, d, t0)
+        if columns is None:
+            lines = list(io.StringIO(text))
+            linenos: Sequence[int] = range(lineno, lineno + len(lines))
+            lineno += len(lines)
+            if any(map(str.isspace, lines)):
+                keep = [k for k, line in enumerate(lines) if not line.isspace()]
+                lines = [lines[k] for k in keep]
+                linenos = [linenos[k] for k in keep]
+            if not lines:
+                continue
+            columns = _scanned_rows(lines, d) or _line_by_line(path, lines, linenos, d, t0, num_groups)
+        else:
+            linenos = range(lineno, lineno + columns[0].shape[0])
+            lineno += columns[0].shape[0]
+        t, groups, codes, dists, losses, expected = columns
+        _check_rows(lambda k: f"{path} line {linenos[k]}", t0,
+                    t, groups, dists, losses, expected, num_groups)
+        t0 += t.shape[0]
+        d = dists.shape[1]
+        yield groups, codes, dists, losses, expected
 
 
 class Trace:
@@ -747,77 +837,75 @@ class Trace:
         return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
 
     def _export_chunks(self, outcome_text: Mapping[int, str]) -> Iterator[tuple]:
-        """Per chunk of _IO_CHUNK rounds: its t values; the group, outcome
-        text and expected loss columns and the d distribution and d loss
-        columns of its rows, ints as Python ints and floats as their repr
-        text; and None.
+        """Per chunk of _IO_CHUNK rounds: the t values of the rows to format;
+        their group, outcome text and expected loss columns and their d
+        distribution and d loss columns, ints as Python ints and floats as
+        their repr text; and the chunk's long runs.
 
-        When the chunk's rows mostly repeat (``_mostly_repeats`` on their
-        ``_row_keys``), the columns are those of its distinct rows instead,
-        and the None is the index that gathers them back into the chunk's
-        rows, so that a writer formats each distinct row once. FPL plays on
-        0/1 losses repeat this way: a 100k-round FPL trace on t4 holds 184
-        distinct rows."""
+        A run is a stretch of rows with equal ``_row_keys``, found by
+        comparing each row's key with the one before. Of a run of at least
+        _RUN rows only the first row is formatted: its entry (k, first,
+        last) in the runs says that row k of the columns is round first, and
+        that rounds first..last are written from its line. Every row of a
+        shorter run is formatted. FPL plays on 0/1 losses run this way: 99.7%
+        of a 100k-round FPL trace on t4 lies in runs of at least 32 rows."""
         for s in range(0, len(self), _IO_CHUNK):
             e = min(len(self), s + _IO_CHUNK)
-            rows, inverse = slice(s, e), None
-            if _mostly_repeats(self._row_keys(s, min(e, s + _PROBE))):
-                _, first, inverse = np.unique(self._row_keys(s, e), return_index=True,
-                                              return_inverse=True)
-                rows = s + first
+            keys = self._row_keys(s, e)
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            counts = np.diff(np.concatenate((starts, [e - s])))
+            long = counts >= _RUN
+            kept = ~np.repeat(long, counts)
+            kept[starts[long]] = True
+            rows = s + np.flatnonzero(kept)
+            runs = zip((np.cumsum(kept)[starts[long]] - 1).tolist(), (s + 1 + starts[long]).tolist(),
+                       (s + starts[long] + counts[long]).tolist())
             yield (
-                range(s + 1, e + 1),
+                (rows + 1).tolist(),
                 self.groups[rows].tolist(),
                 [outcome_text[c] for c in self.outcome_codes[rows].tolist()],
                 _float_text(self.expected_loss[rows]),
                 [_float_text(col) for col in self.distributions[rows].T],
                 [_float_text(col) for col in self.losses[rows].T],
-                inverse,
+                list(runs),
             )
 
     def to_jsonl(self, path: str | Path) -> None:
         """One JSON round record per line: json.dumps(sort_keys=True) of
         {expected_loss, group, losses, outcome, p, t}, floats by repr.
 
-        A chunk of distinct rows (``_export_chunks``) formats each row's
-        text before its t, its body, once per distinct row, gathers the
-        bodies into row order and splices each row's t in. Other chunks
-        format each row whole. The bytes are the same either way."""
+        Rows are formatted as ``_export_chunks`` gives them. A long run's
+        first line, less its t and the closing "}\\n", is its body, and the
+        run is written as (L, W) byte blocks of body, t's digits and "}\\n",
+        one block for each number of t's digits. The bytes are the same as
+        when each row is formatted whole."""
         self._require_full("JSONL export")
         floats = ", ".join(["%s"] * self.d)
-        body = (
+        row = (
             '{"expected_loss": %s, "group": %d, "losses": [' + floats
-            + '], "outcome": %s, "p": [' + floats + '], "t": '
+            + '], "outcome": %s, "p": [' + floats + '], "t": %d}\n'
         )
-        row = body + "%d}\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            for t, g, out, exp, p, ell, inverse in self._export_chunks(_OUTCOME_JSON):
-                if inverse is None:
-                    fh.write("".join([row % v for v in zip(exp, g, *ell, out, *p, t)]))
-                else:
-                    bodies = _gather([body % v for v in zip(exp, g, *ell, out, *p)], inverse)
-                    fh.write("".join([f"{b}{n}}}\n" for b, n in zip(bodies, t)]))
+        with open(path, "wb") as fh:
+            for t, g, out, exp, p, ell, runs in self._export_chunks(_OUTCOME_JSON):
+                _write_lines(fh, [row % v for v in zip(exp, g, *ell, out, *p, t)], runs,
+                             lambda line, n: (line[:-n - 2], line[-2:]))
 
     def to_csv(self, path: str | Path) -> None:
         """Columns: t, group, outcome, expected_loss, p_0.., loss_0..  .
 
         Laid out as csv.writer's default dialect lays them out: no field
-        needs quoting, and rows end with \\r\\n. Distinct rows are
-        formatted once each, as in ``to_jsonl``, with t spliced in front."""
+        needs quoting, and rows end with \\r\\n. Long runs are written as
+        in ``to_jsonl``, as blocks of t's digits and the line after them."""
         self._require_full("CSV export")
         header = ["t", "group", "outcome", "expected_loss"]
         header += [f"p_{f}" for f in range(self.d)]
         header += [f"loss_{f}" for f in range(self.d)]
-        body = ",%d,%s,%s" + ",%s" * (2 * self.d) + "\r\n"
-        row = "%d" + body
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for t, g, out, exp, p, ell, inverse in self._export_chunks(_OUTCOME_CSV):
-                if inverse is None:
-                    fh.write("".join([row % v for v in zip(t, g, out, exp, *p, *ell)]))
-                else:
-                    bodies = _gather([body % v for v in zip(g, out, exp, *p, *ell)], inverse)
-                    fh.write("".join([f"{n}{b}" for n, b in zip(t, bodies)]))
+        row = "%d,%d,%s,%s" + ",%s" * (2 * self.d) + "\r\n"
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
+            for t, g, out, exp, p, ell, runs in self._export_chunks(_OUTCOME_CSV):
+                _write_lines(fh, [row % v for v in zip(t, g, out, exp, *p, *ell)], runs,
+                             lambda line, n: ("", line[n:]))
 
     @classmethod
     def _fold(
@@ -885,32 +973,29 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, path: str | Path, *, num_groups: int | None = None, **meta) -> "Trace":
-        """Read a trace written by ``to_jsonl``, _READ_LINES lines at a time.
+        """Read a trace written by ``to_jsonl``, one block of whole lines
+        of about _READ_CHARS characters at a time (``_file_columns``).
 
-        Each line must hold exactly one JSON object. A chunk whose rows
-        repeat parses each distinct row once and gathers its columns back
-        (``_repeated_rows``); FPL traces read this way. Any other chunk is
-        scanned line by line. Every row of a chunk is checked as soon as it
-        is parsed, its t continuing from the chunk before, and only its
-        columns are kept. A malformed file raises ConfigError naming the
-        file and its first line at fault. ``num_groups`` and ``meta`` are
+        Each line must hold exactly one JSON object. A block whose lines fall
+        in long runs is checked by byte compares, and each run's row is
+        parsed once; FPL traces read this way. Any other block is parsed
+        line by line. Every row of a block is checked as soon as it is
+        parsed, its t continuing from the block before, and only its columns
+        are kept. A malformed file raises ConfigError naming the file and its
+        first line at fault. ``num_groups`` and ``meta`` are
         ``from_records``'s keyword arguments.
         """
         # groups, outcome codes, p, losses and expected_loss, one list of
-        # chunk columns each
+        # block columns each
         parts: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
-        n = 0
-        d = None
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                for lines, linenos in _line_chunks(fh):
-                    for part, col in zip(parts, _json_columns(path, lines, linenos, d, n, num_groups)):
+                for columns in _file_columns(path, fh, num_groups):
+                    for part, col in zip(parts, columns):
                         part.append(col)
-                    n += len(lines)
-                    d = parts[2][-1].shape[1]
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-        if not n:
+        if not parts[0]:
             raise ConfigError(f"{path}: no rounds")
         columns = []
         for part in parts:

@@ -20,8 +20,8 @@ from fair_experts.learners import (
     default_eta,
     make_learner,
 )
-from fair_experts.protocol import AdaptiveBlock, BlockResult, run
-from fair_experts.types import ConfigError, ContractError
+from fair_experts.protocol import AdaptiveBlock, BlockResult, ObliviousBlock, _execute_block, run
+from fair_experts.types import ConfigError, ContractError, TraceBuilder
 
 
 class TestEtaDomain:
@@ -674,6 +674,62 @@ class _Declared:
         return Run()
 
 
+class _OneBlock:
+    """A two-expert scenario of the one block that ``make(T)`` builds when
+    the run starts."""
+
+    id = "one_block"
+    d = 2
+    num_groups = 2
+
+    def __init__(self, make):
+        self.make = make
+
+    def start(self, T, seed_seq):
+        scenario = self
+
+        class Run:
+            info: dict = {}
+
+            def segments(self):
+                yield scenario.make(T)
+
+        return Run()
+
+
+# Blocks whose groups or losses are malformed, each with the ContractError
+# it raises when built; row 1 of each loss block would be played as 0.5.
+_MALFORMED_BLOCKS = {
+    "ragged_losses": (lambda T: ObliviousBlock(np.arange(T) % 2, np.zeros(T, dtype=np.int8),
+                                               [[0.5, 0.5]] + [[0.5]] * (T - 1)),
+                      "losses are not arrays"),
+    "text_losses": (lambda T: ObliviousBlock(np.arange(T) % 2, np.zeros(T, dtype=np.int8),
+                                             np.full((T, 2), "0.5")),
+                    r"losses have shape \(\d+, 2\) and dtype <U3, expected numbers"),
+    "object_losses": (lambda T: ObliviousBlock(np.arange(T) % 2, np.zeros(T, dtype=np.int8),
+                                               np.full((T, 2), 0.5, dtype=object)),
+                      "dtype object, expected numbers"),
+    "float_groups": (lambda T: ObliviousBlock(np.resize([0.7, 1.9], T), np.zeros(T, dtype=np.int8),
+                                              np.full((T, 2), 0.5)),
+                     r"group ids have shape \(\d+,\) and dtype float64, expected \(n,\) integers"),
+    "bool_groups": (lambda T: ObliviousBlock(np.arange(T) % 2 == 1, np.zeros(T, dtype=np.int8),
+                                             np.full((T, 2), 0.5)),
+                    "dtype bool, expected"),
+    "column_groups": (lambda T: ObliviousBlock((np.arange(T) % 2)[:, None], np.zeros(T, dtype=np.int8),
+                                               np.full((T, 2), 0.5)),
+                      r"group ids have shape \(\d+, 1\)"),
+    "ragged_groups": (lambda T: ObliviousBlock([[0, 1]] + [[0]] * (T - 1), np.zeros(T, dtype=np.int8),
+                                               np.full((T, 2), 0.5)),
+                      "group ids are not arrays"),
+    "adaptive_float_groups": (lambda T: AdaptiveBlock(np.resize([0.7, 1.9], T), np.full((2, 2), 0.5),
+                                                      [0, 1], lambda *a: 0),
+                              "group ids have shape .* and dtype float64"),
+    "adaptive_text_groups": (lambda T: AdaptiveBlock(np.full(T, "0"), np.full((2, 2), 0.5),
+                                                     [0, 1], lambda *a: 0),
+                             "group ids have shape .* dtype <U1, expected numbers"),
+}
+
+
 def _counting_steps(monkeypatch):
     """Wrap the step of every adaptive block a scenario yields, as a tracer
     does; returns the list the wrappers append their calls to."""
@@ -793,6 +849,54 @@ class TestRunRoundsContract:
         with pytest.raises(ContractError, match=match):
             run(_KERNEL_KINDS[learner](), scenario, 5, seed=1)
         assert steps == []
+
+    @pytest.mark.parametrize("case", list(_MALFORMED_BLOCKS))
+    @pytest.mark.parametrize("learner", ["per_group_fixed_share", "fixed_share", "single_mw",
+                                         "per_group_mw", "fpl"])
+    def test_malformed_blocks_fail_before_the_first_round(self, case, learner):
+        make, match = _MALFORMED_BLOCKS[case]
+        with pytest.raises(ContractError, match=match):
+            run(_KERNEL_KINDS[learner](), _OneBlock(make), 5, seed=1)
+        # and so before the executor would cast them
+        lrn = _KERNEL_KINDS[learner]()
+        lrn.start(2, 2)
+        start = _final_state(lrn).copy()
+        builder = TraceBuilder(2, 2)
+        with pytest.raises(ContractError, match=match):
+            _execute_block(lrn, make(3), builder)
+        assert _same_bits(_final_state(lrn), start) and len(builder.build(
+            rng_seed=1, scenario_id="", learner_id="")) == 0
+
+    @pytest.mark.parametrize("learner", ["per_group_fixed_share", "single_mw", "fpl"])
+    def test_integer_groups_of_any_type(self, learner):
+        # only the kind of the group ids is checked: these play as [0, 1, 1, 0]
+        losses = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
+        traces = [run(_KERNEL_KINDS[learner](), _OneBlock(
+            lambda T, g=groups: ObliviousBlock(g, np.zeros(T, dtype=np.int8), losses)), 4, seed=1)
+            for groups in (np.array([0, 1, 1, 0]), [0, 1, 1, 0], np.array([0, 1, 1, 0], dtype=np.uint8),
+                           np.array([0, 1, 1, 0], dtype=">i2"))]
+        for trace in traces:
+            assert trace.groups.tolist() == [0, 1, 1, 0]
+            assert _same_bits(trace.distributions, traces[0].distributions)
+
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("losses, match", [
+        (lambda d: [[0.5] * d, [0.5] * (d - 1), [0.5] * d], "losses are not arrays"),
+        (lambda d: [["0.5"] * d] * 3, "losses have shape .* expected numbers"),
+        (lambda d: [[0.5] * d, None, [0.5] * d], "losses are not arrays|expected numbers"),
+    ])
+    def test_ragged_or_non_numeric_losses(self, kind, d, losses, match):
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(d, 2)
+        start = _final_state(lrn).copy()
+        groups = np.array([0, 1, 0], dtype=np.int64)
+        with pytest.raises(ContractError, match=match):
+            lrn.run_rounds(groups, losses(d))
+        steps = []
+        with pytest.raises(ContractError, match="declared loss rows"):
+            lrn.run_rounds(groups, losses(d), lambda *a: steps.append(a) or 0)
+        assert steps == [] and _same_bits(_final_state(lrn), start)
 
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("d", [2, 3])

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -519,11 +520,13 @@ _IO_CASES = [
 ]
 
 
-def _built_trace(p, losses):
-    """A trace of the given plays and losses, groups alternating 0, 1."""
+def _built_trace(p, losses, groups=None, codes=None):
+    """A trace of the given plays and losses, groups alternating 0, 1 and
+    outcomes negative unless given."""
     T, d = losses.shape
     builder = TraceBuilder(d, 2)
-    builder.append_block(np.arange(T) % 2, np.zeros(T, dtype=np.int8), losses, p,
+    builder.append_block(np.arange(T) % 2 if groups is None else groups,
+                         np.zeros(T, dtype=np.int8) if codes is None else codes, losses, p,
                          np.einsum("td,td->t", p, losses))
     return builder.build(rng_seed=0, scenario_id="", learner_id="")
 
@@ -554,16 +557,85 @@ def _chunk_regime_trace():
     return _regime_trace(T, np.arange(T) // 8192 % 2 == 0)
 
 
-# (trace, 8192-row chunks whose first 256 rows repeat and so are formatted
-# once per distinct row): every chunk of the FPL and signed-zero traces; none
-# elsewhere, where loss column 1 never repeats, so only columns are reused
+def _zero_rows(d):
+    """Rows on the simplex that differ in a zero's sign."""
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [0.25, 0.75]])
+    return np.column_stack([rows, np.zeros((4, d - 2))])
+
+
+def _runs_trace(lengths, d, labeled, seed=0):
+    """Consecutive runs of the given lengths, each of one row, unlike the row
+    of the run before, drawn from rows that differ in a zero's sign, a group
+    or an outcome (unlabeled only, unless labeled)."""
+    pool = np.array([(g, c, i, j) for g in (0, 1) for c in ((-1, 0, 1) if labeled else (-1,))
+                     for i in range(4) for j in range(4)])
+    rng = np.random.default_rng(seed)
+    picks = [int(rng.integers(len(pool)))]
+    for _ in lengths[1:]:
+        picks.append((picks[-1] + int(rng.integers(1, len(pool)))) % len(pool))
+    g, c, i, j = pool[np.repeat(picks, lengths)].T
+    zeros = _zero_rows(d)
+    return _built_trace(zeros[i], zeros[j], g, c.astype(np.int8))
+
+
+def _signed_zero_runs_trace():
+    # runs of 50 rows, each unlike the run before only in the sign of a zero
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0]])
+    pick = np.arange(3000) // 50 % 2
+    return _built_trace(rows[pick], rows[1 - pick], np.ones(3000, dtype=np.int64))
+
+
+# (trace, long runs that each writer lays out as byte blocks, read blocks
+# checked and parsed by runs). FPL plays run long; the signed-zero, regime
+# and chunk-regime traces hold no run of 32 rows.
 _REPEAT_CASES = {
-    "fpl_t4": (_fpl_t4_trace, 3),
-    "signed_zeros": (_signed_zero_trace, 1),
-    "head_repeats": (lambda: _regime_trace(3000, np.arange(3000) < 256), 0),
-    "tail_repeats": (lambda: _regime_trace(3000, np.arange(3000) >= 256), 0),
-    "chunk_regimes": (_chunk_regime_trace, 0),
+    "fpl_t4": (_fpl_t4_trace, 6, 13),
+    "signed_zeros": (_signed_zero_trace, 0, 0),
+    "head_repeats": (lambda: _regime_trace(3000, np.arange(3000) < 256), 0, 0),
+    "tail_repeats": (lambda: _regime_trace(3000, np.arange(3000) >= 256), 0, 0),
+    "chunk_regimes": (_chunk_regime_trace, 0, 0),
+    # runs over t = 9 -> 10, 99 -> 100, 999 -> 1000, and over the 8192-row
+    # write edge, every read edge and 9999 -> 10000
+    "digit_edges": (lambda: _runs_trace([40, 110, 1350, 8550], 2, False), 5, 8),
+    # long runs, runs of 31 and 32 rows and single rows side by side
+    "runs_and_singles": (lambda: _runs_trace([45, 1, 1, 32, 31, 1, 200, 2, 1, 33] * 25, 3, True),
+                         101, 7),
+    "signed_zero_runs": (_signed_zero_runs_trace, 60, 3),
 }
+
+
+def _ref_long_runs(trace):
+    """(first, last) round of each stretch of at least 32 rows alike but for
+    t, cut at the 8192-row write chunks: the rows a writer lays out as byte
+    blocks."""
+    runs, key = [], None
+    for k in range(len(trace)):
+        row = (int(trace.groups[k]), int(trace.outcome_codes[k]), trace.expected_loss[k].tobytes(),
+               trace.distributions[k].tobytes(), trace.losses[k].tobytes())
+        if k % 8192 == 0 or row != key:
+            runs.append([k + 1, k + 1])
+            key = row
+        runs[-1][1] = k + 1
+    return [tuple(run) for run in runs if run[1] - run[0] + 1 >= 32]
+
+
+def _ref_run_blocks(path):
+    """(first, last) round of each read block whose lines, less their
+    ', "t": N}' tails, split into runs of 32 lines on average, a run also
+    ending where t gains a digit: the blocks a reader checks by runs."""
+    text = Path(path).read_text()
+    blocks, pos, t = [], 0, 0
+    while pos < len(text):
+        end = text.find("\n", pos + types._READ_CHARS - 1) + 1 or len(text)
+        lines = text[pos:end].split("\n")[:-1]
+        rests = [line[:line.rindex(', "t": ')] for line in lines]
+        runs = 1 + sum(rests[k] != rests[k - 1] or len(str(t + k + 1)) != len(str(t + k))
+                       for k in range(1, len(lines)))
+        if 32 * runs <= len(lines):
+            blocks.append((t + 1, t + len(lines)))
+        t += len(lines)
+        pos = end
+    return blocks
 
 
 def _edit_field(name, value):
@@ -596,16 +668,25 @@ def _write_rows(tmp_path, rows):
 
 @pytest.fixture
 def memo_calls(monkeypatch):
-    """Flags each np.unique call that is on row keys: the trace writers make
-    one for each chunk that takes the per-distinct-row path."""
+    """Records the blocks the run kernels take: ("write", first, last) for
+    each long run of rounds first..last that a writer lays out as byte
+    blocks, and ("read", first, last) for each read block of those rounds
+    checked and parsed by runs."""
     calls = []
-    unique = np.unique
+    write_lines, run_rows = types._write_lines, types._run_rows
 
-    def spy(*args, **kwargs):
-        calls.append(np.asarray(args[0]).dtype.kind == "V")
-        return unique(*args, **kwargs)
+    def write_spy(fh, lines, runs, split):
+        calls.extend(("write", first, last) for _, first, last in runs)
+        return write_lines(fh, lines, runs, split)
 
-    monkeypatch.setattr(np, "unique", spy)
+    def read_spy(text, d, t0):
+        columns = run_rows(text, d, t0)
+        if columns is not None:
+            calls.append(("read", int(columns[0][0]), int(columns[0][-1])))
+        return columns
+
+    monkeypatch.setattr(types, "_write_lines", write_spy)
+    monkeypatch.setattr(types, "_run_rows", read_spy)
     return calls
 
 
@@ -628,13 +709,38 @@ class TestTraceFileOracle:
 
     @pytest.mark.parametrize("case", list(_REPEAT_CASES))
     def test_repeated_values_match_reference(self, tmp_path, memo_calls, case):
-        make, memo = _REPEAT_CASES[case]
+        make, runs, blocks = _REPEAT_CASES[case]
         tr = make()
         memo_calls.clear()
         tr.to_jsonl(tmp_path / "new.jsonl")
         tr.to_csv(tmp_path / "new.csv")
-        assert memo_calls.count(True) == 2 * memo
+        want = _ref_long_runs(tr)
+        assert len(want) == runs
+        assert memo_calls == [("write", *run) for run in want] * 2
+        memo_calls.clear()
+        Trace.from_jsonl(tmp_path / "new.jsonl")
+        want = _ref_run_blocks(tmp_path / "new.jsonl")
+        assert len(want) == blocks
+        assert memo_calls == [("read", *block) for block in want]
         _assert_files_match_reference(tr, tmp_path)
+
+    def test_run_across_t_100000(self, tmp_path, memo_calls):
+        # rounds 99,901..100,050 are one run; the reference formats records
+        # one by one, so whole files of this length are compared only in CSV
+        tr = _runs_trace([60_000, 39_900, 150], 3, True)
+        tr.to_jsonl(tmp_path / "new.jsonl")
+        tr.to_csv(tmp_path / "new.csv")
+        _ref_to_csv(tr, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        lines = (tmp_path / "new.jsonl").read_bytes().splitlines(keepends=True)
+        assert len(lines) == len(tr)
+        for lo, hi in ((1, 120), (59_950, 60_060), (99_850, 100_050)):
+            window = SimpleNamespace(records=lambda: map(tr.record, range(lo, hi + 1)))
+            _ref_to_jsonl(window, tmp_path / "ref.jsonl")
+            assert b"".join(lines[lo - 1:hi]) == (tmp_path / "ref.jsonl").read_bytes()
+        memo_calls.clear()
+        _same_trace(Trace.from_jsonl(tmp_path / "new.jsonl"), tr)
+        assert [call for call in memo_calls if call[0] == "read" and call[1] <= 100_000 <= call[2]]
 
     def test_blank_lines_and_empty_outcome_are_accepted(self, tmp_path):
         tr = _iid_trace(6, 2, 2, 50, True)
@@ -696,7 +802,7 @@ class TestTraceFileOracle:
             Trace.from_jsonl(path)
 
     def test_one_json_value_per_line(self, tmp_path):
-        # one array of the chunk's lines read this file as 3 rows: the first
+        # one array of the block's lines read this file as 3 rows: the first
         # spans lines 1 and 2, and line 3 holds two
         objs = [_ref_json_obj(r) for r in _toy_records()[:3]]
         lines = [json.dumps(objs[0])[:-1] + ', "x": [0', "1]}",
@@ -708,15 +814,20 @@ class TestTraceFileOracle:
         with pytest.raises(ConfigError, match="line 1: not JSON"):
             Trace.from_jsonl(path)
 
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=6, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 3000), st.integers(0, 6)), min_size=1, max_size=8),
-           st.integers(1, 1500), st.integers(0, 2**32 - 1))
-    def test_distinct_row_paths_match_reference(self, tmp_path_factory, segments, extra, seed):
+           st.integers(1, 1500), st.integers(0, 2**32 - 1), st.sampled_from([2, 3]),
+           st.lists(st.sampled_from([(5, 40), (95, 140), (990, 1040), (450, 1450), (8150, 8230)]),
+                    max_size=3))
+    def test_distinct_row_paths_match_reference(self, tmp_path_factory, segments, extra, seed, d, spans):
         # Segments of rows drawn from k of the pool's rows (k = 0: no
-        # repeats) past the 8192-row write edge and across 1024-line read
-        # edges. Pool rows differ only in a zero's sign, a group or an outcome.
+        # repeats; k = 1: one run) past the 8192-row write edge and across
+        # read-block edges. Pool rows differ only in a zero's sign, a group
+        # or an outcome. Each span is then one run, over t = 9 -> 10,
+        # 99 -> 100, 999 -> 1000, the first read edge (about line 500 to
+        # 1400) or the write edge.
         T = 8192 + extra
-        zeros = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [0.25, 0.75]])
+        zeros = _zero_rows(d)
         pool = np.array([(g, c, i, j) for g in (0, 1) for c in (-1, 0, 1)
                          for i in (0, 1, 2) for j in (0, 1, 3)])
         rng = np.random.default_rng(seed)
@@ -728,14 +839,79 @@ class TestTraceFileOracle:
                     blocks.append((g, c, zeros[i], zeros[j]))
                 else:
                     blocks.append((rng.integers(0, 2, n), rng.integers(-1, 2, n),
-                                   rng.dirichlet(np.ones(2), n), rng.random((n, 2))))
+                                   rng.dirichlet(np.ones(d), n), rng.random((n, d))))
                 n_rows += n
         groups, codes, p, losses = (np.concatenate(col)[:T] for col in zip(*blocks))
-        builder = TraceBuilder(2, 2)
+        for lo, hi in spans:
+            g, c, i, j = pool[rng.integers(len(pool))]
+            groups[lo:hi], codes[lo:hi], p[lo:hi], losses[lo:hi] = g, c, zeros[i], zeros[j]
+        builder = TraceBuilder(d, 2)
         builder.append_block(groups, codes.astype(np.int8), losses, p,
                              np.einsum("td,td->t", p, losses))
         tr = builder.build(rng_seed=seed, scenario_id="", learner_id="")
         _assert_files_match_reference(tr, tmp_path_factory.mktemp("paths"))
+
+    @pytest.fixture(scope="class")
+    def run_lines(self, tmp_path_factory):
+        """The lines of a JSONL trace of four runs, over rounds 1..40,
+        41..150, 151..1500 and 1501..1800."""
+        path = tmp_path_factory.mktemp("runs") / "runs.jsonl"
+        _runs_trace([40, 110, 1350, 300], 2, True).to_jsonl(path)
+        return path.read_text().splitlines(keepends=True)
+
+    def _read_like_reference(self, path, memo_calls):
+        """Read path and check its columns against the reference reader's;
+        returns the blocks read by runs."""
+        memo_calls.clear()
+        _same_trace(Trace.from_jsonl(path), _ref_from_jsonl(path))
+        return [call for call in memo_calls if call[0] == "read"]
+
+    def test_crlf_line_endings(self, tmp_path, run_lines, memo_calls):
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes("".join(run_lines).replace("\n", "\r\n").encode())
+        assert self._read_like_reference(path, memo_calls)
+
+    @pytest.mark.parametrize("t", [600, 151, 1500, 999, 1000, 1800])
+    @pytest.mark.parametrize("edit", ["blank", "group", "non_ascii"])
+    def test_valid_edit_inside_a_run(self, tmp_path, run_lines, memo_calls, t, edit):
+        # rounds 151 and 1500 start and end a run, 999 and 1000 end and
+        # start a stretch of one line width, and 1800 ends the file
+        lines = list(run_lines)
+        line = lines[t - 1]
+        if edit == "blank":
+            lines.insert(t - 1, "\n")
+        elif edit == "group":
+            g = line.index('"group": ') + len('"group": ')
+            lines[t - 1] = line[:g] + "10"[int(line[g])] + line[g + 1:]
+        else:
+            lines[t - 1] = line.replace('{"expected_loss"', '{"\u00e9": 0, "expected_loss"')
+        path = tmp_path / "edited.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        self._read_like_reference(path, memo_calls)
+
+    @pytest.mark.parametrize("t", [600, 151, 1500, 999, 1000, 1800])
+    @pytest.mark.parametrize("edit", ["t", "expected_loss", "not_json"])
+    def test_one_byte_error_inside_a_run(self, tmp_path, run_lines, t, edit):
+        lines = list(run_lines)
+        line = lines[t - 1]
+        at = {"t": len(line) - 3, "expected_loss": line.index(": ") + 2,
+              "not_json": line.index('"losses": [') + len('"losses": ')}[edit]
+        new = {"t": "98"[line[at] == "9"], "expected_loss": "10"[line[at] == "1"], "not_json": "{"}[edit]
+        lines[t - 1] = line[:at] + new + line[at + 1:]
+        path = tmp_path / "edited.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises((ValueError, KeyError)):
+            _ref_from_jsonl(path)
+        error = {"t": f"t is {lines[t - 1][lines[t - 1].rindex(' ') + 1:-2]}, expected {t}$",
+                 "expected_loss": r"expected_loss \S+ disagrees with p \. losses = \S+$",
+                 "not_json": r"not JSON \(Expecting property name enclosed in double quotes\)$"}[edit]
+        with pytest.raises(ConfigError, match=f"{path} line {t}: {error}"):
+            Trace.from_jsonl(path)
+
+    def test_last_line_without_newline(self, tmp_path, run_lines, memo_calls):
+        path = tmp_path / "open.jsonl"
+        path.write_text("".join(run_lines).removesuffix("\n"))
+        assert self._read_like_reference(path, memo_calls)
 
     def test_group_outside_declared_set(self, tmp_path):
         tr = _iid_trace(7, 2, 3, 40, False)
@@ -761,14 +937,13 @@ class TestTraceFileOracle:
 
     @pytest.mark.parametrize("make", [
         lambda: _iid_trace(9, 2, 2, 3000, True),
-        # rows that repeat, so the chunk is read per distinct row until the
-        # edit makes it fall back
+        # rows that run long; the blank lines keep its blocks off the run path
         lambda: run({"kind": "fpl", "eta": 0.1}, {"kind": "t4"}, 3000, 3, retain="full"),
     ], ids=["iid", "fpl"])
     @pytest.mark.parametrize("edit", list(_ROW_EDITS))
     def test_error_in_a_late_chunk_names_its_line(self, tmp_path, make, edit):
         rows = _jsonl_rows(make(), tmp_path)
-        # row 2600 is in the third chunk of lines read
+        # row 2600 is in the third block read
         k = 2600
         rows[k] = _ROW_EDITS[edit](rows[k])
         # a blank line after every fifth row puts row j on line j + 1 + j // 5
@@ -793,22 +968,38 @@ class TestTraceFileOracle:
         with pytest.raises(ConfigError, match="line 1101:"):
             Trace.from_jsonl(_write_rows(tmp_path, rows))
 
-    @pytest.mark.parametrize("keep,resume,line,t", [
-        (1023, 1025, 1024, 1026),  # on the last line of the first chunk
-        (1024, 1029, 1025, 1030),  # on the first line of the second chunk
-        (1024, 0, 1025, 1),  # the second chunk starts again at t = 1
-    ])
-    def test_t_break_at_a_chunk_boundary(self, tmp_path, keep, resume, line, t):
-        rows = _jsonl_rows(_iid_trace(12, 2, 2, 3000, False), tmp_path)
-        path = _write_rows(tmp_path, rows[:keep] + rows[resume:])
+    @pytest.mark.parametrize("make", [
+        lambda: _iid_trace(12, 2, 2, 3000, False),
+        # read by runs up to the break
+        lambda: _runs_trace([40, 110, 1350, 1500], 2, False),
+    ], ids=["iid", "runs"])
+    @pytest.mark.parametrize("where", ["last_line", "next_line", "restart"])
+    def test_t_break_at_a_block_boundary(self, tmp_path, make, where):
+        rows = _jsonl_rows(make(), tmp_path)
+        text = (tmp_path / "ref.jsonl").read_text()
+        # the last line of the first block read
+        edge = text[:text.find("\n", types._READ_CHARS - 1) + 1].count("\n")
+        assert edge < len(rows) - 5
+        if where == "last_line":
+            # the edit keeps the line's width, so the line still ends the block
+            rows[edge - 1] = _ROW_EDITS["t"](rows[edge - 1])
+            line, t = edge, edge + 1
+        elif where == "next_line":
+            rows = rows[:edge] + rows[edge + 4:]
+            line, t = edge + 1, edge + 5
+        else:
+            # the second block starts again at t = 1
+            rows = rows[:edge] + rows
+            line, t = edge + 1, 1
+        path = _write_rows(tmp_path, rows)
         with pytest.raises(ValueError):
             _ref_from_jsonl(path)
         with pytest.raises(ConfigError, match=f"line {line}: t is {t}, expected {line}$"):
             Trace.from_jsonl(path)
 
     def test_read_peak_memory(self, tmp_path):
-        # The reader holds one chunk of parsed lines and the columns kept so
-        # far, and joins one column at a time. The whole-file check it
+        # The reader holds one block of lines, parsed or as bytes, and the
+        # columns kept so far, and joins one column at a time. The whole-file check it
         # replaced peaked at 9.45 times the arrays it returned.
         path = tmp_path / "fpl.jsonl"
         run({"kind": "fpl", "eta": 0.1}, {"kind": "t4"}, 30_000, 3, retain="full").to_jsonl(path)
@@ -826,8 +1017,7 @@ class TestTraceFileOracle:
 
 def test_trace_io_leaves_numpy_ma_unimported(tmp_path):
     # np.unique without return_inverse imports numpy.ma, about 1 MB of RSS;
-    # the writers' distinct rows and repeated columns, and the reader, must
-    # not. The subprocess starts without it, and does not inherit pytest's
+    # the writers' runs and repeated columns, and the reader, must not. The subprocess starts without it, and does not inherit pytest's
     # pythonpath setting.
     code = """if True:
         import sys
