@@ -282,13 +282,11 @@ def run_experiment(config: ExperimentConfig | Mapping) -> ExperimentResult:
             runs_dir.mkdir(exist_ok=True)
             paths["runs"] = []
             for i, tr in enumerate(traces):
-                stem = runs_dir / f"run_{i:03d}"
-                if "jsonl" in config.formats:
-                    tr.to_jsonl(stem.with_suffix(".jsonl"))
-                    paths["runs"].append(stem.with_suffix(".jsonl"))
-                if "csv" in config.formats:
-                    tr.to_csv(stem.with_suffix(".csv"))
-                    paths["runs"].append(stem.with_suffix(".csv"))
+                # both formats in one pass over the trace
+                files = {fmt: (runs_dir / f"run_{i:03d}").with_suffix(f".{fmt}")
+                         for fmt in TRACE_FORMATS if fmt in config.formats}
+                tr.to_files(**files)
+                paths["runs"] += files.values()
     if not config.keep_traces:
         traces = None
 

@@ -31,7 +31,8 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .types import ConfigError, ContractError, GroupId, _first_off_unit, _numbers, require_type
+from .types import (_IO_CHUNK, ConfigError, ContractError, GroupId, _first_off_unit, _numbers,
+                    require_type)
 
 LEARNER_KINDS = (
     "single_mw",
@@ -409,15 +410,28 @@ class FollowPerturbedLeader(Learner):
         self._cum += losses
 
     def run_block(self, groups: np.ndarray, losses: np.ndarray) -> np.ndarray:
+        """Plays of a block, in chunks of _IO_CHUNK rows so that the work
+        arrays do not grow with the block. Row k plays on the cumulative
+        loss before the block plus the cumsum of the block's rows before k.
+        Each chunk's cumsum starts from the sum of the rows before it, added
+        to its first row, which gives the bits of one cumsum over the block."""
         self._started()
         _check_loss_block(losses)
-        cum = np.cumsum(losses, axis=0)
-        before = np.empty_like(cum)
-        before[0] = 0.0
-        before[1:] = cum[:-1]
-        before += self._cum
-        p = self._two_expert_play(before) if self.d == 2 else self._grid_play(before)
-        self._cum += cum[-1]
+        play = self._two_expert_play if self.d == 2 else self._grid_play
+        p = np.empty((losses.shape[0], self.d), dtype=np.float64)
+        total = np.zeros(self.d)
+        for s in range(0, losses.shape[0], _IO_CHUNK):
+            cum = losses[s:s + _IO_CHUNK].copy()
+            if s:
+                cum[0] += total
+            np.cumsum(cum, axis=0, out=cum)
+            before = np.empty_like(cum)
+            before[0] = total
+            before[1:] = cum[:-1]
+            before += self._cum
+            p[s:s + _IO_CHUNK] = play(before)
+            total = cum[-1]
+        self._cum += total
         return p
 
     def _grid_play(self, before: np.ndarray) -> np.ndarray:
@@ -452,10 +466,11 @@ class FollowPerturbedLeader(Learner):
         p = np.empty((before.shape[0], 2), dtype=np.float64)
         p[:, 0] = lead0 / m
         p[:, 1] = (m - lead0) / m
-        # With S = max|before| + max|grid|, each rounding (x, D_k, both
-        # before_f - g_f) errs by at most eps/2 * S. So once |x - D_k| exceeds
-        # 2 eps S, x - D_k and the rounded (before0 - g0) - (before1 - g1)
-        # have the same strict sign; the margin doubles that bound.
+        # With S = max|before| + max|grid| over the rows given (one chunk of
+        # a block), each rounding (x, D_k, both before_f - g_f) errs by at
+        # most eps/2 * S. So once |x - D_k| exceeds 2 eps S, x - D_k and the
+        # rounded (before0 - g0) - (before1 - g1) have the same strict sign;
+        # the margin doubles that bound.
         margin = 4.0 * np.finfo(np.float64).eps * (np.abs(before).max() + self._grid.max())
         below = np.abs(x - diffs[np.maximum(idx - 1, 0)])
         above = np.abs(x - diffs[np.minimum(idx, m - 1)])

@@ -48,9 +48,10 @@ def _check_groups(groups) -> None:
 @dataclass
 class ObliviousBlock:
     """A stretch of rounds fixed before the learner plays them. Group ids
-    that are not integers, and ragged or non-numeric losses, raise
-    ContractError here; the learner checks the losses' shape and range, and
-    the trace builder the outcome codes."""
+    that are not integers, outcome codes other than one of -1, 0 and 1 per
+    group id, and ragged or non-numeric losses raise ContractError here,
+    before the learner plays a round; the learner checks the losses' shape
+    and range."""
 
     groups: np.ndarray
     outcome_codes: np.ndarray
@@ -58,6 +59,8 @@ class ObliviousBlock:
 
     def __post_init__(self) -> None:
         _check_groups(self.groups)
+        codes = _numbers(self.outcome_codes, "outcome codes")
+        self.outcome_codes = _check_outcome_codes(codes, len(self), "row {} of the block", ContractError)
         self.losses = _numbers(self.losses, "losses").astype(np.float64, copy=False)
 
     def __len__(self) -> int:

@@ -14,7 +14,8 @@ runs. ``RoundRecord`` is the per-round view used at API boundaries.
 
 from __future__ import annotations
 
-import io
+import contextlib
+import functools
 import json
 import numbers
 from dataclasses import dataclass
@@ -320,7 +321,7 @@ class RoundRecord:
         ell = _vector("loss vector", self.losses, p.shape[0])
         object.__setattr__(self, "distribution", p)
         object.__setattr__(self, "losses", ell)
-        _check_rows(lambda _: f"round {self.t}", self.t - 1, np.array([self.t]),
+        _check_rows(lambda _: f"round {self.t}", np.array([self.t]), np.array([self.t]),
                     np.array([self.group]), p[None], ell[None],
                     np.array([self.expected_loss]), None)
 
@@ -391,8 +392,9 @@ class Accumulators:
             ).reshape(num_groups, N_BINS)
 
 
-# Rounds per chunk when a trace file is written: enough to amortize the
-# per-chunk numpy calls, few enough that no file is held whole in memory.
+# Rounds per chunk when a trace file is written, and lines per byte block of
+# a long run: enough to amortize the per-chunk numpy calls, few enough that no
+# file is held whole in memory. FPL plays its blocks in chunks of this size.
 _IO_CHUNK = 8192
 
 # Characters per block when a trace file is read, extended to the end of the
@@ -404,8 +406,8 @@ _READ_CHARS = 1 << 17
 
 # Rows in a long run. A run is a stretch of consecutive rows that are alike
 # but for t. A writer lays out each run of at least _RUN rows as byte blocks
-# from its first line, and a read block whose lines fall in runs of _RUN lines
-# on average is checked by byte compares and each run's row parsed once.
+# from its first line, and a reader checks each run of at least _RUN lines by
+# byte compares and parses its first line only.
 _RUN = 32
 
 # Values at the head of a column probed for repeats.
@@ -414,6 +416,7 @@ _PROBE = 256
 # The text around t's digits at the end of a JSONL line.
 _T_HEAD = b', "t": '
 _T_TAIL = b"}\n"
+
 
 # The C scanner behind json.loads: _scan(text, k) parses the JSON value that
 # starts at text[k] and returns it with the index just past its end.
@@ -448,32 +451,55 @@ def _same_width(first: int, last: int) -> Iterator[tuple[int, int]]:
         first = hi + 1
 
 
-def _line_block(head: bytes, t: np.ndarray, tail: bytes) -> np.ndarray:
-    """The (L, W) uint8 block whose row i is the text head, t[i]'s digits and
-    tail; the L values of t have one number of digits."""
-    digits = len(str(int(t[0])))
-    a, b = len(head), len(head) + digits
-    block = np.empty((t.shape[0], b + len(tail)), dtype=np.uint8)
-    block[:, :a] = np.frombuffer(head, dtype=np.uint8)
-    for j in range(b - 1, a - 1, -1):
-        t, block[:, j] = np.divmod(t, 10)
-    block[:, a:b] += 48
-    block[:, b:] = np.frombuffer(tail, dtype=np.uint8)
+@functools.cache
+def _digit_rows() -> np.ndarray:
+    """(20000, 4) uint8, read-only: row i holds the ASCII digits of
+    i % 10000, with leading zeros, so the last four digits of any 10000
+    consecutive numbers are a slice of it. Built on first use: built at
+    import, its temporaries raised the peak RSS of processes that write no
+    trace file by about 0.3 MB."""
+    rows = (np.arange(20_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    rows.flags.writeable = False
+    return rows
+
+
+def _line_block(head: bytes, first: int, count: int, tail: bytes) -> np.ndarray:
+    """The (count, W) uint8 block whose row i is the text head, the digits of
+    first + i and tail; first..first + count - 1 have one number of digits.
+
+    The block is laid out as count copies of one line, then the digits are
+    copied in, in pieces of 10000 rows: the last four of them are a slice of
+    ``_digit_rows()``, and those before change once at most in a piece."""
+    k = len(str(first))
+    a, b = len(head), len(head) + k
+    block = np.frombuffer(bytearray(head + bytes(k) + tail) * count, dtype=np.uint8).reshape(count, -1)
+    low = min(k, 4)
+    for s in range(0, count, 10_000):
+        piece, lo = block[s:s + 10_000], first + s
+        r = lo % 10_000
+        piece[:, b - low:b] = _digit_rows()[r:r + piece.shape[0], 4 - low:]
+        if k > 4:
+            turn = 10_000 - r
+            piece[:turn, a:b - 4] = np.frombuffer(str(lo // 10_000).encode(), dtype=np.uint8)
+            if turn < piece.shape[0]:
+                piece[turn:, a:b - 4] = np.frombuffer(str(lo // 10_000 + 1).encode(), dtype=np.uint8)
     return block
 
 
 def _write_lines(fh, lines: list[str], runs: list[tuple[int, int, int]],
                  split: Callable[[str, int], tuple[str, str]]) -> None:
     """Write formatted lines to the binary handle fh, each long run as byte
-    blocks. ``runs`` lists (k, first, last): lines[k] is the line of round
-    first, and rounds first..last repeat it with their own t. ``split(line,
-    n)`` cuts a line around the n digits of its t."""
+    blocks of at most _IO_CHUNK lines. ``runs`` lists (k, first, last):
+    lines[k] is the line of round first, and rounds first..last repeat it
+    with their own t. ``split(line, n)`` cuts a line around the n digits of
+    its t."""
     done = 0
     for k, first, last in runs:
         fh.write("".join(lines[done:k]).encode())
         head, tail = (text.encode() for text in split(lines[k], len(str(first))))
         for lo, hi in _same_width(first, last):
-            fh.write(_line_block(head, np.arange(lo, hi + 1), tail))
+            for s in range(lo, hi + 1, _IO_CHUNK):
+                fh.write(_line_block(head, s, min(hi + 1 - s, _IO_CHUNK), tail))
         done = k + 1
     fh.write("".join(lines[done:]).encode())
 
@@ -484,6 +510,38 @@ _OUTCOME_CSV = {NEGATIVE_CODE: "-", POSITIVE_CODE: "+", UNLABELED_CODE: ""}
 _OUTCOME_CODES = {None: UNLABELED_CODE, "": UNLABELED_CODE, "-": NEGATIVE_CODE, "+": POSITIVE_CODE}
 # Python types a JSON number parses to.
 _NUMBERS = {int, float}
+
+
+def _jsonl_format(d: int) -> tuple:
+    """The JSONL layout of a d-expert trace: its header, a function from a
+    chunk's formatted columns to its lines, and the split of a line around
+    t's digits. A line is json.dumps(sort_keys=True) of {expected_loss,
+    group, losses, outcome, p, t}, floats by repr."""
+    floats = ", ".join(["%s"] * d)
+    row = ('{"expected_loss": %s, "group": %d, "losses": [' + floats
+           + '], "outcome": %s, "p": [' + floats + '], "t": %d}\n')
+
+    def lines(t, groups, codes, exp, p, ell):
+        out = [_OUTCOME_JSON[c] for c in codes]
+        return [row % v for v in zip(exp, groups, *ell, out, *p, t)]
+
+    return "", lines, lambda line, n: (line[:-n - 2], line[-2:])
+
+
+def _csv_format(d: int) -> tuple:
+    """The CSV layout of a d-expert trace, as ``_jsonl_format``'s: columns
+    t, group, outcome, expected_loss, p_0.., loss_0.., laid out as
+    csv.writer's default dialect lays them out: no field needs quoting, and
+    rows end with \\r\\n."""
+    header = ["t", "group", "outcome", "expected_loss"]
+    header += [f"p_{f}" for f in range(d)] + [f"loss_{f}" for f in range(d)]
+    row = "%d,%d,%s,%s" + ",%s" * (2 * d) + "\r\n"
+
+    def lines(t, groups, codes, exp, p, ell):
+        out = [_OUTCOME_CSV[c] for c in codes]
+        return [row % v for v in zip(t, groups, out, exp, *p, *ell)]
+
+    return ",".join(header) + "\r\n", lines, lambda line, n: ("", line[n:])
 
 
 def _int_column(values: list) -> np.ndarray:
@@ -510,12 +568,15 @@ def _number_rows(name: str, values: list, width: int | None) -> np.ndarray:
     raise TypeError(f"{name} must be a non-empty list of numbers")
 
 
-def _row_fields(rows: Sequence[dict], d: int | None) -> tuple[np.ndarray, ...]:
-    """group, outcome code, p, losses and expected_loss columns of parsed
-    JSONL rows. Raises KeyError for a missing field, and TypeError or
-    ValueError for a value of the wrong kind or a width other than d. A
-    number must be a JSON number: np.array would turn "0.5" and true into
-    floats."""
+def _row_columns(rows: Sequence, d: int | None) -> tuple[np.ndarray, ...]:
+    """t, group, outcome code, p, losses and expected_loss columns of parsed
+    JSONL rows. Raises TypeError unless every row is a JSON object, KeyError
+    for a missing field, and TypeError or ValueError for a value of the wrong
+    kind or a width other than d. A number must be a JSON number: np.array
+    would turn "0.5" and true into floats."""
+    if not set(map(type, rows)) <= {dict}:
+        raise TypeError("not a JSON object")
+    t = _int_column([r["t"] for r in rows])
     groups = _int_column([r["group"] for r in rows])
     codes = np.array([_OUTCOME_CODES.get(r.get("outcome"), 2) for r in rows], dtype=np.int8)
     if codes.max() == 2:
@@ -526,20 +587,12 @@ def _row_fields(rows: Sequence[dict], d: int | None) -> tuple[np.ndarray, ...]:
     if not set(map(type, exp)) <= _NUMBERS:
         raise TypeError("expected_loss must be a number")
     dists = _number_rows("p", p, d)
-    return groups, codes, dists, _number_rows("losses", ell, dists.shape[1]), np.array(exp, dtype=np.float64)
-
-
-def _row_columns(rows: Sequence, d: int | None) -> tuple[np.ndarray, ...]:
-    """The t column, then ``_row_fields``, of parsed JSONL rows; TypeError
-    unless every row is a JSON object."""
-    if not set(map(type, rows)) <= {dict}:
-        raise TypeError("not a JSON object")
-    return (_int_column([r["t"] for r in rows]), *_row_fields(rows, d))
+    return t, groups, codes, dists, _number_rows("losses", ell, dists.shape[1]), np.array(exp, dtype=np.float64)
 
 
 def _check_rows(
     where: Callable[[int], str],
-    t0: int,
+    want: np.ndarray,
     t: np.ndarray,
     groups: np.ndarray,
     dists: np.ndarray,
@@ -548,7 +601,7 @@ def _check_rows(
     num_groups: int | None,
 ) -> None:
     """Check rows as RoundRecord checks one round, plus their order and
-    groups: row k must have t = t0 + k + 1 and a group in 0..num_groups - 1
+    groups: row k must have t = want[k] and a group in 0..num_groups - 1
     (any group >= 0 when num_groups is None). The first row that breaks a
     check raises ConfigError, with ``where(k)`` naming row k. The whole
     block is checked with reductions first, and the per-row masks are built
@@ -556,13 +609,13 @@ def _check_rows(
     upper = np.inf if num_groups is None else num_groups
     with np.errstate(invalid="ignore", over="ignore"):
         derived = expected_losses(dists, losses)
-        in_order = t == np.arange(t0 + 1, t0 + t.shape[0] + 1)
+        in_order = t == want
         if not t.size or (in_order.all() and groups.min() >= 0 and groups.max() < upper
                           and _first_off_simplex(dists) is None and _first_off_unit(losses) is None
                           and np.abs(derived - expected).max() <= EXPECTED_LOSS_ATOL):
             return
         checks = [
-            (~in_order, lambda k: f"t is {t[k]}, expected {t0 + k + 1}"),
+            (~in_order, lambda k: f"t is {t[k]}, expected {want[k]}"),
             ((groups < 0) | (groups >= upper),
              lambda k: f"group {groups[k]} "
                        + ("is negative" if num_groups is None else f"outside 0..{num_groups - 1}")),
@@ -579,111 +632,72 @@ def _check_rows(
         raise ConfigError(f"{where(k)}: {what(k)}")
 
 
-def _body_fields(bodies: Sequence[str], d: int | None) -> tuple | None:
-    """``_row_fields`` of the rows that bodies hold, each of which must scan
-    as one non-empty JSON object that ends exactly at the body's end; None
-    when one does not or a row is malformed.
-
-    A body is a line less its tail ', "t": N}\\n', plus "}". Why the line is
-    then that object with t = N: the scan ends exactly at the body's end, so
-    the appended "}" is the one that closes the top-level object, outside any
-    string. A string left open would fail the scan, and none can run on from
-    an earlier line, as a body holds no raw newline and a strict JSON string
-    no control character. What precedes that "}" is the object less its
-    closing brace, ending after a whole member, as the object is not empty.
-    The tail adds the member t = N and closes the object, and JSON keeps the
-    last of duplicate keys, as the t columns built from the tails do."""
-    rows = []
-    for body in bodies:
-        try:
-            row, end = _scan(body, 0)
-        except (StopIteration, ValueError):
-            return None
-        if type(row) is not dict or not row or end != len(body):
-            return None
-        rows.append(row)
-    try:
-        return _row_fields(rows, d)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-
-
-def _run_rows(text: str, d: int | None, t0: int) -> tuple | None:
-    """The t, group, outcome code, p, losses and expected_loss columns of a
-    block of lines that fall in long runs, each run's row parsed once; None
-    when the block does not fit.
-
-    Line k fits when it ends with the tail ', "t": N}\\n', N = t0 + k + 1, as
-    ``Trace.to_jsonl`` writes it. A run is a stretch of lines alike before
-    their tails, and the block fits when it is ASCII, every line fits and its
-    runs hold _RUN lines on average. Lines of one width whose t have one
-    number of digits are compared as one (L, W) byte array: each line's tail
-    against the tails it should have, and each line's text before the tail
-    against the line before's. Each run's body (``_body_fields``) is scanned
-    once and its columns repeated for its lines."""
-    if not text.isascii() or not text.endswith("\n"):
-        return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+def _line_offsets(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The code units of text and the start and end of each of its lines, an
+    end just past the line's newline. The units are bytes when text is ASCII
+    and code points otherwise, so that an offset is also a str index."""
+    if text.isascii():
+        buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        buf = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
     ends = np.flatnonzero(buf == 10) + 1
-    m = ends.shape[0]
-    starts = np.concatenate(([0], ends[:-1]))
-    t = np.arange(t0 + 1, t0 + m + 1)
+    if not text.endswith("\n"):
+        ends = np.append(ends, buf.shape[0])
+    return buf, np.concatenate(([0], ends[:-1])), ends
+
+
+def _long_runs(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+               t: np.ndarray) -> list[tuple[int, int]]:
+    """(first, last) of each run of at least _RUN of the lines at the given
+    offsets of buf, which should hold the rounds t: lines first..last each
+    end with the tail ', "t": N}\\n', N their t, as ``Trace.to_jsonl`` writes
+    it, and are alike before it.
+
+    Lines of one width whose t have one number of digits, with nothing
+    between them, are compared as one (L, W) array: each line's tail against
+    the tail it should have, and its text before the tail against the line
+    before's. Such a stretch shorter than _RUN lines is not compared.
+
+    Why line k of a run is line first with t = N: let line first scan as one
+    JSON object that ends just before its newline. Its tail cannot start
+    inside a string, as the tail's quote would close it and leave t outside
+    one, so the tail's "t": N is a member of the object that its "}" closes,
+    and that is the top-level object, as the scan ends there. The text before
+    the tail, which line k repeats, is therefore the object less its closing
+    brace, ending after a whole member. Line k's tail adds the member t = N
+    and closes the object, and JSON keeps the last of duplicate keys."""
+    n = starts.shape[0]
     width = ends - starts
     # stretches of lines of one width whose t have one number of digits
-    cut = np.diff(width) != 0
-    cut[[lo - t0 - 2 for lo, _ in _same_width(t0 + 1, t0 + m)][1:]] = True
-    cuts = (np.flatnonzero(cut) + 1).tolist()
-    if (len(cuts) + 1) * _RUN > m:
-        return None
-    firsts, sizes = [], []
-    for i, j in zip([0] + cuts, cuts + [m]):
+    cut = (width[1:] != width[:-1]) | (starts[1:] != ends[:-1])
+    cut[[lo - int(t[0]) - 1 for lo, _ in _same_width(int(t[0]), int(t[-1]))][1:]] = True
+    bounds = np.concatenate(([0], np.flatnonzero(cut) + 1, [n]))
+    long = np.flatnonzero(np.diff(bounds) >= _RUN)
+    runs = []
+    for i, j in zip(bounds[long].tolist(), bounds[long + 1].tolist()):
         # the length of each line's text before its tail
-        size = int(width[i]) - len(_T_HEAD) - len(_T_TAIL) - len(str(t0 + 1 + i))
+        size = int(width[i]) - len(_T_HEAD) - len(_T_TAIL) - len(str(int(t[i])))
+        if size < 1:
+            continue
         lines = buf[starts[i]:ends[j - 1]].reshape(j - i, -1)
-        if size < 1 or not np.array_equal(lines[:, size:], _line_block(_T_HEAD, t[i:j], _T_TAIL)):
-            return None
-        rests = lines[:, :size]
-        if (rests == rests[0]).all():
-            new = np.array([i])
-        else:
-            new = i + np.flatnonzero(np.concatenate(([True], (rests[1:] != rests[:-1]).any(axis=1))))
-        firsts.append(new)
-        sizes += [size] * new.shape[0]
-    if len(sizes) * _RUN > m:
-        return None
-    firsts = np.concatenate(firsts)
-    fields = _body_fields([text[s:s + size] + "}" for s, size in zip(starts[firsts].tolist(), sizes)], d)
-    if fields is None:
-        return None
-    counts = np.diff(np.concatenate((firsts, [m])))
-    return (t, *(np.repeat(col, counts, axis=0) for col in fields))
-
-
-def _scanned_rows(lines: list[str], d: int | None) -> tuple | None:
-    """The t, group, outcome code, p, losses and expected_loss columns of a
-    chunk of lines, each line scanned as exactly one JSON value and its
-    newline; None when a line is not that or a row is malformed."""
-    texts = list(map(str.removesuffix, lines, repeat("\n")))
-    try:
-        scans = list(map(_scan, texts, repeat(0)))
-    except ValueError:
-        return None
-    # a text with no JSON value at its start raises StopIteration, which ends
-    # the map early
-    if len(scans) != len(texts):
-        return None
-    rows, ends = zip(*scans)
-    if ends != tuple(map(len, texts)):
-        return None
-    try:
-        return _row_columns(rows, d)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
+        tails, rests = lines[:, size:], lines[:, :size]
+        want = _line_block(_T_HEAD, int(t[i]), j - i, _T_TAIL)
+        if np.array_equal(tails, want) and (rests == rests[0]).all():
+            runs.append((i, j - 1))
+            continue
+        fits = (tails == want).all(axis=1)
+        # link[k]: lines i + k and i + k + 1 are in one run
+        link = fits[1:] & fits[:-1] & (rests[1:] == rests[:-1]).all(axis=1)
+        edges = np.diff(np.concatenate(([0], link.view(np.int8), [0])))
+        for a, b in zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()):
+            if b - a + 1 >= _RUN:
+                runs.append((i + a, i + b))
+    return runs
 
 
 def _line_by_line(path, lines: list[str], linenos: Sequence[int], d: int | None, t0: int,
                   num_groups: int | None) -> tuple:
-    """The columns of a chunk of lines, each line parsed by json.loads and
+    """The columns of a block's lines, each line parsed by json.loads and
     checked before the next: the ConfigError names the first line at fault,
     whatever is wrong with it."""
     parts = []
@@ -697,48 +711,119 @@ def _line_by_line(path, lines: list[str], linenos: Sequence[int], d: int | None,
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path} line {lineno}: {exc}") from exc
         t, groups, _, dists, losses, expected = row
-        _check_rows(lambda _: f"{path} line {lineno}", t0 + k,
+        _check_rows(lambda _: f"{path} line {lineno}", np.array([t0 + k + 1]),
                     t, groups, dists, losses, expected, num_groups)
         d = dists.shape[1]
         parts.append(row)
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
+def _scan_lines(text: str, starts: list[int], stops: list[int]) -> list | None:
+    """The JSON values of the lines that start and stop (before their
+    newline) at the given offsets of text, each of which must scan as exactly
+    one value; None when one does not."""
+    try:
+        scans = list(map(_scan, repeat(text), starts))
+    except ValueError:
+        return None
+    # a line with no JSON value at its start raises StopIteration, which ends
+    # the map early
+    if len(scans) != len(starts):
+        return None
+    rows, ends = zip(*scans)
+    return list(rows) if list(ends) == stops else None
+
+
+def _block_columns(path, text: str, offsets: tuple, t0: int, lineno: int, d: int | None,
+                   num_groups: int | None, last: tuple | None) -> tuple | None:
+    """The checked group, outcome code, p, losses and expected_loss columns
+    of the distinct rows of a block of whole lines of a JSONL trace, which
+    starts at file line lineno and round t0 + 1, then the number of lines
+    each row stands for and the ``last`` to pass the next block; None for a
+    block of blank lines. ``offsets`` are ``_line_offsets(text)``.
+
+    The lines are split once, by those offsets, and blank lines dropped. The
+    lines of a long run (``_long_runs``) but its first are checked by byte
+    compares and stand for the first's row. Every other line is scanned once
+    as one JSON value, and the rows checked as they stand. ``last`` is the
+    text before the tail of the block before's last line and its row, when
+    that line lies in a long run: a run at the block's head whose first line
+    has that text continues it, and is not parsed again. If a line does not
+    scan or its row is malformed, the block's lines are parsed and checked
+    one by one (``_line_by_line``), for the error naming the first line at
+    fault or for rows that json.loads accepts, such as one with spaces
+    around it."""
+    buf, starts, ends = offsets
+    linenos = np.arange(lineno, lineno + starts.shape[0])
+    # a line that does not start with "{" may be blank, and blank lines are
+    # dropped
+    odd = np.flatnonzero(buf[starts] != ord("{")).tolist()
+    blank = [k for k in odd if text[starts[k]:ends[k]].isspace()]
+    if blank:
+        keep = np.ones(starts.shape[0], dtype=bool)
+        keep[blank] = False
+        starts, ends, linenos = starts[keep], ends[keep], linenos[keep]
+    n = starts.shape[0]
+    if not n:
+        return None
+    t = np.arange(t0 + 1, t0 + n + 1)
+    runs = _long_runs(buf, starts, ends, t)
+
+    def rest(k):
+        # the text of line k, which lies in a long run, before its tail
+        return buf[starts[k]:ends[k] - len(_T_HEAD) - len(str(t0 + k + 1)) - len(_T_TAIL)]
+
+    copy = np.zeros(n, dtype=bool)
+    for first, end in runs:
+        copy[first + 1:end + 1] = True
+    heads = np.flatnonzero(~copy)
+    carried = runs and runs[0][0] == 0 and last is not None and np.array_equal(last[0], rest(0))
+    new = heads[1:] if carried else heads
+    columns = ()
+    if new.size:
+        stops = ends[new] - (buf[ends[new] - 1] == 10)
+        rows = _scan_lines(text, starts[new].tolist(), stops.tolist())
+        try:
+            columns = None if rows is None else _row_columns(rows, d)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            columns = None
+        if columns is None:
+            lines = [text[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+            return (*_line_by_line(path, lines, linenos, d, t0, num_groups)[1:],
+                    np.ones(n, dtype=np.int64), None)
+        # a run's other lines repeat its first line's checks
+        t_new, groups, codes, dists, losses, expected = columns
+        _check_rows(lambda k: f"{path} line {linenos[new[k]]}", t[new],
+                    t_new, groups, dists, losses, expected, num_groups)
+        columns = columns[1:]
+    if carried:
+        columns = tuple(np.concatenate(pair) for pair in zip(last[1], columns)) if columns else last[1]
+    if runs and runs[-1][1] == n - 1:
+        last = (rest(n - 1).copy(), tuple(col[-1:] for col in columns))
+    else:
+        last = None
+    return (*columns, np.diff(heads, append=n), last)
+
+
 def _file_columns(path, fh, num_groups: int | None) -> Iterator[tuple]:
     """The checked group, outcome code, p, losses and expected_loss columns
-    of each block of a JSONL trace, _READ_CHARS characters extended to the
-    end of a line, its rounds following the blocks before.
-
-    A block whose lines fall in long runs parses each run's row once
-    (``_run_rows``). In any other, blank lines are dropped and each line is
-    scanned as exactly one JSON value (``_scanned_rows``). If neither fits,
-    the lines are parsed and checked one by one (``_line_by_line``). Every
-    row is checked."""
-    t0, d, lineno = 0, None, 1
+    of the distinct rows of each block of a JSONL trace, and the number of
+    lines each row stands for. A block is _READ_CHARS characters extended to
+    the end of a line, its rounds following the blocks before, and is read
+    by ``_block_columns``."""
+    t0, d, lineno, last = 0, None, 1, None
     while text := fh.read(_READ_CHARS):
         if not text.endswith("\n"):
             text += fh.readline()
-        columns = _run_rows(text, d, t0)
-        if columns is None:
-            lines = list(io.StringIO(text))
-            linenos: Sequence[int] = range(lineno, lineno + len(lines))
-            lineno += len(lines)
-            if any(map(str.isspace, lines)):
-                keep = [k for k, line in enumerate(lines) if not line.isspace()]
-                lines = [lines[k] for k in keep]
-                linenos = [linenos[k] for k in keep]
-            if not lines:
-                continue
-            columns = _scanned_rows(lines, d) or _line_by_line(path, lines, linenos, d, t0, num_groups)
-        else:
-            linenos = range(lineno, lineno + columns[0].shape[0])
-            lineno += columns[0].shape[0]
-        t, groups, codes, dists, losses, expected = columns
-        _check_rows(lambda k: f"{path} line {linenos[k]}", t0,
-                    t, groups, dists, losses, expected, num_groups)
-        t0 += t.shape[0]
-        d = dists.shape[1]
-        yield groups, codes, dists, losses, expected
+        offsets = _line_offsets(text)
+        block = _block_columns(path, text, offsets, t0, lineno, d, num_groups, last)
+        lineno += offsets[1].shape[0]
+        if block is None:
+            continue
+        *columns, counts, last = block
+        t0 += int(counts.sum())
+        d = columns[2].shape[1]
+        yield *columns, counts
 
 
 class Trace:
@@ -825,87 +910,89 @@ class Trace:
 
     # -- serialization ----------------------------------------------------
 
-    def _row_keys(self, s: int, e: int) -> np.ndarray:
-        """One void key per round s + 1..e: the bits of its expected loss,
-        group, outcome code, p and losses. Rows with equal keys are written
-        alike, and -0.0 is not 0.0."""
-        def bits(x):
-            return np.asarray(x, dtype=np.float64).view(np.int64)
-        keys = np.column_stack([bits(self.expected_loss[s:e]), self.groups[s:e],
-                                self.outcome_codes[s:e], bits(self.distributions[s:e]),
-                                bits(self.losses[s:e])])
-        return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    def _export_chunks(self) -> Iterator[tuple]:
+        """Per chunk of _IO_CHUNK rounds, the rows of it to format: their t,
+        group and outcome code as Python ints; their expected loss column and
+        their d distribution and d loss columns as repr text, each float
+        formatted once for every file written; and the long runs that start
+        in the chunk, which are written whole from it.
 
-    def _export_chunks(self, outcome_text: Mapping[int, str]) -> Iterator[tuple]:
-        """Per chunk of _IO_CHUNK rounds: the t values of the rows to format;
-        their group, outcome text and expected loss columns and their d
-        distribution and d loss columns, ints as Python ints and floats as
-        their repr text; and the chunk's long runs.
-
-        A run is a stretch of rows with equal ``_row_keys``, found by
-        comparing each row's key with the one before. Of a run of at least
-        _RUN rows only the first row is formatted: its entry (k, first,
-        last) in the runs says that row k of the columns is round first, and
-        that rounds first..last are written from its line. Every row of a
-        shorter run is formatted. FPL plays on 0/1 losses run this way: 99.7%
-        of a 100k-round FPL trace on t4 lies in runs of at least 32 rows."""
-        for s in range(0, len(self), _IO_CHUNK):
-            e = min(len(self), s + _IO_CHUNK)
-            keys = self._row_keys(s, e)
-            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-            counts = np.diff(np.concatenate((starts, [e - s])))
-            long = counts >= _RUN
-            kept = ~np.repeat(long, counts)
-            kept[starts[long]] = True
-            rows = s + np.flatnonzero(kept)
-            runs = zip((np.cumsum(kept)[starts[long]] - 1).tolist(), (s + 1 + starts[long]).tolist(),
-                       (s + starts[long] + counts[long]).tolist())
+        Runs are found once over the whole trace: a row starts a new run
+        unless each of its expected loss, group, outcome code, p and loss
+        columns has the bits of the row before (-0.0 is not 0.0), one numpy
+        compare per column. Of a run of at least _RUN rows only the first row
+        is formatted: its entry (k, first, last) says that row k of the chunk
+        is round first, and that rounds first..last are written from its
+        line. Every row of a shorter run is formatted. FPL plays on 0/1
+        losses run this way: 99.7% of a 100k-round FPL trace on t4 lies in
+        runs of at least 32 rows."""
+        n = len(self)
+        new = np.zeros(n, dtype=bool)
+        new[:1] = True
+        for col in (self.expected_loss, self.groups, self.outcome_codes,
+                    *self.distributions.T, *self.losses.T):
+            if col.dtype.kind == "f":
+                col = np.asarray(col, dtype=np.float64).view(np.int64)
+            np.logical_or(new[1:], col[1:] != col[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        counts = np.diff(starts, append=n)
+        long = counts >= _RUN
+        # the rows a long run repeats from its first are not formatted
+        kept = ~np.repeat(long, counts)
+        heads, lasts = starts[long], starts[long] + counts[long] - 1
+        kept[heads] = True
+        # one entry per row, held while the files are written otherwise
+        del new, starts, counts, long
+        for s in range(0, n, _IO_CHUNK):
+            e = min(n, s + _IO_CHUNK)
+            rows = s + np.flatnonzero(kept[s:e])
+            lo, hi = np.searchsorted(heads, [s, e])
+            runs = zip(np.searchsorted(rows, heads[lo:hi]).tolist(), (heads[lo:hi] + 1).tolist(),
+                       (lasts[lo:hi] + 1).tolist())
             yield (
                 (rows + 1).tolist(),
                 self.groups[rows].tolist(),
-                [outcome_text[c] for c in self.outcome_codes[rows].tolist()],
+                self.outcome_codes[rows].tolist(),
                 _float_text(self.expected_loss[rows]),
                 [_float_text(col) for col in self.distributions[rows].T],
                 [_float_text(col) for col in self.losses[rows].T],
                 list(runs),
             )
 
+    def to_files(self, *, jsonl: str | Path | None = None, csv: str | Path | None = None) -> None:
+        """Write the trace's JSONL file, its CSV file or both in one pass over
+        ``_export_chunks``: runs found once, each float formatted once, and
+        each chunk's lines written to every file before the next chunk.
+
+        In both files a long run's first line is cut around t's digits, and
+        the run is written as (L, W) byte blocks of the text before them, t's
+        digits and the text after them, one block for each number of t's
+        digits and at most _IO_CHUNK lines. The bytes are the same as when
+        each row is formatted whole."""
+        self._require_full("trace file export")
+        with contextlib.ExitStack() as stack:
+            outs = []
+            for path, layout in ((jsonl, _jsonl_format), (csv, _csv_format)):
+                if path is not None:
+                    header, lines, split = layout(self.d)
+                    fh = stack.enter_context(open(path, "wb"))
+                    fh.write(header.encode())
+                    outs.append((fh, lines, split))
+            for t, groups, codes, exp, p, ell, runs in self._export_chunks() if outs else ():
+                for fh, lines, split in outs:
+                    _write_lines(fh, lines(t, groups, codes, exp, p, ell), runs, split)
+
     def to_jsonl(self, path: str | Path) -> None:
         """One JSON round record per line: json.dumps(sort_keys=True) of
-        {expected_loss, group, losses, outcome, p, t}, floats by repr.
-
-        Rows are formatted as ``_export_chunks`` gives them. A long run's
-        first line, less its t and the closing "}\\n", is its body, and the
-        run is written as (L, W) byte blocks of body, t's digits and "}\\n",
-        one block for each number of t's digits. The bytes are the same as
-        when each row is formatted whole."""
-        self._require_full("JSONL export")
-        floats = ", ".join(["%s"] * self.d)
-        row = (
-            '{"expected_loss": %s, "group": %d, "losses": [' + floats
-            + '], "outcome": %s, "p": [' + floats + '], "t": %d}\n'
-        )
-        with open(path, "wb") as fh:
-            for t, g, out, exp, p, ell, runs in self._export_chunks(_OUTCOME_JSON):
-                _write_lines(fh, [row % v for v in zip(exp, g, *ell, out, *p, t)], runs,
-                             lambda line, n: (line[:-n - 2], line[-2:]))
+        {expected_loss, group, losses, outcome, p, t}, floats by repr. The
+        JSONL half of ``to_files``."""
+        self.to_files(jsonl=path)
 
     def to_csv(self, path: str | Path) -> None:
-        """Columns: t, group, outcome, expected_loss, p_0.., loss_0..  .
-
-        Laid out as csv.writer's default dialect lays them out: no field
-        needs quoting, and rows end with \\r\\n. Long runs are written as
-        in ``to_jsonl``, as blocks of t's digits and the line after them."""
-        self._require_full("CSV export")
-        header = ["t", "group", "outcome", "expected_loss"]
-        header += [f"p_{f}" for f in range(self.d)]
-        header += [f"loss_{f}" for f in range(self.d)]
-        row = "%d,%d,%s,%s" + ",%s" * (2 * self.d) + "\r\n"
-        with open(path, "wb") as fh:
-            fh.write((",".join(header) + "\r\n").encode())
-            for t, g, out, exp, p, ell, runs in self._export_chunks(_OUTCOME_CSV):
-                _write_lines(fh, [row % v for v in zip(t, g, out, exp, *p, *ell)], runs,
-                             lambda line, n: ("", line[n:]))
+        """Columns: t, group, outcome, expected_loss, p_0.., loss_0.., as
+        csv.writer's default dialect lays them out. The CSV half of
+        ``to_files``."""
+        self.to_files(csv=path)
 
     @classmethod
     def _fold(
@@ -956,7 +1043,8 @@ class Trace:
         dists = np.stack([r.distribution for r in records])
         losses = np.stack([r.losses for r in records])
         expected = np.array([r.expected_loss for r in records], dtype=np.float64)
-        _check_rows(lambda k: f"record {k + 1}", 0, np.array([r.t for r in records]),
+        _check_rows(lambda k: f"record {k + 1}", np.arange(1, len(records) + 1),
+                    np.array([r.t for r in records]),
                     groups, dists, losses, expected, num_groups)
         return cls._fold(
             groups,
@@ -976,18 +1064,21 @@ class Trace:
         """Read a trace written by ``to_jsonl``, one block of whole lines
         of about _READ_CHARS characters at a time (``_file_columns``).
 
-        Each line must hold exactly one JSON object. A block whose lines fall
-        in long runs is checked by byte compares, and each run's row is
-        parsed once; FPL traces read this way. Any other block is parsed
-        line by line. Every row of a block is checked as soon as it is
-        parsed, its t continuing from the block before, and only its columns
-        are kept. A malformed file raises ConfigError naming the file and its
-        first line at fault. ``num_groups`` and ``meta`` are
-        ``from_records``'s keyword arguments.
+        Each line must hold exactly one JSON object. Every block takes one
+        path (``_block_columns``): its lines are split once, the lines of
+        long runs but each run's first are checked by byte compares, and
+        every other line is scanned once; FPL traces are read almost wholly
+        by runs. Each distinct row is checked as soon as its block is read,
+        its t continuing from the block before. Only the distinct rows and
+        the number of lines each stands for are kept, and each column is
+        expanded once the file is read. A malformed file raises ConfigError
+        naming the file and its first line at fault. ``num_groups`` and
+        ``meta`` are ``from_records``'s keyword arguments.
         """
-        # groups, outcome codes, p, losses and expected_loss, one list of
-        # block columns each
-        parts: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
+        # groups, outcome codes, p, losses and expected_loss of each block's
+        # distinct rows, one list of block columns each, and the number of
+        # rows each stands for
+        parts: tuple[list[np.ndarray], ...] = ([], [], [], [], [], [])
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 for columns in _file_columns(path, fh, num_groups):
@@ -997,11 +1088,14 @@ class Trace:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         if not parts[0]:
             raise ConfigError(f"{path}: no rounds")
+        counts = np.concatenate(parts[-1])
+        repeats = counts.shape[0] < counts.sum()
         columns = []
-        for part in parts:
+        for part in parts[:-1]:
             # one column at a time, its chunks freed before the next is joined
-            columns.append(np.concatenate(part))
+            col = np.concatenate(part)
             part.clear()
+            columns.append(np.repeat(col, counts, axis=0) if repeats else col)
         return cls._fold(*columns, num_groups=num_groups, **meta)
 
 
@@ -1064,17 +1158,32 @@ class TraceBuilder:
         learner_id: str,
         scenario_info: dict | None = None,
     ) -> Trace:
+        """The trace of the blocks appended so far. Each column's parts are
+        dropped from the builder as they are joined, so that no more than one
+        column is held twice, and the column of a run of one block is that
+        block's array, not a copy."""
+        full = self.retain == "full"
         return Trace(
             d=self.d,
             num_groups=self.num_groups,
-            groups=np.concatenate(self._groups),
-            outcome_codes=np.concatenate(self._codes),
-            expected_loss=np.concatenate(self._expected),
-            distributions=np.concatenate(self._dists) if self.retain == "full" else None,
-            losses=np.concatenate(self._losses) if self.retain == "full" else None,
+            groups=_join(self._groups),
+            outcome_codes=_join(self._codes),
+            expected_loss=_join(self._expected),
+            distributions=_join(self._dists) if full else None,
+            losses=_join(self._losses) if full else None,
             accumulators=self.accumulators,
             rng_seed=rng_seed,
             scenario_id=scenario_id,
             learner_id=learner_id,
             scenario_info=scenario_info,
         )
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """One array of a builder's column parts, emptying the list. The first
+    part is zero-length and gives a T=0 run its dtype and shape; a lone block
+    after it is returned as it is."""
+    blocks = parts[1:]
+    col = blocks[0] if len(blocks) == 1 else np.concatenate(parts)
+    parts.clear()
+    return col

@@ -17,6 +17,7 @@ from fair_experts.protocol import ObliviousBlock, _execute_block
 from fair_experts.types import (
     Accumulators,
     ConfigError,
+    ContractError,
     InsufficientGroupsError,
     InvariantViolation,
     Outcome,
@@ -371,12 +372,25 @@ class TestTraceBuilder:
             builder.append_block(np.arange(n) % 2, np.array(codes), np.full((n, 2), 0.5),
                                  np.full((n, 2), 0.5), np.full(n, 0.5))
         assert builder.accumulators.counts.sum() == 0
-        # an oblivious block reaches the check with its codes as given
+        # an oblivious block checks its codes when it is built, before the
+        # learner plays any of its rounds
         learner = SingleMW(0.1)
         learner.start(2, 2)
-        block = ObliviousBlock(np.arange(n) % 2, np.array(codes), np.full((n, 2), 0.5))
-        with pytest.raises(InvariantViolation, match=f"code {codes[row]} at row {row} "):
-            _execute_block(learner, block, builder)
+        before = learner._log_w.copy()
+        with pytest.raises(ContractError, match=f"code {codes[row]} at row {row} of the block"):
+            _execute_block(learner, ObliviousBlock(np.arange(n) % 2, np.array(codes),
+                                                   np.full((n, 2), 0.5)), builder)
+        assert np.array_equal(learner._log_w, before)
+        assert builder.accumulators.counts.sum() == 0
+
+    @pytest.mark.parametrize("codes,error", [
+        ([[0], [1, 0]], "outcome codes are not arrays"),
+        ([0.0, 1.0], "expected \\(2,\\) integers"),
+        ([0, 1, 0], "expected \\(2,\\) integers"),
+    ])
+    def test_oblivious_block_rejects_codes(self, codes, error):
+        with pytest.raises(ContractError, match=error):
+            ObliviousBlock(np.array([0, 1]), codes, np.full((2, 2), 0.5))
 
     @pytest.mark.parametrize("codes", [np.array([0.0, 1.0]), np.array(["+", "-"]), np.zeros(3, dtype=int)])
     def test_rejects_codes_of_the_wrong_kind(self, codes):
@@ -578,6 +592,13 @@ def _runs_trace(lengths, d, labeled, seed=0):
     return _built_trace(zeros[i], zeros[j], g, c.astype(np.int8))
 
 
+# Run lengths like those at the head of an FPL trace: single rows and short
+# runs whose lines change width, between long runs (rounds 56..455, 472..971,
+# 983..1682 and 1743..2342), the first read block ending inside the third.
+_MIXED_RUNS = ([1] * 24 + [2, 1, 3, 2, 7, 6, 10, 400, 1, 2, 1, 1, 3, 5, 2, 1, 500, 2, 3, 1, 1, 4, 700]
+               + [1, 2] * 20 + [600])
+
+
 def _signed_zero_runs_trace():
     # runs of 50 rows, each unlike the run before only in the sign of a zero
     rows = np.array([[0.0, 1.0], [-0.0, 1.0]])
@@ -585,57 +606,61 @@ def _signed_zero_runs_trace():
     return _built_trace(rows[pick], rows[1 - pick], np.ones(3000, dtype=np.int64))
 
 
-# (trace, long runs that each writer lays out as byte blocks, read blocks
-# checked and parsed by runs). FPL plays run long; the signed-zero, regime
-# and chunk-regime traces hold no run of 32 rows.
+# (trace, long runs that each writer lays out as byte blocks, long runs that
+# the reader checks by byte compares). FPL plays run long; the signed-zero,
+# regime, chunk-regime and iid traces hold no run of 32 rows.
 _REPEAT_CASES = {
-    "fpl_t4": (_fpl_t4_trace, 6, 13),
+    "fpl_t4": (_fpl_t4_trace, 4, 20),
     "signed_zeros": (_signed_zero_trace, 0, 0),
     "head_repeats": (lambda: _regime_trace(3000, np.arange(3000) < 256), 0, 0),
     "tail_repeats": (lambda: _regime_trace(3000, np.arange(3000) >= 256), 0, 0),
     "chunk_regimes": (_chunk_regime_trace, 0, 0),
+    # rows that never repeat, as in theorem1 and theorem3 traces
+    "iid": (lambda: _iid_trace(13, 3, 2, 3000, True), 0, 0),
     # runs over t = 9 -> 10, 99 -> 100, 999 -> 1000, and over the 8192-row
     # write edge, every read edge and 9999 -> 10000
-    "digit_edges": (lambda: _runs_trace([40, 110, 1350, 8550], 2, False), 5, 8),
+    "digit_edges": (lambda: _runs_trace([40, 110, 1350, 8550], 2, False), 4, 13),
     # long runs, runs of 31 and 32 rows and single rows side by side
     "runs_and_singles": (lambda: _runs_trace([45, 1, 1, 32, 31, 1, 200, 2, 1, 33] * 25, 3, True),
-                         101, 7),
-    "signed_zero_runs": (_signed_zero_runs_trace, 60, 3),
+                         100, 100),
+    "signed_zero_runs": (_signed_zero_runs_trace, 60, 60),
+    # short runs whose lines change width, between long runs
+    "short_between_long": (lambda: _runs_trace(_MIXED_RUNS, 2, True), 4, 6),
 }
 
 
 def _ref_long_runs(trace):
     """(first, last) round of each stretch of at least 32 rows alike but for
-    t, cut at the 8192-row write chunks: the rows a writer lays out as byte
-    blocks."""
+    t: the rows a writer lays out as byte blocks."""
     runs, key = [], None
     for k in range(len(trace)):
         row = (int(trace.groups[k]), int(trace.outcome_codes[k]), trace.expected_loss[k].tobytes(),
                trace.distributions[k].tobytes(), trace.losses[k].tobytes())
-        if k % 8192 == 0 or row != key:
+        if row != key:
             runs.append([k + 1, k + 1])
             key = row
         runs[-1][1] = k + 1
     return [tuple(run) for run in runs if run[1] - run[0] + 1 >= 32]
 
 
-def _ref_run_blocks(path):
-    """(first, last) round of each read block whose lines, less their
-    ', "t": N}' tails, split into runs of 32 lines on average, a run also
-    ending where t gains a digit: the blocks a reader checks by runs."""
+def _ref_read_runs(path):
+    """(first, last) round of each stretch of at least 32 lines in one read
+    block that are alike but for their ', "t": N}' tails and whose t have one
+    number of digits: the lines a reader checks by byte compares."""
     text = Path(path).read_text()
-    blocks, pos, t = [], 0, 0
+    runs, pos, t = [], 0, 0
     while pos < len(text):
         end = text.find("\n", pos + types._READ_CHARS - 1) + 1 or len(text)
         lines = text[pos:end].split("\n")[:-1]
-        rests = [line[:line.rindex(', "t": ')] for line in lines]
-        runs = 1 + sum(rests[k] != rests[k - 1] or len(str(t + k + 1)) != len(str(t + k))
-                       for k in range(1, len(lines)))
-        if 32 * runs <= len(lines):
-            blocks.append((t + 1, t + len(lines)))
+        for k, line in enumerate(lines):
+            key = (line[:line.rindex(', "t": ')], len(str(t + k + 1)))
+            if k == 0 or key != last:
+                runs.append([t + k + 1, t + k + 1])
+                last = key
+            runs[-1][1] = t + k + 1
         t += len(lines)
         pos = end
-    return blocks
+    return [tuple(run) for run in runs if run[1] - run[0] + 1 >= 32]
 
 
 def _edit_field(name, value):
@@ -668,25 +693,30 @@ def _write_rows(tmp_path, rows):
 
 @pytest.fixture
 def memo_calls(monkeypatch):
-    """Records the blocks the run kernels take: ("write", first, last) for
+    """Records the paths the run kernels take: ("write", first, last) for
     each long run of rounds first..last that a writer lays out as byte
-    blocks, and ("read", first, last) for each read block of those rounds
-    checked and parsed by runs."""
+    blocks, ("read", first, last) for each long run of those rounds that the
+    reader checks by byte compares, and ("lines", first, last) for each read
+    block of file lines first..last parsed line by line."""
     calls = []
-    write_lines, run_rows = types._write_lines, types._run_rows
+    write_lines, long_runs, line_by_line = types._write_lines, types._long_runs, types._line_by_line
 
     def write_spy(fh, lines, runs, split):
         calls.extend(("write", first, last) for _, first, last in runs)
         return write_lines(fh, lines, runs, split)
 
-    def read_spy(text, d, t0):
-        columns = run_rows(text, d, t0)
-        if columns is not None:
-            calls.append(("read", int(columns[0][0]), int(columns[0][-1])))
-        return columns
+    def read_spy(buf, starts, ends, t):
+        runs = long_runs(buf, starts, ends, t)
+        calls.extend(("read", int(t[first]), int(t[last])) for first, last in runs)
+        return runs
+
+    def lines_spy(path, lines, linenos, *args):
+        calls.append(("lines", int(linenos[0]), int(linenos[-1])))
+        return line_by_line(path, lines, linenos, *args)
 
     monkeypatch.setattr(types, "_write_lines", write_spy)
-    monkeypatch.setattr(types, "_run_rows", read_spy)
+    monkeypatch.setattr(types, "_long_runs", read_spy)
+    monkeypatch.setattr(types, "_line_by_line", lines_spy)
     return calls
 
 
@@ -709,7 +739,7 @@ class TestTraceFileOracle:
 
     @pytest.mark.parametrize("case", list(_REPEAT_CASES))
     def test_repeated_values_match_reference(self, tmp_path, memo_calls, case):
-        make, runs, blocks = _REPEAT_CASES[case]
+        make, runs, read_runs = _REPEAT_CASES[case]
         tr = make()
         memo_calls.clear()
         tr.to_jsonl(tmp_path / "new.jsonl")
@@ -719,9 +749,10 @@ class TestTraceFileOracle:
         assert memo_calls == [("write", *run) for run in want] * 2
         memo_calls.clear()
         Trace.from_jsonl(tmp_path / "new.jsonl")
-        want = _ref_run_blocks(tmp_path / "new.jsonl")
-        assert len(want) == blocks
-        assert memo_calls == [("read", *block) for block in want]
+        want = _ref_read_runs(tmp_path / "new.jsonl")
+        assert len(want) == read_runs
+        # and no block is parsed line by line
+        assert memo_calls == [("read", *run) for run in want]
         _assert_files_match_reference(tr, tmp_path)
 
     def test_run_across_t_100000(self, tmp_path, memo_calls):
@@ -741,6 +772,35 @@ class TestTraceFileOracle:
         memo_calls.clear()
         _same_trace(Trace.from_jsonl(tmp_path / "new.jsonl"), tr)
         assert [call for call in memo_calls if call[0] == "read" and call[1] <= 100_000 <= call[2]]
+
+    @pytest.mark.parametrize("case", ["fpl_t4", "iid", "runs_and_singles"])
+    def test_one_pass_writes_both_files(self, tmp_path, memo_calls, case):
+        # the same bytes as the one-format calls, each run laid out once per
+        # file, chunk by chunk
+        tr = _REPEAT_CASES[case][0]()
+        tr.to_jsonl(tmp_path / "one.jsonl")
+        tr.to_csv(tmp_path / "one.csv")
+        memo_calls.clear()
+        tr.to_files(jsonl=tmp_path / "both.jsonl", csv=tmp_path / "both.csv")
+        for ext in ("jsonl", "csv"):
+            assert (tmp_path / f"both.{ext}").read_bytes() == (tmp_path / f"one.{ext}").read_bytes()
+        assert sorted(memo_calls) == sorted([("write", *run) for run in _ref_long_runs(tr)] * 2)
+
+    def test_empty_trace_files(self, tmp_path):
+        tr = TraceBuilder(2, 2).build(rng_seed=0, scenario_id="", learner_id="")
+        tr.to_files(jsonl=tmp_path / "t.jsonl", csv=tmp_path / "t.csv")
+        assert (tmp_path / "t.jsonl").read_bytes() == b""
+        assert (tmp_path / "t.csv").read_bytes() == b"t,group,outcome,expected_loss,p_0,p_1,loss_0,loss_1\r\n"
+
+    @pytest.mark.parametrize("first,count", [
+        (1, 9), (10, 90), (990, 10), (9990, 10), (10_000, 8192), (19_000, 1000), (99_999, 1),
+        (100_000, 8192), (123_456_789, 5000), (99_995_000, 5000), (10**11, 25_001),
+    ])
+    def test_line_block_matches_formatting(self, first, count):
+        # the digit table's pieces of 10000 rows, and the digits above the
+        # last four changing inside a piece
+        block = types._line_block(b'{"a": 1, "t": ', first, count, b"}\n")
+        assert block.tobytes() == b"".join(b'{"a": 1, "t": %d}\n' % t for t in range(first, first + count))
 
     def test_blank_lines_and_empty_outcome_are_accepted(self, tmp_path):
         tr = _iid_trace(6, 2, 2, 50, True)
@@ -859,27 +919,28 @@ class TestTraceFileOracle:
         _runs_trace([40, 110, 1350, 300], 2, True).to_jsonl(path)
         return path.read_text().splitlines(keepends=True)
 
+    @pytest.fixture(scope="class")
+    def mixed_lines(self, tmp_path_factory):
+        """The lines of a JSONL trace of the runs _MIXED_RUNS, over 2342
+        rounds."""
+        path = tmp_path_factory.mktemp("mixed") / "mixed.jsonl"
+        _runs_trace(_MIXED_RUNS, 2, True).to_jsonl(path)
+        return path.read_text().splitlines(keepends=True)
+
     def _read_like_reference(self, path, memo_calls):
         """Read path and check its columns against the reference reader's;
-        returns the blocks read by runs."""
+        returns the runs read by byte compares. No block may be parsed line
+        by line."""
         memo_calls.clear()
         _same_trace(Trace.from_jsonl(path), _ref_from_jsonl(path))
+        assert not [call for call in memo_calls if call[0] == "lines"]
         return [call for call in memo_calls if call[0] == "read"]
 
-    def test_crlf_line_endings(self, tmp_path, run_lines, memo_calls):
-        path = tmp_path / "crlf.jsonl"
-        path.write_bytes("".join(run_lines).replace("\n", "\r\n").encode())
-        assert self._read_like_reference(path, memo_calls)
-
-    @pytest.mark.parametrize("t", [600, 151, 1500, 999, 1000, 1800])
-    @pytest.mark.parametrize("edit", ["blank", "group", "non_ascii"])
-    def test_valid_edit_inside_a_run(self, tmp_path, run_lines, memo_calls, t, edit):
-        # rounds 151 and 1500 start and end a run, 999 and 1000 end and
-        # start a stretch of one line width, and 1800 ends the file
-        lines = list(run_lines)
+    def _valid_edit(self, tmp_path, lines, memo_calls, t, edit):
+        lines = list(lines)
         line = lines[t - 1]
-        if edit == "blank":
-            lines.insert(t - 1, "\n")
+        if edit in ("blank", "spaces"):
+            lines.insert(t - 1, "\n" if edit == "blank" else " \t \n")
         elif edit == "group":
             g = line.index('"group": ') + len('"group": ')
             lines[t - 1] = line[:g] + "10"[int(line[g])] + line[g + 1:]
@@ -889,10 +950,8 @@ class TestTraceFileOracle:
         path.write_text("".join(lines), encoding="utf-8")
         self._read_like_reference(path, memo_calls)
 
-    @pytest.mark.parametrize("t", [600, 151, 1500, 999, 1000, 1800])
-    @pytest.mark.parametrize("edit", ["t", "expected_loss", "not_json"])
-    def test_one_byte_error_inside_a_run(self, tmp_path, run_lines, t, edit):
-        lines = list(run_lines)
+    def _one_byte_error(self, tmp_path, lines, t, edit):
+        lines = list(lines)
         line = lines[t - 1]
         at = {"t": len(line) - 3, "expected_loss": line.index(": ") + 2,
               "not_json": line.index('"losses": [') + len('"losses": ')}[edit]
@@ -908,10 +967,64 @@ class TestTraceFileOracle:
         with pytest.raises(ConfigError, match=f"{path} line {t}: {error}"):
             Trace.from_jsonl(path)
 
+    def test_crlf_line_endings(self, tmp_path, run_lines, memo_calls):
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes("".join(run_lines).replace("\n", "\r\n").encode())
+        assert self._read_like_reference(path, memo_calls)
+
+    @pytest.mark.parametrize("t", [600, 151, 1500, 999, 1000, 1800])
+    @pytest.mark.parametrize("edit", ["blank", "group", "non_ascii"])
+    def test_valid_edit_inside_a_run(self, tmp_path, run_lines, memo_calls, t, edit):
+        # rounds 151 and 1500 start and end a run, 999 and 1000 end and
+        # start a stretch of one line width, and 1800 ends the file
+        self._valid_edit(tmp_path, run_lines, memo_calls, t, edit)
+
+    @pytest.mark.parametrize("t", [600, 151, 1500, 999, 1000, 1800])
+    @pytest.mark.parametrize("edit", ["t", "expected_loss", "not_json"])
+    def test_one_byte_error_inside_a_run(self, tmp_path, run_lines, t, edit):
+        self._one_byte_error(tmp_path, run_lines, t, edit)
+
     def test_last_line_without_newline(self, tmp_path, run_lines, memo_calls):
         path = tmp_path / "open.jsonl"
         path.write_text("".join(run_lines).removesuffix("\n"))
         assert self._read_like_reference(path, memo_calls)
+
+    @pytest.mark.parametrize("lo,hi", [(0, 50), (-50, 0), (-50, 50), (-1, 1)])
+    def test_group_edit_at_a_block_edge(self, tmp_path, run_lines, memo_calls, lo, hi):
+        # lines edge + lo + 1..edge + hi, around the first read block's last
+        # line (edge) inside a long run, get the other group: a run at a
+        # block's head continues the block before's last run only when its
+        # text does
+        text = "".join(run_lines)
+        edge = text[:text.find("\n", types._READ_CHARS - 1) + 1].count("\n")
+        lines = list(run_lines)
+        g = lines[edge].index('"group": ') + len('"group": ')
+        for k in range(edge + lo, edge + hi):
+            lines[k] = lines[k][:g] + "10"[int(lines[k][g])] + lines[k][g + 1:]
+        path = tmp_path / "edited.jsonl"
+        path.write_text("".join(lines))
+        assert self._read_like_reference(path, memo_calls)
+
+    # rounds 10 and 24 are single lines, 40 and 465 lie in short runs, 56
+    # and 455 start and end a long run, 1000 follows t's gaining a digit in
+    # one, 1200 lies in the run that the first read block ends in, 1700 in
+    # alternating runs of one and two lines, and 2342 ends the file
+    _MIXED_T = [10, 24, 40, 56, 455, 465, 1000, 1200, 1700, 2342]
+
+    def test_crlf_line_endings_in_mixed_blocks(self, tmp_path, mixed_lines, memo_calls):
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes("".join(mixed_lines).replace("\n", "\r\n").encode())
+        assert len(self._read_like_reference(path, memo_calls)) == _REPEAT_CASES["short_between_long"][2]
+
+    @pytest.mark.parametrize("t", _MIXED_T)
+    @pytest.mark.parametrize("edit", ["blank", "spaces", "group", "non_ascii"])
+    def test_valid_edit_inside_a_mixed_block(self, tmp_path, mixed_lines, memo_calls, t, edit):
+        self._valid_edit(tmp_path, mixed_lines, memo_calls, t, edit)
+
+    @pytest.mark.parametrize("t", _MIXED_T)
+    @pytest.mark.parametrize("edit", ["t", "expected_loss", "not_json"])
+    def test_one_byte_error_inside_a_mixed_block(self, tmp_path, mixed_lines, t, edit):
+        self._one_byte_error(tmp_path, mixed_lines, t, edit)
 
     def test_group_outside_declared_set(self, tmp_path):
         tr = _iid_trace(7, 2, 3, 40, False)
@@ -1013,6 +1126,22 @@ class TestTraceFileOracle:
         returned = sum(getattr(back, name).nbytes for name in names)
         assert len(back) == 30_000
         assert peak <= 2.5 * returned, (peak, returned)
+
+
+def test_run_peak_memory():
+    # FPL plays its block in chunks, and the builder joins a one-block run's
+    # columns without copying them. Before both, the traced peak was about
+    # 2.5 times the columns the run returns.
+    run({"kind": "fpl", "eta": 0.1}, {"kind": "t4"}, 1000, 3, retain="full")  # imports and caches
+    tracemalloc.start()
+    try:
+        tr = run({"kind": "fpl", "eta": 0.1}, {"kind": "t4"}, 100_000, 3, retain="full")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    names = ("groups", "outcome_codes", "expected_loss", "distributions", "losses")
+    returned = sum(getattr(tr, name).nbytes for name in names)
+    assert peak <= 1.5 * returned, (peak, returned)
 
 
 def test_trace_io_leaves_numpy_ma_unimported(tmp_path):
