@@ -682,16 +682,17 @@ def _long_runs(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
         lines = buf[starts[i]:ends[j - 1]].reshape(j - i, -1)
         tails, rests = lines[:, size:], lines[:, :size]
         want = _line_block(_T_HEAD, int(t[i]), j - i, _T_TAIL)
-        if np.array_equal(tails, want) and (rests == rests[0]).all():
-            runs.append((i, j - 1))
-            continue
-        fits = (tails == want).all(axis=1)
-        # link[k]: lines i + k and i + k + 1 are in one run
-        link = fits[1:] & fits[:-1] & (rests[1:] == rests[:-1]).all(axis=1)
-        edges = np.diff(np.concatenate(([0], link.view(np.int8), [0])))
-        for a, b in zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()):
-            if b - a + 1 >= _RUN:
-                runs.append((i + a, i + b))
+        # gap[k]: lines i + k - 1 and i + k are not in one run, as k ends the
+        # stretch, a tail of the two is wrong or their texts before the tails
+        # differ; mismatches are found by flat index, not reduced per line
+        gap = np.zeros(j - i + 1, dtype=bool)
+        gap[[0, -1]] = True
+        bad = np.flatnonzero(tails != want) // tails.shape[1]
+        gap[bad] = gap[bad + 1] = True
+        gap[np.flatnonzero(rests[1:] != rests[:-1]) // size + 1] = True
+        cuts = np.flatnonzero(gap)
+        for k in np.flatnonzero(np.diff(cuts) >= _RUN).tolist():
+            runs.append((i + int(cuts[k]), i + int(cuts[k + 1]) - 1))
     return runs
 
 
@@ -1158,10 +1159,11 @@ class TraceBuilder:
         learner_id: str,
         scenario_info: dict | None = None,
     ) -> Trace:
-        """The trace of the blocks appended so far. Each column's parts are
-        dropped from the builder as they are joined, so that no more than one
-        column is held twice, and the column of a run of one block is that
-        block's array, not a copy."""
+        """The trace of the blocks appended so far. Each column's blocks are
+        replaced in the builder by their join as it is made, so that no more
+        than one column is held twice, and the column of a run of one block
+        is that block's array, not a copy. It may be called again, also after
+        more blocks are appended."""
         full = self.retain == "full"
         return Trace(
             d=self.d,
@@ -1180,10 +1182,10 @@ class TraceBuilder:
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
-    """One array of a builder's column parts, emptying the list. The first
-    part is zero-length and gives a T=0 run its dtype and shape; a lone block
-    after it is returned as it is."""
-    blocks = parts[1:]
-    col = blocks[0] if len(blocks) == 1 else np.concatenate(parts)
-    parts.clear()
-    return col
+    """One array of a builder's column parts, which then stand for it: the
+    blocks after the zero-length first part, which gives a T=0 run its dtype
+    and shape, are replaced by their join, and a lone block is returned as it
+    is."""
+    if len(parts) > 2:
+        parts[1:] = [np.concatenate(parts)]
+    return parts[-1]

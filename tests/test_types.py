@@ -403,6 +403,36 @@ class TestTraceBuilder:
         assert tr.T == 0 and tr.d == 3
         assert tr.is_full
 
+    @pytest.mark.parametrize("retain", ["full", "summary"])
+    def test_build_again_and_after_more_blocks(self, retain):
+        rng = np.random.default_rng(3)
+        blocks = []
+        for n in (3, 1, 4, 2, 5):
+            p = rng.dirichlet(np.ones(2), size=n)
+            losses = rng.random((n, 2))
+            blocks.append((rng.integers(0, 2, n), rng.integers(-1, 2, n).astype(np.int8),
+                           losses, p, (p * losses).sum(axis=1)))
+        builder = TraceBuilder(2, 2, retain=retain)
+
+        def build_and_check(count):
+            tr = builder.build(rng_seed=0, scenario_id="s", learner_id="l")
+            want = [np.concatenate(col) for col in zip(*blocks[:count])]
+            assert tr.T == sum(b[0].shape[0] for b in blocks[:count])
+            assert np.array_equal(tr.groups, want[0]) and np.array_equal(tr.outcome_codes, want[1])
+            assert np.array_equal(tr.expected_loss, want[4])
+            if retain == "full":
+                assert np.array_equal(tr.losses, want[2]) and np.array_equal(tr.distributions, want[3])
+            assert tr.accumulators.counts.sum() == tr.T
+
+        for block in blocks[:2]:
+            builder.append_block(*block)
+        build_and_check(2)
+        build_and_check(2)
+        for block in blocks[2:]:
+            builder.append_block(*block)
+        build_and_check(5)
+        build_and_check(5)
+
     @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=10**6))
     def test_accumulators_match_direct_recount(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -983,6 +1013,23 @@ class TestTraceFileOracle:
     @pytest.mark.parametrize("edit", ["t", "expected_loss", "not_json"])
     def test_one_byte_error_inside_a_run(self, tmp_path, run_lines, t, edit):
         self._one_byte_error(tmp_path, run_lines, t, edit)
+
+    @pytest.mark.parametrize("t", [151, 600])
+    def test_run_after_a_line_with_another_tail(self, tmp_path, run_lines, t):
+        # rounds t..t + 40 get a member "s" whose string the tail closes on
+        # round t only: that line is valid JSON, and the lines after it, of
+        # its width and with its text before their tails, are not, so none
+        # of them may stand for its row
+        lines = list(run_lines)
+        for k in range(t, t + 41):
+            body = lines[k - 1][:lines[k - 1].rindex(', "t": ')] + ', "s": "x'
+            lines[k - 1] = body + (f'", "t":{k}}}\n' if k == t else f', "t": {k}}}\n')
+        path = tmp_path / "edited.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError):
+            _ref_from_jsonl(path)
+        with pytest.raises(ConfigError, match=f"{path} line {t + 1}: not JSON"):
+            Trace.from_jsonl(path)
 
     def test_last_line_without_newline(self, tmp_path, run_lines, memo_calls):
         path = tmp_path / "open.jsonl"
