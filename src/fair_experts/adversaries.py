@@ -467,17 +467,16 @@ class T5Scenario(Scenario):
         T = run.T
         half = T // 2
         penalties = [0, 0]
-
-        def step(i: int, g: int, p: tuple) -> int:
-            leader = 0 if p[0] >= p[1] else 1
-            penalties[leader] += 1
-            return leader
-
         if half:
-            yield AdaptiveBlock(np.zeros(half, dtype=np.int64), _T5_ROWS,
-                                np.full(2, UNLABELED_CODE), step)
+            result = yield AdaptiveBlock(np.zeros(half, dtype=np.int64), _T5_ROWS,
+                                         np.full(2, UNLABELED_CODE), _t5_leader)
+            # the rows where the step chose expert 1; no play is NaN, as
+            # every block's plays pass the simplex check before they return
+            p = result.distributions
+            penalties[1] = int(np.count_nonzero(p[:, 0] < p[:, 1]))
+            penalties[0] = half - penalties[1]
         len2 = penalties[0]
-        len3 = penalties[1] + (T - half - penalties[0] - penalties[1])
+        len3 = T - half - len2
         run.info.update(
             phase1_rounds=half,
             phase2_rounds=len2,
@@ -499,6 +498,12 @@ class T5Scenario(Scenario):
 
 
 _T5_ROWS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+def _t5_leader(i: int, g: int, p: tuple) -> int:
+    """t5's phase-one step: the index of the expert the play favors, ties
+    to expert 0; that expert takes loss 1."""
+    return 0 if p[0] >= p[1] else 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,17 @@ floating-point noise, and ``next_distribution`` is the play of a one-row block.
 ``run_rounds`` plays a stretch round by round, oblivious or adaptive. Its
 generic form is the ``next_distribution``/``observe`` loop. For two experts,
 multiplicative weights and fixed share run an exact scalar kernel instead:
-each table is a pair of Python floats, and every round does the same IEEE
+each table is a pair of Python floats, and each kind's per-round loop,
+``_pair_rounds``, writes out the play and the update, doing the same IEEE
 operations in the same order as ``next_distribution``/``observe`` (numpy's
 ``exp`` and ``power`` included), so the plays are bit-identical to the loop.
-The kernel steps an oblivious chunk that holds one table and one loss row
-only until its table is a fixed point of the update, and takes the update
-terms of an adaptive stretch's declared rows once.
+The arriving group's table stays in locals while the group repeats. A fixed
+share round makes no Python call but an adaptive stretch's step; an MW round
+also calls ``_play2``, for numpy's ``exp``. An adaptive stretch takes its
+declared rows' update terms once. An oblivious stretch finds its runs of
+rows on one table with one loss row once, steps each run of at least
+``_RUN`` rows only until its table is a fixed point of the update, and plays
+its other rows in chunks of ``_ROUNDS_CHUNK``.
 
 Group handling is the one axis of variation: single-table kinds ignore the
 group argument entirely, per-group kinds keep one independent table per
@@ -27,12 +32,13 @@ from __future__ import annotations
 
 import math
 import numbers
+from itertools import count, repeat
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .types import (_IO_CHUNK, ConfigError, ContractError, GroupId, _first_off_unit, _numbers,
-                    require_type)
+from .types import (_IO_CHUNK, _RUN, ConfigError, ContractError, GroupId, _first_off_unit, _numbers,
+                    _run_bounds, require_type)
 
 LEARNER_KINDS = (
     "single_mw",
@@ -119,6 +125,15 @@ class Learner:
         for g in np.unique(groups):
             yield g, np.flatnonzero(groups == g)
 
+    def _check_group_ids(self, groups: np.ndarray) -> None:
+        """ContractError naming the first row of a stretch whose group id
+        lies outside range(num_groups): a per-group kind would index a
+        table with it, and -1 would play the last group's table."""
+        if groups.size and (groups.min() < 0 or groups.max() >= self.num_groups):
+            k = int(np.argmax((groups < 0) | (groups >= self.num_groups)))
+            raise ContractError(f"group id {groups[k]} at row {k} of the stretch lies outside "
+                                f"range({self.num_groups})")
+
     def next_distribution(self, group: GroupId) -> np.ndarray:
         raise NotImplementedError
 
@@ -140,7 +155,9 @@ class Learner:
         """Distributions for a stretch of rounds known in advance.
 
         Semantically identical to calling next_distribution/observe round by
-        round; only kinds with supports_blocks=True implement it.
+        round; only kinds with supports_blocks=True implement it. Losses
+        outside [0, 1] and group ids outside range(num_groups) raise
+        ContractError before the state changes.
         """
         raise ContractError(f"{self.kind} has no vectorized block path")
 
@@ -152,9 +169,10 @@ class Learner:
         from and ``step(i, group, p)``, which sees round i's play as a tuple
         of d Python floats and returns the index of its row, a Python int in
         range(K); choices holds those indices. Losses that are ragged, not
-        numbers, of the wrong shape or outside [0, 1] raise ContractError
-        before the first round, and a choice that is not an int in range(K)
-        once the rounds before it are observed.
+        numbers, of the wrong shape or outside [0, 1], and group ids outside
+        range(num_groups), raise ContractError before the first round, and a
+        choice that is not an int in range(K) once the rounds before it are
+        observed.
         """
         self._started()
         n = groups.shape[0]
@@ -167,6 +185,7 @@ class Learner:
             raise ContractError(f"declared loss rows have shape {shape}, expected (K, {self.d}), K >= 1")
         rows = losses.astype(np.float64, copy=False)
         _check_loss_block(rows, "row {} of the stretch" if step is None else "declared index {}")
+        self._check_group_ids(groups)
         if self.d == 2 and self.two_expert_kernel:
             return self._two_expert_rounds(groups, rows, step)
         p = np.empty((n, self.d), dtype=np.float64)
@@ -189,61 +208,61 @@ class Learner:
 
         A kind supplies ``_state()``, its (tables, 2) state array;
         ``_loss_terms(losses)``, the numpy part of ``observe`` applied to a
-        block of loss rows; and ``_play2(table)`` and ``_update2(table, a0,
-        a1)``, which repeat ``next_distribution`` and the rest of ``_update``
-        on one table, a tuple of two floats.
+        block of loss rows; and ``_pair_rounds``, the per-round loop, which
+        runs ``next_distribution`` and the rest of ``_update`` inline.
 
-        An adaptive stretch takes its declared rows' terms once. An oblivious
-        chunk takes its own rows' terms, unless its rows share one table and
-        one loss row: then it is stepped only until ``_update2`` returns its
-        table unchanged, as the update is deterministic and every later round
-        of the chunk plays the same pair.
+        An adaptive stretch takes its declared rows' terms once and is played
+        in chunks of _ROUNDS_CHUNK rounds. An oblivious stretch finds its runs
+        of rows on one table with one loss row, bit for bit, once. A run of at
+        least _RUN rows is stepped only until its table is a fixed point of
+        the update, as the update is deterministic and every later round of
+        the run plays the same pair; the other rows are played in chunks of
+        _ROUNDS_CHUNK rows on their own rows' terms.
         """
         n = groups.shape[0]
         p = np.empty((n, 2), dtype=np.float64)
         out = memoryview(p.reshape(-1))
-        state = self._state()
-        tables = [tuple(table) for table in state.tolist()]
-        play, update = self._play2, self._update2
-        shared = not self.per_group
-        adaptive = step is not None
-        if adaptive:
-            K = rows.shape[0]
+        tables = [tuple(table) for table in self._state().tolist()]
+        rounds = self._pair_rounds
+        if step is not None:
             terms = self._loss_terms(rows).tolist()
             choices = np.empty(n, dtype=np.intp)
             chosen = memoryview(choices)
-        for s in range(0, n, _ROUNDS_CHUNK):
-            e = min(n, s + _ROUNDS_CHUNK)
-            chunk = groups[s:e]
-            if not adaptive:
-                block = rows[s:e]
-                bits = block.view(np.int64)  # rows equal bit for bit, -0.0 included
-                if (bits == bits[0]).all() and (shared or (chunk == chunk[0]).all()):
-                    t = 0 if shared else int(chunk[0])
-                    tables[t] = self._stationary_chunk(p, out, s, e, tables[t], block[:1])
-                    continue
-                terms = self._loss_terms(block).tolist()
-            for i, g in enumerate(chunk.tolist(), s):
-                t = 0 if shared else g
-                table = tables[t]
-                pair = play(table)
-                out[2 * i], out[2 * i + 1] = pair
-                if adaptive:
-                    k = step(i, g, pair)
-                    if type(k) is not int or not 0 <= k < K:
-                        state[:] = tables
-                        raise _choice_error(k, i, K)
-                    chosen[i] = k
-                else:
-                    k = i - s
-                a0, a1 = terms[k]
-                tables[t] = update(table, a0, a1)
-        state[:] = tables
-        return p, choices if adaptive else None
+            for s in range(0, n, _ROUNDS_CHUNK):
+                rounds(tables, out, s, groups[s:s + _ROUNDS_CHUNK].tolist(), terms, step, chosen)
+            self._state()[:] = tables
+            return p, choices
+        columns = (rows[:, 0], rows[:, 1], groups) if self.per_group else (rows[:, 0], rows[:, 1])
+        starts, counts = _run_bounds(columns, n)
+        long = counts >= _RUN
+        heads, ends = starts[long].tolist(), (starts[long] + counts[long]).tolist()
+        s = 0
+        # rows s..a-1 row by row, then the run a..e-1 up to its fixed point
+        for a, e in zip(heads + [n], ends + [n]):
+            for c in range(s, a, _ROUNDS_CHUNK):
+                b = min(a, c + _ROUNDS_CHUNK)
+                rounds(tables, out, c, groups[c:b].tolist(), self._loss_terms(rows[c:b]).tolist())
+            if a < e:
+                (term,) = self._loss_terms(rows[a:a + 1]).tolist()
+                i = rounds(tables, out, a, repeat(int(groups[a]), e - a), repeat(term, e - a), stop=True)
+                if i is not None:
+                    p[i + 1:e] = p[i]
+            s = e
+        self._state()[:] = tables
+        return p, None
 
-    def _stationary_chunk(self, p, out, s, e, table, row):
-        """Rounds s..e-1 of an oblivious stretch on one table and one loss
-        row; returns the table after them.
+    def _pair_rounds(self, tables, out, s, groups, terms, step=None, chosen=None, stop=False):
+        """Rounds s, s+1, ... of a two-expert stretch, one per group id in
+        ``groups``, on ``tables``, the list of each table's pair of floats,
+        which it updates. Round i's play goes to out[2i] and out[2i + 1].
+
+        Oblivious rounds take one term pair of ``terms`` each, in order. An
+        adaptive round passes its play to ``step``, stores the choice k in
+        ``chosen[i]`` and takes ``terms[k]``; a choice that is not an int in
+        range(len(terms)) writes the tables to the state and raises. With
+        ``stop``, every round is of one table and one loss row, and the loop
+        returns the first round i whose update leaves the table as it was:
+        the later rounds play round i's pair. Otherwise it returns None.
 
         ``==`` on two tables is bit equality here, since no state entry is
         NaN or -0.0. MW's log weights start at +0.0 and add terms, and x + y
@@ -251,16 +270,7 @@ class Learner:
         and quotients of non-negative numbers, and its total weight is at
         least half its table's sum, as each factor (1 - eta)^loss is.
         """
-        play, update = self._play2, self._update2
-        (a0, a1), = self._loss_terms(row).tolist()
-        for i in range(s, e):
-            out[2 * i], out[2 * i + 1] = play(table)
-            nxt = update(table, a0, a1)
-            if nxt == table:
-                p[i + 1:e] = p[i]
-                break
-            table = nxt
-        return table
+        raise NotImplementedError
 
 
 def _check_loss_block(losses: np.ndarray, where: str = "row {} of the stretch") -> None:
@@ -323,6 +333,7 @@ class _MultiplicativeWeights(Learner):
     def run_block(self, groups: np.ndarray, losses: np.ndarray) -> np.ndarray:
         self._started()
         _check_loss_block(losses)
+        self._check_group_ids(groups)
         p = np.empty((losses.shape[0], self.d), dtype=np.float64)
         for table, rows in self._table_rows(groups):
             cum = np.cumsum(losses[rows], axis=0)
@@ -352,8 +363,34 @@ class _MultiplicativeWeights(Learner):
         total = e + 1.0
         return e / total, 1.0 / total
 
-    def _update2(self, table: tuple, a0: float, a1: float) -> tuple[float, float]:
-        return table[0] + a0, table[1] + a1
+    def _pair_rounds(self, tables, out, s, groups, terms, step=None, chosen=None, stop=False):
+        play, per_group = self._play2, self.per_group
+        K = len(terms) if step is not None else 0
+        t, cur = 0, None
+        table = tables[0]
+        for i, g, term in zip(count(s), groups, terms if step is None else repeat(None)):
+            if g != cur:
+                tables[t] = table
+                cur, t = g, g if per_group else 0
+                table = tables[t]
+            pair = play(table)
+            out[2 * i], out[2 * i + 1] = pair
+            if step is not None:
+                k = step(i, g, pair)
+                if type(k) is not int or not 0 <= k < K:
+                    tables[t] = table
+                    self._state()[:] = tables
+                    raise _choice_error(k, i, K)
+                chosen[i] = k
+                term = terms[k]
+            a0, a1 = term
+            nxt = table[0] + a0, table[1] + a1
+            if stop and nxt == table:
+                tables[t] = table
+                return i
+            table = nxt
+        tables[t] = table
+        return None
 
 
 class SingleMW(_MultiplicativeWeights):
@@ -417,6 +454,7 @@ class FollowPerturbedLeader(Learner):
         to its first row, which gives the bits of one cumsum over the block."""
         self._started()
         _check_loss_block(losses)
+        self._check_group_ids(groups)
         play = self._two_expert_play if self.d == 2 else self._grid_play
         p = np.empty((losses.shape[0], self.d), dtype=np.float64)
         total = np.zeros(self.d)
@@ -517,15 +555,39 @@ class FixedShare(Learner):
     def _loss_terms(self, losses: np.ndarray) -> np.ndarray:
         return np.power(1.0 - self.eta, losses)
 
-    def _play2(self, table: tuple) -> tuple:
-        return table
-
-    def _update2(self, table: tuple, f0: float, f1: float) -> tuple[float, float]:
-        w0 = table[0] * f0
-        w1 = table[1] * f1
-        total = w0 + w1
-        keep, share = self._keep, self._share
-        return keep * (w0 / total) + share, keep * (w1 / total) + share
+    def _pair_rounds(self, tables, out, s, groups, terms, step=None, chosen=None, stop=False):
+        keep, share, per_group = self._keep, self._share, self.per_group
+        K = len(terms) if step is not None else 0
+        t, cur = 0, None
+        p0, p1 = tables[0]
+        for i, g, term in zip(count(s), groups, terms if step is None else repeat(None)):
+            if g != cur:
+                tables[t] = p0, p1
+                cur, t = g, g if per_group else 0
+                p0, p1 = tables[t]
+            out[2 * i] = p0
+            out[2 * i + 1] = p1
+            if step is not None:
+                k = step(i, g, (p0, p1))
+                if type(k) is not int or not 0 <= k < K:
+                    tables[t] = p0, p1
+                    self._state()[:] = tables
+                    raise _choice_error(k, i, K)
+                chosen[i] = k
+                term = terms[k]
+            f0, f1 = term
+            w0 = p0 * f0
+            w1 = p1 * f1
+            total = w0 + w1
+            n0 = keep * (w0 / total) + share
+            n1 = keep * (w1 / total) + share
+            if stop and n0 == p0 and n1 == p1:
+                tables[t] = p0, p1
+                return i
+            p0 = n0
+            p1 = n1
+        tables[t] = p0, p1
+        return None
 
 
 class PerGroupFixedShare(FixedShare):

@@ -16,6 +16,7 @@ pass per switch level.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -30,6 +31,7 @@ from .types import (
     _BIN_POS,
     group_label,
     max_pairwise_gap,
+    require_type,
 )
 
 METRICS = ("fnr", "fpr", "eer")
@@ -171,6 +173,7 @@ def best_shifting_comparator(
     switch sources and the final expert take the lowest index, and at equal
     loss and expert the path with fewer switches wins.
     """
+    require_type("K", K, numbers.Integral, "an integer")
     if K < 0:
         raise ConfigError(f"switch budget K must be >= 0, got {K}")
     if isinstance(trace_or_losses, Trace):

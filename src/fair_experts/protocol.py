@@ -14,7 +14,10 @@ An oblivious block runs through the learner's ``run_block`` when it has one.
 Every other block is one ``Learner.run_rounds`` call, which owns the
 per-round loop; with two experts, MW and fixed share run it as an exact
 scalar kernel whose plays are bit-identical to the generic
-``next_distribution``/``observe`` loop.
+``next_distribution``/``observe`` loop. That kernel writes each round's
+update out inline, and steps a long run of rounds on one table and one loss
+row only until the table stops changing. An adaptive block's losses and
+outcome codes are its declared rows and codes taken at the step's choices.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ def _execute_block(learner, block, builder: TraceBuilder) -> BlockResult:
             p, _ = learner.run_rounds(groups, losses)
     else:
         p, choices = learner.run_rounds(groups, block.rows, block.step)
-        losses, codes = block.rows[choices], block.codes[choices]
+        losses, codes = np.take(block.rows, choices, axis=0), np.take(block.codes, choices)
     expected = expected_losses(p, losses)
     builder.append_block(groups, codes, losses, p, expected)
     return BlockResult(p, expected)

@@ -248,19 +248,36 @@ def validate_distribution(p: np.ndarray, d: int | None = None) -> np.ndarray:
     return p
 
 
+def _row_sums(p: np.ndarray) -> np.ndarray:
+    """Row sums of an (n, d) block, as a new array. numpy adds a row of
+    fewer than 8 entries in order, so for d < 8 adding the columns left to
+    right gives the bits of ``p.sum(axis=1)``, which steps through the
+    block row by row and took about 20 times as long on a (50k, 2) block.
+    Wider rows keep numpy's pairwise order."""
+    if p.shape[1] >= 8:
+        return p.sum(axis=1)
+    sums = p[:, 0] + 0.0  # numpy's sum starts from +0.0, so a -0.0 sum is +0.0
+    for col in p.T[1:]:
+        sums += col
+    return sums
+
+
 def _off_simplex(p: np.ndarray) -> np.ndarray:
     """Mask of the rows of an (n, d) block with a negative or non-finite
     entry or a sum farther than SIMPLEX_ATOL from 1. NaN fails every
     comparison, so it needs no check of its own."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return ~((p.min(axis=1) >= 0.0) & (np.abs(p.sum(axis=1) - 1.0) <= SIMPLEX_ATOL))
+        return ~((p.min(axis=1) >= 0.0) & (np.abs(_row_sums(p) - 1.0) <= SIMPLEX_ATOL))
 
 
 def _first_off_simplex(p: np.ndarray) -> int | None:
     """First row of a non-empty (n, d) block that ``_off_simplex`` marks, or None."""
     with np.errstate(invalid="ignore", over="ignore"):
-        if p.min() >= 0.0 and np.abs(p.sum(axis=1) - 1.0).max() <= SIMPLEX_ATOL:
-            return None
+        if p.min() >= 0.0:
+            gaps = _row_sums(p)
+            gaps -= 1.0
+            if np.abs(gaps, out=gaps).max() <= SIMPLEX_ATOL:
+                return None
     return int(np.argmax(_off_simplex(p)))
 
 
@@ -340,6 +357,7 @@ class RoundRecord:
 
 
 # Outcome-class bins used by the accumulators: negatives, positives, unlabeled.
+# The bin of outcome code c is c mod N_BINS.
 _BIN_NEG = 0
 _BIN_POS = 1
 _BIN_UNL = 2
@@ -379,8 +397,8 @@ class Accumulators:
             return
         num_groups, _ = self.counts.shape
         d = self.expert_loss.shape[2]
-        bins = np.where(outcome_codes == UNLABELED_CODE, _BIN_UNL, outcome_codes)
-        flat = groups.astype(np.int64) * N_BINS + bins
+        flat = groups.astype(np.int64, copy=False) * N_BINS
+        flat += outcome_codes % N_BINS
         size = num_groups * N_BINS
         self.counts += np.bincount(flat, minlength=size).reshape(num_groups, N_BINS)
         self.learner_loss += np.bincount(flat, weights=expected, minlength=size).reshape(
@@ -407,7 +425,9 @@ _READ_CHARS = 1 << 17
 # Rows in a long run. A run is a stretch of consecutive rows that are alike
 # but for t. A writer lays out each run of at least _RUN rows as byte blocks
 # from its first line, and a reader checks each run of at least _RUN lines by
-# byte compares and parses its first line only.
+# byte compares and parses its first line only. The two-expert learner kernel
+# steps each run of at least _RUN rounds on one table and one loss row only
+# until the table is a fixed point.
 _RUN = 32
 
 # Values at the head of a column probed for repeats.
@@ -421,6 +441,20 @@ _T_TAIL = b"}\n"
 # The C scanner behind json.loads: _scan(text, k) parses the JSON value that
 # starts at text[k] and returns it with the index just past its end.
 _scan = make_scanner(json.JSONDecoder())
+
+
+def _run_bounds(columns, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of consecutive rows over which every one
+    of ``columns``, each of length n, keeps its bits (-0.0 is not 0.0): one
+    numpy compare per column."""
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for col in columns:
+        if col.dtype.kind == "f":
+            col = np.asarray(col, dtype=np.float64).view(np.int64)
+        np.logical_or(new[1:], col[1:] != col[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return starts, np.diff(starts, append=n)
 
 
 def _mostly_repeats(keys: np.ndarray) -> bool:
@@ -928,22 +962,15 @@ class Trace:
         losses run this way: 99.7% of a 100k-round FPL trace on t4 lies in
         runs of at least 32 rows."""
         n = len(self)
-        new = np.zeros(n, dtype=bool)
-        new[:1] = True
-        for col in (self.expected_loss, self.groups, self.outcome_codes,
-                    *self.distributions.T, *self.losses.T):
-            if col.dtype.kind == "f":
-                col = np.asarray(col, dtype=np.float64).view(np.int64)
-            np.logical_or(new[1:], col[1:] != col[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        counts = np.diff(starts, append=n)
+        starts, counts = _run_bounds((self.expected_loss, self.groups, self.outcome_codes,
+                                      *self.distributions.T, *self.losses.T), n)
         long = counts >= _RUN
         # the rows a long run repeats from its first are not formatted
         kept = ~np.repeat(long, counts)
         heads, lasts = starts[long], starts[long] + counts[long] - 1
         kept[heads] = True
         # one entry per row, held while the files are written otherwise
-        del new, starts, counts, long
+        del starts, counts, long
         for s in range(0, n, _IO_CHUNK):
             e = min(n, s + _IO_CHUNK)
             rows = s + np.flatnonzero(kept[s:e])

@@ -218,10 +218,10 @@ class TestBlockEqualsSequential:
     @settings(max_examples=10, deadline=None)
     @given(_instances())
     def test_fpl(self, instance):
-        groups, losses, _ = instance
+        groups, losses, num_groups = instance
         blk, seq = FollowPerturbedLeader(0.11, grid_m=64), FollowPerturbedLeader(0.11, grid_m=64)
-        blk.start(losses.shape[1])
-        seq.start(losses.shape[1])
+        blk.start(losses.shape[1], num_groups)
+        seq.start(losses.shape[1], num_groups)
         p_blk = blk.run_block(groups, losses)
         p_seq = _sequential_distributions(seq, groups, losses)
         np.testing.assert_allclose(p_blk, p_seq, atol=1e-12)
@@ -561,15 +561,21 @@ class TestTwoExpertKernelOracle:
 
 
 def _counting_updates(lrn):
-    """Count the learner's ``_update2`` calls in ``lrn.updates``."""
+    """Count in ``lrn.updates`` the rounds that the learner's per-round loop
+    ``_pair_rounds`` steps: the group ids it takes from its ``groups``
+    argument, one per round, up to the round it stops at."""
     lrn.updates = 0
-    update = lrn._update2
+    pair_rounds = lrn._pair_rounds
 
-    def counted(table, a0, a1):
-        lrn.updates += 1
-        return update(table, a0, a1)
+    def taken(groups):
+        for g in groups:
+            lrn.updates += 1
+            yield g
 
-    lrn._update2 = counted
+    def counted(tables, out, s, groups, *args, **kwargs):
+        return pair_rounds(tables, out, s, taken(groups), *args, **kwargs)
+
+    lrn._pair_rounds = counted
     return lrn
 
 
@@ -808,6 +814,41 @@ class TestRunRoundsContract:
         with pytest.raises(ContractError, match=r"at declared index 2 lies outside \[0, 1\]"):
             lrn.run_rounds(groups, rows, lambda *a: steps.append(a) or 0)
         assert steps == [] and np.array_equal(_final_state(lrn), start)
+
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_group_id_outside_the_group_set_names_its_row(self, kind, d, bad):
+        # a per-group kind played group -1 on the last group's table and
+        # updated it; group 2 of 2 raised IndexError
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(d, 2)
+        start = _final_state(lrn).copy()
+        groups = np.array([0, 1, bad, 1, 0], dtype=np.int64)
+        rows = np.full((5, d), 0.5)
+        match = rf"group id {bad} at row 2 of the stretch lies outside range\(2\)"
+        with pytest.raises(ContractError, match=match):
+            lrn.run_rounds(groups, rows)
+        steps = []
+        with pytest.raises(ContractError, match=match):
+            lrn.run_rounds(groups, rows, lambda *a: steps.append(a) or 0)
+        if lrn.supports_blocks:
+            with pytest.raises(ContractError, match=match):
+                lrn.run_block(groups, rows)
+        assert steps == [] and _same_bits(_final_state(lrn), start)
+
+    @pytest.mark.parametrize("learner", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("bad", [-1, 2])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_group_id_outside_the_group_set_through_the_protocol(self, learner, bad, adaptive):
+        groups, rows, steps = np.array([0, 1, bad, 1, 0]), np.full((5, 2), 0.5), []
+        if adaptive:
+            make = lambda T: AdaptiveBlock(groups, rows[:2], [0, 1], lambda *a: steps.append(a) or 0)  # noqa: E731
+        else:
+            make = lambda T: ObliviousBlock(groups, np.zeros(5, dtype=np.int8), rows)  # noqa: E731
+        with pytest.raises(ContractError, match=f"group id {bad} at row 2 "):
+            run(_KERNEL_KINDS[learner](), _OneBlock(make), 5, seed=1)
+        assert steps == []
 
     @pytest.mark.parametrize("learner", [
         {"kind": "per_group_fixed_share", "eta": 0.1, "rho": 0.01},

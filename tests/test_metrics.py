@@ -292,6 +292,12 @@ class TestShiftingComparator:
         with pytest.raises(ConfigError):
             best_shifting_comparator(np.zeros((3, 2)), -1)
 
+    @pytest.mark.parametrize("K", [1.5, 2.0, "2", None, True])
+    def test_k_of_the_wrong_type_rejected(self, K):
+        # as shifting_K in a config is; range() would raise TypeError on 1.5
+        with pytest.raises(ConfigError, match="K must be an integer"):
+            best_shifting_comparator(np.zeros((3, 2)), K)
+
     def test_needs_full_trace(self):
         b = TraceBuilder(2, 2, retain="summary")
         groups = np.zeros(4, dtype=np.int64)

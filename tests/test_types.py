@@ -165,6 +165,24 @@ class TestDistributionValidator:
         with pytest.raises(ValueError):
             validate_distribution(np.array([0.5, 0.5 + 1.1e-9]))
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_row_sums_are_numpys(self, d):
+        # the column adds give p.sum(axis=1)'s bits, -0.0 rows included, so
+        # the simplex verdict is numpy's; rows lie around 1 +- SIMPLEX_ATOL
+        rng = np.random.default_rng(d)
+        p = rng.random((4000, d))
+        p /= p.sum(axis=1, keepdims=True)
+        p *= 1.0 + rng.uniform(-2.0, 2.0, (4000, 1)) * types.SIMPLEX_ATOL
+        special = rng.random(p.shape) < 0.2
+        p[special] = rng.choice([0.0, -0.0, 1.0, 5e-324], int(special.sum()))
+        sums = types._row_sums(p)
+        assert sums.tobytes() == p.sum(axis=1).tobytes()
+        off = ~((p.min(axis=1) >= 0.0) & (np.abs(p.sum(axis=1) - 1.0) <= types.SIMPLEX_ATOL))
+        assert off.any() and not off.all()
+        assert np.array_equal(types._off_simplex(p), off)
+        assert types._first_off_simplex(p) == int(np.argmax(off))
+        assert types._first_off_simplex(p[~off]) is None
+
     def test_block_variant_raises_invariant_violation(self):
         good = np.array([[0.5, 0.5], [1.0, 0.0]])
         validate_distribution_block(good, 2)
@@ -1189,6 +1207,23 @@ def test_run_peak_memory():
     names = ("groups", "outcome_codes", "expected_loss", "distributions", "losses")
     returned = sum(getattr(tr, name).nbytes for name in names)
     assert peak <= 1.5 * returned, (peak, returned)
+
+
+def test_append_block_peak_memory():
+    # Checking and folding a block holds two columns beside it at most: the
+    # accumulators' int64 bin index, and the loss column np.bincount copies
+    # to take as weights. The bin array np.where built came on top of them.
+    tr = run({"kind": "fpl", "eta": 0.1}, {"kind": "t4"}, 100_000, 3, retain="full")
+    builder = TraceBuilder(tr.d, tr.num_groups, "full")
+    block = (tr.groups, tr.outcome_codes, tr.losses, tr.distributions, tr.expected_loss)
+    builder.append_block(*(col[:10] for col in block))  # imports and caches
+    tracemalloc.start()
+    try:
+        builder.append_block(*block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * len(tr) + 65536, peak
 
 
 def test_trace_io_leaves_numpy_ma_unimported(tmp_path):
