@@ -219,7 +219,9 @@ def _majority_world(reports: list[MetricReport]) -> str:
 def run_experiment(config: ExperimentConfig | Mapping) -> ExperimentResult:
     """Run all repetitions, aggregate, and (optionally) write the out_dir
     layout: config.json, report.json, summary.csv, and per-run traces under
-    runs/ when retain is "full"."""
+    runs/ when retain is "full". Each repetition's trace files are written
+    as soon as its report is built, and its trace is then dropped unless
+    keep_traces is set, so a sweep holds one trace at a time."""
     if not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_dict(config)
     config.validate()
@@ -237,28 +239,39 @@ def run_experiment(config: ExperimentConfig | Mapping) -> ExperimentResult:
         trace = run(learner, scn, config.T, config.base_seed + i, retain=retain)
         return build_report(trace, config.epsilon, config.shifting_K), trace
 
-    def sweep(scn, retain: str) -> list[tuple[MetricReport, Trace]]:
-        return [one_run(i, scn, retain) for i in range(config.reps)]
-
     if config.world_mode == "two_pass":
         if scenario.kind not in ("t1", "t2"):
             raise ConfigError(
                 f"two_pass world mode applies to t1/t2 scenarios, not {scenario.kind!r}"
             )
-        pre = [rep for rep, _ in sweep(scenario, "summary")]
-        world = _majority_world(pre)
+        world = _majority_world([one_run(i, scenario, "summary")[0] for i in range(config.reps)])
         scenario = dataclasses.replace(scenario, forced_world=world)
         resolved["scenario"] = scenario.config()
 
-    pairs = sweep(scenario, config.retain)
-    reports = [rep for rep, _ in pairs]
-    write_runs = config.out_dir is not None and config.retain == "full"
-    traces = [tr for _, tr in pairs] if (config.keep_traces or write_runs) else None
+    out = None if config.out_dir is None else Path(config.out_dir)
+    write_runs = out is not None and config.retain == "full"
+    if write_runs:
+        (out / "runs").mkdir(parents=True, exist_ok=True)
+    runs: list = []
+    traces = [] if config.keep_traces else None
+
+    def repetition(i: int) -> MetricReport:
+        report, trace = one_run(i, scenario, config.retain)
+        if write_runs:
+            # both formats in one pass over the trace
+            files = {fmt: out / "runs" / f"run_{i:03d}.{fmt}"
+                     for fmt in TRACE_FORMATS if fmt in config.formats}
+            trace.to_files(**files)
+            runs.extend(files.values())
+        if traces is not None:
+            traces.append(trace)
+        return report
+
+    reports = [repetition(i) for i in range(config.reps)]
     aggregate = aggregate_reports(reports)
 
     paths: dict = {}
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         paths["config"] = out / "config.json"
         _dump_json(paths["config"], resolved)
@@ -278,17 +291,7 @@ def run_experiment(config: ExperimentConfig | Mapping) -> ExperimentResult:
             writer.writerow(header)
             writer.writerows(rows)
         if write_runs:
-            runs_dir = out / "runs"
-            runs_dir.mkdir(exist_ok=True)
-            paths["runs"] = []
-            for i, tr in enumerate(traces):
-                # both formats in one pass over the trace
-                files = {fmt: (runs_dir / f"run_{i:03d}").with_suffix(f".{fmt}")
-                         for fmt in TRACE_FORMATS if fmt in config.formats}
-                tr.to_files(**files)
-                paths["runs"] += files.values()
-    if not config.keep_traces:
-        traces = None
+            paths["runs"] = runs
 
     return ExperimentResult(
         config=resolved,

@@ -114,6 +114,10 @@ class Learner:
         return self.num_groups if self.per_group else 1
 
     def _table(self, group: GroupId) -> int:
+        """The table a round of ``group`` reads. A group id outside
+        range(num_groups) raises ContractError, as in ``_check_group_ids``."""
+        if not 0 <= group < self.num_groups:
+            raise ContractError(f"group id {group} lies outside range({self.num_groups})")
         return group if self.per_group else 0
 
     def _table_rows(self, groups: np.ndarray) -> Iterator[tuple[int, slice | np.ndarray]]:
@@ -138,8 +142,9 @@ class Learner:
         raise NotImplementedError
 
     def observe(self, group: GroupId, losses) -> None:
-        """Fold in one round's loss vector. A vector of the wrong shape, or
-        with a loss outside [0, 1], raises ContractError and changes nothing."""
+        """Fold in one round's loss vector. A vector of the wrong shape, a
+        loss outside [0, 1] or a group id outside range(num_groups) raises
+        ContractError and changes nothing."""
         self._started()
         losses = np.asarray(losses, dtype=np.float64)
         if losses.shape != (self.d,):
@@ -441,6 +446,7 @@ class FollowPerturbedLeader(Learner):
 
     def next_distribution(self, group: GroupId) -> np.ndarray:
         self._started()
+        self._table(group)  # one table for every group, but the id is checked
         return self._grid_play(self._cum[None])[0]
 
     def _update(self, table: int, losses: np.ndarray) -> None:

@@ -109,7 +109,6 @@ class BlockResult:
     """Realized play handed back to the scenario once a block has run."""
 
     distributions: np.ndarray
-    expected: np.ndarray
 
 
 def _execute_block(learner, block, builder: TraceBuilder) -> BlockResult:
@@ -117,7 +116,7 @@ def _execute_block(learner, block, builder: TraceBuilder) -> BlockResult:
     groups = np.asarray(block.groups, dtype=np.int64)
     n = groups.shape[0]
     if n == 0:
-        return BlockResult(np.zeros((0, d)), np.zeros(0))
+        return BlockResult(np.zeros((0, d)))
     if isinstance(block, ObliviousBlock):
         losses, codes = block.losses, block.outcome_codes
         if learner.supports_blocks:
@@ -129,7 +128,7 @@ def _execute_block(learner, block, builder: TraceBuilder) -> BlockResult:
         losses, codes = np.take(block.rows, choices, axis=0), np.take(block.codes, choices)
     expected = expected_losses(p, losses)
     builder.append_block(groups, codes, losses, p, expected)
-    return BlockResult(p, expected)
+    return BlockResult(p)
 
 
 def run(learner, scenario, T: int, seed: int, retain: str = "full") -> Trace:

@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import json
+import tracemalloc
 
 import pytest
 
@@ -184,6 +185,56 @@ class TestRunExperiment:
         match, mismatch, errors = filecmp.cmpfiles(a, b, files, shallow=False)
         assert mismatch == [] and errors == []
         assert sorted(match) == sorted(files)
+
+
+class TestOneTraceAtATime:
+    def test_summary_peak_does_not_grow_with_reps(self):
+        # each repetition's trace is dropped once its report is built; a
+        # sweep that held them all peaked 17 bytes a row higher for each
+        # repetition after the first
+        T = 300_000
+
+        def traced_peak(reps):
+            cfg = ExperimentConfig(
+                scenario={"kind": "t2", "b": 0.25, "epsilon": 0.01},
+                learner={"kind": "single_mw", "eta": 0.005},
+                T=T, epsilon=0.01, reps=reps,
+            )
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(1)  # imports and caches
+        one, three = traced_peak(1), traced_peak(3)
+        assert three - one < 17 * T / 2, (one, three)
+
+    def test_files_match_the_kept_traces(self, tmp_path):
+        kept, dropped = tmp_path / "kept", tmp_path / "dropped"
+        res = run_experiment(_small_config(out_dir=str(kept), retain="full", reps=3,
+                                           keep_traces=True))
+        again = run_experiment(_small_config(out_dir=str(dropped), retain="full", reps=3))
+        assert again.traces is None and len(res.traces) == 3
+        names = [f"run_{i:03d}.{fmt}" for i in range(3) for fmt in ("jsonl", "csv")]
+        assert list(res.paths) == list(again.paths) == ["config", "report", "summary", "runs"]
+        assert res.paths["runs"] == [kept / "runs" / name for name in names]
+        assert again.paths["runs"] == [dropped / "runs" / name for name in names]
+        for i, tr in enumerate(res.traces):
+            tr.to_files(jsonl=tmp_path / "t.jsonl", csv=tmp_path / "t.csv")
+            for fmt in ("jsonl", "csv"):
+                want = (tmp_path / f"t.{fmt}").read_bytes()
+                assert (kept / "runs" / f"run_{i:03d}.{fmt}").read_bytes() == want
+                assert (dropped / "runs" / f"run_{i:03d}.{fmt}").read_bytes() == want
+
+    def test_runs_directory_without_formats_and_none_for_a_refused_config(self, tmp_path):
+        run_experiment(_small_config(out_dir=str(tmp_path / "a"), retain="full", formats=()))
+        assert list((tmp_path / "a" / "runs").iterdir()) == []
+        with pytest.raises(ConfigError, match="two_pass"):
+            run_experiment(_small_config(out_dir=str(tmp_path / "b"), retain="full",
+                                         world_mode="two_pass"))
+        assert not (tmp_path / "b").exists()
 
 
 class TestWorldModes:

@@ -417,13 +417,11 @@ def _drive(lrn, scenario, T, seed, rounds, max_blocks=None):
         groups = np.asarray(block.groups, dtype=np.int64)
         if isinstance(block, AdaptiveBlock):
             p, choices = rounds(lrn, groups, block.rows, block.step)
-            losses = block.rows[choices]
         else:
-            losses = np.asarray(block.losses, dtype=np.float64)
-            p, choices = rounds(lrn, groups, losses)
+            p, choices = rounds(lrn, groups, np.asarray(block.losses, dtype=np.float64))
         out.append((p, choices))
         try:
-            block = gen.send(BlockResult(p, np.einsum("td,td->t", p, losses)))
+            block = gen.send(BlockResult(p))
         except StopIteration:
             block = None
     return out
@@ -836,6 +834,23 @@ class TestRunRoundsContract:
             with pytest.raises(ContractError, match=match):
                 lrn.run_block(groups, rows)
         assert steps == [] and _same_bits(_final_state(lrn), start)
+
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_group_id_outside_the_group_set_one_round(self, kind, d, bad):
+        # observe(-1, ...) updated a per-group kind's last table, group 2 of
+        # 2 raised numpy's IndexError, and a shared table took either
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(d, 2)
+        lrn.observe(1, np.linspace(0.0, 1.0, d))
+        start = _final_state(lrn).copy()
+        match = rf"group id {bad} lies outside range\(2\)"
+        with pytest.raises(ContractError, match=match):
+            lrn.next_distribution(bad)
+        with pytest.raises(ContractError, match=match):
+            lrn.observe(bad, np.full(d, 0.5))
+        assert _same_bits(_final_state(lrn), start)
 
     @pytest.mark.parametrize("learner", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("bad", [-1, 2])
