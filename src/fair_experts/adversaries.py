@@ -33,6 +33,7 @@ from .types import (
     NEGATIVE_CODE,
     POSITIVE_CODE,
     UNLABELED_CODE,
+    echo_fields,
     require_reals,
     require_type,
 )
@@ -73,7 +74,13 @@ class Scenario:
         return None
 
     def config(self) -> dict:
-        raise NotImplementedError
+        """The echo ``make_scenario`` reads back to an equal scenario: the
+        kind, the fields by ``echo_fields``, and the experts' echoes when
+        the scenario fixes its expert set (t1, t2)."""
+        cfg = {"kind": self.kind, **echo_fields(self)}
+        if self.experts is not None:
+            cfg["experts"] = [ex.to_config() for ex in self.experts]
+        return cfg
 
     def start(self, T: int, seed_seq: np.random.SeedSequence) -> ScenarioRun:
         return ScenarioRun(self, T, seed_seq)
@@ -98,6 +105,16 @@ def _expert_loss_block(
     for f, ex in enumerate(experts):
         losses[:, f] = ex.losses(t, groups, codes, rng)
     return ObliviousBlock(groups, codes, losses)
+
+
+def _check_bait(scenario) -> None:
+    """The checks t1 and t2 share: epsilon a number in (0, 1), and
+    forced_world None, 'a' or 'b'."""
+    require_type("epsilon", scenario.epsilon, numbers.Real, "a number")
+    if not 0.0 < scenario.epsilon < 1.0:
+        raise ConfigError(f"epsilon must lie in (0, 1), got {scenario.epsilon!r}")
+    if scenario.forced_world not in (None, "a", "b"):
+        raise ConfigError(f"forced_world must be 'a' or 'b', got {scenario.forced_world!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +146,15 @@ class T1Scenario(Scenario):
     num_groups: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
-        require_type("epsilon", self.epsilon, numbers.Real, "a number")
+        _check_bait(self)
         if not isinstance(self.bernoulli_experts, bool):
             raise ConfigError(
                 f"bernoulli_experts must be true or false, got {self.bernoulli_experts!r}"
             )
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         if self.beta > 1.0:
             raise ConfigError(
                 f"epsilon={self.epsilon!r} puts the error rate 1/4 + sqrt(epsilon) above 1"
             )
-        if self.forced_world not in (None, "a", "b"):
-            raise ConfigError(f"forced_world must be 'a' or 'b', got {self.forced_world!r}")
 
     @property
     def beta(self) -> float:
@@ -155,15 +168,6 @@ class T1Scenario(Scenario):
                 kind="unbiased", beta=self.beta, bernoulli=self.bernoulli_experts, label="h_err"
             ),
         )
-
-    def config(self) -> dict:
-        cfg: dict = {"kind": self.kind, "epsilon": self.epsilon}
-        if self.forced_world is not None:
-            cfg["forced_world"] = self.forced_world
-        if self.bernoulli_experts:
-            cfg["bernoulli_experts"] = True
-        cfg["experts"] = [ex.to_config() for ex in self.experts]
-        return cfg
 
     def unroll(self, run: ScenarioRun) -> Iterator:
         T = run.T
@@ -231,13 +235,9 @@ class T2Scenario(Scenario):
 
     def __post_init__(self) -> None:
         require_type("b", self.b, numbers.Real, "a number")
-        require_type("epsilon", self.epsilon, numbers.Real, "a number")
         if not 0.0 < self.b < 0.49:
             raise ConfigError(f"b must lie in (0, 0.49), got {self.b!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if self.forced_world not in (None, "a", "b"):
-            raise ConfigError(f"forced_world must be 'a' or 'b', got {self.forced_world!r}")
+        _check_bait(self)
 
     @property
     def gamma(self) -> float:
@@ -249,13 +249,6 @@ class T2Scenario(Scenario):
             ExpertModel(kind="always_negative", label="h_neg"),
             ExpertModel(kind="always_positive", label="h_pos"),
         )
-
-    def config(self) -> dict:
-        cfg: dict = {"kind": self.kind, "b": self.b, "epsilon": self.epsilon}
-        if self.forced_world is not None:
-            cfg["forced_world"] = self.forced_world
-        cfg["experts"] = [ex.to_config() for ex in self.experts]
-        return cfg
 
     def unroll(self, run: ScenarioRun) -> Iterator:
         T = run.T
@@ -350,15 +343,6 @@ class T3Synthetic(Scenario):
     def num_groups(self) -> int:
         return self.groups
 
-    def config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rates": list(self.rates),
-            "groups": self.groups,
-            "schedule": self.schedule,
-            "kappa": self.kappa,
-        }
-
     def unroll(self, run: ScenarioRun) -> Iterator:
         T = run.T
         G, d = self.num_groups, self.d
@@ -412,9 +396,6 @@ class T4Scenario(Scenario):
     d: ClassVar[int] = 2
     num_groups: ClassVar[int] = 2
 
-    def config(self) -> dict:
-        return {"kind": self.kind}
-
     def unroll(self, run: ScenarioRun) -> Iterator:
         T = run.T
         q = T // 4
@@ -459,9 +440,6 @@ class T5Scenario(Scenario):
     kind: ClassVar[str] = "t5"
     d: ClassVar[int] = 2
     num_groups: ClassVar[int] = 2
-
-    def config(self) -> dict:
-        return {"kind": self.kind}
 
     def unroll(self, run: ScenarioRun) -> Iterator:
         T = run.T
@@ -540,12 +518,6 @@ class RandomIID(Scenario):
     @property
     def num_groups(self) -> int:
         return self.groups
-
-    def config(self) -> dict:
-        cfg: dict = {"kind": self.kind, "d": self.d, "groups": self.groups}
-        if self.group_probs is not None:
-            cfg["group_probs"] = list(self.group_probs)
-        return cfg
 
     def unroll(self, run: ScenarioRun) -> Iterator:
         T = run.T

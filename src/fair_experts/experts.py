@@ -25,6 +25,7 @@ from .types import (
     Outcome,
     POSITIVE_CODE,
     Trace,
+    echo_fields,
     losses_from_scores,
     max_pairwise_gap,
     outcome_code,
@@ -67,6 +68,8 @@ class ExpertModel:
             object.__setattr__(self, "table", require_reals("table", self.table))
         if not isinstance(self.bernoulli, bool):
             raise ConfigError(f"bernoulli must be true or false, got {self.bernoulli!r}")
+        if not isinstance(self.label, str):
+            raise ConfigError(f"label must be a string, got {self.label!r}")
         if self.kind == "unbiased":
             if self.beta is None or not 0.0 <= self.beta <= 1.0:
                 raise ConfigError(f"unbiased expert needs beta in [0, 1], got {self.beta!r}")
@@ -141,18 +144,7 @@ class ExpertModel:
         return losses_from_scores(self.scores(t, groups, outcome_codes, rng), outcome_codes)
 
     def to_config(self) -> dict:
-        cfg: dict = {"kind": self.kind}
-        if self.beta is not None:
-            cfg["beta"] = self.beta
-        if self.score is not None:
-            cfg["score"] = self.score
-        if self.table is not None:
-            cfg["table"] = list(self.table)
-        if self.bernoulli:
-            cfg["bernoulli"] = True
-        if self.label:
-            cfg["label"] = self.label
-        return cfg
+        return echo_fields(self)
 
 
 def make_expert(config: Mapping) -> ExpertModel:

@@ -119,19 +119,6 @@ class ExperimentConfig:
         return out
 
 
-def _resolved_learner_config(
-    learner_cfg: Mapping, T: int, epsilon: float, alpha: float
-) -> dict:
-    """Echo the learner config with every tuning default filled in."""
-    learner = make_learner(learner_cfg, T=T, epsilon=epsilon, alpha=alpha)
-    out = {"kind": learner.kind, "eta": learner.eta}
-    if hasattr(learner, "grid_m"):
-        out["grid_m"] = learner.grid_m
-    if hasattr(learner, "rho"):
-        out["rho"] = learner.rho
-    return out
-
-
 def _json_default(obj):
     if isinstance(obj, np.integer):
         return int(obj)
@@ -228,14 +215,13 @@ def run_experiment(config: ExperimentConfig | Mapping) -> ExperimentResult:
     scenario = make_scenario(config.scenario)
     resolved = config.echo()
     resolved["scenario"] = scenario.config()
-    resolved["learner"] = _resolved_learner_config(
-        config.learner, config.T, config.epsilon, config.alpha
-    )
+    resolved["learner"] = make_learner(
+        config.learner, T=config.T, epsilon=config.epsilon, alpha=config.alpha
+    ).config()
 
     def one_run(i: int, scn, retain: str) -> tuple[MetricReport, Trace]:
-        learner = make_learner(
-            config.learner, T=config.T, epsilon=config.epsilon, alpha=config.alpha
-        )
+        # the echo holds every resolved default, so it builds the same learner
+        learner = make_learner(resolved["learner"])
         trace = run(learner, scn, config.T, config.base_seed + i, retain=retain)
         return build_report(trace, config.epsilon, config.shifting_K), trace
 

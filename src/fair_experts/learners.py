@@ -37,16 +37,8 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .types import (_IO_CHUNK, _RUN, ConfigError, ContractError, GroupId, _first_off_unit, _numbers,
-                    _run_bounds, require_type)
-
-LEARNER_KINDS = (
-    "single_mw",
-    "per_group_mw",
-    "fpl",
-    "fixed_share",
-    "per_group_fixed_share",
-)
+from .types import (_IO_CHUNK, _RUN, ConfigError, ContractError, GroupId, _check_groups, _first_off_unit,
+                    _numbers, _run_bounds, require_type)
 
 # Layout seed for the perturbation grid. Part of the algorithm definition:
 # every instance with the same (d, eta, m) gets the same grid, so play is a
@@ -79,6 +71,8 @@ class Learner:
     """
 
     kind = "base"
+    # The keys a config of this kind may hold besides its kind.
+    config_keys = frozenset({"eta"})
     supports_blocks = False
     per_group = False
     # Kinds with an exact scalar kernel for d=2 (see ``_two_expert_rounds``).
@@ -93,6 +87,11 @@ class Learner:
     @property
     def id(self) -> str:
         return self.kind
+
+    def config(self) -> dict:
+        """The echo ``make_learner`` reads back to a learner of this config:
+        the kind and every tuning value, defaults resolved."""
+        return {"kind": self.kind, "eta": self.eta}
 
     def start(self, d: int, num_groups: int = 1) -> None:
         if d < 1:
@@ -115,7 +114,7 @@ class Learner:
 
     def _table(self, group: GroupId) -> int:
         """The table a round of ``group`` reads. A group id outside
-        range(num_groups) raises ContractError, as in ``_check_group_ids``."""
+        range(num_groups) raises ContractError, as in ``_stretch``."""
         if not 0 <= group < self.num_groups:
             raise ContractError(f"group id {group} lies outside range({self.num_groups})")
         return group if self.per_group else 0
@@ -129,14 +128,28 @@ class Learner:
         for g in np.unique(groups):
             yield g, np.flatnonzero(groups == g)
 
-    def _check_group_ids(self, groups: np.ndarray) -> None:
-        """ContractError naming the first row of a stretch whose group id
-        lies outside range(num_groups): a per-group kind would index a
-        table with it, and -1 would play the last group's table."""
-        if groups.size and (groups.min() < 0 or groups.max() >= self.num_groups):
+    def _stretch(self, groups, losses, adaptive: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The group ids and float64 losses of a stretch, as ``run_rounds``
+        and ``run_block`` take them: (n,) integer ids in range(num_groups)
+        (-1 would play the last group's table) and (n, d) losses in [0, 1],
+        or an adaptive stretch's (K, d) declared rows. Else ContractError."""
+        self._started()
+        groups = _check_groups(groups)
+        n = groups.shape[0]
+        losses = _numbers(losses, "declared loss rows" if adaptive else "losses")
+        shape = losses.shape
+        if not adaptive:
+            if shape != (n, self.d):
+                raise ContractError(f"loss block has shape {shape}, expected ({n}, {self.d})")
+        elif len(shape) != 2 or shape[0] < 1 or shape[1] != self.d:
+            raise ContractError(f"declared loss rows have shape {shape}, expected (K, {self.d}), K >= 1")
+        rows = losses.astype(np.float64, copy=False)
+        _check_loss_block(rows, "declared index {}" if adaptive else "row {} of the stretch")
+        if n and (groups.min() < 0 or groups.max() >= self.num_groups):
             k = int(np.argmax((groups < 0) | (groups >= self.num_groups)))
             raise ContractError(f"group id {groups[k]} at row {k} of the stretch lies outside "
                                 f"range({self.num_groups})")
+        return groups, rows
 
     def next_distribution(self, group: GroupId) -> np.ndarray:
         raise NotImplementedError
@@ -160,9 +173,8 @@ class Learner:
         """Distributions for a stretch of rounds known in advance.
 
         Semantically identical to calling next_distribution/observe round by
-        round; only kinds with supports_blocks=True implement it. Losses
-        outside [0, 1] and group ids outside range(num_groups) raise
-        ContractError before the state changes.
+        round; only kinds with supports_blocks=True implement it. The
+        stretch is checked as ``run_rounds`` checks an oblivious one.
         """
         raise ContractError(f"{self.kind} has no vectorized block path")
 
@@ -174,25 +186,15 @@ class Learner:
         from and ``step(i, group, p)``, which sees round i's play as a tuple
         of d Python floats and returns the index of its row, a Python int in
         range(K); choices holds those indices. Losses that are ragged, not
-        numbers, of the wrong shape or outside [0, 1], and group ids outside
-        range(num_groups), raise ContractError before the first round, and a
-        choice that is not an int in range(K) once the rounds before it are
-        observed.
+        numbers, of the wrong shape or outside [0, 1], and group ids that are
+        not (n,) integers in range(num_groups), raise ContractError before
+        the first round, and a choice that is not an int in range(K) once
+        the rounds before it are observed.
         """
-        self._started()
-        n = groups.shape[0]
-        losses = _numbers(losses, "losses" if step is None else "declared loss rows")
-        shape = losses.shape
-        if step is None:
-            if shape != (n, self.d):
-                raise ContractError(f"loss block has shape {shape}, expected ({n}, {self.d})")
-        elif len(shape) != 2 or shape[0] < 1 or shape[1] != self.d:
-            raise ContractError(f"declared loss rows have shape {shape}, expected (K, {self.d}), K >= 1")
-        rows = losses.astype(np.float64, copy=False)
-        _check_loss_block(rows, "row {} of the stretch" if step is None else "declared index {}")
-        self._check_group_ids(groups)
+        groups, rows = self._stretch(groups, losses, step is not None)
         if self.d == 2 and self.two_expert_kernel:
             return self._two_expert_rounds(groups, rows, step)
+        n = groups.shape[0]
         p = np.empty((n, self.d), dtype=np.float64)
         choices = None if step is None else np.empty(n, dtype=np.intp)
         K = rows.shape[0]
@@ -336,9 +338,7 @@ class _MultiplicativeWeights(Learner):
         self._log_w[table] += self._loss_terms(losses)
 
     def run_block(self, groups: np.ndarray, losses: np.ndarray) -> np.ndarray:
-        self._started()
-        _check_loss_block(losses)
-        self._check_group_ids(groups)
+        groups, losses = self._stretch(groups, losses)
         p = np.empty((losses.shape[0], self.d), dtype=np.float64)
         for table, rows in self._table_rows(groups):
             cum = np.cumsum(losses[rows], axis=0)
@@ -423,6 +423,7 @@ class FollowPerturbedLeader(Learner):
     """
 
     kind = "fpl"
+    config_keys = frozenset({"eta", "grid_m"})
     supports_blocks = True
 
     def __init__(self, eta: float, grid_m: int = DEFAULT_GRID_M) -> None:
@@ -432,6 +433,9 @@ class FollowPerturbedLeader(Learner):
         self.grid_m = int(grid_m)
         if self.grid_m < 1:
             raise ConfigError(f"grid_m must be >= 1, got {grid_m!r}")
+
+    def config(self) -> dict:
+        return {**super().config(), "grid_m": self.grid_m}
 
     def _init_state(self) -> None:
         m = self.grid_m
@@ -458,9 +462,7 @@ class FollowPerturbedLeader(Learner):
         loss before the block plus the cumsum of the block's rows before k.
         Each chunk's cumsum starts from the sum of the rows before it, added
         to its first row, which gives the bits of one cumsum over the block."""
-        self._started()
-        _check_loss_block(losses)
-        self._check_group_ids(groups)
+        groups, losses = self._stretch(groups, losses)
         play = self._two_expert_play if self.d == 2 else self._grid_play
         p = np.empty((losses.shape[0], self.d), dtype=np.float64)
         total = np.zeros(self.d)
@@ -532,6 +534,7 @@ class FixedShare(Learner):
     """
 
     kind = "fixed_share"
+    config_keys = frozenset({"eta", "rho", "switches"})
     two_expert_kernel = True
 
     def __init__(self, eta: float, rho: float) -> None:
@@ -541,6 +544,9 @@ class FixedShare(Learner):
         self.rho = float(rho)
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must lie in [0, 1], got {rho!r}")
+
+    def config(self) -> dict:
+        return {**super().config(), "rho": self.rho}
 
     def _init_state(self) -> None:
         self._p = np.full((self._tables(), self.d), 1.0 / self.d, dtype=np.float64)
@@ -603,6 +609,13 @@ class PerGroupFixedShare(FixedShare):
     per_group = True
 
 
+_LEARNERS = {
+    cls.kind: cls
+    for cls in (SingleMW, PerGroupMW, FollowPerturbedLeader, FixedShare, PerGroupFixedShare)
+}
+LEARNER_KINDS = tuple(_LEARNERS)
+
+
 def default_eta(kind: str, epsilon: float, alpha: float | None = None) -> float:
     """Learning-rate defaults: min(epsilon, alpha/6) for per-group MW,
     epsilon/2 otherwise, always capped below 1/2."""
@@ -624,39 +637,32 @@ def make_learner(
 ) -> Learner:
     """Build a learner from a config mapping, filling tuning defaults.
 
+    The kind table picks the class, which names the keys the kind takes.
     eta defaults from (epsilon, alpha) via default_eta; rho for the share
-    kinds defaults to min(1, (switches + 1) / T) with switches = 2.
+    kinds to min(1, (switches + 1) / T), switches >= 0 defaulting to 2.
+    The learner's ``config()`` echoes the result.
     """
     cfg = dict(config)
     kind = cfg.pop("kind", None)
     if kind not in LEARNER_KINDS:
         raise ConfigError(f"learner kind must be one of {LEARNER_KINDS}, got {kind!r}")
-    eta = cfg.pop("eta", None)
-    if eta is None:
+    cls = _LEARNERS[kind]
+    extra = set(cfg) - cls.config_keys
+    if extra:
+        raise ConfigError(f"unknown keys for {kind!r}: {sorted(extra)}")
+    if cfg.get("eta") is None:
         if epsilon is None:
             raise ConfigError(f"learner {kind!r} needs eta (or epsilon to derive it)")
-        eta = default_eta(kind, epsilon, alpha)
-    if kind == "single_mw" or kind == "per_group_mw":
-        extra = set(cfg)
-        if extra:
-            raise ConfigError(f"unknown keys for {kind!r}: {sorted(extra)}")
-        return SingleMW(eta) if kind == "single_mw" else PerGroupMW(eta)
-    if kind == "fpl":
-        grid_m = cfg.pop("grid_m", DEFAULT_GRID_M)
-        if cfg:
-            raise ConfigError(f"unknown keys for 'fpl': {sorted(cfg)}")
-        return FollowPerturbedLeader(eta, grid_m=grid_m)
-    # share kinds
-    rho = cfg.pop("rho", None)
-    switches = cfg.pop("switches", DEFAULT_SWITCH_BUDGET)
-    if cfg:
-        raise ConfigError(f"unknown keys for {kind!r}: {sorted(cfg)}")
-    require_type("switches", switches, numbers.Integral, "an integer")
-    if rho is None:
-        if T is None:
-            raise ConfigError(f"learner {kind!r} needs rho (or T to derive it)")
-        # Capped at 1 for horizons of at most switches + 1 rounds; T = 0
-        # plays no round, so any valid rho serves.
-        rho = min(1.0, (switches + 1) / T) if T else 1.0
-    cls = FixedShare if kind == "fixed_share" else PerGroupFixedShare
-    return cls(eta, rho)
+        cfg["eta"] = default_eta(kind, epsilon, alpha)
+    if issubclass(cls, FixedShare):
+        switches = cfg.pop("switches", DEFAULT_SWITCH_BUDGET)
+        require_type("switches", switches, numbers.Integral, "an integer")
+        if switches < 0:
+            raise ConfigError(f"switches must be >= 0, got {switches!r}")
+        if cfg.get("rho") is None:
+            if T is None:
+                raise ConfigError(f"learner {kind!r} needs rho (or T to derive it)")
+            # Capped at 1 for horizons of at most switches + 1 rounds; T = 0
+            # plays no round, so any valid rho serves.
+            cfg["rho"] = min(1.0, (switches + 1) / T) if T else 1.0
+    return cls(**cfg)

@@ -33,19 +33,11 @@ from .types import (
     InvariantViolation,
     Trace,
     TraceBuilder,
+    _check_groups,
     _check_outcome_codes,
     _numbers,
     expected_losses,
 )
-
-
-def _check_groups(groups) -> None:
-    """ContractError unless ``groups`` is one-dimensional and of integers: the
-    int64 cast a block is played through would floor 0.7 to group 0."""
-    groups = _numbers(groups, "group ids")
-    if groups.ndim != 1 or groups.dtype.kind not in "iu":
-        raise ContractError(f"group ids have shape {groups.shape} and dtype {groups.dtype}, "
-                            "expected (n,) integers")
 
 
 @dataclass

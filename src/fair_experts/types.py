@@ -15,7 +15,7 @@ runs. ``RoundRecord`` is the per-round view used at API boundaries.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -84,6 +84,20 @@ def require_reals(name: str, values) -> tuple[float, ...]:
     for i, x in enumerate(values):
         require_type(f"{name}[{i}]", x, numbers.Real, "a number")
     return tuple(float(x) for x in values)
+
+
+def echo_fields(obj) -> dict:
+    """The config echo of a dataclass: its fields in order, less those whose
+    value is None, False or "", with tuples as lists. Rebuilding the object
+    from the echo gives an equal object. None and False are matched by
+    identity, as 0.0 == False and a field at 0.0 stays."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is None or value is False or value == "":
+            continue
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 class Outcome(Enum):
@@ -206,6 +220,16 @@ def _numbers(x, what: str) -> np.ndarray:
     if x.dtype.kind not in "biuf":
         raise ContractError(f"{what} have shape {x.shape} and dtype {x.dtype}, expected numbers")
     return x
+
+
+def _check_groups(groups) -> np.ndarray:
+    """``groups`` as an array. ContractError unless it is (n,) integers: the
+    int64 cast a block is played through would floor 0.7 to group 0."""
+    groups = _numbers(groups, "group ids")
+    if groups.ndim != 1 or groups.dtype.kind not in "iu":
+        raise ContractError(f"group ids have shape {groups.shape} and dtype {groups.dtype}, "
+                            "expected (n,) integers")
+    return groups
 
 
 def _check_outcome_codes(codes, n: int, where: str, error: type) -> np.ndarray:

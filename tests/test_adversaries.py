@@ -371,11 +371,34 @@ class TestMakeScenario:
         assert make_scenario({"kind": "t3_synthetic", "rates": [0, 1]}).rates == (0.0, 1.0)
 
     def test_config_echo_round_trips(self):
-        for cfg in (
-            {"kind": "t1", "epsilon": 0.02},
-            {"kind": "t2", "b": 0.3, "epsilon": 0.05},
-            {"kind": "t3_synthetic", "rates": [0.2, 0.8], "groups": 2},
+        # the literal echo of each kind, optional fields unset and set, in
+        # key order; a field at its default stays unless it is None, False
+        # or "", so t3's kappa 0.0 and groups 2 stay
+        neg, pos = {"kind": "always_negative", "label": "h_neg"}, {"kind": "always_positive", "label": "h_pos"}
+        err = {"kind": "unbiased", "beta": 0.3914213562373095, "label": "h_err"}
+        for cfg, echo in (
+            ({"kind": "t1", "epsilon": 0.02}, {"kind": "t1", "epsilon": 0.02, "experts": [neg, err]}),
+            ({"kind": "t1", "epsilon": 0.02, "forced_world": "b", "bernoulli_experts": True},
+             {"kind": "t1", "epsilon": 0.02, "forced_world": "b", "bernoulli_experts": True,
+              "experts": [neg, {**err, "bernoulli": True}]}),
+            ({"kind": "t2", "b": 0.3, "epsilon": 0.05},
+             {"kind": "t2", "b": 0.3, "epsilon": 0.05, "experts": [neg, pos]}),
+            ({"kind": "t2", "b": 0.3, "epsilon": 0.05, "forced_world": "a"},
+             {"kind": "t2", "b": 0.3, "epsilon": 0.05, "forced_world": "a", "experts": [neg, pos]}),
+            ({"kind": "t3_synthetic", "rates": [0.2, 0.8], "groups": 2},
+             {"kind": "t3_synthetic", "rates": [0.2, 0.8], "groups": 2, "schedule": "blocks", "kappa": 0.0}),
+            ({"kind": "t3_synthetic", "rates": [0.2, 0.8]},
+             {"kind": "t3_synthetic", "rates": [0.2, 0.8], "groups": 2, "schedule": "blocks", "kappa": 0.0}),
+            ({"kind": "t3_synthetic", "rates": [0, 1], "groups": 3, "schedule": "alternating", "kappa": 0.25},
+             {"kind": "t3_synthetic", "rates": [0.0, 1.0], "groups": 3, "schedule": "alternating",
+              "kappa": 0.25}),
+            ({"kind": "random_iid"}, {"kind": "random_iid", "d": 2, "groups": 2}),
+            ({"kind": "random_iid", "d": 3, "group_probs": [0.25, 0.75]},
+             {"kind": "random_iid", "d": 3, "groups": 2, "group_probs": [0.25, 0.75]}),
+            ({"kind": "t4"}, {"kind": "t4"}),
+            ({"kind": "t5"}, {"kind": "t5"}),
         ):
             sc = make_scenario(cfg)
+            assert list(sc.config().items()) == list(echo.items())
             again = make_scenario(sc.config())
             assert again == sc

@@ -69,13 +69,26 @@ class TestPredict:
         np.testing.assert_allclose(vec, scalar, atol=0)
 
     def test_config_round_trip(self):
-        for cfg in (
-            {"kind": "always_negative"},
-            {"kind": "unbiased", "beta": 0.3},
-            {"kind": "scripted", "table": [0.0, 1.0], "label": "flip"},
+        # echo None, False and "" fields are left out; a 0 or 0.0 stays
+        for cfg, echo in (
+            ({"kind": "always_negative"}, {"kind": "always_negative"}),
+            ({"kind": "unbiased", "beta": 0.3}, {"kind": "unbiased", "beta": 0.3}),
+            ({"kind": "scripted", "table": [0.0, 1.0], "label": "flip"},
+             {"kind": "scripted", "table": [0.0, 1.0], "label": "flip"}),
+            ({"kind": "scripted", "table": [0, 1]}, {"kind": "scripted", "table": [0.0, 1.0]}),
+            ({"kind": "fixed_score", "score": 0.0}, {"kind": "fixed_score", "score": 0.0}),
+            ({"kind": "unbiased", "beta": 0}, {"kind": "unbiased", "beta": 0}),
+            ({"kind": "unbiased", "beta": 0.3, "bernoulli": True, "label": "coin"},
+             {"kind": "unbiased", "beta": 0.3, "bernoulli": True, "label": "coin"}),
+            ({"kind": "always_positive", "label": "", "bernoulli": False}, {"kind": "always_positive"}),
         ):
             ex = make_expert(cfg)
+            assert list(ex.to_config().items()) == list(echo.items())
             assert make_expert(ex.to_config()) == ex
+
+    def test_label_must_be_a_string(self):
+        with pytest.raises(ConfigError, match="label must be a string, got 5"):
+            ExpertModel("always_negative", label=5)
 
     def test_bad_configs(self):
         with pytest.raises(ValueError):
@@ -98,6 +111,8 @@ class TestPredict:
         {"kind": "scripted", "table": []},
         {"kind": "scripted", "table": [0.5, 1.2]},
         {"kind": "always_negative", "bernoulli": True},
+        {"kind": "always_negative", "label": 5},
+        {"kind": "unbiased", "beta": 0.3, "label": None},
     ])
     def test_bad_configs_raise_config_error(self, cfg):
         with pytest.raises(ConfigError):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fair_experts import adversaries
 from fair_experts.adversaries import make_scenario
+from fair_experts.harness import run_experiment
 from fair_experts.learners import (
     FixedShare,
     FollowPerturbedLeader,
@@ -261,6 +262,28 @@ class TestMakeLearner:
         lrn = make_learner({"kind": "fpl", "eta": 0.1, "grid_m": 32})
         assert lrn.grid_m == 32
 
+    @pytest.mark.parametrize("config, echo", [
+        ({"kind": "single_mw"}, {"kind": "single_mw", "eta": 0.05}),
+        ({"kind": "per_group_mw"}, {"kind": "per_group_mw", "eta": 0.049999999999999996}),
+        ({"kind": "fpl", "eta": 0.1}, {"kind": "fpl", "eta": 0.1, "grid_m": 1024}),
+        ({"kind": "fpl", "grid_m": 32}, {"kind": "fpl", "eta": 0.05, "grid_m": 32}),
+        ({"kind": "fixed_share"}, {"kind": "fixed_share", "eta": 0.05, "rho": 0.03}),
+        ({"kind": "per_group_fixed_share", "eta": 0.2, "switches": 4},
+         {"kind": "per_group_fixed_share", "eta": 0.2, "rho": 0.05}),
+        ({"kind": "fixed_share", "eta": 0.1, "rho": 0.5}, {"kind": "fixed_share", "eta": 0.1, "rho": 0.5}),
+    ])
+    def test_config_echo(self, config, echo):
+        # the echo resolves every default at T=100, epsilon=0.1, alpha=0.3,
+        # in key order, and reads back to itself
+        def harness_echo(learner):
+            return run_experiment({"scenario": {"kind": "t4"}, "learner": learner, "T": 100}).config["learner"]
+
+        assert list(harness_echo(config).items()) == list(echo.items())
+        assert harness_echo(echo) == echo
+        learner = make_learner(config, T=100, epsilon=0.1, alpha=0.3)
+        assert list(learner.config().items()) == list(echo.items())
+        assert make_learner(learner.config()).config() == echo
+
     @pytest.mark.parametrize("T, rho", [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0), (4, 0.75)])
     def test_derived_rho_capped_at_one(self, T, rho):
         for kind in ("fixed_share", "per_group_fixed_share"):
@@ -275,6 +298,15 @@ class TestMakeLearner:
             make_learner({"kind": "single_mw", "eta": 0.1, "bogus": 1})
         with pytest.raises(ConfigError):
             make_learner({"kind": "fixed_share", "eta": 0.1})  # no rho, no T
+
+    @pytest.mark.parametrize("kind", ["fixed_share", "per_group_fixed_share"])
+    @pytest.mark.parametrize("switches", [-1, -5])
+    def test_negative_switches(self, kind, switches):
+        # -1 gave rho = 0, fixed share with no sharing; -5 failed on rho
+        with pytest.raises(ConfigError, match=f"switches must be >= 0, got {switches}"):
+            make_learner({"kind": kind, "eta": 0.1, "switches": switches}, T=100)
+        with pytest.raises(ConfigError, match="switches must be >= 0"):
+            make_learner({"kind": kind, "eta": 0.1, "rho": 0.5, "switches": switches}, T=100)
 
     @pytest.mark.parametrize("config", [
         {"kind": "fpl", "eta": 0.1, "grid_m": 2.5},
@@ -392,6 +424,9 @@ _KERNEL_KINDS = {
     "fixed_share": lambda: FixedShare(0.23, 0.02),
     "per_group_fixed_share": lambda: PerGroupFixedShare(0.23, 0.02),
 }
+
+
+_BLOCK_KINDS = ("single_mw", "per_group_mw", "fpl")
 
 
 def _final_state(lrn):
@@ -952,6 +987,55 @@ class TestRunRoundsContract:
         steps = []
         with pytest.raises(ContractError, match="declared loss rows"):
             lrn.run_rounds(groups, losses(d), lambda *a: steps.append(a) or 0)
+        assert steps == [] and _same_bits(_final_state(lrn), start)
+
+    @pytest.mark.parametrize("kind, method", [(k, "run_rounds") for k in _KERNEL_KINDS]
+                             + [(k, "run_block") for k in _BLOCK_KINDS])
+    @pytest.mark.parametrize("groups, losses, match", [
+        (np.array([0, 1, 0]), np.full((3, 3), 0.5), r"loss block has shape \(3, 3\), expected \(3, 2\)"),
+        (np.array([0, 1]), np.full(2, 0.5), r"loss block has shape \(2,\), expected \(2, 2\)"),
+        (np.array([0, 1]), np.full((3, 2), 0.5), r"loss block has shape \(3, 2\), expected \(2, 2\)"),
+        (np.array([0, 1, 0, 1]), np.full((3, 2), 0.5), r"loss block has shape \(3, 2\), expected \(4, 2\)"),
+        (np.array([0, 1]), [[0.5, 0.5], [0.5]], "losses are not arrays"),
+        (np.array([0, 1]), [["0.5", "0.5"]] * 2, "losses have shape .* expected numbers"),
+        (np.array([0, 1]), [[0.5, 0.5], [0.5, 1.5]], r"\[0.5, 1.5\] at row 1 of the stretch lies outside"),
+        (np.array([0.7, 1.2]), np.full((2, 2), 0.5), r"group ids have shape \(2,\) and dtype float64"),
+        (np.array([[0, 1]]), np.full((2, 2), 0.5), r"group ids have shape \(1, 2\)"),
+        (np.array(["0", "1"]), np.full((2, 2), 0.5), "group ids have shape .* expected numbers"),
+        ([[0, 1], [0]], np.full((2, 2), 0.5), "group ids are not arrays"),
+        (np.array([0, 2]), np.full((2, 2), 0.5), r"group id 2 at row 1 of the stretch lies outside range\(2\)"),
+    ], ids=["wide", "flat", "more-rows", "more-ids", "ragged", "text", "range", "float-ids",
+            "2d-ids", "text-ids", "ragged-ids", "id-range"])
+    def test_malformed_stretch_changes_nothing(self, kind, method, groups, losses, match):
+        # run_block took none of run_rounds' checks on shape or type, and
+        # neither refused float group ids: numpy's errors came out, or a
+        # shared table played 3 rows for 2 ids, or group 0.7 as group 0
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(2, 2)
+        lrn.observe(1, [0.25, 1.0])
+        start = _final_state(lrn).copy()
+        with pytest.raises(ContractError, match=match):
+            getattr(lrn, method)(groups, losses)
+        assert _same_bits(_final_state(lrn), start)
+
+    @pytest.mark.parametrize("kind, method", [(k, "run_rounds") for k in _KERNEL_KINDS]
+                             + [(k, "run_block") for k in _BLOCK_KINDS])
+    def test_stretch_of_lists_plays_as_arrays(self, kind, method):
+        groups, losses = [0, 1, 1, 0, 1], [[0.0, 1.0], [0.5, 0.25], [1.0, 1.0], [0.0, 0.0], [0.75, 0.5]]
+        new, ref = _started_pair(kind, 2)
+        got = getattr(new, method)(groups, losses)
+        want = getattr(ref, method)(np.array(groups), np.array(losses))
+        if method == "run_block":
+            got, want = (got,), (want,)
+        _assert_same([got], [want], new, ref)
+
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    def test_float_group_ids_in_an_adaptive_stretch(self, kind):
+        lrn, steps = _KERNEL_KINDS[kind](), []
+        lrn.start(2, 2)
+        start = _final_state(lrn).copy()
+        with pytest.raises(ContractError, match="group ids have shape"):
+            lrn.run_rounds(np.array([0.7, 1.2]), np.eye(2), lambda *a: steps.append(a) or 0)
         assert steps == [] and _same_bits(_final_state(lrn), start)
 
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
