@@ -3,10 +3,13 @@
 Every learner follows the same contract: ``start(d, num_groups)`` resets
 state, ``next_distribution(group)`` returns the current play without side
 effects, ``observe(group, losses)`` folds in one round's loss vector. Kinds
-whose distributions are closed-form functions of cumulative losses also
-implement ``run_block`` so oblivious stretches can be executed vectorized;
-the block path and the sequential path are the same algorithm and agree to
-floating-point noise, and ``next_distribution`` is the play of a one-row block.
+whose distributions are closed-form functions of cumulative losses
+(multiplicative weights and the perturbed leader) supply
+``_cumulative_play``, the plays of a block of cumulative losses, and share
+one ``run_block`` that plays an oblivious stretch vectorized, per table in
+chunks of 8192 rows; the block path and the sequential path are the same
+algorithm and agree to floating-point noise, and ``next_distribution`` is
+the play of a one-row block.
 
 ``run_rounds`` plays a stretch round by round, oblivious or adaptive. Its
 generic form is the ``next_distribution``/``observe`` loop. For two experts,
@@ -94,6 +97,8 @@ class Learner:
         return {"kind": self.kind, "eta": self.eta}
 
     def start(self, d: int, num_groups: int = 1) -> None:
+        require_type("d", d, numbers.Integral, "an integer")
+        require_type("num_groups", num_groups, numbers.Integral, "an integer")
         if d < 1:
             raise ConfigError(f"need at least one expert, got d={d}")
         if num_groups < 1:
@@ -113,17 +118,22 @@ class Learner:
         return self.num_groups if self.per_group else 1
 
     def _table(self, group: GroupId) -> int:
-        """The table a round of ``group`` reads. A group id outside
-        range(num_groups) raises ContractError, as in ``_stretch``."""
+        """The table a round of ``group`` reads. A group id that is not an
+        integer (a bool is not) or lies outside range(num_groups) raises
+        ContractError, as in ``_stretch``."""
+        # an int passes on its type alone; the Integral check is an ABC lookup, 20 times as slow
+        if type(group) is not int and (isinstance(group, bool) or not isinstance(group, numbers.Integral)):
+            raise ContractError(f"group id {group!r} is not an integer")
         if not 0 <= group < self.num_groups:
             raise ContractError(f"group id {group} lies outside range({self.num_groups})")
         return group if self.per_group else 0
 
-    def _table_rows(self, groups: np.ndarray) -> Iterator[tuple[int, slice | np.ndarray]]:
-        """(table, rows) pairs that cover a block, in table order. A shared
-        table takes every row as a slice, so indexing with it copies nothing."""
+    def _table_rows(self, groups: np.ndarray) -> Iterator[tuple[int, np.ndarray | None]]:
+        """(table, rows) pairs that cover a block, in table order: a per-group
+        table's row indices, or None for a shared table, which takes every
+        row, so that its chunks are slices and copy nothing."""
         if not self.per_group:
-            yield 0, slice(None)
+            yield 0, None
             return
         for g in np.unique(groups):
             yield g, np.flatnonzero(groups == g)
@@ -173,10 +183,33 @@ class Learner:
         """Distributions for a stretch of rounds known in advance.
 
         Semantically identical to calling next_distribution/observe round by
-        round; only kinds with supports_blocks=True implement it. The
-        stretch is checked as ``run_rounds`` checks an oblivious one.
+        round; only kinds with supports_blocks=True play it, each supplying
+        ``_cumulative_play``. The stretch is checked as ``run_rounds`` checks
+        an oblivious one. Each table's rows are played in chunks of _IO_CHUNK
+        rows, so that the work arrays do not grow with the block: a chunk's
+        cumsum starts from the sum of the table's rows before it, added to
+        its first row, which gives the bits of one cumsum over the rows. The
+        table's sum is then folded in by ``_update``.
         """
-        raise ContractError(f"{self.kind} has no vectorized block path")
+        if not self.supports_blocks:
+            raise ContractError(f"{self.kind} has no vectorized block path")
+        groups, losses = self._stretch(groups, losses)
+        p = np.empty((losses.shape[0], self.d), dtype=np.float64)
+        for table, rows in self._table_rows(groups):
+            total = np.zeros(self.d)
+            for s in range(0, losses.shape[0] if rows is None else rows.shape[0], _IO_CHUNK):
+                chunk = slice(s, s + _IO_CHUNK) if rows is None else rows[s:s + _IO_CHUNK]
+                cum = losses[chunk].copy()
+                if s:
+                    cum[0] += total
+                np.cumsum(cum, axis=0, out=cum)
+                before = np.empty_like(cum)
+                before[0] = total
+                before[1:] = cum[:-1]
+                p[chunk] = self._cumulative_play(table, before)
+                total = cum[-1]
+            self._update(table, total)
+        return p
 
     def run_rounds(self, groups: np.ndarray, losses, step=None):
         """Play a stretch of rounds one at a time; returns (plays, choices).
@@ -337,17 +370,8 @@ class _MultiplicativeWeights(Learner):
     def _update(self, table: int, losses: np.ndarray) -> None:
         self._log_w[table] += self._loss_terms(losses)
 
-    def run_block(self, groups: np.ndarray, losses: np.ndarray) -> np.ndarray:
-        groups, losses = self._stretch(groups, losses)
-        p = np.empty((losses.shape[0], self.d), dtype=np.float64)
-        for table, rows in self._table_rows(groups):
-            cum = np.cumsum(losses[rows], axis=0)
-            before = np.empty_like(cum)
-            before[0] = 0.0
-            before[1:] = cum[:-1]
-            p[rows] = self._play(self._log_w[table] + self._log_decay * before)
-            self._log_w[table] += self._log_decay * cum[-1]
-        return p
+    def _cumulative_play(self, table: int, before: np.ndarray) -> np.ndarray:
+        return self._play(self._log_w[table] + self._log_decay * before)
 
     def _state(self) -> np.ndarray:
         return self._log_w
@@ -456,29 +480,9 @@ class FollowPerturbedLeader(Learner):
     def _update(self, table: int, losses: np.ndarray) -> None:
         self._cum += losses
 
-    def run_block(self, groups: np.ndarray, losses: np.ndarray) -> np.ndarray:
-        """Plays of a block, in chunks of _IO_CHUNK rows so that the work
-        arrays do not grow with the block. Row k plays on the cumulative
-        loss before the block plus the cumsum of the block's rows before k.
-        Each chunk's cumsum starts from the sum of the rows before it, added
-        to its first row, which gives the bits of one cumsum over the block."""
-        groups, losses = self._stretch(groups, losses)
-        play = self._two_expert_play if self.d == 2 else self._grid_play
-        p = np.empty((losses.shape[0], self.d), dtype=np.float64)
-        total = np.zeros(self.d)
-        for s in range(0, losses.shape[0], _IO_CHUNK):
-            cum = losses[s:s + _IO_CHUNK].copy()
-            if s:
-                cum[0] += total
-            np.cumsum(cum, axis=0, out=cum)
-            before = np.empty_like(cum)
-            before[0] = total
-            before[1:] = cum[:-1]
-            before += self._cum
-            p[s:s + _IO_CHUNK] = play(before)
-            total = cum[-1]
-        self._cum += total
-        return p
+    def _cumulative_play(self, table: int, before: np.ndarray) -> np.ndarray:
+        before += self._cum
+        return self._two_expert_play(before) if self.d == 2 else self._grid_play(before)
 
     def _grid_play(self, before: np.ndarray) -> np.ndarray:
         """Per row of ``before``, the fraction of grid rows each expert leads."""

@@ -429,9 +429,10 @@ class Accumulators:
             ).reshape(num_groups, N_BINS)
 
 
-# Lines per byte block of a long run in a trace file, and rows per chunk of
-# FPL's block play: enough to amortize the per-chunk numpy calls, few enough
-# that no file or block is held whole in memory.
+# Lines per byte block of a long run in a trace file, and rows per chunk of a
+# table's rows in a learner's block play (``Learner.run_block``): enough to
+# amortize the per-chunk numpy calls, few enough that no file or block is
+# held whole in memory.
 _IO_CHUNK = 8192
 
 # Rows in a long run, a stretch of consecutive rows alike but for t. Trace
@@ -597,37 +598,6 @@ class Trace:
         self.to_files(csv=path)
 
     @classmethod
-    def _fold(
-        cls,
-        groups: np.ndarray,
-        codes: np.ndarray,
-        dists: np.ndarray,
-        losses: np.ndarray,
-        expected: np.ndarray,
-        *,
-        num_groups: int | None = None,
-        **meta,
-    ) -> "Trace":
-        """A full trace of checked columns, its accumulators folded once over
-        the whole columns. num_groups defaults to the largest group plus one."""
-        if num_groups is None:
-            num_groups = int(groups.max()) + 1
-        d = dists.shape[1]
-        acc = Accumulators.zeros(num_groups, d)
-        acc.add_block(groups, codes, losses, expected)
-        return cls(
-            d=d,
-            num_groups=num_groups,
-            groups=groups,
-            outcome_codes=codes,
-            expected_loss=expected,
-            distributions=dists,
-            losses=losses,
-            accumulators=acc,
-            **meta,
-        )
-
-    @classmethod
     def from_records(
         cls,
         records: Sequence[RoundRecord],
@@ -638,7 +608,9 @@ class Trace:
         learner_id: str = "",
         scenario_info: dict | None = None,
     ) -> "Trace":
-        """Build a full trace from round records (t must run 1..T)."""
+        """Build a full trace from round records (t must run 1..T): their
+        checked columns as one block of a ``TraceBuilder``. num_groups
+        defaults to the largest group plus one."""
         if not records:
             raise ValueError("cannot infer dimensions from an empty record list")
         groups = np.array([r.group for r in records], dtype=np.int64)
@@ -648,34 +620,36 @@ class Trace:
         _check_rows(lambda k: f"record {k + 1}", np.arange(1, len(records) + 1),
                     np.array([r.t for r in records]),
                     groups, dists, losses, expected, num_groups)
-        return cls._fold(
-            groups,
-            np.array([outcome_code(r.outcome) for r in records], dtype=np.int8),
-            dists,
-            losses,
-            expected,
-            num_groups=num_groups,
-            rng_seed=rng_seed,
-            scenario_id=scenario_id,
-            learner_id=learner_id,
-            scenario_info=scenario_info,
-        )
+        codes = np.array([outcome_code(r.outcome) for r in records], dtype=np.int8)
+        builder = TraceBuilder(dists.shape[1], int(groups.max()) + 1 if num_groups is None else num_groups)
+        builder.append_block(groups, codes, losses, dists, expected)
+        return builder.build(rng_seed=rng_seed, scenario_id=scenario_id, learner_id=learner_id,
+                             scenario_info=scenario_info)
 
     @classmethod
     def from_jsonl(cls, path: str | Path, *, num_groups: int | None = None, **meta) -> "Trace":
-        """Read a trace written by ``to_jsonl`` (``tracefile.read_columns``);
+        """Read a trace written by ``to_jsonl``: the checked columns of
+        ``tracefile.read_columns`` as one block of a ``TraceBuilder``.
         ``num_groups`` and ``meta`` are ``from_records``'s keyword arguments."""
         from .tracefile import read_columns
 
-        return cls._fold(*read_columns(path, num_groups), num_groups=num_groups, **meta)
+        groups, codes, dists, losses, expected = read_columns(path, num_groups)
+        builder = TraceBuilder(dists.shape[1], int(groups.max()) + 1 if num_groups is None else num_groups)
+        builder.append_block(groups, codes, losses, dists, expected)
+        return builder.build(**meta)
 
 
 class TraceBuilder:
-    """Accumulates executed blocks and finalizes them into a Trace."""
+    """Accumulates executed blocks and finalizes them into a Trace: the one
+    path from checked columns to a Trace, for runs, records and files."""
 
     def __init__(self, d: int, num_groups: int, retain: str = "full") -> None:
+        require_type("d", d, numbers.Integral, "an integer")
+        require_type("num_groups", num_groups, numbers.Integral, "an integer")
         if retain not in ("full", "summary"):
             raise ConfigError(f"retain must be 'full' or 'summary', got {retain!r}")
+        if d < 1:
+            raise ConfigError(f"need at least one expert, got d={d}")
         if num_groups < 1:
             raise ConfigError(f"need at least one group, got {num_groups}")
         self.d = d
@@ -724,16 +698,17 @@ class TraceBuilder:
     def build(
         self,
         *,
-        rng_seed: int | None,
-        scenario_id: str,
-        learner_id: str,
+        rng_seed: int | None = None,
+        scenario_id: str = "",
+        learner_id: str = "",
         scenario_info: dict | None = None,
     ) -> Trace:
-        """The trace of the blocks appended so far. Each column's blocks are
-        replaced in the builder by their join as it is made, so that no more
-        than one column is held twice, and the column of a run of one block
-        is that block's array, not a copy. It may be called again, also after
-        more blocks are appended."""
+        """The trace of the blocks appended so far, its metadata defaulting
+        as in ``Trace``. Each column's blocks are replaced in the builder by
+        their join as it is made, so that no more than one column is held
+        twice, and the column of a run of one block is that block's array,
+        not a copy. It may be called again, also after more blocks are
+        appended."""
         full = self.retain == "full"
         return Trace(
             d=self.d,

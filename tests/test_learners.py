@@ -496,6 +496,66 @@ def _declared_rows(rng, K, d):
     return rows
 
 
+def _ref_mw_block(lrn, groups, losses):
+    """MW's block path before the chunked play: one cumsum over each table's
+    rows. Advances ``lrn``'s log weights."""
+    p = np.empty((losses.shape[0], lrn.d), dtype=np.float64)
+    if lrn.per_group:
+        tables = [(g, np.flatnonzero(groups == g)) for g in np.unique(groups)]
+    else:
+        tables = [(0, slice(None))]
+    for table, rows in tables:
+        cum = np.cumsum(losses[rows], axis=0)
+        before = np.empty_like(cum)
+        before[0] = 0.0
+        before[1:] = cum[:-1]
+        p[rows] = lrn._play(lrn._log_w[table] + lrn._log_decay * before)
+        lrn._log_w[table] += lrn._log_decay * cum[-1]
+    return p
+
+
+def _mw_blocks(case, n, d):
+    """Blocks of n rows over three groups, most rows in group 0, so that a
+    per-group table's chunk edges fall mid-block."""
+    rng = np.random.default_rng(n * 10 + d)
+    groups = rng.choice(3, n, p=[0.7, 0.2, 0.1])
+    losses = rng.random((n, d))
+    if case == "negative-zero":
+        losses[:n // 2 + 1, 0] = -0.0
+        losses[0] = -0.0
+    blocks = [(groups, losses)]
+    if case == "two-blocks":
+        blocks.append((rng.choice(3, n + 7, p=[0.7, 0.2, 0.1]), rng.random((n + 7, d))))
+    return blocks
+
+
+class TestChunkedBlockPlay:
+    """Every block kind plays a table's rows in chunks of 8192; MW's plays
+    must keep the bits of one cumsum per table (FPL's: TestFPLKernelOracle)."""
+
+    @pytest.mark.parametrize("kind", ["single_mw", "per_group_mw"])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 3 * 8192 + 5])
+    @pytest.mark.parametrize("case", ["interleaved", "negative-zero", "two-blocks"])
+    def test_mw_matches_one_cumsum(self, kind, d, n, case):
+        new, ref = _started_pair(kind, d, G=3)
+        for groups, losses in _mw_blocks(case, n, d):
+            assert _same_bits(new.run_block(groups, losses), _ref_mw_block(ref, groups, losses))
+            assert _same_bits(new._log_w, ref._log_w)
+
+    @pytest.mark.parametrize("kind", _BLOCK_KINDS)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_empty_block(self, kind, d):
+        # single_mw raised numpy's IndexError on a block of no rows
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(d, 2)
+        lrn.observe(1, np.linspace(0.0, 1.0, d))
+        start = _final_state(lrn).copy()
+        p = lrn.run_block(np.zeros(0, dtype=np.int64), np.zeros((0, d)))
+        assert p.shape == (0, d) and p.dtype == np.float64
+        assert _same_bits(_final_state(lrn), start)
+
+
 class TestTwoExpertKernelOracle:
     """``run_rounds`` must reproduce the next_distribution/observe loop bit for bit."""
 
@@ -887,6 +947,23 @@ class TestRunRoundsContract:
             lrn.observe(bad, np.full(d, 0.5))
         assert _same_bits(_final_state(lrn), start)
 
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("method", ["next_distribution", "observe"])
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, np.float64(1.0), "1", None],
+                             ids=["half", "float-one", "true", "np-float", "text", "none"])
+    def test_group_id_that_is_not_an_integer_one_round(self, kind, method, bad):
+        # shared tables took 0.5, 1.0 and True, per-group tables raised
+        # numpy's IndexError or took True, and "1" and None raised TypeError
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(2, 2)
+        lrn.observe(1, [0.25, 1.0])
+        start = _final_state(lrn).copy()
+        args = (bad,) if method == "next_distribution" else (bad, [0.5, 0.5])
+        with pytest.raises(ContractError, match=re.escape(f"group id {bad!r} is not an integer")):
+            getattr(lrn, method)(*args)
+        assert _same_bits(_final_state(lrn), start)
+        assert _same_bits(lrn.next_distribution(np.int64(1)), lrn.next_distribution(1))
+
     @pytest.mark.parametrize("learner", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("bad", [-1, 2])
     @pytest.mark.parametrize("adaptive", [False, True])
@@ -1169,3 +1246,22 @@ class TestObserveRange:
                 lrn.observe(g, row)
         assert np.array_equal(_final_state(lrn), state)
         assert all(np.array_equal(lrn.next_distribution(g), plays[g]) for g in (0, 1))
+
+
+class TestStartSizes:
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("d, num_groups, match", [
+        (2.7, 1, "d must be an integer, got 2.7"),
+        (True, 1, "d must be an integer, got True"),
+        ("2", 1, "d must be an integer, got '2'"),
+        (2, 2.5, "num_groups must be an integer, got 2.5"),
+    ])
+    def test_sizes_must_be_integers(self, kind, d, num_groups, match):
+        # start(2.7, 1) played with d=2, start(True, 1) with d=1 and
+        # start(2, 2.5) with 2 groups; start("2", 1) raised TypeError
+        lrn = _KERNEL_KINDS[kind]()
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            lrn.start(d, num_groups)
+        assert lrn.d is None and lrn.num_groups is None
+        lrn.start(np.int64(3), np.int8(2))
+        assert (type(lrn.d), type(lrn.num_groups), lrn.next_distribution(1).shape) == (int, int, (3,))

@@ -318,6 +318,18 @@ class TestTrace:
         np.testing.assert_allclose(back.distributions, tr.distributions, atol=0)
         np.testing.assert_allclose(back.expected_loss, tr.expected_loss, atol=0)
 
+    def test_metadata_passes_through_the_builder(self, tmp_path):
+        meta = {"rng_seed": 5, "scenario_id": "s", "learner_id": "l", "scenario_info": {"world": "b"}}
+        tr = Trace.from_records(_toy_records(), num_groups=3, **meta)
+        path = tmp_path / "trace.jsonl"
+        tr.to_jsonl(path)
+        for got in (tr, Trace.from_jsonl(path, num_groups=3, **meta)):
+            assert (got.rng_seed, got.scenario_id, got.learner_id, got.scenario_info, got.num_groups) == (
+                5, "s", "l", {"world": "b"}, 3)
+        bare = Trace.from_jsonl(path)
+        assert (bare.rng_seed, bare.scenario_id, bare.learner_id, bare.scenario_info, bare.num_groups) == (
+            None, "", "", {}, 2)
+
     def test_csv_export_shape(self, tmp_path):
         tr = Trace.from_records(_toy_records())
         path = tmp_path / "trace.csv"
@@ -413,6 +425,24 @@ class TestTraceBuilder:
         tr = TraceBuilder(3, 2).build(rng_seed=1, scenario_id="s", learner_id="l")
         assert tr.T == 0 and tr.d == 3
         assert tr.is_full
+        bare = TraceBuilder(3, 2).build()
+        assert (bare.rng_seed, bare.scenario_id, bare.learner_id, bare.scenario_info) == (None, "", "", {})
+
+    @pytest.mark.parametrize("d, num_groups, match", [
+        (2.7, 1, "d must be an integer, got 2.7"),
+        (True, 1, "d must be an integer, got True"),
+        ("2", 1, "d must be an integer, got '2'"),
+        (2, 2.5, "num_groups must be an integer, got 2.5"),
+        (2, np.float64(2.0), "num_groups must be an integer, got np.float64"),
+        (0, 2, "need at least one expert, got d=0"),
+        (2, 0, "need at least one group, got 0"),
+    ])
+    def test_bad_sizes(self, d, num_groups, match):
+        # numpy's TypeError came out of the column setup, d=True made one
+        # expert, and d=0 took rows with no play and any expected loss
+        with pytest.raises(ConfigError, match=match):
+            TraceBuilder(d, num_groups)
+        assert TraceBuilder(np.int64(2), np.int8(2)).build().distributions.shape == (0, 2)
 
     @pytest.mark.parametrize("retain", ["full", "summary"])
     def test_build_again_and_after_more_blocks(self, retain):
@@ -465,14 +495,16 @@ class TestTraceBuilder:
                     )
 
 
-def test_run_peak_memory():
-    # FPL plays its block in chunks, and the builder joins a one-block run's
-    # columns without copying them. Before both, the traced peak was about
-    # 2.5 times the columns the run returns.
-    run({"kind": "fpl", "eta": 0.1}, {"kind": "t4"}, 1000, 3, retain="full")  # imports and caches
+@pytest.mark.parametrize("kind", ["fpl", "single_mw", "per_group_mw"])
+def test_run_peak_memory(kind):
+    # Every block kind plays its block in chunks, and the builder joins a
+    # one-block run's columns without copying them. Before both, FPL's traced
+    # peak was about 2.5 times the columns the run returns; when MW took one
+    # cumsum over the whole block, single_mw's was 2.98 times, per_group_mw's 1.99.
+    run({"kind": kind, "eta": 0.1}, {"kind": "t4"}, 1000, 3, retain="full")  # imports and caches
     tracemalloc.start()
     try:
-        tr = run({"kind": "fpl", "eta": 0.1}, {"kind": "t4"}, 100_000, 3, retain="full")
+        tr = run({"kind": kind, "eta": 0.1}, {"kind": "t4"}, 100_000, 3, retain="full")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
