@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Mapping
-
 import numpy as np
 
 from .metrics import _rate, rate_table, rate_values
@@ -22,13 +20,11 @@ from .types import (
     EmptySubpopulationError,
     GroupId,
     HorizonMismatchError,
-    Outcome,
     POSITIVE_CODE,
     Trace,
     echo_fields,
     losses_from_scores,
     max_pairwise_gap,
-    outcome_code,
     require_reals,
     require_type,
 )
@@ -46,7 +42,7 @@ class ExpertModel:
       unbiased         score beta on negatives and 1 - beta on positives,
                        so its loss is beta everywhere; with bernoulli=True it
                        instead emits a hard 0/1 prediction that is wrong with
-                       probability beta (needs an rng at predict time)
+                       probability beta (needs an rng to score)
       fixed_score      constant score s
       scripted         score table indexed by round, error past the horizon
     """
@@ -87,18 +83,6 @@ class ExpertModel:
     @property
     def name(self) -> str:
         return self.label or self.kind
-
-    def predict(
-        self,
-        t: int,
-        group: GroupId,
-        outcome: Outcome | None,
-        rng: np.random.Generator | None = None,
-    ) -> float:
-        """Score for round t, one row of ``scores``. Outcome-reading kinds
-        require a labeled round."""
-        codes = np.array([outcome_code(outcome)], dtype=np.int8)
-        return float(self.scores(np.array([t]), np.array([group]), codes, rng)[0])
 
     def scores(
         self,
@@ -145,18 +129,6 @@ class ExpertModel:
 
     def to_config(self) -> dict:
         return echo_fields(self)
-
-
-def make_expert(config: Mapping) -> ExpertModel:
-    """Build an expert from its config mapping, e.g. {"kind": "unbiased", "beta": 0.3}."""
-    cfg = dict(config)
-    kind = cfg.pop("kind", None)
-    if kind is None:
-        raise ConfigError("expert config needs a 'kind' entry")
-    try:
-        return ExpertModel(kind=kind, **cfg)
-    except TypeError as exc:
-        raise ConfigError(f"bad expert config {dict(config)!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

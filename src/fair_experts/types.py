@@ -1,24 +1,25 @@
 """Core vocabulary for sequential prediction with group context.
 
-A run lasts T rounds. Each round carries a group id, optionally a binary
-outcome, one loss per expert in [0, 1], and the learner's distribution over
-experts. Scores in [0, 1] are graded predictions; the loss of a score is the
-score itself on a negative round and one minus the score on a positive round,
-so a score and its complement always have losses summing to one.
+A run lasts T rounds. Each round carries a group id, an outcome code
+(NEGATIVE_CODE, POSITIVE_CODE, or UNLABELED_CODE for a round with no label),
+one loss per expert in [0, 1], and the learner's distribution over experts.
+Scores in [0, 1] are graded predictions; the loss of a score is the score
+itself on a negative round and one minus the score on a positive round, so a
+score and its complement always have losses summing to one.
 
 Traces store rounds in columnar numpy arrays plus streaming accumulators
 (per-group counts and loss sums split by outcome class) so that metrics can
 be computed without per-round python objects even for multi-million-round
-runs. ``RoundRecord`` is the per-round view used at API boundaries.
+runs. Each round rule is written once, over blocks of rows, and rows enter a
+trace only as blocks, through ``TraceBuilder.append_block``.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, fields
-from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -100,55 +101,6 @@ def echo_fields(obj) -> dict:
     return out
 
 
-class Outcome(Enum):
-    """Binary round outcome. Exactly two states, no null member."""
-
-    NEGATIVE = NEGATIVE_CODE
-    POSITIVE = POSITIVE_CODE
-
-    def flip(self) -> "Outcome":
-        return Outcome.POSITIVE if self is Outcome.NEGATIVE else Outcome.NEGATIVE
-
-    @property
-    def code(self) -> int:
-        return self.value
-
-    @property
-    def token(self) -> str:
-        return "+" if self is Outcome.POSITIVE else "-"
-
-
-def outcome_from_code(code: int) -> Outcome | None:
-    """Map a column code back to an Outcome, with None for unlabeled."""
-    if code == UNLABELED_CODE:
-        return None
-    if code == NEGATIVE_CODE:
-        return Outcome.NEGATIVE
-    if code == POSITIVE_CODE:
-        return Outcome.POSITIVE
-    raise ValueError(f"unknown outcome code {code!r}")
-
-
-def outcome_code(outcome: Outcome | None) -> int:
-    """The column code of an outcome, UNLABELED_CODE for None. Anything
-    else, such as a code or a token, raises TypeError."""
-    if outcome is None:
-        return UNLABELED_CODE
-    if not isinstance(outcome, Outcome):
-        raise TypeError(f"outcome must be an Outcome or None, got {outcome!r}")
-    return outcome.code
-
-
-def outcome_from_token(token: str) -> Outcome | None:
-    if token == "+":
-        return Outcome.POSITIVE
-    if token == "-":
-        return Outcome.NEGATIVE
-    if token == "":
-        return None
-    raise ValueError(f"unknown outcome token {token!r}")
-
-
 def group_label(group: GroupId) -> str:
     """Human-readable group name: A, B, ... then g26, g27, ..."""
     if 0 <= group < len(_GROUP_LETTERS):
@@ -176,14 +128,6 @@ def max_pairwise_gap(values: Mapping[int, float | None]) -> tuple[float, tuple[i
     return hi_v - lo_v, (min(lo_g, hi_g), max(lo_g, hi_g))
 
 
-def loss_of(score: float, outcome: Outcome) -> float:
-    """Loss of a graded prediction: the score on a negative round, its
-    complement on a positive round. One row of ``losses_from_scores``."""
-    if not isinstance(outcome, Outcome):
-        raise TypeError(f"outcome must be an Outcome, got {outcome!r}")
-    return float(losses_from_scores([score], [outcome.code])[0])
-
-
 def losses_from_scores(scores: np.ndarray, outcome_codes: np.ndarray) -> np.ndarray:
     """Losses of aligned score and outcome-code arrays: the score on a
     negative round, its complement on a positive round.
@@ -201,13 +145,6 @@ def losses_from_scores(scores: np.ndarray, outcome_codes: np.ndarray) -> np.ndar
     if _first_off_unit(scores.reshape(-1, 1)) is not None:
         raise ValueError("scores must lie in [0, 1]")
     return np.where(codes == POSITIVE_CODE, 1.0 - scores, scores)
-
-
-def uniform_distribution(d: int) -> np.ndarray:
-    """The uniform distribution over d experts."""
-    if d < 1:
-        raise ConfigError(f"need at least one expert, got d={d}")
-    return np.full(d, 1.0 / d, dtype=np.float64)
 
 
 def _numbers(x, what: str) -> np.ndarray:
@@ -245,26 +182,29 @@ def _check_outcome_codes(codes, n: int, where: str, error: type) -> np.ndarray:
     return codes.astype(np.int8, copy=False)
 
 
-def _vector(what: str, x, d: int | None) -> np.ndarray:
-    """x as a non-empty one-dimensional float64 array, of d entries when d is
-    given, raising ValueError."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"{what} must be one-dimensional, got shape {x.shape}")
-    if d is not None and x.shape[0] != d:
-        raise ValueError(f"{what} has {x.shape[0]} entries, expected {d}")
-    if x.size == 0:
-        raise ValueError(f"{what} must be non-empty")
-    return x
-
-
-def validate_distribution(p: np.ndarray, d: int | None = None) -> np.ndarray:
-    """One distribution checked as a row of ``validate_distribution_block``,
-    raising ValueError."""
-    p = _vector("distribution", p, d)
-    if _first_off_simplex(p[None]) is not None:
-        raise ValueError(f"distribution {p.tolist()!r} is off the simplex")
-    return p
+def _check_expected(expected, dists: np.ndarray, losses: np.ndarray) -> np.ndarray:
+    """``expected`` as float64 once checked to be an (n,) column that agrees
+    with ``expected_losses(dists, losses)`` within EXPECTED_LOSS_ATOL,
+    raising InvariantViolation that names its first bad row. Rows are
+    compared _IO_CHUNK at a time: a whole-block temporary raised the peak
+    RSS of a 100k-round run by 0.5 MB."""
+    n = dists.shape[0]
+    expected = np.asarray(expected)
+    if expected.shape != (n,) or expected.dtype.kind not in "biuf":
+        raise InvariantViolation(f"expected-loss column has shape {expected.shape} and dtype "
+                                 f"{expected.dtype}, expected ({n},) numbers")
+    expected = expected.astype(np.float64, copy=False)
+    for lo in range(0, n, _IO_CHUNK):
+        rows = slice(lo, lo + _IO_CHUNK)
+        gaps = expected_losses(dists[rows], losses[rows]).astype(np.float64, copy=False)
+        gaps -= expected[rows]
+        if np.abs(gaps, out=gaps).max() <= EXPECTED_LOSS_ATOL:  # NaN fails too
+            continue
+        k = lo + int(np.argmax(~(gaps <= EXPECTED_LOSS_ATOL)))
+        derived = expected_losses(dists[k:k + 1], losses[k:k + 1])[0]
+        raise InvariantViolation(f"expected loss {float(expected[k])!r} at row {k} of the block "
+                                 f"disagrees with p . losses = {float(derived)!r}")
+    return expected
 
 
 def _row_sums(p: np.ndarray) -> np.ndarray:
@@ -332,49 +272,6 @@ def validate_distribution_block(p: np.ndarray, d: int) -> None:
         raise InvariantViolation(f"distribution row {k} is off the simplex: {p[k].tolist()!r}")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One protocol round: who arrived, what happened, what the learner played.
-
-    ``expected_loss`` must equal the dot product of distribution and losses
-    within EXPECTED_LOSS_ATOL; the constructor enforces this along with the
-    simplex and loss-range invariants, as one row of a trace is checked.
-    """
-
-    t: int
-    group: GroupId
-    outcome: Outcome | None
-    distribution: np.ndarray
-    losses: np.ndarray
-    expected_loss: float
-
-    def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"round index must be >= 1, got {self.t}")
-        outcome_code(self.outcome)  # TypeError unless an Outcome or None
-        # shapes here, values once, in _check_rows
-        p = _vector("distribution", self.distribution, None)
-        ell = _vector("loss vector", self.losses, p.shape[0])
-        object.__setattr__(self, "distribution", p)
-        object.__setattr__(self, "losses", ell)
-        _check_rows(lambda _: f"round {self.t}", np.array([self.t]), np.array([self.t]),
-                    np.array([self.group]), p[None], ell[None],
-                    np.array([self.expected_loss]), None)
-
-    @classmethod
-    def compute(
-        cls,
-        t: int,
-        group: GroupId,
-        outcome: Outcome | None,
-        distribution: np.ndarray,
-        losses: np.ndarray,
-    ) -> "RoundRecord":
-        p = np.asarray(distribution, dtype=np.float64)
-        ell = np.asarray(losses, dtype=np.float64)
-        return cls(t, group, outcome, p, ell, float(expected_losses(p[None], ell[None])[0]))
-
-
 # Outcome-class bins used by the accumulators: negatives, positives, unlabeled.
 # The bin of outcome code c is c mod N_BINS.
 _BIN_NEG = 0
@@ -429,10 +326,11 @@ class Accumulators:
             ).reshape(num_groups, N_BINS)
 
 
-# Lines per byte block of a long run in a trace file, and rows per chunk of a
-# table's rows in a learner's block play (``Learner.run_block``): enough to
-# amortize the per-chunk numpy calls, few enough that no file or block is
-# held whole in memory.
+# Lines per byte block of a long run in a trace file, rows per chunk of a
+# table's rows in a learner's block play (``Learner.run_block``), and rows per
+# slice of the builder's expected-loss check: enough to amortize the
+# per-chunk numpy calls, few enough that no file or block is held whole in
+# memory, or copied whole.
 _IO_CHUNK = 8192
 
 # Rows in a long run, a stretch of consecutive rows alike but for t. Trace
@@ -465,8 +363,9 @@ def _check_rows(
     expected: np.ndarray,
     num_groups: int | None,
 ) -> None:
-    """Check rows as RoundRecord checks one round, plus their order and
-    groups: row k must have t = want[k] and a group in 0..num_groups - 1
+    """Check rows read from a trace file: row k must have a simplex p,
+    losses in [0, 1], an expected loss within EXPECTED_LOSS_ATOL of
+    p . losses, t = want[k] and a group in 0..num_groups - 1
     (any group >= 0 when num_groups is None). The first row that breaks a
     check raises ConfigError, with ``where(k)`` naming row k. The whole
     block is checked with reductions first, and the per-row masks are built
@@ -502,7 +401,7 @@ class Trace:
     In full retention mode the per-round distributions and loss vectors are
     kept as (T, d) arrays; in summary mode only the group, outcome, and
     expected-loss columns survive alongside the accumulators. Round indices
-    are implicit: record k has t = k + 1, so they are strictly increasing
+    are implicit: row k has t = k + 1, so they are strictly increasing
     from 1 to T by construction.
     """
 
@@ -539,10 +438,6 @@ class Trace:
         return int(self.groups.shape[0])
 
     @property
-    def T(self) -> int:
-        return len(self)
-
-    @property
     def is_full(self) -> bool:
         return self.distributions is not None and self.losses is not None
 
@@ -552,31 +447,6 @@ class Trace:
                 f"{what} needs per-round distributions and losses; "
                 "this trace was recorded in summary mode"
             )
-
-    def record(self, t: int) -> RoundRecord:
-        """The round record at index t (1-based)."""
-        self._require_full("record access")
-        if not 1 <= t <= len(self):
-            raise IndexError(f"round {t} outside 1..{len(self)}")
-        k = t - 1
-        return RoundRecord(
-            t=t,
-            group=int(self.groups[k]),
-            outcome=outcome_from_code(int(self.outcome_codes[k])),
-            distribution=self.distributions[k],
-            losses=self.losses[k],
-            expected_loss=float(self.expected_loss[k]),
-        )
-
-    def records(self) -> Iterator[RoundRecord]:
-        for t in range(1, len(self) + 1):
-            yield self.record(t)
-
-    def __iter__(self) -> Iterator[RoundRecord]:
-        return self.records()
-
-    def group_counts(self) -> np.ndarray:
-        return self.accumulators.counts.sum(axis=1)
 
     # -- trace files, by ``tracefile``, imported on use as it imports this module
 
@@ -598,39 +468,11 @@ class Trace:
         self.to_files(csv=path)
 
     @classmethod
-    def from_records(
-        cls,
-        records: Sequence[RoundRecord],
-        *,
-        num_groups: int | None = None,
-        rng_seed: int | None = None,
-        scenario_id: str = "",
-        learner_id: str = "",
-        scenario_info: dict | None = None,
-    ) -> "Trace":
-        """Build a full trace from round records (t must run 1..T): their
-        checked columns as one block of a ``TraceBuilder``. num_groups
-        defaults to the largest group plus one."""
-        if not records:
-            raise ValueError("cannot infer dimensions from an empty record list")
-        groups = np.array([r.group for r in records], dtype=np.int64)
-        dists = np.stack([r.distribution for r in records])
-        losses = np.stack([r.losses for r in records])
-        expected = np.array([r.expected_loss for r in records], dtype=np.float64)
-        _check_rows(lambda k: f"record {k + 1}", np.arange(1, len(records) + 1),
-                    np.array([r.t for r in records]),
-                    groups, dists, losses, expected, num_groups)
-        codes = np.array([outcome_code(r.outcome) for r in records], dtype=np.int8)
-        builder = TraceBuilder(dists.shape[1], int(groups.max()) + 1 if num_groups is None else num_groups)
-        builder.append_block(groups, codes, losses, dists, expected)
-        return builder.build(rng_seed=rng_seed, scenario_id=scenario_id, learner_id=learner_id,
-                             scenario_info=scenario_info)
-
-    @classmethod
     def from_jsonl(cls, path: str | Path, *, num_groups: int | None = None, **meta) -> "Trace":
         """Read a trace written by ``to_jsonl``: the checked columns of
         ``tracefile.read_columns`` as one block of a ``TraceBuilder``.
-        ``num_groups`` and ``meta`` are ``from_records``'s keyword arguments."""
+        num_groups defaults to the largest group plus one, and ``meta`` is
+        ``TraceBuilder.build``'s keyword arguments."""
         from .tracefile import read_columns
 
         groups, codes, dists, losses, expected = read_columns(path, num_groups)
@@ -641,7 +483,7 @@ class Trace:
 
 class TraceBuilder:
     """Accumulates executed blocks and finalizes them into a Trace: the one
-    path from checked columns to a Trace, for runs, records and files."""
+    path from checked columns to a Trace, for runs and trace files."""
 
     def __init__(self, d: int, num_groups: int, retain: str = "full") -> None:
         require_type("d", d, numbers.Integral, "an integer")
@@ -685,9 +527,10 @@ class TraceBuilder:
         if groups.min(initial=0) < 0 or groups.max(initial=0) >= self.num_groups:
             raise InvariantViolation("group ids outside the declared group set")
         codes = _check_outcome_codes(outcome_codes, n, "row {} of the block", InvariantViolation)
+        expected = _check_expected(expected, distributions, losses)
         self._groups.append(np.asarray(groups, dtype=np.int64))
         self._codes.append(codes)
-        self._expected.append(np.asarray(expected, dtype=np.float64))
+        self._expected.append(expected)
         if self.retain == "full":
             self._dists.append(np.asarray(distributions, dtype=np.float64))
             self._losses.append(np.asarray(losses, dtype=np.float64))

@@ -93,7 +93,7 @@ class TestT1:
         shares = []
         for seed in range(10):
             tr = run(_mw(), T1Scenario(epsilon=0.01), T, seed=seed)
-            shares.append(tr.group_counts()[GROUP_A] / T)
+            shares.append(tr.accumulators.counts.sum(axis=1)[GROUP_A] / T)
         # fair coin: every share within 3 binomial sigma, and both sides appear
         sigma = np.sqrt(0.25 / T)
         assert all(abs(s - 0.5) <= 3 * sigma for s in shares)
@@ -154,7 +154,7 @@ class TestT2:
     def test_group_draw_uses_b(self):
         sc = T2Scenario(b=0.1, epsilon=0.01)
         tr = run(_mw(0.005), sc, 50000, seed=7)
-        share_a = tr.group_counts()[GROUP_A] / 50000
+        share_a = tr.accumulators.counts.sum(axis=1)[GROUP_A] / 50000
         assert abs(share_a - 0.1) <= 3 * np.sqrt(0.1 * 0.9 / 50000)
 
 
@@ -185,7 +185,7 @@ class TestT3:
     def test_more_groups_than_int8_holds(self, schedule):
         sc = T3Synthetic(rates=(0.2, 0.6), groups=200, schedule=schedule)
         tr = run({"kind": "per_group_mw", "eta": 0.1}, sc, 1000, seed=0)
-        np.testing.assert_array_equal(tr.group_counts(), np.full(200, 5))
+        np.testing.assert_array_equal(tr.accumulators.counts.sum(axis=1), np.full(200, 5))
         rates, _ = rate_table(tr, "eer")
         np.testing.assert_allclose(rates[:, 1:], np.tile([0.2, 0.6], (200, 1)))
 
@@ -305,7 +305,8 @@ class TestRandomIID:
         tr = run(_mw(), RandomIID(groups=200, group_probs=probs), 4000, seed=5)
         assert tr.num_groups == 200 and len(tr) == 4000
         assert tr.groups.max() > 127
-        np.testing.assert_array_equal(tr.group_counts(), np.bincount(tr.groups, minlength=200))
+        np.testing.assert_array_equal(tr.accumulators.counts.sum(axis=1),
+                                      np.bincount(tr.groups, minlength=200))
 
 
 class TestMakeScenario:

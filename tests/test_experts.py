@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -8,65 +6,79 @@ from fair_experts.experts import (
     ExpertModel,
     audit_fair_in_isolation,
     expert_group_metric,
-    make_expert,
 )
 from fair_experts.types import (
     ConfigError,
     EmptySubpopulationError,
     HorizonMismatchError,
-    Outcome,
-    RoundRecord,
-    Trace,
 )
+from oracles import NEG, POS, UNL, hand_trace
 
 
-class TestPredict:
+def _one_row(ex, t, group, code, rng=None):
+    return ex.scores(np.array([t]), np.array([group]), np.array([code], dtype=np.int8), rng)[0]
+
+
+_ONE_OF_EACH = [ExpertModel("always_negative"), ExpertModel("always_positive"),
+                ExpertModel("fixed_score", score=0.4), ExpertModel("unbiased", beta=0.3),
+                ExpertModel("scripted", table=(0.1, 0.9, 0.35))]
+_BERNOULLI = ExpertModel("unbiased", beta=0.3, bernoulli=True)
+
+
+class TestScores:
     def test_constant_kinds(self):
         neg = ExpertModel("always_negative")
         pos = ExpertModel("always_positive")
         fs = ExpertModel("fixed_score", score=0.4)
-        assert neg.predict(1, 0, Outcome.POSITIVE) == 0.0
-        assert pos.predict(9, 1, None) == 1.0
-        assert fs.predict(2, 0, Outcome.NEGATIVE) == 0.4
+        assert _one_row(neg, 1, 0, POS) == 0.0
+        assert _one_row(pos, 9, 1, UNL) == 1.0
+        assert _one_row(fs, 2, 0, NEG) == 0.4
 
     def test_unbiased_loss_is_beta_on_both_labels(self):
         ex = ExpertModel("unbiased", beta=0.35)
         # score beta on negatives, 1 - beta on positives: loss 0.35 either way
-        assert ex.predict(1, 0, Outcome.NEGATIVE) == 0.35
-        assert ex.predict(1, 0, Outcome.POSITIVE) == pytest.approx(0.65)
+        assert _one_row(ex, 1, 0, NEG) == 0.35
+        assert _one_row(ex, 1, 0, POS) == pytest.approx(0.65)
         with pytest.raises(ValueError):
-            ex.predict(1, 0, None)
+            _one_row(ex, 1, 0, UNL)
 
     def test_bernoulli_mode_draws(self):
         ex = ExpertModel("unbiased", beta=0.25, bernoulli=True)
         rng = np.random.default_rng(0)
-        draws = [ex.predict(t, 0, Outcome.POSITIVE, rng) for t in range(1, 4001)]
-        assert set(draws) <= {0.0, 1.0}
+        draws = ex.scores(np.arange(1, 4001), np.zeros(4000, dtype=int), np.full(4000, POS), rng)
+        assert set(draws.tolist()) <= {0.0, 1.0}
         # wrong with probability 0.25 on positives means score 0
         frac_wrong = 1.0 - float(np.mean(draws))
         assert abs(frac_wrong - 0.25) < 3 * np.sqrt(0.25 * 0.75 / 4000)
         with pytest.raises(ValueError):
-            ex.predict(1, 0, Outcome.POSITIVE)
+            _one_row(ex, 1, 0, POS)
 
     def test_scripted_horizon(self):
         ex = ExpertModel("scripted", table=(0.1, 0.9))
-        assert ex.predict(2, 0, None) == 0.9
+        assert _one_row(ex, 2, 0, UNL) == 0.9
         with pytest.raises(HorizonMismatchError):
-            ex.predict(3, 0, None)
+            _one_row(ex, 3, 0, UNL)
         with pytest.raises(HorizonMismatchError):
             ex.scores(np.array([1, 2, 3]), np.zeros(3), np.zeros(3, dtype=np.int8))
 
-    def test_vectorized_scores_match_scalar(self):
+    def test_block_matches_one_row_calls(self):
         ex = ExpertModel("unbiased", beta=0.2)
         t = np.arange(1, 7)
         groups = np.array([0, 1, 0, 1, 0, 1])
         codes = np.array([0, 1, 1, 0, 0, 1], dtype=np.int8)
         vec = ex.scores(t, groups, codes)
-        scalar = [
-            ex.predict(int(tt), int(g), Outcome(int(c)))
-            for tt, g, c in zip(t, groups, codes)
-        ]
-        np.testing.assert_allclose(vec, scalar, atol=0)
+        one_row = [_one_row(ex, tt, g, c) for tt, g, c in zip(t, groups, codes)]
+        np.testing.assert_allclose(vec, one_row, atol=0)
+
+    @pytest.mark.parametrize("ex,t,code,error", [
+        (_ONE_OF_EACH[3], 1, UNL, ValueError),
+        (_ONE_OF_EACH[4], 0, NEG, HorizonMismatchError),
+        (_ONE_OF_EACH[4], 4, UNL, HorizonMismatchError),
+        (_BERNOULLI, 1, NEG, ValueError),  # no rng
+    ])
+    def test_one_row_error_classes(self, ex, t, code, error):
+        with pytest.raises(error):
+            _one_row(ex, t, 0, code)
 
     def test_config_round_trip(self):
         # echo None, False and "" fields are left out; a 0 or 0.0 stays
@@ -82,9 +94,9 @@ class TestPredict:
              {"kind": "unbiased", "beta": 0.3, "bernoulli": True, "label": "coin"}),
             ({"kind": "always_positive", "label": "", "bernoulli": False}, {"kind": "always_positive"}),
         ):
-            ex = make_expert(cfg)
+            ex = ExpertModel(**cfg)
             assert list(ex.to_config().items()) == list(echo.items())
-            assert make_expert(ex.to_config()) == ex
+            assert ExpertModel(**ex.to_config()) == ex
 
     def test_label_must_be_a_string(self):
         with pytest.raises(ConfigError, match="label must be a string, got 5"):
@@ -92,18 +104,16 @@ class TestPredict:
 
     def test_bad_configs(self):
         with pytest.raises(ValueError):
-            make_expert({"kind": "unbiased"})
+            ExpertModel(kind="unbiased")
         with pytest.raises(ValueError):
-            make_expert({"kind": "nope"})
+            ExpertModel(kind="nope")
         with pytest.raises(ValueError):
-            make_expert({"kind": "fixed_score", "score": 2.0})
+            ExpertModel(kind="fixed_score", score=2.0)
         with pytest.raises(ValueError):
             ExpertModel("always_negative", bernoulli=True)
 
     @pytest.mark.parametrize("cfg", [
         {"kind": "nope"},
-        {"beta": 0.3},
-        {"kind": "unbiased", "beta": 0.3, "colour": "red"},
         {"kind": "unbiased"},
         {"kind": "unbiased", "beta": 1.5},
         {"kind": "fixed_score", "score": 2.0},
@@ -116,39 +126,27 @@ class TestPredict:
     ])
     def test_bad_configs_raise_config_error(self, cfg):
         with pytest.raises(ConfigError):
-            make_expert(cfg)
+            ExpertModel(**cfg)
 
 
-def _hand_trace():
-    """Eight rounds, two groups, two experts (always_negative, unbiased 0.25).
+# (group, outcome code) of eight rounds laid out so every (group, bin) cell
+# is exercised, including an unlabeled round per group
+_HAND_ROUNDS = [(0, POS), (0, NEG), (1, POS), (1, POS), (0, POS), (1, NEG), (0, UNL), (1, UNL)]
 
-    Laid out so every (group, bin) cell is exercised, including an
-    unlabeled round per group.
-    """
+
+def _hand_trace(rounds=8):
+    """The first ``rounds`` of _HAND_ROUNDS, two groups, two experts
+    (always_negative, unbiased 0.25)."""
     h_neg = ExpertModel("always_negative")
     h_err = ExpertModel("unbiased", beta=0.25)
-    rows = [
-        # (group, outcome)
-        (0, Outcome.POSITIVE),
-        (0, Outcome.NEGATIVE),
-        (1, Outcome.POSITIVE),
-        (1, Outcome.POSITIVE),
-        (0, Outcome.POSITIVE),
-        (1, Outcome.NEGATIVE),
-        (0, None),
-        (1, None),
-    ]
-    p = np.array([0.5, 0.5])
-    records = []
-    for k, (g, o) in enumerate(rows):
-        if o is None:
-            losses = np.array([0.5, 0.25])  # direct losses on unlabeled rounds
+    rows = []
+    for g, code in _HAND_ROUNDS[:rounds]:
+        if code == UNL:
+            losses = (0.5, 0.25)  # direct losses on unlabeled rounds
         else:
-            losses = np.array(
-                [0.0 if o is Outcome.NEGATIVE else 1.0, 0.25]
-            )
-        records.append(RoundRecord.compute(k + 1, g, o, p, losses))
-    return Trace.from_records(records, num_groups=2), h_neg, h_err
+            losses = (0.0 if code == NEG else 1.0, 0.25)
+        rows.append((g, code, (0.5, 0.5), losses))
+    return hand_trace(rows, num_groups=2), h_neg, h_err
 
 
 class TestExpertGroupMetric:
@@ -166,9 +164,8 @@ class TestExpertGroupMetric:
                 assert expert_group_metric(tr, 1, g, metric) == pytest.approx(0.25)
 
     def test_undefined_subpopulation(self):
-        tr, _, _ = _hand_trace()
-        # drop group 1's negative rounds by restricting to the first 5 records
-        sub = Trace.from_records([tr.record(t) for t in range(1, 6)], num_groups=2)
+        # drop group 1's negative rounds by restricting to the first 5 rounds
+        sub, _, _ = _hand_trace(5)
         assert expert_group_metric(sub, 0, 1, "fpr") is None
 
 
@@ -193,20 +190,14 @@ class TestAudit:
         assert eer.gap == pytest.approx(0.0, abs=1e-15)
 
     def test_single_defined_group_reports_undefined(self):
-        recs = [
-            RoundRecord.compute(1, 0, Outcome.POSITIVE, np.array([1.0, 0.0]), np.array([1.0, 0.25])),
-            RoundRecord.compute(2, 1, None, np.array([1.0, 0.0]), np.array([0.5, 0.5])),
-        ]
-        tr = Trace.from_records(recs, num_groups=2)
+        tr = hand_trace([(0, POS, (1.0, 0.0), (1.0, 0.25)), (1, UNL, (1.0, 0.0), (0.5, 0.5))],
+                        num_groups=2)
         audit = audit_fair_in_isolation(tr, 0, metric="fnr")
         assert audit.undefined_groups == (1,)
         assert audit.gap is None and audit.passed is None
 
     def test_all_groups_empty_raises(self):
-        recs = [
-            RoundRecord.compute(1, 0, None, np.array([1.0, 0.0]), np.array([0.5, 0.5])),
-        ]
-        tr = Trace.from_records(recs, num_groups=2)
+        tr = hand_trace([(0, UNL, (1.0, 0.0), (0.5, 0.5))], num_groups=2)
         with pytest.raises(EmptySubpopulationError):
             audit_fair_in_isolation(tr, 0, metric="fnr")
 
@@ -218,44 +209,6 @@ class TestAudit:
         assert eer.gap <= 1.0
 
 
-
-_ONE_OF_EACH = [ExpertModel("always_negative"), ExpertModel("always_positive"),
-                ExpertModel("fixed_score", score=0.4), ExpertModel("unbiased", beta=0.3),
-                ExpertModel("scripted", table=(0.1, 0.9, 0.35))]
-_BERNOULLI = ExpertModel("unbiased", beta=0.3, bernoulli=True)
-
-
-def _one_row(ex, t, group, outcome, rng=None):
-    code = -1 if outcome is None else outcome.code
-    return ex.scores(np.array([t]), np.array([group]), np.array([code], dtype=np.int8), rng)[0]
-
-
-class TestPredictIsOneRowOfScores:
-    @pytest.mark.parametrize("ex", _ONE_OF_EACH, ids=lambda ex: ex.kind)
-    def test_values(self, ex):
-        for t, g, o in itertools.product((1, 2, 3), (0, 1), [*Outcome, None]):
-            if o is not None or ex.kind != "unbiased":
-                got = ex.predict(t, g, o)
-                assert type(got) is float and got == _one_row(ex, t, g, o)
-
-    def test_bernoulli_draws(self):
-        a, b = np.random.default_rng(11), np.random.default_rng(11)
-        for t in range(1, 301):
-            assert _BERNOULLI.predict(t, 0, Outcome(t % 2), a) == _one_row(_BERNOULLI, t, 0, Outcome(t % 2), b)
-
-    @pytest.mark.parametrize("ex,t,outcome,error", [
-        (_ONE_OF_EACH[3], 1, None, ValueError),
-        (_ONE_OF_EACH[4], 0, Outcome.NEGATIVE, HorizonMismatchError),
-        (_ONE_OF_EACH[4], 4, None, HorizonMismatchError),
-        (_BERNOULLI, 1, Outcome.NEGATIVE, ValueError),  # no rng
-    ])
-    def test_error_classes(self, ex, t, outcome, error):
-        with pytest.raises(error):
-            ex.predict(t, 0, outcome)
-        with pytest.raises(error):
-            _one_row(ex, t, 0, outcome)
-
-
 @pytest.mark.parametrize("fields", [
     {"score": True}, {"score": "0.4"}, {"beta": "0.3"}, {"beta": False},
     {"kind": "scripted", "table": (True, 0.5)}, {"kind": "scripted", "table": (0.5, "0.5")},
@@ -265,10 +218,8 @@ def test_expert_values_are_type_checked(fields):
     fields = {"kind": "unbiased", "beta": 0.3, **fields}
     with pytest.raises(ConfigError):
         ExpertModel(**fields)
-    with pytest.raises(ConfigError):
-        make_expert(fields)
 
 
 def test_integer_expert_values_are_numbers():
-    assert make_expert({"kind": "scripted", "table": [0, 1]}).table == (0.0, 1.0)
-    assert ExpertModel("fixed_score", score=1).predict(1, 0, None) == 1.0
+    assert ExpertModel("scripted", table=[0, 1]).table == (0.0, 1.0)
+    assert _one_row(ExpertModel("fixed_score", score=1), 1, 0, UNL) == 1.0

@@ -28,29 +28,17 @@ from fair_experts.types import (
     ConfigError,
     ContractError,
     InsufficientGroupsError,
-    Outcome,
-    RoundRecord,
-    Trace,
     TraceBuilder,
     _BIN_NEG,
     _BIN_POS,
     max_pairwise_gap,
 )
-
-POS, NEG = Outcome.POSITIVE, Outcome.NEGATIVE
+from oracles import NEG, POS, UNL, hand_trace
 
 
 def _trace(rows, num_groups=2, scenario_info=None):
-    recs = []
-    for t, (g, y, p, el) in enumerate(rows):
-        p = np.asarray(p, dtype=float)
-        el = np.asarray(el, dtype=float)
-        recs.append(
-            RoundRecord(t=t + 1, group=g, outcome=y, distribution=p,
-                        losses=el, expected_loss=float(p @ el))
-        )
-    return Trace.from_records(recs, num_groups=num_groups, scenario_id="hand",
-                              learner_id="x", scenario_info=scenario_info)
+    return hand_trace(rows, num_groups, scenario_id="hand", learner_id="x",
+                      scenario_info=scenario_info)
 
 
 # six rounds, two experts, dyadic numbers so expectations are exact
@@ -59,7 +47,7 @@ HAND_ROWS = [
     (0, NEG, (0.5, 0.5), (1.0, 0.0)),
     (1, POS, (0.0, 1.0), (0.25, 0.75)),
     (1, POS, (0.25, 0.75), (1.0, 0.0)),
-    (0, None, (0.5, 0.5), (0.0, 1.0)),
+    (0, UNL, (0.5, 0.5), (0.0, 1.0)),
     (1, NEG, (1.0, 0.0), (0.0, 0.5)),
 ]
 
@@ -84,7 +72,7 @@ class TestGroupMetrics:
         }
 
     def test_empty_subpopulation_is_none(self):
-        rows = [(0, POS, (1.0, 0.0), (0.0, 1.0)), (1, None, (1.0, 0.0), (0.0, 1.0))]
+        rows = [(0, POS, (1.0, 0.0), (0.0, 1.0)), (1, UNL, (1.0, 0.0), (0.0, 1.0))]
         tr = _trace(rows)
         assert group_metric(tr, 1, "fnr") is None
         assert group_metric(tr, 0, "fpr") is None
@@ -139,14 +127,7 @@ def _labeled_iid_trace(seed, groups, d, probs=None, T=600):
              retain="full")
     rng = np.random.default_rng(seed)
     codes = rng.integers(-1, 2, size=len(tr))
-    recs = [
-        RoundRecord(t=k + 1, group=int(tr.groups[k]),
-                    outcome=None if c < 0 else Outcome(int(c)),
-                    distribution=tr.distributions[k], losses=tr.losses[k],
-                    expected_loss=float(tr.expected_loss[k]))
-        for k, c in enumerate(codes)
-    ]
-    return Trace.from_records(recs, num_groups=groups)
+    return hand_trace(zip(tr.groups, codes, tr.distributions, tr.losses), groups)
 
 
 class TestRateTableOracle:
@@ -198,7 +179,7 @@ class TestRegret:
         assert regret(tr) == approx(0.25)
 
     def test_negative_regret_possible(self):
-        rows = [(0, None, (0.0, 1.0), (1.0, 0.5)), (0, None, (1.0, 0.0), (0.5, 1.0))]
+        rows = [(0, UNL, (0.0, 1.0), (1.0, 0.5)), (0, UNL, (1.0, 0.0), (0.5, 1.0))]
         tr = _trace(rows, num_groups=1)
         # learner pays 1.0 total, each fixed expert pays 1.5
         assert regret(tr) == approx(-0.5)
@@ -470,7 +451,7 @@ class TestReports:
         assert e0["fnr"] == {"A": 0.5, "B": 0.625}
 
     def test_gap_none_when_one_group_defined(self):
-        rows = [(0, POS, (1.0, 0.0), (0.0, 1.0)), (1, None, (1.0, 0.0), (0.0, 1.0))]
+        rows = [(0, POS, (1.0, 0.0), (0.0, 1.0)), (1, UNL, (1.0, 0.0), (0.0, 1.0))]
         rep = build_report(_trace(rows), epsilon=0.1).to_dict()
         assert rep["gaps"]["fnr"] == {"gap": None, "pair": None}
         assert rep["gaps"]["eer"]["gap"] is not None

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,48 +12,62 @@ from hypothesis import given, settings, strategies as st
 
 from fair_experts import RandomIID, SingleMW, run, tracefile
 from fair_experts.types import (
-    Accumulators,
+    NEGATIVE_CODE,
+    POSITIVE_CODE,
+    UNLABELED_CODE,
     ConfigError,
-    Outcome,
-    RoundRecord,
+    InvariantViolation,
     Trace,
     TraceBuilder,
-    outcome_from_code,
-    outcome_from_token,
 )
-from test_types import _toy_records
+from oracles import POS, TOY_ROWS, hand_trace
 
 
-# -- trace file oracle: the per-record export and import the block paths replaced
+# -- trace file oracle: the per-row export and import the block paths replaced
 
-def _ref_json_obj(rec):
+_REF_TOKEN = {UNLABELED_CODE: None, NEGATIVE_CODE: "-", POSITIVE_CODE: "+"}
+_REF_CODE = {None: UNLABELED_CODE, "": UNLABELED_CODE, "-": NEGATIVE_CODE, "+": POSITIVE_CODE}
+# what the oracle raises on a bad file: a parse error, a missing field, or a
+# row that the builder refuses
+_REF_ERRORS = (ValueError, KeyError, InvariantViolation)
+
+
+def _ref_json_obj(trace, k):
     return {
-        "t": rec.t,
-        "group": int(rec.group),
-        "outcome": None if rec.outcome is None else rec.outcome.token,
-        "p": [float(x) for x in rec.distribution],
-        "losses": [float(x) for x in rec.losses],
-        "expected_loss": float(rec.expected_loss),
+        "t": k + 1,
+        "group": int(trace.groups[k]),
+        "outcome": _REF_TOKEN[int(trace.outcome_codes[k])],
+        "p": [float(x) for x in trace.distributions[k]],
+        "losses": [float(x) for x in trace.losses[k]],
+        "expected_loss": float(trace.expected_loss[k]),
     }
 
 
-def _ref_record(obj):
+def _ref_vector(what, x):
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"{what} must be a non-empty list, got shape {x.shape}")
+    return x
+
+
+def _ref_row(obj):
+    """t, the ``hand_trace`` row (group, outcome code, p, losses) and the
+    expected loss of one parsed line."""
     raw = obj.get("outcome")
-    outcome = None if raw is None else outcome_from_token(raw)
-    return RoundRecord(
-        t=int(obj["t"]),
-        group=int(obj["group"]),
-        outcome=outcome,
-        distribution=np.asarray(obj["p"], dtype=np.float64),
-        losses=np.asarray(obj["losses"], dtype=np.float64),
-        expected_loss=float(obj["expected_loss"]),
-    )
+    if not isinstance(raw, (str, type(None))) or raw not in _REF_CODE:
+        raise ValueError(f"unknown outcome token {raw!r}")
+    p, losses = _ref_vector("p", obj["p"]), _ref_vector("losses", obj["losses"])
+    if losses.shape != p.shape:
+        raise ValueError(f"losses have {losses.size} entries, expected {p.size}")
+    return (int(obj["t"]), (int(obj["group"]), _REF_CODE[raw], p, losses),
+            float(obj["expected_loss"]))
 
 
-def _ref_to_jsonl(trace, path):
+def _ref_to_jsonl(trace, path, rows=None):
+    """The lines of ``rows`` (0-based), all of the trace's by default."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in trace.records():
-            fh.write(json.dumps(_ref_json_obj(rec), sort_keys=True))
+        for k in range(len(trace)) if rows is None else rows:
+            fh.write(json.dumps(_ref_json_obj(trace, k), sort_keys=True))
             fh.write("\n")
 
 
@@ -66,11 +79,10 @@ def _ref_to_csv(trace, path):
         writer = csv.writer(fh)
         writer.writerow(header)
         for k in range(len(trace)):
-            outcome = outcome_from_code(int(trace.outcome_codes[k]))
             row = [
                 k + 1,
                 int(trace.groups[k]),
-                "" if outcome is None else outcome.token,
+                _REF_TOKEN[int(trace.outcome_codes[k])] or "",
                 repr(float(trace.expected_loss[k])),
             ]
             row += [repr(float(x)) for x in trace.distributions[k]]
@@ -79,30 +91,20 @@ def _ref_to_csv(trace, path):
 
 
 def _ref_from_jsonl(path, num_groups=None):
-    """Records built and validated one by one, then stacked into columns."""
-    records = []
+    """Lines parsed one by one, then appended to a builder as hand-made rows."""
+    parsed = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                records.append(_ref_record(json.loads(line)))
-    if not records:
-        raise ValueError("cannot infer dimensions from an empty record list")
-    d = records[0].distribution.shape[0]
-    for k, rec in enumerate(records):
-        if rec.t != k + 1:
-            raise ValueError(f"record {k} has t={rec.t}, expected {k + 1}")
-    groups = np.array([r.group for r in records], dtype=np.int64)
-    if num_groups is None:
-        num_groups = int(groups.max()) + 1
-    codes = np.array([-1 if r.outcome is None else r.outcome.code for r in records], dtype=np.int8)
-    losses = np.stack([r.losses for r in records])
-    expected = np.array([r.expected_loss for r in records], dtype=np.float64)
-    acc = Accumulators.zeros(num_groups, d)
-    acc.add_block(groups, codes, losses, expected)
-    return Trace(d=d, num_groups=num_groups, groups=groups, outcome_codes=codes,
-                 expected_loss=expected, distributions=np.stack([r.distribution for r in records]),
-                 losses=losses, accumulators=acc)
+                parsed.append(_ref_row(json.loads(line)))
+    if not parsed:
+        raise ValueError("cannot infer dimensions from an empty file")
+    for k, (t, _, _) in enumerate(parsed):
+        if t != k + 1:
+            raise ValueError(f"row {k} has t={t}, expected {k + 1}")
+    _, rows, expected = zip(*parsed)
+    return hand_trace(rows, num_groups, expected=np.array(expected))
 
 
 def _iid_trace(seed, d, groups, T, labeled):
@@ -358,7 +360,7 @@ class TestTraceFileOracle:
         _assert_files_match_reference(tr, tmp_path)
 
     def test_run_across_t_100000(self, tmp_path, memo_calls):
-        # rounds 99,901..100,050 are one run; the reference formats records
+        # rounds 99,901..100,050 are one run; the reference formats rows
         # one by one, so whole files of this length are compared only in CSV
         tr = _runs_trace([60_000, 39_900, 150], 3, True)
         tr.to_jsonl(tmp_path / "new.jsonl")
@@ -368,8 +370,7 @@ class TestTraceFileOracle:
         lines = (tmp_path / "new.jsonl").read_bytes().splitlines(keepends=True)
         assert len(lines) == len(tr)
         for lo, hi in ((1, 120), (59_950, 60_060), (99_850, 100_050)):
-            window = SimpleNamespace(records=lambda: map(tr.record, range(lo, hi + 1)))
-            _ref_to_jsonl(window, tmp_path / "ref.jsonl")
+            _ref_to_jsonl(tr, tmp_path / "ref.jsonl", range(lo - 1, hi))
             assert b"".join(lines[lo - 1:hi]) == (tmp_path / "ref.jsonl").read_bytes()
         memo_calls.clear()
         _same_trace(Trace.from_jsonl(tmp_path / "new.jsonl"), tr)
@@ -440,9 +441,8 @@ class TestTraceFileOracle:
         ("p", None),
     ])
     def test_rejected_rows_stay_rejected(self, tmp_path, field, value):
-        recs = [RoundRecord.compute(t, t % 2, Outcome.POSITIVE, np.array([0.25, 0.75]),
-                                    np.array([1.0, 0.5])) for t in (1, 2, 3)]
-        objs = [_ref_json_obj(r) for r in recs]
+        tr = hand_trace([(t % 2, POS, (0.25, 0.75), (1.0, 0.5)) for t in (1, 2, 3)])
+        objs = [_ref_json_obj(tr, k) for k in range(3)]
         if value == "shift":
             objs[1]["expected_loss"] += 2e-9
         elif value is None:
@@ -451,7 +451,7 @@ class TestTraceFileOracle:
             objs[1][field] = value
         path = tmp_path / "bad.jsonl"
         path.write_text("".join(json.dumps(o) + "\n" for o in objs))
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(_REF_ERRORS):
             _ref_from_jsonl(path)
         with pytest.raises(ConfigError, match="line 2"):
             Trace.from_jsonl(path)
@@ -465,9 +465,8 @@ class TestTraceFileOracle:
     def test_values_that_are_not_numbers(self, tmp_path, rows, field, value):
         # np.array(..., dtype=float64) turns each into the row's own floats,
         # and the oracle accepts them; 300 rows repeat, 3 do not
-        recs = [RoundRecord.compute(t, 0, Outcome.POSITIVE, np.array([0.49609375, 0.50390625]),
-                                    np.array([0.0, 1.0])) for t in range(1, rows + 1)]
-        objs = [_ref_json_obj(r) for r in recs]
+        tr = hand_trace([(0, POS, (0.49609375, 0.50390625), (0.0, 1.0))] * rows)
+        objs = [_ref_json_obj(tr, k) for k in range(rows)]
         objs[1][field] = value
         path = tmp_path / "bad.jsonl"
         path.write_text("".join(json.dumps(o, sort_keys=True) + "\n" for o in objs))
@@ -478,7 +477,7 @@ class TestTraceFileOracle:
     def test_one_json_value_per_line(self, tmp_path):
         # one array of the block's lines read this file as 3 rows: the first
         # spans lines 1 and 2, and line 3 holds two
-        objs = [_ref_json_obj(r) for r in _toy_records()[:3]]
+        objs = [_ref_json_obj(hand_trace(TOY_ROWS), k) for k in range(3)]
         lines = [json.dumps(objs[0])[:-1] + ', "x": [0', "1]}",
                  json.dumps(objs[1]) + ", " + json.dumps(objs[2])]
         path = tmp_path / "split.jsonl"
@@ -573,7 +572,7 @@ class TestTraceFileOracle:
         lines[t - 1] = line[:at] + new + line[at + 1:]
         path = tmp_path / "edited.jsonl"
         path.write_text("".join(lines))
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(_REF_ERRORS):
             _ref_from_jsonl(path)
         error = {"t": f"t is {lines[t - 1][lines[t - 1].rindex(' ') + 1:-2]}, expected {t}$",
                  "expected_loss": r"expected_loss \S+ disagrees with p \. losses = \S+$",
@@ -693,7 +692,7 @@ class TestTraceFileOracle:
         # a blank line after every fifth row puts row j on line j + 1 + j // 5
         path = tmp_path / "bad.jsonl"
         path.write_text("".join(row + "\n" + "\n" * (j % 5 == 4) for j, row in enumerate(rows)))
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(_REF_ERRORS):
             _ref_from_jsonl(path)
         with pytest.raises(ConfigError, match=f"line {k + 1 + k // 5}:"):
             Trace.from_jsonl(path)

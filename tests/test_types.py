@@ -13,64 +13,38 @@ from fair_experts.types import (
     ContractError,
     InsufficientGroupsError,
     InvariantViolation,
-    Outcome,
-    RoundRecord,
     Trace,
     TraceBuilder,
+    expected_losses,
     group_label,
-    loss_of,
     losses_from_scores,
     max_pairwise_gap,
-    outcome_from_code,
-    outcome_from_token,
-    uniform_distribution,
-    validate_distribution,
     validate_distribution_block,
 )
-
-
-class TestOutcome:
-    def test_flip_is_involution(self):
-        assert Outcome.POSITIVE.flip() is Outcome.NEGATIVE
-        assert Outcome.NEGATIVE.flip() is Outcome.POSITIVE
-        for o in Outcome:
-            assert o.flip().flip() is o
-
-    def test_codes_and_tokens(self):
-        assert Outcome.NEGATIVE.code == 0
-        assert Outcome.POSITIVE.code == 1
-        assert Outcome.POSITIVE.token == "+"
-        assert Outcome.NEGATIVE.token == "-"
-        assert outcome_from_code(-1) is None
-        assert outcome_from_token("") is None
-        assert outcome_from_code(1) is Outcome.POSITIVE
-        with pytest.raises(ValueError):
-            outcome_from_code(7)
-        with pytest.raises(ValueError):
-            outcome_from_token("x")
+from oracles import NEG, POS, TOY_ROWS, UNL, hand_trace
 
 
 class TestLoss:
     def test_hand_values(self):
         # score 0 = confident negative: wrong only on positives
-        assert loss_of(0.0, Outcome.POSITIVE) == 1.0
-        assert loss_of(0.0, Outcome.NEGATIVE) == 0.0
-        assert loss_of(1.0, Outcome.POSITIVE) == 0.0
-        assert loss_of(0.3, Outcome.NEGATIVE) == 0.3
-        assert loss_of(0.3, Outcome.POSITIVE) == pytest.approx(0.7, abs=1e-15)
+        assert losses_from_scores([0.0], [POS]).tolist() == [1.0]
+        assert losses_from_scores([0.0], [NEG]).tolist() == [0.0]
+        assert losses_from_scores([1.0], [POS]).tolist() == [0.0]
+        assert losses_from_scores([0.3], [NEG]).tolist() == [0.3]
+        assert losses_from_scores([0.3], [POS])[0] == pytest.approx(0.7, abs=1e-15)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_complement_identity(self, score):
         # loss on a label plus loss on the flipped label is exactly 1
-        for outcome in Outcome:
-            total = loss_of(score, outcome) + loss_of(score, outcome.flip())
+        for code in (NEG, POS):
+            total = losses_from_scores([score], [code])[0] + losses_from_scores([score], [1 - code])[0]
             assert math.isclose(total, 1.0, abs_tol=1e-12)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            loss_of(1.5, Outcome.POSITIVE)
+            losses_from_scores([1.5], [POS])
         with pytest.raises(ValueError):
-            loss_of(-0.1, Outcome.NEGATIVE)
+            losses_from_scores([-0.1], [NEG])
 
     def test_vectorized_matches_scalar(self):
         scores = np.array([0.0, 1.0, 0.25, 0.8])
@@ -92,71 +66,77 @@ def _accepts(fn, *args, error):
     return True
 
 
-class TestScalarIsOneRowOfBlock:
-    def test_loss_of_matches_losses_from_scores(self):
+class TestOneRowIsARowOfTheBlock:
+    def test_losses_from_scores(self):
         rng = np.random.default_rng(4)
         scores = np.concatenate([[0.0, 1.0, 0.5, 5e-324], rng.random(300)])
         codes = rng.integers(0, 2, scores.size)
-        for s, c, want in zip(scores.tolist(), codes.tolist(), losses_from_scores(scores, codes).tolist()):
-            got = loss_of(s, Outcome(c))
-            assert type(got) is float and got == want
+        block = losses_from_scores(scores, codes)
+        for k, (s, c) in enumerate(zip(scores.tolist(), codes.tolist())):
+            got = losses_from_scores([s], [c])
+            assert got.shape == (1,) and got[0] == block[k]
 
-    @pytest.mark.parametrize("p", [
-        [0.25, 0.75], [1.0, 0.0], [-0.0, 1.0], [1 / 3] * 3, [0.0, 0.0, 1.0], [1.0],
-        [0.5, 0.5 + 0.9e-9], [0.5, 0.5 - 0.9e-9], [0.5, 0.5 + 1.1e-9], [0.5, 0.5 - 1.1e-9],
-        [0.7, 0.7], [-0.1, 1.1], [-1e-300, 1.0], [np.nan, 1.0], [np.inf, 0.0], [-np.inf, np.inf],
+    @pytest.mark.parametrize("p,ok", [
+        ([0.25, 0.75], True), ([1.0, 0.0], True), ([-0.0, 1.0], True), ([1 / 3] * 3, True),
+        ([0.0, 0.0, 1.0], True), ([1.0], True),
+        ([0.5, 0.5 + 0.9e-9], True), ([0.5, 0.5 - 0.9e-9], True),
+        ([0.5, 0.5 + 1.1e-9], False), ([0.5, 0.5 - 1.1e-9], False),
+        ([0.7, 0.7], False), ([-0.1, 1.1], False), ([-1e-300, 1.0], False), ([np.nan, 1.0], False),
+        ([np.inf, 0.0], False), ([-np.inf, np.inf], False),
     ])
-    def test_validate_distribution_matches_block(self, p):
+    def test_validate_distribution_block(self, p, ok):
+        # one row alone gets the verdict it gets as row 3 of a block of good rows
         p = np.array(p)
-        assert (_accepts(validate_distribution, p, error=ValueError)
-                == _accepts(validate_distribution_block, p[None], p.size, error=InvariantViolation))
+        assert _accepts(validate_distribution_block, p[None], p.size, error=InvariantViolation) == ok
+        block = np.full((6, p.size), 1.0 / p.size)
+        block[3] = p
+        if ok:
+            validate_distribution_block(block, p.size)
+        else:
+            with pytest.raises(InvariantViolation, match="distribution row 3 is off the simplex"):
+                validate_distribution_block(block, p.size)
 
 
-class TestDriftBetweenScalarAndBlock:
+class TestScoresThatAreNotNumbers:
     @pytest.mark.parametrize("scores", [[np.nan], [0.5, np.nan]])
     def test_losses_from_scores_rejects_nan(self, scores):
         with pytest.raises(ValueError):
             losses_from_scores(np.array(scores), np.zeros(len(scores), dtype=np.int8))
 
     @pytest.mark.parametrize("score", ["0.5", None])
-    def test_loss_of_refuses_a_score_that_is_not_a_number(self, score):
+    def test_losses_from_scores_refuses_a_score_that_is_not_a_number(self, score):
         with pytest.raises(TypeError):
-            loss_of(score, Outcome.NEGATIVE)
+            losses_from_scores([score], [NEG])
 
-    @pytest.mark.parametrize("outcome,expected,error", [
-        (None, np.nan, ValueError), (1, 0.5, TypeError), (0, 0.5, TypeError),
-        ("+", 0.5, TypeError), ("-", 0.5, TypeError),
-    ])
-    def test_round_record(self, outcome, expected, error):
-        # before, each of these was accepted, and Trace.from_records then
-        # raised ConfigError (NaN) or AttributeError (a code or a token)
-        with pytest.raises(error):
-            RoundRecord(t=1, group=0, outcome=outcome, distribution=np.array([0.5, 0.5]),
-                        losses=np.array([0.0, 1.0]), expected_loss=expected)
-        if error is TypeError:
-            with pytest.raises(TypeError):
-                loss_of(0.5, outcome)
+    @pytest.mark.parametrize("code,expected", [(UNL, np.nan), ("+", 0.5), ("-", 0.5)])
+    def test_one_row_block(self, code, expected):
+        # a NaN expected loss, or a token where an outcome code belongs
+        builder = TraceBuilder(2, 1)
+        with pytest.raises(InvariantViolation):
+            builder.append_block(np.array([0]), np.array([code]), np.array([[0.0, 1.0]]),
+                                 np.array([[0.5, 0.5]]), np.array([expected]))
+        assert len(builder.build()) == 0
 
 
 class TestDistributionValidator:
     def test_accepts_simplex(self):
-        validate_distribution(np.array([0.25, 0.75]))
-        validate_distribution(uniform_distribution(7))
+        validate_distribution_block(np.array([[0.25, 0.75]]), 2)
+        validate_distribution_block(np.full((1, 7), 1 / 7), 7)
 
     def test_rejects_bad_vectors(self):
-        with pytest.raises(ValueError):
-            validate_distribution(np.array([0.7, 0.7]))
-        with pytest.raises(ValueError):
-            validate_distribution(np.array([-0.1, 1.1]))
-        with pytest.raises(ValueError):
-            validate_distribution(np.array([0.5, 0.5]), d=3)
-        with pytest.raises(ValueError):
-            validate_distribution(np.array([np.nan, 1.0]))
+        with pytest.raises(InvariantViolation):
+            validate_distribution_block(np.array([[0.7, 0.7]]), 2)
+        with pytest.raises(InvariantViolation):
+            validate_distribution_block(np.array([[-0.1, 1.1]]), 2)
+        with pytest.raises(InvariantViolation):
+            validate_distribution_block(np.array([[0.5, 0.5]]), 3)
+        with pytest.raises(InvariantViolation):
+            validate_distribution_block(np.array([[np.nan, 1.0]]), 2)
 
     def test_tolerance_boundary(self):
-        validate_distribution(np.array([0.5, 0.5 + 0.9e-9]))
-        with pytest.raises(ValueError):
-            validate_distribution(np.array([0.5, 0.5 + 1.1e-9]))
+        validate_distribution_block(np.array([[0.5, 0.5 + 0.9e-9]]), 2)
+        with pytest.raises(InvariantViolation):
+            validate_distribution_block(np.array([[0.5, 0.5 + 1.1e-9]]), 2)
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_row_sums_are_numpys(self, d):
@@ -181,10 +161,6 @@ class TestDistributionValidator:
         validate_distribution_block(good, 2)
         with pytest.raises(InvariantViolation):
             validate_distribution_block(np.array([[0.6, 0.6]]), 2)
-
-    def test_uniform_needs_experts(self):
-        with pytest.raises(ConfigError):
-            uniform_distribution(0)
 
 
 class TestMaxPairwiseGap:
@@ -213,106 +189,73 @@ def test_group_labels():
     assert group_label(30) == "g30"
 
 
-class TestRoundRecord:
-    def test_compute_fills_expected_loss(self):
-        rec = RoundRecord.compute(
-            1, 0, Outcome.POSITIVE, np.array([0.25, 0.75]), np.array([1.0, 0.0])
-        )
-        assert rec.expected_loss == pytest.approx(0.25, abs=1e-15)
+def _one_row(builder, group=0, code=POS, p=(0.25, 0.75), losses=(1.0, 0.5), expected=None):
+    p, losses = np.array([p]), np.array([losses])
+    builder.append_block(np.array([group]), np.array([code]), losses, p,
+                         expected_losses(p, losses) if expected is None else np.array([expected]))
 
+
+class TestOneRowBlock:
     @pytest.mark.parametrize("d", range(2, 17))
-    def test_compute_gives_the_protocols_bits(self, d):
-        # one p . losses rule: a record built from a trace row holds the
-        # expected loss the protocol wrote for that row, bit for bit
+    def test_one_row_gives_the_protocols_bits(self, d):
+        # one p . losses rule: a row's expected loss taken alone is the one
+        # the protocol wrote for that row, bit for bit
         tr = run(SingleMW(0.1), RandomIID(d=d), 300, seed=d)
-        got = [RoundRecord.compute(k + 1, 0, None, p, ell).expected_loss
-               for k, (p, ell) in enumerate(zip(tr.distributions, tr.losses))]
+        got = [expected_losses(p[None], ell[None])[0] for p, ell in zip(tr.distributions, tr.losses)]
         assert np.array_equal(got, tr.expected_loss)
 
     def test_rejects_mismatched_expected_loss(self):
-        with pytest.raises(ValueError):
-            RoundRecord(
-                t=1,
-                group=0,
-                outcome=Outcome.NEGATIVE,
-                distribution=np.array([0.5, 0.5]),
-                losses=np.array([0.0, 1.0]),
-                expected_loss=0.5 + 2e-9,
-            )
+        builder = TraceBuilder(2, 1)
+        with pytest.raises(InvariantViolation, match="expected loss 0.500000002 at row 0"):
+            _one_row(builder, code=NEG, p=(0.5, 0.5), losses=(0.0, 1.0), expected=0.5 + 2e-9)
+        _one_row(builder, code=NEG, p=(0.5, 0.5), losses=(0.0, 1.0), expected=0.5 + 0.9e-9)
+        assert len(builder.build()) == 1
 
     def test_checks_each_value_once(self, monkeypatch):
-        # the simplex and [0, 1] rules run once, in _check_rows; on a valid
-        # record the whole-block reductions are the only calls made
+        # the simplex and [0, 1] rules run once; on a valid row the
+        # whole-block reductions are the only calls made
         calls = []
         for name in ("_off_simplex", "_first_off_simplex", "_off_unit", "_first_off_unit"):
             def spy(*args, _name=name, _fn=getattr(types, name)):
                 calls.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(types, name, spy)
-        RoundRecord.compute(1, 0, Outcome.POSITIVE, np.array([0.25, 0.75]), np.array([1.0, 0.5]))
+        _one_row(TraceBuilder(2, 1))
         assert sorted(calls) == ["_first_off_simplex", "_first_off_unit"]
 
     def test_rejects_invalid_fields(self):
-        p = np.array([0.5, 0.5])
-        ell = np.array([0.0, 1.0])
-        with pytest.raises(ValueError):
-            RoundRecord(t=0, group=0, outcome=None, distribution=p, losses=ell, expected_loss=0.5)
-        with pytest.raises(ValueError):
-            RoundRecord(t=1, group=-1, outcome=None, distribution=p, losses=ell, expected_loss=0.5)
-        with pytest.raises(ValueError):
-            RoundRecord(
-                t=1, group=0, outcome=None,
-                distribution=p, losses=np.array([0.0, 1.5]), expected_loss=0.75,
-            )
+        builder = TraceBuilder(2, 1)
+        with pytest.raises(InvariantViolation, match="group ids"):
+            _one_row(builder, group=-1, code=UNL, p=(0.5, 0.5), losses=(0.0, 1.0))
+        with pytest.raises(InvariantViolation, match="outside \\[0, 1\\]"):
+            _one_row(builder, code=UNL, p=(0.5, 0.5), losses=(0.0, 1.5))
+        assert len(builder.build()) == 0
 
     def test_json_round_trip_keeps_unlabeled(self, tmp_path):
-        rec = RoundRecord.compute(1, 1, None, np.array([1.0, 0.0]), np.array([0.5, 0.25]))
+        tr = hand_trace([(1, UNL, (1.0, 0.0), (0.5, 0.25))])
         path = tmp_path / "one.jsonl"
-        Trace.from_records([rec]).to_jsonl(path)
-        back = Trace.from_jsonl(path).record(1)
-        assert back.outcome is None
-        assert back.t == rec.t and back.group == rec.group
-        np.testing.assert_array_equal(back.distribution, rec.distribution)
-
-
-def _toy_records():
-    p = np.array([0.5, 0.5])
-    rows = [
-        (Outcome.NEGATIVE, 0, np.array([0.0, 1.0])),
-        (Outcome.POSITIVE, 1, np.array([1.0, 0.0])),
-        (None, 0, np.array([0.25, 0.75])),
-        (Outcome.POSITIVE, 1, np.array([1.0, 0.5])),
-    ]
-    return [
-        RoundRecord.compute(k + 1, g, o, p, ell)
-        for k, (o, g, ell) in enumerate(rows)
-    ]
+        tr.to_jsonl(path)
+        back = Trace.from_jsonl(path)
+        assert back.outcome_codes.tolist() == [UNL] and back.groups.tolist() == [1]
+        np.testing.assert_array_equal(back.distributions, tr.distributions)
 
 
 class TestTrace:
-    def test_from_records_accumulates(self):
-        tr = Trace.from_records(_toy_records())
-        assert tr.T == 4 and tr.d == 2 and tr.num_groups == 2
+    def test_builder_accumulates(self):
+        tr = hand_trace(TOY_ROWS)
+        assert len(tr) == 4 and tr.d == 2 and tr.num_groups == 2
         # group 0: one negative + one unlabeled; group 1: two positives
         np.testing.assert_array_equal(tr.accumulators.counts[0], [1, 0, 1])
         np.testing.assert_array_equal(tr.accumulators.counts[1], [0, 2, 0])
         assert tr.accumulators.learner_loss[1, 1] == pytest.approx(0.5 + 0.75)
-        np.testing.assert_array_equal(tr.group_counts(), [2, 2])
-
-    def test_record_round_trip(self):
-        tr = Trace.from_records(_toy_records())
-        rec = tr.record(3)
-        assert rec.t == 3 and rec.outcome is None
-        with pytest.raises(IndexError):
-            tr.record(5)
-        assert len(list(tr)) == 4
+        np.testing.assert_array_equal(tr.accumulators.counts.sum(axis=1), [2, 2])
 
     def test_jsonl_round_trip(self, tmp_path):
-        tr = Trace.from_records(_toy_records())
+        tr = hand_trace(TOY_ROWS)
         path = tmp_path / "trace.jsonl"
         tr.to_jsonl(path)
         back = Trace.from_jsonl(path, num_groups=tr.num_groups)
-        assert back.T == tr.T
+        assert len(back) == len(tr)
         np.testing.assert_array_equal(back.groups, tr.groups)
         np.testing.assert_array_equal(back.outcome_codes, tr.outcome_codes)
         np.testing.assert_allclose(back.distributions, tr.distributions, atol=0)
@@ -320,7 +263,7 @@ class TestTrace:
 
     def test_metadata_passes_through_the_builder(self, tmp_path):
         meta = {"rng_seed": 5, "scenario_id": "s", "learner_id": "l", "scenario_info": {"world": "b"}}
-        tr = Trace.from_records(_toy_records(), num_groups=3, **meta)
+        tr = hand_trace(TOY_ROWS, num_groups=3, **meta)
         path = tmp_path / "trace.jsonl"
         tr.to_jsonl(path)
         for got in (tr, Trace.from_jsonl(path, num_groups=3, **meta)):
@@ -331,33 +274,26 @@ class TestTrace:
             None, "", "", {}, 2)
 
     def test_csv_export_shape(self, tmp_path):
-        tr = Trace.from_records(_toy_records())
+        tr = hand_trace(TOY_ROWS)
         path = tmp_path / "trace.csv"
         tr.to_csv(path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,group,outcome,expected_loss,p_0,p_1,loss_0,loss_1"
-        assert len(lines) == 1 + tr.T
+        assert len(lines) == 1 + len(tr)
         # unlabeled round has an empty outcome cell
         assert lines[3].split(",")[2] == ""
 
-    def test_summary_mode_blocks_record_access(self):
-        builder = TraceBuilder(2, 2, retain="summary")
-        recs = _toy_records()
-        builder.append_block(
-            np.array([r.group for r in recs]),
-            np.array([-1 if r.outcome is None else r.outcome.code for r in recs], dtype=np.int8),
-            np.stack([r.losses for r in recs]),
-            np.stack([r.distribution for r in recs]),
-            np.array([r.expected_loss for r in recs]),
-        )
-        tr = builder.build(rng_seed=0, scenario_id="s", learner_id="l")
+    def test_summary_mode_refuses_trace_files(self, tmp_path):
+        tr = hand_trace(TOY_ROWS, retain="summary", rng_seed=0, scenario_id="s", learner_id="l")
         assert not tr.is_full
-        assert tr.T == 4
+        assert len(tr) == 4
         np.testing.assert_array_equal(tr.accumulators.counts.sum(axis=0), [1, 2, 1])
-        with pytest.raises(Exception):
-            tr.record(1)
-        with pytest.raises(Exception):
-            tr.to_jsonl("/dev/null")
+        for kwargs in ({}, {"jsonl": tmp_path / "t.jsonl"}, {"csv": tmp_path / "t.csv"}):
+            with pytest.raises(ContractError, match="trace file export needs per-round"):
+                tr.to_files(**kwargs)
+        with pytest.raises(ContractError):
+            tr.to_jsonl(tmp_path / "t.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTraceBuilder:
@@ -421,9 +357,63 @@ class TestTraceBuilder:
             TraceBuilder(2, 2).append_block(np.array([0, 1]), codes, np.full((2, 2), 0.5),
                                             np.full((2, 2), 0.5), np.full(2, 0.5))
 
+    @pytest.mark.parametrize("expected,match", [
+        ([0.5], "expected-loss column has shape \\(1,\\) and dtype float64, expected \\(2,\\) numbers"),
+        ([0.5, 0.5, 0.5], "shape \\(3,\\)"),
+        ([[0.5, 0.5]], "shape \\(1, 2\\)"),
+        (["0.5", "0.5"], "dtype <U3"),
+        ([0.5, 5.0], "expected loss 5.0 at row 1 of the block disagrees with p . losses = 0.5"),
+        ([-3.0, 0.5], "expected loss -3.0 at row 0 of the block"),
+        ([0.5, 0.5 + 2e-9], "at row 1 of the block"),
+        ([np.nan, 0.5], "expected loss nan at row 0 of the block"),
+        ([0.5, np.inf], "expected loss inf at row 1 of the block"),
+    ])
+    @pytest.mark.parametrize("retain", ["full", "summary"])
+    def test_rejects_a_bad_expected_loss_column(self, expected, match, retain):
+        # the column went in unchecked: a wrong length raised numpy's
+        # ValueError once the block's other columns and counts were taken,
+        # and wrong values reached learner_loss
+        builder = TraceBuilder(2, 2, retain=retain)
+        p, losses = np.full((2, 2), 0.5), np.array([[0.0, 1.0], [1.0, 0.0]])
+        builder.append_block(np.array([0, 1]), np.array([0, 1]), losses, p, np.full(2, 0.5))
+        before = builder.build()
+        acc = [a.copy() for a in (before.accumulators.counts, before.accumulators.learner_loss,
+                                  before.accumulators.expert_loss)]
+        with pytest.raises(InvariantViolation, match=match):
+            builder.append_block(np.array([1, 0]), np.array([1, -1]), losses, p, np.array(expected))
+        after = builder.build()
+        assert len(after) == 2
+        for got, want in zip((after.accumulators.counts, after.accumulators.learner_loss,
+                              after.accumulators.expert_loss), acc):
+            assert np.array_equal(got, want)
+        for name in ("groups", "outcome_codes", "expected_loss", "distributions", "losses"):
+            assert np.array_equal(getattr(after, name), getattr(before, name)), name
+        builder.append_block(np.array([1, 0]), np.array([1, -1]), losses, p, np.full(2, 0.5 + 0.9e-9))
+        assert len(builder.build()) == 4
+
+    @pytest.mark.parametrize("k", [0, 8191, 8192, 2 * 8192 + 4])
+    def test_names_a_bad_expected_loss_in_any_slice(self, k):
+        # the check compares 8192 rows at a time; the row it names is the block's
+        n = 2 * 8192 + 5
+        p, losses = np.full((n, 2), 0.5), np.tile([0.0, 1.0], (n, 1))
+        expected = np.full(n, 0.5)
+        expected[k] = 0.5 + 2e-9
+        builder = TraceBuilder(2, 1)
+        with pytest.raises(InvariantViolation, match=f"at row {k} of the block"):
+            builder.append_block(np.zeros(n, dtype=int), np.zeros(n, dtype=int), losses, p, expected)
+        assert len(builder.build()) == 0 and builder.accumulators.counts.sum() == 0
+
+    def test_integer_columns(self):
+        # plays, losses and expected losses given as integers are kept as floats
+        builder = TraceBuilder(2, 1)
+        builder.append_block(np.array([0]), np.array([1]), np.array([[1, 0]]), np.array([[1, 0]]),
+                             np.array([1]))
+        tr = builder.build()
+        assert tr.expected_loss.tolist() == [1.0] and tr.distributions.dtype == np.float64
+
     def test_empty_build(self):
         tr = TraceBuilder(3, 2).build(rng_seed=1, scenario_id="s", learner_id="l")
-        assert tr.T == 0 and tr.d == 3
+        assert len(tr) == 0 and tr.d == 3
         assert tr.is_full
         bare = TraceBuilder(3, 2).build()
         assert (bare.rng_seed, bare.scenario_id, bare.learner_id, bare.scenario_info) == (None, "", "", {})
@@ -458,12 +448,12 @@ class TestTraceBuilder:
         def build_and_check(count):
             tr = builder.build(rng_seed=0, scenario_id="s", learner_id="l")
             want = [np.concatenate(col) for col in zip(*blocks[:count])]
-            assert tr.T == sum(b[0].shape[0] for b in blocks[:count])
+            assert len(tr) == sum(b[0].shape[0] for b in blocks[:count])
             assert np.array_equal(tr.groups, want[0]) and np.array_equal(tr.outcome_codes, want[1])
             assert np.array_equal(tr.expected_loss, want[4])
             if retain == "full":
                 assert np.array_equal(tr.losses, want[2]) and np.array_equal(tr.distributions, want[3])
-            assert tr.accumulators.counts.sum() == tr.T
+            assert tr.accumulators.counts.sum() == len(tr)
 
         for block in blocks[:2]:
             builder.append_block(*block)
