@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+
 import numpy as np
 
 from .metrics import _rate, rate_table, rate_values
@@ -22,6 +23,7 @@ from .types import (
     HorizonMismatchError,
     POSITIVE_CODE,
     Trace,
+    _check_outcome_codes,
     echo_fields,
     losses_from_scores,
     max_pairwise_gap,
@@ -91,7 +93,8 @@ class ExpertModel:
         outcome_codes: np.ndarray,
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
-        """Scores over aligned round arrays."""
+        """Scores over aligned round arrays. The unbiased kind reads the
+        outcome codes, and refuses codes as ``losses_from_scores`` does."""
         n = len(t)
         if self.kind == "always_negative":
             return np.zeros(n)
@@ -107,7 +110,7 @@ class ExpertModel:
                     f"[{t.min()}, {t.max()}]"
                 )
             return np.asarray(self.table, dtype=np.float64)[t - 1]
-        codes = np.asarray(outcome_codes)
+        codes = _check_outcome_codes(outcome_codes, n, "round {}", ValueError)
         if np.any(codes < 0):
             raise ValueError("unbiased expert needs labeled rounds")
         if self.bernoulli:

@@ -36,7 +36,6 @@ from .types import (
     _check_groups,
     _check_outcome_codes,
     _numbers,
-    expected_losses,
 )
 
 
@@ -118,8 +117,7 @@ def _execute_block(learner, block, builder: TraceBuilder) -> BlockResult:
     else:
         p, choices = learner.run_rounds(groups, block.rows, block.step)
         losses, codes = np.take(block.rows, choices, axis=0), np.take(block.codes, choices)
-    expected = expected_losses(p, losses)
-    builder.append_block(groups, codes, losses, p, expected)
+    builder.append_block(groups, codes, losses, p)
     return BlockResult(p)
 
 

@@ -133,13 +133,14 @@ def losses_from_scores(scores: np.ndarray, outcome_codes: np.ndarray) -> np.ndar
     negative round, its complement on a positive round.
 
     Every row must be labeled; unlabeled rounds have no score-based loss.
-    A score outside [0, 1], NaN included, raises ValueError.
+    A score outside [0, 1], NaN included, raises ValueError, and so does a
+    code column that is not one integer in {-1, 0, 1} per score.
     """
     scores = np.asarray(scores)
     if scores.dtype.kind not in "biuf":
         raise TypeError(f"scores must be numbers, got dtype {scores.dtype}")
     scores = scores.astype(np.float64, copy=False)
-    codes = np.asarray(outcome_codes)
+    codes = _check_outcome_codes(outcome_codes, scores.size, "round {}", ValueError)
     if np.any(codes == UNLABELED_CODE):
         raise ValueError("cannot derive score losses for unlabeled rounds")
     if _first_off_unit(scores.reshape(-1, 1)) is not None:
@@ -185,25 +186,20 @@ def _check_outcome_codes(codes, n: int, where: str, error: type) -> np.ndarray:
 def _check_expected(expected, dists: np.ndarray, losses: np.ndarray) -> np.ndarray:
     """``expected`` as float64 once checked to be an (n,) column that agrees
     with ``expected_losses(dists, losses)`` within EXPECTED_LOSS_ATOL,
-    raising InvariantViolation that names its first bad row. Rows are
-    compared _IO_CHUNK at a time: a whole-block temporary raised the peak
-    RSS of a 100k-round run by 0.5 MB."""
+    raising InvariantViolation that names its first bad row."""
     n = dists.shape[0]
     expected = np.asarray(expected)
     if expected.shape != (n,) or expected.dtype.kind not in "biuf":
         raise InvariantViolation(f"expected-loss column has shape {expected.shape} and dtype "
                                  f"{expected.dtype}, expected ({n},) numbers")
     expected = expected.astype(np.float64, copy=False)
-    for lo in range(0, n, _IO_CHUNK):
-        rows = slice(lo, lo + _IO_CHUNK)
-        gaps = expected_losses(dists[rows], losses[rows]).astype(np.float64, copy=False)
-        gaps -= expected[rows]
-        if np.abs(gaps, out=gaps).max() <= EXPECTED_LOSS_ATOL:  # NaN fails too
-            continue
-        k = lo + int(np.argmax(~(gaps <= EXPECTED_LOSS_ATOL)))
-        derived = expected_losses(dists[k:k + 1], losses[k:k + 1])[0]
+    derived = expected_losses(dists, losses)
+    gaps = np.subtract(derived, expected, out=derived)
+    if not np.abs(gaps, out=gaps).max() <= EXPECTED_LOSS_ATOL:  # NaN fails too
+        k = int(np.argmax(~(gaps <= EXPECTED_LOSS_ATOL)))
+        derived_k = expected_losses(dists[k:k + 1], losses[k:k + 1])[0]
         raise InvariantViolation(f"expected loss {float(expected[k])!r} at row {k} of the block "
-                                 f"disagrees with p . losses = {float(derived)!r}")
+                                 f"disagrees with p . losses = {float(derived_k)!r}")
     return expected
 
 
@@ -326,11 +322,10 @@ class Accumulators:
             ).reshape(num_groups, N_BINS)
 
 
-# Lines per byte block of a long run in a trace file, rows per chunk of a
-# table's rows in a learner's block play (``Learner.run_block``), and rows per
-# slice of the builder's expected-loss check: enough to amortize the
-# per-chunk numpy calls, few enough that no file or block is held whole in
-# memory, or copied whole.
+# Lines per byte block of a long run in a trace file, and rows per chunk of a
+# table's rows in a learner's block play (``Learner.run_block``): enough to
+# amortize the per-chunk numpy calls, few enough that no file or block is
+# held whole in memory.
 _IO_CHUNK = 8192
 
 # Rows in a long run, a stretch of consecutive rows alike but for t. Trace
@@ -511,14 +506,21 @@ class TraceBuilder:
         outcome_codes: np.ndarray,
         losses: np.ndarray,
         distributions: np.ndarray,
-        expected: np.ndarray,
+        expected: np.ndarray | None = None,
     ) -> None:
+        """Check a block of n rounds and keep it. Every column is checked
+        before any is kept, and a refused block raises InvariantViolation and
+        leaves the builder as it was. The expected-loss column is derived
+        here as ``expected_losses(distributions, losses)``; a caller that
+        holds one already, as a trace file does, passes it as ``expected``,
+        and it is kept as given once it agrees within EXPECTED_LOSS_ATOL."""
         n = groups.shape[0]
         if n == 0:
             return
+        for name, block in (("distribution", distributions), ("loss", losses)):
+            if block.shape != (n, self.d):
+                raise InvariantViolation(f"{name} block has shape {block.shape}, expected ({n}, {self.d})")
         validate_distribution_block(distributions, self.d)
-        if losses.shape != (n, self.d):
-            raise InvariantViolation(f"loss block has shape {losses.shape}, expected ({n}, {self.d})")
         k = _first_off_unit(losses)
         if k is not None:
             raise InvariantViolation(
@@ -527,16 +529,19 @@ class TraceBuilder:
         if groups.min(initial=0) < 0 or groups.max(initial=0) >= self.num_groups:
             raise InvariantViolation("group ids outside the declared group set")
         codes = _check_outcome_codes(outcome_codes, n, "row {} of the block", InvariantViolation)
-        expected = _check_expected(expected, distributions, losses)
+        distributions = np.asarray(distributions, dtype=np.float64)
+        losses = np.asarray(losses, dtype=np.float64)
+        if expected is None:
+            expected = expected_losses(distributions, losses)
+        else:
+            expected = _check_expected(expected, distributions, losses)
         self._groups.append(np.asarray(groups, dtype=np.int64))
         self._codes.append(codes)
         self._expected.append(expected)
         if self.retain == "full":
-            self._dists.append(np.asarray(distributions, dtype=np.float64))
-            self._losses.append(np.asarray(losses, dtype=np.float64))
-        self.accumulators.add_block(
-            self._groups[-1], self._codes[-1], np.asarray(losses, dtype=np.float64), self._expected[-1]
-        )
+            self._dists.append(distributions)
+            self._losses.append(losses)
+        self.accumulators.add_block(self._groups[-1], codes, losses, expected)
 
     def build(
         self,

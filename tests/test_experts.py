@@ -128,6 +128,23 @@ class TestScores:
         with pytest.raises(ConfigError):
             ExpertModel(**cfg)
 
+    @pytest.mark.parametrize("cfg", [{}, {"beta": 0.2}, {"kind": "always_negative", "colour": "red"}])
+    def test_missing_or_unknown_fields_raise_type_error(self, cfg):
+        # the dataclass constructor's own error, as the README says
+        with pytest.raises(TypeError):
+            ExpertModel(**cfg)
+
+    @pytest.mark.parametrize("code", ["+", 0.5, 2, 7])
+    @pytest.mark.parametrize("ex,method", [
+        (ExpertModel("fixed_score", score=0.3), "losses"),
+        (ExpertModel("unbiased", beta=0.2), "losses"),
+        (ExpertModel("unbiased", beta=0.2), "scores"),
+    ])
+    def test_refuse_a_code_that_is_not_an_outcome(self, ex, method, code):
+        # each was scored as a negative: loss 0.3, and 0.2 for the unbiased kind
+        with pytest.raises(ValueError, match="outcome code"):
+            getattr(ex, method)(np.array([1, 2]), np.array([0, 1]), np.array([1, code]))
+
 
 # (group, outcome code) of eight rounds laid out so every (group, bin) cell
 # is exercised, including an unlabeled round per group

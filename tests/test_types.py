@@ -108,6 +108,17 @@ class TestScoresThatAreNotNumbers:
         with pytest.raises(TypeError):
             losses_from_scores([score], [NEG])
 
+    @pytest.mark.parametrize("code", ["+", "-", 0.5, 1.0, None, 2, 7, -2, 256])
+    def test_losses_from_scores_refuses_a_code_that_is_not_an_outcome(self, code):
+        # a token, a float or an out-of-range code was scored as a negative
+        with pytest.raises(ValueError, match="outcome code"):
+            losses_from_scores([0.5], [code])
+
+    def test_losses_from_scores_refuses_codes_of_another_length(self):
+        # the two columns broadcast: one code scored a whole block of scores
+        with pytest.raises(ValueError, match="expected \\(3,\\) integers"):
+            losses_from_scores([0.2, 0.5, 0.9], [POS])
+
     @pytest.mark.parametrize("code,expected", [(UNL, np.nan), ("+", 0.5), ("-", 0.5)])
     def test_one_row_block(self, code, expected):
         # a NaN expected loss, or a token where an outcome code belongs
@@ -296,6 +307,31 @@ class TestTrace:
         assert list(tmp_path.iterdir()) == []
 
 
+def _refused_and_unchanged(retain, p, expected, match):
+    """Append a good two-row block, then a second whose plays are ``p`` and
+    expected-loss column ``expected``, which must raise InvariantViolation
+    matching ``match`` and leave the builder's trace and accumulators as the
+    first block left them; a good block is then still taken."""
+    builder = TraceBuilder(2, 2, retain=retain)
+    losses = np.array([[0.0, 1.0], [1.0, 0.0]])
+    builder.append_block(np.array([0, 1]), np.array([0, 1]), losses, np.full((2, 2), 0.5))
+    before = builder.build()
+    acc = [a.copy() for a in (before.accumulators.counts, before.accumulators.learner_loss,
+                              before.accumulators.expert_loss)]
+    with pytest.raises(InvariantViolation, match=match):
+        builder.append_block(np.array([1, 0]), np.array([1, -1]), losses, p, expected)
+    after = builder.build()
+    assert len(after) == 2
+    for got, want in zip((after.accumulators.counts, after.accumulators.learner_loss,
+                          after.accumulators.expert_loss), acc):
+        assert np.array_equal(got, want)
+    for name in ("groups", "outcome_codes", "expected_loss", "distributions", "losses"):
+        assert np.array_equal(getattr(after, name), getattr(before, name)), name
+    builder.append_block(np.array([1, 0]), np.array([1, -1]), losses, np.full((2, 2), 0.5),
+                         np.full(2, 0.5 + 0.9e-9))
+    assert len(builder.build()) == 4
+
+
 class TestTraceBuilder:
     def test_rejects_bad_blocks(self):
         builder = TraceBuilder(2, 2)
@@ -373,31 +409,36 @@ class TestTraceBuilder:
         # the column went in unchecked: a wrong length raised numpy's
         # ValueError once the block's other columns and counts were taken,
         # and wrong values reached learner_loss
-        builder = TraceBuilder(2, 2, retain=retain)
-        p, losses = np.full((2, 2), 0.5), np.array([[0.0, 1.0], [1.0, 0.0]])
-        builder.append_block(np.array([0, 1]), np.array([0, 1]), losses, p, np.full(2, 0.5))
-        before = builder.build()
-        acc = [a.copy() for a in (before.accumulators.counts, before.accumulators.learner_loss,
-                                  before.accumulators.expert_loss)]
-        with pytest.raises(InvariantViolation, match=match):
-            builder.append_block(np.array([1, 0]), np.array([1, -1]), losses, p, np.array(expected))
-        after = builder.build()
-        assert len(after) == 2
-        for got, want in zip((after.accumulators.counts, after.accumulators.learner_loss,
-                              after.accumulators.expert_loss), acc):
-            assert np.array_equal(got, want)
-        for name in ("groups", "outcome_codes", "expected_loss", "distributions", "losses"):
-            assert np.array_equal(getattr(after, name), getattr(before, name)), name
-        builder.append_block(np.array([1, 0]), np.array([1, -1]), losses, p, np.full(2, 0.5 + 0.9e-9))
-        assert len(builder.build()) == 4
+        _refused_and_unchanged(retain, np.full((2, 2), 0.5), np.array(expected), match)
 
-    @pytest.mark.parametrize("k", [0, 8191, 8192, 2 * 8192 + 4])
-    def test_names_a_bad_expected_loss_in_any_slice(self, k):
-        # the check compares 8192 rows at a time; the row it names is the block's
-        n = 2 * 8192 + 5
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("given", [False, True])
+    @pytest.mark.parametrize("retain", ["full", "summary"])
+    def test_rejects_plays_of_another_length(self, rows, given, retain):
+        # only the width of the plays was checked: einsum broadcast a one-row
+        # play over the block, and a three-row one raised numpy's ValueError
+        p = np.full((rows, 2), 0.5)
+        _refused_and_unchanged(retain, p, np.full(2, 0.5) if given else None,
+                               f"distribution block has shape \\({rows}, 2\\), expected \\(2, 2\\)")
+
+    def test_derives_the_expected_loss_column(self):
+        rng = np.random.default_rng(5)
+        p, losses = rng.dirichlet(np.ones(3), size=50), rng.random((50, 3))
+        groups, codes = rng.integers(0, 2, 50), rng.integers(-1, 2, 50)
+        derived, given = TraceBuilder(3, 2), TraceBuilder(3, 2)
+        derived.append_block(groups, codes, losses, p)
+        stored = expected_losses(p, losses) + 0.5e-9
+        given.append_block(groups, codes, losses, p, stored)
+        assert np.array_equal(derived.build().expected_loss, expected_losses(p, losses))
+        assert np.array_equal(given.build().expected_loss, stored)  # kept as given
+
+    @pytest.mark.parametrize("k", [0, 7, 20_004])
+    def test_names_the_first_bad_expected_loss(self, k):
+        n = 20_005
         p, losses = np.full((n, 2), 0.5), np.tile([0.0, 1.0], (n, 1))
         expected = np.full(n, 0.5)
         expected[k] = 0.5 + 2e-9
+        expected[k + 1:] = np.nan
         builder = TraceBuilder(2, 1)
         with pytest.raises(InvariantViolation, match=f"at row {k} of the block"):
             builder.append_block(np.zeros(n, dtype=int), np.zeros(n, dtype=int), losses, p, expected)
