@@ -27,7 +27,7 @@ from typing import ClassVar, Iterator, Mapping
 import numpy as np
 
 from .experts import ExpertModel
-from .protocol import AdaptiveBlock, BlockResult, ObliviousBlock
+from .protocol import AdaptiveBlock, ObliviousBlock
 from .types import (
     ConfigError,
     NEGATIVE_CODE,
@@ -87,7 +87,7 @@ class Scenario:
 
     def unroll(self, run: ScenarioRun) -> Iterator:
         """Yield the segments of ``run`` (T >= 1); each yield receives the
-        block's BlockResult back."""
+        block's (n, d) plays back."""
         raise NotImplementedError
 
 
@@ -187,10 +187,8 @@ class T1Scenario(Scenario):
         hu_mass = 0.0
         if half:
             codes1 = np.where(groups[:half] == GROUP_B, NEGATIVE_CODE, coins[:half]).astype(np.int8)
-            result: BlockResult = yield _expert_loss_block(
-                experts, 1, groups[:half], codes1, run.rng_extra
-            )
-            hu_mass = float(result.distributions[:, 1].sum())
+            p = yield _expert_loss_block(experts, 1, groups[:half], codes1, run.rng_extra)
+            hu_mass = float(p[:, 1].sum())
         world = self.forced_world or ("a" if hu_mass > sqrt_eps * T else "b")
         run.info.update(hu_probability_mass=hu_mass, world=world)
         rest = groups[half:]
@@ -446,11 +444,10 @@ class T5Scenario(Scenario):
         half = T // 2
         penalties = [0, 0]
         if half:
-            result = yield AdaptiveBlock(np.zeros(half, dtype=np.int64), _T5_ROWS,
-                                         np.full(2, UNLABELED_CODE), _t5_leader)
+            p = yield AdaptiveBlock(np.zeros(half, dtype=np.int64), _T5_ROWS,
+                                    np.full(2, UNLABELED_CODE), _t5_leader)
             # the rows where the step chose expert 1; no play is NaN, as
             # every block's plays pass the simplex check before they return
-            p = result.distributions
             penalties[1] = int(np.count_nonzero(p[:, 0] < p[:, 1]))
             penalties[0] = half - penalties[1]
         len2 = penalties[0]

@@ -2,26 +2,28 @@
 
 Every learner follows the same contract: ``start(d, num_groups)`` resets
 state, ``next_distribution(group)`` returns the current play without side
-effects, ``observe(group, losses)`` folds in one round's loss vector. Kinds
-whose distributions are closed-form functions of cumulative losses
-(multiplicative weights and the perturbed leader) supply
-``_cumulative_play``, the plays of a block of cumulative losses, and share
-one ``run_block`` that plays an oblivious stretch vectorized, per table in
-chunks of 8192 rows; the block path and the sequential path are the same
-algorithm and agree to floating-point noise, and ``next_distribution`` is
-the play of a one-row block.
+effects, ``observe(group, losses)`` folds in one round's loss vector.
+Multiplicative weights and the perturbed leader play a fixed function of
+each table's cumulative loss, so they share one state, one update and one
+block play (``CumulativeLossLearner``) and each supplies only ``_play``, the
+plays of a block of cumulative losses. Every one of their paths sums a
+table's losses in round order, so ``run_block``, ``run_rounds`` and the
+``next_distribution``/``observe`` loop give the same bits, and an oblivious
+``run_rounds`` of these kinds is ``run_block``, which plays the stretch
+vectorized, per table in chunks of 8192 rows.
 
 ``run_rounds`` plays a stretch round by round, oblivious or adaptive. Its
 generic form is the ``next_distribution``/``observe`` loop. For two experts,
-multiplicative weights and fixed share run an exact scalar kernel instead:
-each table is a pair of Python floats, and each kind's per-round loop,
-``_pair_rounds``, writes out the play and the update, doing the same IEEE
-operations in the same order as ``next_distribution``/``observe`` (numpy's
-``exp`` and ``power`` included), so the plays are bit-identical to the loop.
-The arriving group's table stays in locals while the group repeats. A fixed
-share round makes no Python call but an adaptive stretch's step; an MW round
-also calls ``_play2``, for numpy's ``exp``. An adaptive stretch takes its
-declared rows' update terms once. An oblivious stretch finds its runs of
+multiplicative weights (adaptive stretches) and fixed share (every stretch)
+run an exact scalar kernel instead: each table is a pair of Python floats,
+and each kind's per-round loop, ``_pair_rounds``, writes out the play and
+the update, doing the same IEEE operations in the same order as
+``next_distribution``/``observe`` (numpy's ``exp`` and ``power`` included),
+so the plays are bit-identical to the loop. The arriving group's table
+stays in locals while the group repeats. A fixed share round makes no
+Python call but an adaptive stretch's step; an MW round also calls
+``_play2``, for numpy's ``exp``. An adaptive stretch takes its declared
+rows' update terms once. An oblivious fixed share stretch finds its runs of
 rows on one table with one loss row once, steps each run of at least
 ``_RUN`` rows only until its table is a fixed point of the update, and plays
 its other rows in chunks of ``_ROUNDS_CHUNK``.
@@ -76,7 +78,6 @@ class Learner:
     kind = "base"
     # The keys a config of this kind may hold besides its kind.
     config_keys = frozenset({"eta"})
-    supports_blocks = False
     per_group = False
     # Kinds with an exact scalar kernel for d=2 (see ``_two_expert_rounds``).
     # The kernel repeats this class's next_distribution and _update without
@@ -179,38 +180,6 @@ class Learner:
         """``observe`` on a checked loss vector."""
         raise NotImplementedError
 
-    def run_block(self, groups: np.ndarray, losses: np.ndarray) -> np.ndarray:
-        """Distributions for a stretch of rounds known in advance.
-
-        Semantically identical to calling next_distribution/observe round by
-        round; only kinds with supports_blocks=True play it, each supplying
-        ``_cumulative_play``. The stretch is checked as ``run_rounds`` checks
-        an oblivious one. Each table's rows are played in chunks of _IO_CHUNK
-        rows, so that the work arrays do not grow with the block: a chunk's
-        cumsum starts from the sum of the table's rows before it, added to
-        its first row, which gives the bits of one cumsum over the rows. The
-        table's sum is then folded in by ``_update``.
-        """
-        if not self.supports_blocks:
-            raise ContractError(f"{self.kind} has no vectorized block path")
-        groups, losses = self._stretch(groups, losses)
-        p = np.empty((losses.shape[0], self.d), dtype=np.float64)
-        for table, rows in self._table_rows(groups):
-            total = np.zeros(self.d)
-            for s in range(0, losses.shape[0] if rows is None else rows.shape[0], _IO_CHUNK):
-                chunk = slice(s, s + _IO_CHUNK) if rows is None else rows[s:s + _IO_CHUNK]
-                cum = losses[chunk].copy()
-                if s:
-                    cum[0] += total
-                np.cumsum(cum, axis=0, out=cum)
-                before = np.empty_like(cum)
-                before[0] = total
-                before[1:] = cum[:-1]
-                p[chunk] = self._cumulative_play(table, before)
-                total = cum[-1]
-            self._update(table, total)
-        return p
-
     def run_rounds(self, groups: np.ndarray, losses, step=None):
         """Play a stretch of rounds one at a time; returns (plays, choices).
 
@@ -303,12 +272,13 @@ class Learner:
         ``stop``, every round is of one table and one loss row, and the loop
         returns the first round i whose update leaves the table as it was:
         the later rounds play round i's pair. Otherwise it returns None.
+        MW plays only adaptive rounds here, as its oblivious stretches are
+        its block play.
 
         ``==`` on two tables is bit equality here, since no state entry is
-        NaN or -0.0. MW's log weights start at +0.0 and add terms, and x + y
-        is -0.0 only when both are. Fixed share's entries are sums, products
-        and quotients of non-negative numbers, and its total weight is at
-        least half its table's sum, as each factor (1 - eta)^loss is.
+        NaN or -0.0: fixed share's entries are sums, products and quotients
+        of non-negative numbers, and its total weight is at least half its
+        table's sum, as each factor (1 - eta)^loss is.
         """
         raise NotImplementedError
 
@@ -345,10 +315,69 @@ def _two_expert_softmax(log_w: np.ndarray) -> np.ndarray:
     return np.column_stack([np.where(first, big, small), np.where(first, small, big)])
 
 
-class _MultiplicativeWeights(Learner):
-    """Weights w_f = (1 - eta)^(cumulative loss), kept in log space."""
+class CumulativeLossLearner(Learner):
+    """A learner whose play is a fixed function of its table's cumulative
+    loss, the one state it keeps: ``_cum``, of shape (tables, d), to which
+    each round adds its loss vector. A kind supplies ``_play``, the plays of
+    an (n, d) block of cumulative losses, row by row.
 
-    supports_blocks = True
+    Every path adds a table's losses one round at a time, in round order, so
+    the block play, the two-expert kernel and the
+    ``next_distribution``/``observe`` loop give the same bits.
+    """
+
+    def _init_state(self) -> None:
+        self._cum = np.zeros((self._tables(), self.d), dtype=np.float64)
+
+    def _state(self) -> np.ndarray:
+        return self._cum
+
+    def _play(self, cum: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def next_distribution(self, group: GroupId) -> np.ndarray:
+        self._started()
+        return self._play(self._cum[self._table(group)][None])[0]
+
+    def _update(self, table: int, losses: np.ndarray) -> None:
+        self._cum[table] += losses
+
+    def run_block(self, groups, losses) -> np.ndarray:
+        """The plays of a stretch of rounds known in advance: ``run_rounds``
+        on an oblivious stretch, checked as it checks one.
+
+        Each table's rows are played in chunks of _IO_CHUNK rows, so that
+        the work arrays do not grow with the block. A chunk's cumulative
+        losses before each row are one cumsum seeded with the table's
+        ``_cum``, and the chunk's last sum is stored back, so every sum is
+        the one the per-round adds give.
+        """
+        groups, losses = self._stretch(groups, losses)
+        p = np.empty(losses.shape, dtype=np.float64)
+        for table, rows in self._table_rows(groups):
+            cum = self._cum[table]
+            for s in range(0, losses.shape[0] if rows is None else rows.shape[0], _IO_CHUNK):
+                chunk = slice(s, s + _IO_CHUNK) if rows is None else rows[s:s + _IO_CHUNK]
+                block = losses[chunk]
+                before = np.empty_like(block)
+                before[0] = cum
+                before[1:] = block[:-1]
+                np.cumsum(before, axis=0, out=before)
+                p[chunk] = self._play(before)
+                np.add(before[-1], block[-1], out=cum)
+        return p
+
+    def run_rounds(self, groups: np.ndarray, losses, step=None):
+        """``Learner.run_rounds``, whose oblivious stretch is ``run_block``."""
+        if step is None:
+            return self.run_block(groups, losses), None
+        return super().run_rounds(groups, losses, step)
+
+
+class _MultiplicativeWeights(CumulativeLossLearner):
+    """Weights w_f = (1 - eta)^(cumulative loss), played as the softmax of
+    the log weights log(1 - eta) * cumulative loss."""
+
     two_expert_kernel = True
 
     def __init__(self, eta: float) -> None:
@@ -356,34 +385,18 @@ class _MultiplicativeWeights(Learner):
         self.eta = _check_eta(eta)
         self._log_decay = math.log1p(-self.eta)
 
-    def _init_state(self) -> None:
-        self._log_w = np.zeros((self._tables(), self.d), dtype=np.float64)
-
-    def next_distribution(self, group: GroupId) -> np.ndarray:
-        self._started()
-        return self._play(self._log_w[self._table(group)][None])[0]
-
-    def _play(self, log_w: np.ndarray) -> np.ndarray:
-        """The plays of an (n, d) block of log weights."""
+    def _play(self, cum: np.ndarray) -> np.ndarray:
+        log_w = self._log_decay * cum
         return _two_expert_softmax(log_w) if self.d == 2 else _row_softmax(log_w)
 
-    def _update(self, table: int, losses: np.ndarray) -> None:
-        self._log_w[table] += self._loss_terms(losses)
-
-    def _cumulative_play(self, table: int, before: np.ndarray) -> np.ndarray:
-        return self._play(self._log_w[table] + self._log_decay * before)
-
-    def _state(self) -> np.ndarray:
-        return self._log_w
-
     def _loss_terms(self, losses: np.ndarray) -> np.ndarray:
-        return self._log_decay * losses
+        return losses
 
     def _play2(self, table: tuple) -> tuple[float, float]:
         # The larger log weight has z = 0, and exp(0) = 1 exactly. The other z
         # goes through numpy's exp: math.exp differs from it in the last bit
         # on some inputs, and one bit can flip a scenario's threshold on p.
-        lw0, lw1 = table
+        lw0, lw1 = self._log_decay * table[0], self._log_decay * table[1]
         if lw0 >= lw1:
             e = float(np.exp(lw1 - lw0))
             total = 1.0 + e
@@ -392,34 +405,26 @@ class _MultiplicativeWeights(Learner):
         total = e + 1.0
         return e / total, 1.0 / total
 
-    def _pair_rounds(self, tables, out, s, groups, terms, step=None, chosen=None, stop=False):
-        play, per_group = self._play2, self.per_group
-        K = len(terms) if step is not None else 0
+    def _pair_rounds(self, tables, out, s, groups, terms, step, chosen):
+        play, per_group, K = self._play2, self.per_group, len(terms)
         t, cur = 0, None
         table = tables[0]
-        for i, g, term in zip(count(s), groups, terms if step is None else repeat(None)):
+        for i, g in zip(count(s), groups):
             if g != cur:
                 tables[t] = table
                 cur, t = g, g if per_group else 0
                 table = tables[t]
             pair = play(table)
             out[2 * i], out[2 * i + 1] = pair
-            if step is not None:
-                k = step(i, g, pair)
-                if type(k) is not int or not 0 <= k < K:
-                    tables[t] = table
-                    self._state()[:] = tables
-                    raise _choice_error(k, i, K)
-                chosen[i] = k
-                term = terms[k]
-            a0, a1 = term
-            nxt = table[0] + a0, table[1] + a1
-            if stop and nxt == table:
+            k = step(i, g, pair)
+            if type(k) is not int or not 0 <= k < K:
                 tables[t] = table
-                return i
-            table = nxt
+                self._state()[:] = tables
+                raise _choice_error(k, i, K)
+            chosen[i] = k
+            a0, a1 = terms[k]
+            table = table[0] + a0, table[1] + a1
         tables[t] = table
-        return None
 
 
 class SingleMW(_MultiplicativeWeights):
@@ -435,7 +440,7 @@ class PerGroupMW(_MultiplicativeWeights):
     per_group = True
 
 
-class FollowPerturbedLeader(Learner):
+class FollowPerturbedLeader(CumulativeLossLearner):
     """Expected-distribution form of the perturbed-leader rule.
 
     Play weight of expert f is the fraction of a fixed m-point perturbation
@@ -448,7 +453,6 @@ class FollowPerturbedLeader(Learner):
 
     kind = "fpl"
     config_keys = frozenset({"eta", "grid_m"})
-    supports_blocks = True
 
     def __init__(self, eta: float, grid_m: int = DEFAULT_GRID_M) -> None:
         super().__init__()
@@ -462,6 +466,7 @@ class FollowPerturbedLeader(Learner):
         return {**super().config(), "grid_m": self.grid_m}
 
     def _init_state(self) -> None:
+        super()._init_state()
         m = self.grid_m
         quantiles = -np.log1p(-(np.arange(m) + 0.5) / m) / self.eta
         rng = np.random.default_rng(_FPL_GRID_SEED)
@@ -470,19 +475,9 @@ class FollowPerturbedLeader(Learner):
             grid[:, f] = quantiles[rng.permutation(m)]
         self._grid = grid
         self._sorted_diffs = np.sort(grid[:, 0] - grid[:, 1]) if self.d == 2 else None
-        self._cum = np.zeros(self.d, dtype=np.float64)
 
-    def next_distribution(self, group: GroupId) -> np.ndarray:
-        self._started()
-        self._table(group)  # one table for every group, but the id is checked
-        return self._grid_play(self._cum[None])[0]
-
-    def _update(self, table: int, losses: np.ndarray) -> None:
-        self._cum += losses
-
-    def _cumulative_play(self, table: int, before: np.ndarray) -> np.ndarray:
-        before += self._cum
-        return self._two_expert_play(before) if self.d == 2 else self._grid_play(before)
+    def _play(self, cum: np.ndarray) -> np.ndarray:
+        return self._two_expert_play(cum) if self.d == 2 else self._grid_play(cum)
 
     def _grid_play(self, before: np.ndarray) -> np.ndarray:
         """Per row of ``before``, the fraction of grid rows each expert leads."""

@@ -4,20 +4,19 @@ Each round follows the same order: the group arrives, the learner commits a
 distribution over experts, the scenario produces the outcome (or nothing,
 for direct-loss streams) and the loss vector, and the learner observes the
 full vector. Scenarios hand the executor *segments*: oblivious blocks whose
-rounds are fixed in advance and can run through a learner's vectorized
-path, and adaptive blocks that declare their possible outcomes and whose
-step callback sees the committed distribution before choosing one. After a
-block runs, the scenario receives the realized distributions back, which is
-how realized-statistic branching between scenario phases is implemented.
+rounds are fixed in advance, and adaptive blocks that declare their
+possible outcomes and whose step callback sees the committed distribution
+before choosing one. After a block runs, the scenario receives the realized
+distributions back, as an (n, d) array, which is how realized-statistic
+branching between scenario phases is implemented.
 
-An oblivious block runs through the learner's ``run_block`` when it has one.
-Every other block is one ``Learner.run_rounds`` call, which owns the
-per-round loop; with two experts, MW and fixed share run it as an exact
-scalar kernel whose plays are bit-identical to the generic
-``next_distribution``/``observe`` loop. That kernel writes each round's
-update out inline, and steps a long run of rounds on one table and one loss
-row only until the table stops changing. An adaptive block's losses and
-outcome codes are its declared rows and codes taken at the step's choices.
+Every block is one ``Learner.run_rounds`` call, which owns the per-round
+loop and plays as the ``next_distribution``/``observe`` loop does, bit for
+bit: the cumulative-loss kinds (MW and FPL) play an oblivious block through
+their vectorized ``run_block``, and with two experts MW's adaptive blocks
+and every fixed share block run an exact scalar kernel. An adaptive block's
+losses and outcome codes are its declared rows and codes taken at the
+step's choices.
 """
 
 from __future__ import annotations
@@ -95,30 +94,19 @@ class AdaptiveBlock:
         return int(np.asarray(self.groups).shape[0])
 
 
-@dataclass
-class BlockResult:
-    """Realized play handed back to the scenario once a block has run."""
-
-    distributions: np.ndarray
-
-
-def _execute_block(learner, block, builder: TraceBuilder) -> BlockResult:
-    d = learner.d
+def _execute_block(learner, block, builder: TraceBuilder) -> np.ndarray:
+    """Play one block into ``builder``; returns its (n, d) plays."""
     groups = np.asarray(block.groups, dtype=np.int64)
-    n = groups.shape[0]
-    if n == 0:
-        return BlockResult(np.zeros((0, d)))
+    if groups.shape[0] == 0:
+        return np.zeros((0, learner.d))
     if isinstance(block, ObliviousBlock):
         losses, codes = block.losses, block.outcome_codes
-        if learner.supports_blocks:
-            p = learner.run_block(groups, losses)
-        else:
-            p, _ = learner.run_rounds(groups, losses)
+        p, _ = learner.run_rounds(groups, losses)
     else:
         p, choices = learner.run_rounds(groups, block.rows, block.step)
         losses, codes = np.take(block.rows, choices, axis=0), np.take(block.codes, choices)
     builder.append_block(groups, codes, losses, p)
-    return BlockResult(p)
+    return p
 
 
 def run(learner, scenario, T: int, seed: int, retain: str = "full") -> Trace:
@@ -153,9 +141,9 @@ def run(learner, scenario, T: int, seed: int, retain: str = "full") -> Trace:
             raise InvariantViolation(
                 f"scenario {scenario.id!r} emitted {produced} rounds for horizon {T}"
             )
-        result = _execute_block(learner, block, builder)
+        p = _execute_block(learner, block, builder)
         try:
-            block = gen.send(result)
+            block = gen.send(p)
         except StopIteration:
             block = None
     if produced != T:

@@ -323,9 +323,9 @@ class Accumulators:
 
 
 # Lines per byte block of a long run in a trace file, and rows per chunk of a
-# table's rows in a learner's block play (``Learner.run_block``): enough to
-# amortize the per-chunk numpy calls, few enough that no file or block is
-# held whole in memory.
+# table's rows in a learner's block play (``CumulativeLossLearner.run_block``):
+# enough to amortize the per-chunk numpy calls, few enough that no file or
+# block is held whole in memory.
 _IO_CHUNK = 8192
 
 # Rows in a long run, a stretch of consecutive rows alike but for t. Trace

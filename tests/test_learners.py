@@ -10,6 +10,7 @@ from fair_experts import adversaries
 from fair_experts.adversaries import make_scenario
 from fair_experts.harness import run_experiment
 from fair_experts.learners import (
+    CumulativeLossLearner,
     FixedShare,
     FollowPerturbedLeader,
     Learner,
@@ -21,8 +22,9 @@ from fair_experts.learners import (
     default_eta,
     make_learner,
 )
-from fair_experts.protocol import AdaptiveBlock, BlockResult, ObliviousBlock, _execute_block, run
+from fair_experts.protocol import AdaptiveBlock, ObliviousBlock, _execute_block, run
 from fair_experts.types import ConfigError, ContractError, TraceBuilder
+from oracles import ref_fpl_run_block, ref_mw_block, ref_rounds
 
 
 class TestEtaDomain:
@@ -210,11 +212,10 @@ class TestBlockEqualsSequential:
         seq.start(losses.shape[1], num_groups)
         p_blk = blk.run_block(groups, losses)
         p_seq = _sequential_distributions(seq, groups, losses)
-        np.testing.assert_allclose(p_blk, p_seq, atol=1e-12)
-        # final states agree too: next round matches
-        np.testing.assert_allclose(
-            blk.next_distribution(0), seq.next_distribution(0), atol=1e-12
-        )
+        assert _same_bits(p_blk, p_seq)
+        # final states agree too, and so does the next round
+        assert _same_bits(blk._cum, seq._cum)
+        assert _same_bits(blk.next_distribution(0), seq.next_distribution(0))
 
     @settings(max_examples=10, deadline=None)
     @given(_instances())
@@ -225,7 +226,8 @@ class TestBlockEqualsSequential:
         seq.start(losses.shape[1], num_groups)
         p_blk = blk.run_block(groups, losses)
         p_seq = _sequential_distributions(seq, groups, losses)
-        np.testing.assert_allclose(p_blk, p_seq, atol=1e-12)
+        assert _same_bits(p_blk, p_seq)
+        assert _same_bits(blk._cum, seq._cum)
 
 
 class TestGroupUnawareness:
@@ -322,27 +324,6 @@ class TestMakeLearner:
             make_learner(config, T=100)
 
 
-def _ref_fpl_run_block(lrn, losses):
-    """FPL's block path before the d=2 search kernel: the (rows, m, d)
-    perturbed-loss argmin, chunked. Advances ``lrn``'s cumulative loss."""
-    n = losses.shape[0]
-    cum = np.cumsum(losses, axis=0)
-    before = np.empty_like(cum)
-    before[0] = 0.0
-    before[1:] = cum[:-1]
-    before += lrn._cum
-    p = np.empty((n, lrn.d), dtype=np.float64)
-    chunk = max(1, 2_000_000 // (lrn.grid_m * lrn.d))
-    for s in range(0, n, chunk):
-        e = min(n, s + chunk)
-        pert = before[s:e, None, :] - lrn._grid[None, :, :]
-        leaders = pert.argmin(axis=2)
-        for f in range(lrn.d):
-            p[s:e, f] = (leaders == f).mean(axis=1)
-    lrn._cum += cum[-1]
-    return p
-
-
 def _fpl_pair(d, eta=0.1, grid_m=1024):
     new, ref = FollowPerturbedLeader(eta, grid_m=grid_m), FollowPerturbedLeader(eta, grid_m=grid_m)
     new.start(d)
@@ -353,7 +334,7 @@ def _fpl_pair(d, eta=0.1, grid_m=1024):
 def _assert_blocks_match(new, ref, blocks):
     for losses in blocks:
         groups = np.zeros(losses.shape[0], dtype=np.int64)
-        assert np.array_equal(new.run_block(groups, losses), _ref_fpl_run_block(ref, losses))
+        assert np.array_equal(new.run_block(groups, losses), ref_fpl_run_block(ref, losses))
     assert np.array_equal(new.next_distribution(0), ref.next_distribution(0))
 
 
@@ -386,7 +367,7 @@ class TestFPLKernelOracle:
                 for _ in range(int(whole)):
                     lrn.observe(0, unit)
                 lrn.observe(0, frac * unit)
-            assert new._cum[0] - new._cum[1] == diff
+            assert new._cum[0, 0] - new._cum[0, 1] == diff
             # equal losses keep the difference at diff up to rounding
             shifts = np.array([[0.0, 0.0], [0.5, 0.5], [0.1, 0.1], [0.0, 0.0], [1.0, 1.0], [0.3, 0.3]])
             _assert_blocks_match(new, ref, [shifts, shifts[::-1]])
@@ -399,22 +380,6 @@ class TestFPLKernelOracle:
         rng = np.random.default_rng(3)
         new, ref = _fpl_pair(3, 0.2, 128)
         _assert_blocks_match(new, ref, [rng.random((500, 3)), rng.random((300, 3))])
-
-
-def _ref_rounds(lrn, groups, rows, step=None):
-    """The reference for ``Learner.run_rounds``: the next_distribution/observe
-    loop on rows[i], or on rows[k] for the k that ``step`` chooses."""
-    n, d = groups.shape[0], lrn.d
-    p = np.empty((n, d), dtype=np.float64)
-    choices = None if step is None else np.empty(n, dtype=np.intp)
-    for i in range(n):
-        g = int(groups[i])
-        p[i] = lrn.next_distribution(g)
-        k = i
-        if step is not None:
-            k = choices[i] = step(i, g, tuple(p[i].tolist()))
-        lrn.observe(g, rows[k])
-    return p, choices
 
 
 _KERNEL_KINDS = {
@@ -430,7 +395,7 @@ _BLOCK_KINDS = ("single_mw", "per_group_mw", "fpl")
 
 
 def _final_state(lrn):
-    return lrn._cum if isinstance(lrn, FollowPerturbedLeader) else lrn._state()
+    return lrn._state()
 
 
 def _started_pair(kind, d, G=2):
@@ -456,7 +421,7 @@ def _drive(lrn, scenario, T, seed, rounds, max_blocks=None):
             p, choices = rounds(lrn, groups, np.asarray(block.losses, dtype=np.float64))
         out.append((p, choices))
         try:
-            block = gen.send(BlockResult(p))
+            block = gen.send(p)
         except StopIteration:
             block = None
     return out
@@ -496,24 +461,6 @@ def _declared_rows(rng, K, d):
     return rows
 
 
-def _ref_mw_block(lrn, groups, losses):
-    """MW's block path before the chunked play: one cumsum over each table's
-    rows. Advances ``lrn``'s log weights."""
-    p = np.empty((losses.shape[0], lrn.d), dtype=np.float64)
-    if lrn.per_group:
-        tables = [(g, np.flatnonzero(groups == g)) for g in np.unique(groups)]
-    else:
-        tables = [(0, slice(None))]
-    for table, rows in tables:
-        cum = np.cumsum(losses[rows], axis=0)
-        before = np.empty_like(cum)
-        before[0] = 0.0
-        before[1:] = cum[:-1]
-        p[rows] = lrn._play(lrn._log_w[table] + lrn._log_decay * before)
-        lrn._log_w[table] += lrn._log_decay * cum[-1]
-    return p
-
-
 def _mw_blocks(case, n, d):
     """Blocks of n rows over three groups, most rows in group 0, so that a
     per-group table's chunk edges fall mid-block."""
@@ -540,8 +487,8 @@ class TestChunkedBlockPlay:
     def test_mw_matches_one_cumsum(self, kind, d, n, case):
         new, ref = _started_pair(kind, d, G=3)
         for groups, losses in _mw_blocks(case, n, d):
-            assert _same_bits(new.run_block(groups, losses), _ref_mw_block(ref, groups, losses))
-            assert _same_bits(new._log_w, ref._log_w)
+            assert _same_bits(new.run_block(groups, losses), ref_mw_block(ref, groups, losses))
+            assert _same_bits(new._cum, ref._cum)
 
     @pytest.mark.parametrize("kind", _BLOCK_KINDS)
     @pytest.mark.parametrize("d", [2, 3])
@@ -556,6 +503,53 @@ class TestChunkedBlockPlay:
         assert _same_bits(_final_state(lrn), start)
 
 
+def _chosen_in_order(i, g, p):
+    return i
+
+
+class TestPlayPathsAreBitIdentical:
+    """Every path of a cumulative-loss kind adds a table's losses in round
+    order, so the block play, an oblivious and an adaptive ``run_rounds``
+    (the d=2 kernel and the generic loop) and the next_distribution/observe
+    loop give the same plays and state, bit for bit."""
+
+    @pytest.mark.parametrize("kind", _BLOCK_KINDS)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_path(self, kind, d):
+        # 9000 rows, 95% of them on group 0, so that a shared table and
+        # group 0's own table each cross an 8192-row chunk edge mid-block
+        rng = np.random.default_rng(d * 7 + len(kind))
+        n = 9000
+        groups = rng.choice(3, n, p=[0.95, 0.03, 0.02])
+        losses = _declared_rows(rng, n, d)
+        prefix = rng.random((5, d))
+        paths = {
+            "run_block": lambda lrn: (lrn.run_block(groups, losses),),
+            "oblivious": lambda lrn: lrn.run_rounds(groups, losses)[:1],
+            "adaptive": lambda lrn: lrn.run_rounds(groups, losses, _chosen_in_order),
+            "adaptive_loop": lambda lrn: lrn.run_rounds(groups, losses, _chosen_in_order),
+            "loop": lambda lrn: ref_rounds(lrn, groups, losses, _chosen_in_order),
+        }
+        plays, states = {}, {}
+        for name, play in paths.items():
+            lrn = _KERNEL_KINDS[kind]()
+            lrn.start(d, 3)
+            if name == "adaptive_loop":
+                lrn.two_expert_kernel = False
+            # a non-zero state in every table to start from
+            for g, row in enumerate(prefix):
+                lrn.observe(g % 3, row)
+            plays[name] = play(lrn)
+            states[name] = lrn._cum.copy()
+            assert lrn._cum.min() > 0.0
+        want = plays.pop("loop")
+        for name, got in plays.items():
+            assert _same_bits(got[0], want[0]), name
+            if len(got) == 2:
+                assert _same_bits(got[1], want[1]), name
+            assert _same_bits(states[name], states["loop"]), name
+
+
 class TestTwoExpertKernelOracle:
     """``run_rounds`` must reproduce the next_distribution/observe loop bit for bit."""
 
@@ -564,7 +558,7 @@ class TestTwoExpertKernelOracle:
         cfg = {"kind": kind, "eta": 0.05, "switches": 2}
         new, ref = make_learner(cfg, T=100_000), make_learner(cfg, T=100_000)
         new_out = _drive(new, {"kind": "t5"}, 100_000, 7, Learner.run_rounds)
-        ref_out = _drive(ref, {"kind": "t5"}, 100_000, 7, _ref_rounds)
+        ref_out = _drive(ref, {"kind": "t5"}, 100_000, 7, ref_rounds)
         assert len(new_out) == 3
         _assert_same(new_out, ref_out, new, ref)
 
@@ -572,7 +566,7 @@ class TestTwoExpertKernelOracle:
         scenario = {"kind": "t2", "b": 0.25, "epsilon": 0.01}
         new, ref = SingleMW(0.005), SingleMW(0.005)
         new_out = _drive(new, scenario, 4_000_000, 7, Learner.run_rounds, max_blocks=1)
-        ref_out = _drive(ref, scenario, 4_000_000, 7, _ref_rounds, max_blocks=1)
+        ref_out = _drive(ref, scenario, 4_000_000, 7, ref_rounds, max_blocks=1)
         assert new_out[0][0].shape == (39_603, 2)
         _assert_same(new_out, ref_out, new, ref)
 
@@ -593,11 +587,11 @@ class TestTwoExpertKernelOracle:
                     groups = (np.arange(n) // 100 % G).astype(np.int64)
                 rows = _declared_rows(rng, int(rng.integers(1, 9)), d)
                 step = _reading_step(rows.shape[0])
-                got, want = new.run_rounds(groups, rows, step), _ref_rounds(ref, groups, rows, step)
+                got, want = new.run_rounds(groups, rows, step), ref_rounds(ref, groups, rows, step)
                 assert len(set(got[1].tolist())) > 1 or n < 300 or rows.shape[0] == 1
             else:
                 rows = rng.random((n, d)) * rng.random(d)
-                got, want = new.run_rounds(groups, rows), _ref_rounds(ref, groups, rows)
+                got, want = new.run_rounds(groups, rows), ref_rounds(ref, groups, rows)
             _assert_same([got], [want], new, ref)
         for g in range(G):
             assert np.array_equal(new.next_distribution(g), ref.next_distribution(g))
@@ -613,18 +607,19 @@ class TestTwoExpertKernelOracle:
         new.start(2)
         ref.start(2)
         got = new.run_rounds(groups, rows, _reading_step(8))
-        want = _ref_rounds(ref, groups, rows, _reading_step(8))
+        want = ref_rounds(ref, groups, rows, _reading_step(8))
         _assert_same([got], [want], new, ref)
         # numpy uses its own exp only where the CPU has the SIMD code for it;
         # elsewhere it calls the C library's, as math.exp does
         probe = np.random.default_rng(0).uniform(-30.0, 0.0, 10_000)
         if np.array_equal(np.exp(probe), [math.exp(x) for x in probe]):
             pytest.skip("numpy's exp is the C library's on this CPU")
-        lw = np.zeros(2)
+        cum = np.zeros(2)
         z = []
         for row in rows[want[1]]:
+            lw = ref._log_decay * cum
             z.append(-abs(float(lw[0] - lw[1])))
-            lw += ref._log_decay * row
+            cum += row
         assert any(math.exp(x) != float(np.exp(x)) for x in z)
 
     def test_weights_that_underflow(self):
@@ -646,10 +641,10 @@ class TestTwoExpertKernelOracle:
         ref.start(2)
         rows = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]] * 50)
         groups = np.zeros(150, dtype=np.int64)
-        got, want = new.run_rounds(groups, rows), _ref_rounds(ref, groups, rows)
+        got, want = new.run_rounds(groups, rows), ref_rounds(ref, groups, rows)
         _assert_same([got], [want], new, ref)
         step = _reading_step(3)
-        got, want = new.run_rounds(groups, rows[:3], step), _ref_rounds(ref, groups, rows[:3], step)
+        got, want = new.run_rounds(groups, rows[:3], step), ref_rounds(ref, groups, rows[:3], step)
         _assert_same([got], [want], new, ref)
 
 
@@ -673,14 +668,16 @@ def _counting_updates(lrn):
 
 
 class TestStationaryChunks:
-    """Oblivious chunks on one table and one loss row stop stepping at the
-    table's fixed point; the plays must still be the loop's, bit for bit."""
+    """Fixed share's oblivious chunks on one table and one loss row stop
+    stepping at the table's fixed point; the plays must still be the loop's,
+    bit for bit. MW's oblivious stretches are its block play, which steps no
+    round, and must match the loop too."""
 
     def _compare(self, make, groups, rows, G=2):
         new, ref = _counting_updates(make()), make()
         new.start(2, G)
         ref.start(2, G)
-        _assert_same([new.run_rounds(groups, rows)], [_ref_rounds(ref, groups, rows)], new, ref)
+        _assert_same([new.run_rounds(groups, rows)], [ref_rounds(ref, groups, rows)], new, ref)
         for g in range(G):
             assert _same_bits(new.next_distribution(g), ref.next_distribution(g))
         return new.updates
@@ -737,7 +734,7 @@ class TestStationaryChunks:
         rows = np.zeros((n, 2))
         rows[:5] = [[1.0, 0.0], [0.5, 0.25], [0.0, 1.0], [0.75, 0.75], [1.0, 0.5]]
         updates = self._compare(_KERNEL_KINDS[kind], np.ones(n, dtype=np.int64), rows)
-        assert updates < 300
+        assert updates == 0
 
     def test_interleaved_groups(self):
         # chunks on one group, chunks that alternate, and a constant row
@@ -879,7 +876,7 @@ class TestRunRoundsContract:
         step = lambda i, g, p: bad if i >= 2 else i  # noqa: E731
         with pytest.raises(ContractError, match=rf"choice {re.escape(repr(bad))} at row 2 .*range\(3\)"):
             new.run_rounds(groups, rows, step)
-        _ref_rounds(ref, groups[:2], rows, step)
+        ref_rounds(ref, groups[:2], rows, step)
         assert _same_bits(_final_state(new), _final_state(ref))
         for g in (0, 1):
             assert _same_bits(new.next_distribution(g), ref.next_distribution(g))
@@ -898,7 +895,7 @@ class TestRunRoundsContract:
         with pytest.raises(ContractError, match=r"at row 2 of the stretch lies outside \[0, 1\]"):
             lrn.run_rounds(groups, rows)
         assert np.array_equal(_final_state(lrn), start)
-        if lrn.supports_blocks:
+        if isinstance(lrn, CumulativeLossLearner):
             with pytest.raises(ContractError, match="at row 2 "):
                 lrn.run_block(groups, rows)
             assert np.array_equal(_final_state(lrn), start)
@@ -925,7 +922,7 @@ class TestRunRoundsContract:
         steps = []
         with pytest.raises(ContractError, match=match):
             lrn.run_rounds(groups, rows, lambda *a: steps.append(a) or 0)
-        if lrn.supports_blocks:
+        if isinstance(lrn, CumulativeLossLearner):
             with pytest.raises(ContractError, match=match):
                 lrn.run_block(groups, rows)
         assert steps == [] and _same_bits(_final_state(lrn), start)
@@ -1151,7 +1148,7 @@ class TestRunRoundsContract:
         new, ref = _started_pair(kind, 2)
         for rows in forms:
             _assert_same([new.run_rounds(groups, rows, step)],
-                         [_ref_rounds(ref, groups, np.asarray(rows, dtype=np.float64), step)], new, ref)
+                         [ref_rounds(ref, groups, np.asarray(rows, dtype=np.float64), step)], new, ref)
         # the same forms holding a loss outside [0, 1] are refused, read as float64
         for bad, text in [([[0.5, 0.5], [0.5, 1.5]], "0.5, 1.5"), (np.array([[0, 0], [2, 0]]), "2.0, 0.0"),
                           (np.array([[0, 0], [-0.25, 0.0]], dtype=np.float32), "-0.25, 0.0"),
@@ -1200,15 +1197,19 @@ class TestTwoExpertSoftmax:
     @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1e1, 1e3, 1e4])
     def test_block_form_row_softmax_and_play2_agree(self, scale):
         # MW's d=2 block play, its general softmax and the kernel's scalar
-        # play are one rule written three times; they agree bit for bit
+        # play are one rule written three times; on the log weights of a
+        # block of cumulative losses they agree bit for bit
         rng = np.random.default_rng(round(math.log10(scale)) + 10)
-        log_w = rng.standard_normal((20_000, 2)) * scale
-        log_w[::7, 1] = log_w[::7, 0]
-        log_w[1::7] = np.cumsum(-rng.random((log_w[1::7].shape[0], 2)), axis=0) * scale
+        cum = rng.standard_normal((20_000, 2)) * scale
+        cum[::7, 1] = cum[::7, 0]
+        cum[1::7] = np.cumsum(rng.random((cum[1::7].shape[0], 2)), axis=0) * scale
+        lrn = SingleMW(0.1)
+        lrn.start(2)
+        log_w = lrn._log_decay * cum
         block = _two_expert_softmax(log_w)
         assert _same_bits(block, _row_softmax(log_w))
-        play2 = SingleMW(0.1)._play2
-        assert _same_bits(block, np.array([play2(tuple(row)) for row in log_w.tolist()]))
+        assert _same_bits(block, lrn._play(cum))
+        assert _same_bits(block, np.array([lrn._play2(tuple(row)) for row in cum.tolist()]))
 
 
 class TestScalarIsOneRowOfBlock:

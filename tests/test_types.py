@@ -371,11 +371,11 @@ class TestTraceBuilder:
         # learner plays any of its rounds
         learner = SingleMW(0.1)
         learner.start(2, 2)
-        before = learner._log_w.copy()
+        before = learner._cum.copy()
         with pytest.raises(ContractError, match=f"code {codes[row]} at row {row} of the block"):
             _execute_block(learner, ObliviousBlock(np.arange(n) % 2, np.array(codes),
                                                    np.full((n, 2), 0.5)), builder)
-        assert np.array_equal(learner._log_w, before)
+        assert np.array_equal(learner._cum, before)
         assert builder.accumulators.counts.sum() == 0
 
     @pytest.mark.parametrize("codes,error", [
