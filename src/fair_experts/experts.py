@@ -110,12 +110,12 @@ class ExpertModel:
                     f"[{t.min()}, {t.max()}]"
                 )
             return np.asarray(self.table, dtype=np.float64)[t - 1]
-        codes = _check_outcome_codes(outcome_codes, n, "round {}", ValueError)
+        codes = _check_outcome_codes(outcome_codes, n, "round {}", ConfigError)
         if np.any(codes < 0):
-            raise ValueError("unbiased expert needs labeled rounds")
+            raise ConfigError("unbiased expert needs labeled rounds")
         if self.bernoulli:
             if rng is None:
-                raise ValueError("bernoulli mode needs an rng")
+                raise ConfigError("bernoulli mode needs an rng")
             wrong = rng.random(n) < self.beta
             correct = (codes == POSITIVE_CODE).astype(np.float64)
             return np.where(wrong, 1.0 - correct, correct)
@@ -156,7 +156,7 @@ class AuditResult:
 def _expert_column(trace: Trace, expert: int) -> int:
     """Column of the expert in a rate table."""
     if not 0 <= expert < trace.d:
-        raise ValueError(f"expert index {expert} outside 0..{trace.d - 1}")
+        raise ConfigError(f"expert index {expert} outside 0..{trace.d - 1}")
     return 1 + expert
 
 

@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"T must be >= 0, got {self.T}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         if not 0.0 < self.alpha <= 1.0:

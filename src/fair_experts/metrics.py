@@ -66,7 +66,7 @@ def rate_values(rates: np.ndarray, column: int) -> dict[int, float | None]:
 def _rate(trace: Trace, group: GroupId, metric: str, column: int) -> float | None:
     rates, _ = rate_table(trace, metric)
     if not 0 <= group < trace.num_groups:
-        raise ValueError(f"group {group} outside 0..{trace.num_groups - 1}")
+        raise ConfigError(f"group {group} outside 0..{trace.num_groups - 1}")
     return rate_values(rates, column)[group]
 
 
@@ -113,7 +113,7 @@ def approx_regret(trace: Trace, epsilon: float, expert: int | None = None):
     if expert is None:
         return values
     if not 0 <= expert < trace.d:
-        raise ValueError(f"expert index {expert} outside 0..{trace.d - 1}")
+        raise ConfigError(f"expert index {expert} outside 0..{trace.d - 1}")
     return float(values[expert])
 
 
@@ -184,16 +184,16 @@ def best_shifting_comparator(
             losses = trace.losses
         else:
             if not 0 <= group < trace.num_groups:
-                raise ValueError(f"group {group} outside 0..{trace.num_groups - 1}")
+                raise ConfigError(f"group {group} outside 0..{trace.num_groups - 1}")
             losses = trace.losses[trace.groups == group]
     else:
         if group is not None:
-            raise ValueError("group restriction applies to traces only")
+            raise ConfigError("group restriction applies to traces only")
         losses = np.asarray(trace_or_losses, dtype=np.float64)
         if not np.isfinite(losses).all():
-            raise ValueError("loss matrix must hold finite values")
+            raise ConfigError("loss matrix must hold finite values")
     if losses.ndim != 2:
-        raise ValueError(f"loss matrix must be (rounds, experts), got shape {losses.shape}")
+        raise ConfigError(f"loss matrix must be (rounds, experts), got shape {losses.shape}")
     n, d = losses.shape
     if n == 0:
         return ComparatorPath(np.zeros(0, dtype=np.int64), 0.0, 0)

@@ -21,6 +21,7 @@ step's choices.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -35,6 +36,7 @@ from .types import (
     _check_groups,
     _check_outcome_codes,
     _numbers,
+    require_type,
 )
 
 
@@ -116,8 +118,14 @@ def run(learner, scenario, T: int, seed: int, retain: str = "full") -> Trace:
     ``seed`` feeds a splittable stream tree, so scenario randomness is
     reproducible and independent of everything else. ``retain`` is "full"
     (keep per-round distributions and losses) or "summary" (columns and
-    accumulators only).
+    accumulators only). A horizon or seed that is not an integer >= 0
+    raises ConfigError before the scenario starts.
     """
+    for name, value in (("T", T), ("seed", seed)):
+        require_type(name, value, numbers.Integral, "an integer")
+        if value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
+    T, seed = int(T), int(seed)
     if isinstance(scenario, Mapping):
         from .adversaries import make_scenario
 
@@ -126,9 +134,6 @@ def run(learner, scenario, T: int, seed: int, retain: str = "full") -> Trace:
         from .learners import make_learner
 
         learner = make_learner(learner, T=T)
-    if T < 0:
-        raise ConfigError(f"T must be >= 0, got {T}")
-    seed = int(seed)
     learner.start(scenario.d, scenario.num_groups)
     srun = scenario.start(T, np.random.SeedSequence(seed))
     builder = TraceBuilder(scenario.d, scenario.num_groups, retain)

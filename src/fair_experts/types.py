@@ -133,18 +133,19 @@ def losses_from_scores(scores: np.ndarray, outcome_codes: np.ndarray) -> np.ndar
     negative round, its complement on a positive round.
 
     Every row must be labeled; unlabeled rounds have no score-based loss.
-    A score outside [0, 1], NaN included, raises ValueError, and so does a
-    code column that is not one integer in {-1, 0, 1} per score.
+    Scores that are not numbers or lie outside [0, 1], NaN included, raise
+    ConfigError (a ValueError), and so does a code column that is not one
+    integer in {-1, 0, 1} per score.
     """
     scores = np.asarray(scores)
     if scores.dtype.kind not in "biuf":
-        raise TypeError(f"scores must be numbers, got dtype {scores.dtype}")
+        raise ConfigError(f"scores must be numbers, got dtype {scores.dtype}")
     scores = scores.astype(np.float64, copy=False)
-    codes = _check_outcome_codes(outcome_codes, scores.size, "round {}", ValueError)
+    codes = _check_outcome_codes(outcome_codes, scores.size, "round {}", ConfigError)
     if np.any(codes == UNLABELED_CODE):
-        raise ValueError("cannot derive score losses for unlabeled rounds")
+        raise ConfigError("cannot derive score losses for unlabeled rounds")
     if _first_off_unit(scores.reshape(-1, 1)) is not None:
-        raise ValueError("scores must lie in [0, 1]")
+        raise ConfigError("scores must lie in [0, 1]")
     return np.where(codes == POSITIVE_CODE, 1.0 - scores, scores)
 
 

@@ -103,6 +103,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("over, match", [
+        ({"T": 2.5}, "T must be an integer, got 2.5"),
+        ({"T": "4"}, "T must be an integer, got '4'"),
+        ({"T": True}, "T must be an integer, got True"),
+        ({"base_seed": -3}, "base_seed must be >= 0, got -3"),
+        ({"base_seed": 1.7}, "base_seed must be an integer, got 1.7"),
+    ])
+    def test_bad_horizon_or_seed_in_the_config(self, tmp_path, capsys, over, match):
+        cfg = _small_config_file(tmp_path, **over)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {match}\n"
+
+    @pytest.mark.parametrize("flag, value, match", [
+        ("--seed", "-3", "base_seed must be >= 0, got -3"),
+        ("--T", "-1", "T must be >= 0, got -1"),
+    ])
+    def test_bad_horizon_or_seed_on_the_command_line(self, capsys, flag, value, match):
+        # --seed -3 ended in numpy's ValueError and a traceback, exit 1
+        assert main(["run", "--preset", "theorem4", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {match}\n"
+
     @pytest.mark.parametrize("over", [
         {"scenario": "t4"},
         {"learner": "single_mw"},

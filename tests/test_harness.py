@@ -3,6 +3,7 @@ import filecmp
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fair_experts.harness import (
@@ -12,6 +13,8 @@ from fair_experts.harness import (
     preset_names,
     run_experiment,
 )
+from fair_experts.learners import SingleMW
+from fair_experts.protocol import run
 from fair_experts.types import ConfigError
 
 
@@ -57,6 +60,9 @@ class TestConfig:
         {"T": True},
         {"reps": 2.0},
         {"base_seed": "7"},
+        {"base_seed": -3},
+        {"base_seed": 1.7},
+        {"base_seed": True},
         {"shifting_K": 1.5},
         {"epsilon": "0.1"},
         {"alpha": None},
@@ -110,6 +116,52 @@ class TestPresets:
     def test_override_unknown_key(self):
         with pytest.raises(ConfigError):
             get_preset("theorem3", repetitions=2)
+
+
+# (T, seed) pairs that are refused, each with its error: T=2.5 blamed the
+# scenario, T=True played one round, T="4" raised TypeError, seed 1.7 was
+# floored to 1 and seed -1 raised numpy's ValueError
+_BAD_HORIZONS_AND_SEEDS = [
+    (2.5, 1, "T must be an integer, got 2.5"),
+    (True, 1, "T must be an integer, got True"),
+    ("4", 1, "T must be an integer, got '4'"),
+    (-1, 1, "T must be >= 0, got -1"),
+    (4, 1.7, "seed must be an integer, got 1.7"),
+    (4, True, "seed must be an integer, got True"),
+    (4, "3", "seed must be an integer, got '3'"),
+    (4, -1, "seed must be >= 0, got -1"),
+]
+
+
+class _Unstarted:
+    """A scenario that fails the test if the protocol starts it."""
+
+    id, d, num_groups = "unstarted", 2, 2
+
+    def start(self, T, seed_seq):
+        raise AssertionError("the scenario started")
+
+
+class TestHorizonAndSeed:
+    @pytest.mark.parametrize("T, seed, match", _BAD_HORIZONS_AND_SEEDS)
+    def test_run_refuses_them_before_the_scenario_starts(self, T, seed, match):
+        with pytest.raises(ConfigError, match=match):
+            run(SingleMW(0.1), _Unstarted(), T, seed)
+        for learner in ({"kind": "single_mw", "eta": 0.1}, {"kind": "fixed_share", "eta": 0.1}):
+            with pytest.raises(ConfigError, match=match):
+                run(learner, {"kind": "t4"}, T, seed)
+
+    @pytest.mark.parametrize("T, seed, match", _BAD_HORIZONS_AND_SEEDS)
+    def test_run_experiment_refuses_them(self, T, seed, match):
+        with pytest.raises(ConfigError, match=match.replace("seed", "base_seed")):
+            run_experiment(_small_config(T=T, base_seed=seed))
+
+    def test_integer_types_are_taken(self):
+        base = run(SingleMW(0.1), {"kind": "t4"}, 5, 3)
+        for T, seed in [(np.int64(5), np.uint8(3)), (np.int8(5), np.int64(3))]:
+            trace = run(SingleMW(0.1), {"kind": "t4"}, T, seed)
+            assert trace.rng_seed == 3 and type(trace.rng_seed) is int
+            assert np.array_equal(trace.distributions, base.distributions)
 
 
 class TestRunExperiment:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fair_experts import RandomIID, SingleMW, run, types
+from fair_experts import (ExpertModel, RandomIID, SingleMW, approx_regret, best_shifting_comparator,
+                          expert_group_metric, group_metric, run, types)
 from fair_experts.protocol import ObliviousBlock, _execute_block
 from fair_experts.types import (
     Accumulators,
@@ -105,7 +106,7 @@ class TestScoresThatAreNotNumbers:
 
     @pytest.mark.parametrize("score", ["0.5", None])
     def test_losses_from_scores_refuses_a_score_that_is_not_a_number(self, score):
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigError, match="scores must be numbers"):
             losses_from_scores([score], [NEG])
 
     @pytest.mark.parametrize("code", ["+", "-", 0.5, 1.0, None, 2, 7, -2, 256])
@@ -127,6 +128,39 @@ class TestScoresThatAreNotNumbers:
             builder.append_block(np.array([0]), np.array([code]), np.array([[0.0, 1.0]]),
                                  np.array([[0.5, 0.5]]), np.array([expected]))
         assert len(builder.build()) == 0
+
+
+_UNBIASED = ExpertModel("unbiased", beta=0.2)
+
+# Every argument check of the scoring rules and the metrics, each a caller's
+# fault that raised Python's bare ValueError or TypeError
+_CALLER_FAULTS = {
+    "score-not-a-number": (lambda tr: losses_from_scores(["0.5"], [NEG]), "scores must be numbers"),
+    "score-code": (lambda tr: losses_from_scores([0.5], [2]), "outcome code 2 at round 0"),
+    "score-unlabeled": (lambda tr: losses_from_scores([0.5], [UNL]), "unlabeled rounds"),
+    "score-range": (lambda tr: losses_from_scores([1.5], [NEG]), r"lie in \[0, 1\]"),
+    "expert-code": (lambda tr: _UNBIASED.scores([1], [0], [7]), "outcome code 7 at round 0"),
+    "expert-unlabeled": (lambda tr: _UNBIASED.losses([1], [0], [UNL]), "needs labeled rounds"),
+    "expert-rng": (lambda tr: ExpertModel("unbiased", beta=0.2, bernoulli=True).scores([1], [0], [POS]),
+                   "needs an rng"),
+    "expert-column": (lambda tr: expert_group_metric(tr, 2, 0, "eer"), "expert index 2 outside 0..1"),
+    "rate-group": (lambda tr: group_metric(tr, 2, "eer"), "group 2 outside 0..1"),
+    "approx-regret-expert": (lambda tr: approx_regret(tr, 0.1, expert=5), "expert index 5"),
+    "comparator-group": (lambda tr: best_shifting_comparator(tr, 1, group=5), "group 5 outside"),
+    "comparator-group-of-a-matrix": (lambda tr: best_shifting_comparator(np.zeros((2, 2)), 1, group=0),
+                                     "traces only"),
+    "comparator-finite": (lambda tr: best_shifting_comparator(np.array([[np.inf, 0.0]]), 1), "finite"),
+    "comparator-shape": (lambda tr: best_shifting_comparator(np.zeros(3), 1), r"got shape \(3,\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CALLER_FAULTS))
+def test_caller_faults_raise_config_error(case):
+    # ConfigError is a ValueError too, so callers that caught one still do
+    call, match = _CALLER_FAULTS[case]
+    with pytest.raises(ConfigError, match=match) as exc:
+        call(hand_trace(TOY_ROWS))
+    assert isinstance(exc.value, ValueError)
 
 
 class TestDistributionValidator:
