@@ -4,12 +4,18 @@
 The manifest covers ``config.json``, ``report.json``, ``summary.csv`` and
 ``run`` stdout of the five presets (``theorem2`` at ``--reps 2``), the
 ``runs/`` JSONL and CSV traces of ``theorem4``, ``theorem5`` and FPL on t4,
-and ``fair-experts preset`` for all five. The bytes depend on numpy's
-``exp``, so the manifest names the numpy version and the platform it was
-recorded with, and the comparison is skipped on another one.
+``fair-experts audit`` of those three JSONL traces and of a labeled one
+(``theorem1`` at ``--reps 1 --retain full``) with ``--metric`` ``eer``,
+``fnr`` and ``fpr``, and ``fair-experts preset`` for all five. An audit
+runs inside its run directory, so the ``"trace"`` path it prints is
+``runs/run_000.jsonl`` wherever the outputs are written. The bytes depend
+on numpy's ``exp``, so the manifest names the numpy version and the
+platform it was recorded with, and the comparison is skipped on another
+one.
 
 A change that moves outputs on purpose re-records the manifest and says
-which digests moved, and why:
+which digests moved, and why. Re-recording prints each digest added,
+removed or changed against the manifest it replaces:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -38,20 +44,32 @@ RUNS = {
     "theorem4": ["--preset", "theorem4"],
     "theorem5": ["--preset", "theorem5"],
     "fpl_t4": ["--preset", "theorem4", "--learner", '{"kind": "fpl", "eta": 0.1}', "--retain", "full"],
+    # a labeled trace, for the audits that need labels
+    "theorem1_full": ["--preset", "theorem1", "--reps", "1", "--retain", "full"],
 }
 PRESETS = ("theorem1", "theorem2", "theorem3", "theorem4", "theorem5")
+# runs whose JSONL trace is audited, and the metrics it is audited with;
+# t4 and t5 label no round, so their fnr and fpr audits are refused
+AUDITS = ("theorem4", "theorem5", "fpl_t4", "theorem1_full")
+AUDIT_METRICS = ("eer", "fnr", "fpr")
 
 
 def recorded_with() -> dict:
     return {"numpy": np.__version__, "machine": platform.machine(), "system": platform.system()}
 
 
-def _cli_stdout(args) -> bytes:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _cli(args) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of ``fair-experts`` with the given args."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def _cli_stdout(args) -> bytes:
+    code, out, _ = _cli(args)
     assert code == 0, f"fair-experts {' '.join(args)} exited {code}"
-    return out.getvalue().encode()
+    return out
 
 
 def _sha(data: bytes) -> str:
@@ -68,18 +86,35 @@ def golden_digests(workdir: Path) -> dict:
         digests[f"{name}/stdout"] = _sha(_cli_stdout(["run", *args, "--out", str(out)]))
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digests[f"{name}/{path.relative_to(out).as_posix()}"] = _sha(path.read_bytes())
+    for name in AUDITS:
+        with contextlib.chdir(workdir / name):
+            for metric in AUDIT_METRICS:
+                code, out, err = _cli(["audit", "--trace", "runs/run_000.jsonl", "--metric", metric])
+                # stdout of an audit that succeeds, the exit code and the
+                # error line of one that is refused
+                digests[f"{name}/audit_{metric}"] = _sha(out if code == 0 else b"exit %d\n%s" % (code, err))
     return digests
+
+
+def moved_digests(old: dict, new: dict) -> list[str]:
+    """One line for each digest added, removed or changed from old to new."""
+    lines = [f"added {name}" for name in sorted(new.keys() - old.keys())]
+    lines += [f"removed {name}" for name in sorted(old.keys() - new.keys())]
+    lines += [f"changed {name}" for name in sorted(old.keys() & new.keys()) if old[name] != new[name]]
+    return lines
 
 
 def test_outputs_match_the_manifest(tmp_path):
     manifest = json.loads(MANIFEST.read_text())
     if manifest["recorded_with"] != recorded_with():
         pytest.skip(f"manifest recorded with {manifest['recorded_with']}, running {recorded_with()}")
-    got = golden_digests(tmp_path)
-    want = manifest["digests"]
-    assert sorted(got) == sorted(want)
-    moved = sorted(name for name in want if got[name] != want[name])
-    assert moved == []
+    assert moved_digests(manifest["digests"], golden_digests(tmp_path)) == []
+
+
+def test_moved_digests_names_each_change():
+    old = {"a": "1", "b": "2", "c": "3"}
+    new = {"a": "1", "c": "4", "d": "5"}
+    assert moved_digests(old, new) == ["added d", "removed b", "changed c"]
 
 
 if __name__ == "__main__":
@@ -87,6 +122,9 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = golden_digests(Path(tmp))
+    old = json.loads(MANIFEST.read_text())["digests"] if MANIFEST.exists() else {}
+    for line in moved_digests(old, digests):
+        print(line, file=sys.stderr)
     MANIFEST.parent.mkdir(parents=True, exist_ok=True)
     MANIFEST.write_text(json.dumps({"recorder": "PYTHONPATH=src python tests/test_golden.py",
                                     "recorded_with": recorded_with(), "digests": digests},
