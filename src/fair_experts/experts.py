@@ -155,6 +155,7 @@ class AuditResult:
 
 def _expert_column(trace: Trace, expert: int) -> int:
     """Column of the expert in a rate table."""
+    require_type("expert", expert, numbers.Integral, "an integer")
     if not 0 <= expert < trace.d:
         raise ConfigError(f"expert index {expert} outside 0..{trace.d - 1}")
     return 1 + expert

@@ -64,9 +64,10 @@ def rate_values(rates: np.ndarray, column: int) -> dict[int, float | None]:
 
 
 def _rate(trace: Trace, group: GroupId, metric: str, column: int) -> float | None:
-    rates, _ = rate_table(trace, metric)
+    require_type("group", group, numbers.Integral, "an integer")
     if not 0 <= group < trace.num_groups:
         raise ConfigError(f"group {group} outside 0..{trace.num_groups - 1}")
+    rates, _ = rate_table(trace, metric)
     return rate_values(rates, column)[group]
 
 
@@ -112,6 +113,7 @@ def approx_regret(trace: Trace, epsilon: float, expert: int | None = None):
     values = learner - (1.0 + epsilon) * totals
     if expert is None:
         return values
+    require_type("expert", expert, numbers.Integral, "an integer")
     if not 0 <= expert < trace.d:
         raise ConfigError(f"expert index {expert} outside 0..{trace.d - 1}")
     return float(values[expert])
@@ -183,6 +185,7 @@ def best_shifting_comparator(
         if group is None:
             losses = trace.losses
         else:
+            require_type("group", group, numbers.Integral, "an integer")
             if not 0 <= group < trace.num_groups:
                 raise ConfigError(f"group {group} outside 0..{trace.num_groups - 1}")
             losses = trace.losses[trace.groups == group]

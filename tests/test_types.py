@@ -147,6 +147,16 @@ _CALLER_FAULTS = {
     "rate-group": (lambda tr: group_metric(tr, 2, "eer"), "group 2 outside 0..1"),
     "approx-regret-expert": (lambda tr: approx_regret(tr, 0.1, expert=5), "expert index 5"),
     "comparator-group": (lambda tr: best_shifting_comparator(tr, 1, group=5), "group 5 outside"),
+    # indices that are not integers, which raised KeyError or numpy's
+    # IndexError, or were taken as 1 (True)
+    "rate-group-float": (lambda tr: group_metric(tr, 1.5, "eer"), "group must be an integer, got 1.5"),
+    "rate-group-bool": (lambda tr: group_metric(tr, True, "eer"), "group must be an integer, got True"),
+    "expert-column-float": (lambda tr: expert_group_metric(tr, 0.5, 0, "eer"),
+                            "expert must be an integer, got 0.5"),
+    "approx-regret-expert-float": (lambda tr: approx_regret(tr, 0.1, expert=0.5),
+                                   "expert must be an integer, got 0.5"),
+    "comparator-group-bool": (lambda tr: best_shifting_comparator(tr, 1, group=True),
+                              "group must be an integer, got True"),
     "comparator-group-of-a-matrix": (lambda tr: best_shifting_comparator(np.zeros((2, 2)), 1, group=0),
                                      "traces only"),
     "comparator-finite": (lambda tr: best_shifting_comparator(np.array([[np.inf, 0.0]]), 1), "finite"),
@@ -161,6 +171,16 @@ def test_caller_faults_raise_config_error(case):
     with pytest.raises(ConfigError, match=match) as exc:
         call(hand_trace(TOY_ROWS))
     assert isinstance(exc.value, ValueError)
+
+
+def test_numpy_integer_indices_are_taken():
+    tr = hand_trace(TOY_ROWS)
+    one = np.int64(1)
+    assert group_metric(tr, one, "eer") == group_metric(tr, 1, "eer")
+    assert expert_group_metric(tr, one, one, "eer") == expert_group_metric(tr, 1, 1, "eer")
+    assert approx_regret(tr, 0.1, expert=one) == approx_regret(tr, 0.1, expert=1)
+    a, b = best_shifting_comparator(tr, 1, group=one), best_shifting_comparator(tr, 1, group=1)
+    assert np.array_equal(a.experts, b.experts) and (a.loss, a.switches) == (b.loss, b.switches)
 
 
 class TestDistributionValidator:
