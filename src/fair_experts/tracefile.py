@@ -3,7 +3,9 @@ writer and its block reader, which ``Trace.to_files``, ``to_jsonl``,
 ``to_csv`` and ``from_jsonl`` call. Both work by runs, stretches of
 consecutive rows whose fields but t keep their bits (-0.0 is not 0.0): a
 run of at least _RUN rows is written as byte blocks from its first line, and
-read by byte compares with only its first line parsed."""
+read by byte compares with only its first line parsed; a run that goes on
+from one read block to the next is compared with the writer's own byte
+blocks."""
 
 from __future__ import annotations
 
@@ -270,6 +272,29 @@ def _long_runs(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     return runs
 
 
+def _carried_lines(buf: bytes, rest: bytes, t0: int) -> tuple[int, int]:
+    """The number of whole lines at the head of the ASCII block buf that go
+    on with a long run of the block before, and the bytes they take. The run's
+    lines are rest + ', "t": N}\\n' with N = t0 + 1, t0 + 2, ...: each piece
+    of at most _IO_CHUNK lines of one width is laid out by the writer's
+    ``_line_block`` and compared with the block's bytes in one compare. That
+    such a line stands for the run's row is ``_long_runs``' argument."""
+    head, lines, pos = rest + _T_HEAD, 0, 0
+    for lo, hi in _same_width(t0 + 1, t0 + len(buf) // (len(head) + 3)):
+        width = len(head) + len(str(lo)) + len(_T_TAIL)
+        for s in range(lo, hi + 1, _IO_CHUNK):
+            count = min(hi + 1 - s, _IO_CHUNK, (len(buf) - pos) // width)
+            if not count:
+                return lines, pos
+            got = np.frombuffer(buf, dtype=np.uint8, count=count * width, offset=pos).reshape(count, width)
+            want = _line_block(head, s, count, _T_TAIL)
+            if not np.array_equal(got, want):
+                k = int(np.flatnonzero(got != want)[0]) // width
+                return lines + k, pos + k * width
+            lines, pos = lines + count, pos + count * width
+    return lines, pos
+
+
 def _line_by_line(path, lines: list[str], linenos: Sequence[int], d: int | None, t0: int,
                   num_groups: int | None) -> tuple:
     """The columns of a block's lines, each line parsed by json.loads and
@@ -294,7 +319,7 @@ def _line_by_line(path, lines: list[str], linenos: Sequence[int], d: int | None,
 
 
 def _block_columns(path, text: str, offsets: tuple, t0: int, lineno: int, d: int | None,
-                   num_groups: int | None, last: tuple | None) -> tuple | None:
+                   num_groups: int | None) -> tuple | None:
     """The checked group, outcome code, p, losses and expected_loss columns
     of the distinct rows of a block of whole lines of a JSONL trace, which
     starts at file line lineno and round t0 + 1, then the number of lines
@@ -305,13 +330,12 @@ def _block_columns(path, text: str, offsets: tuple, t0: int, lineno: int, d: int
     lines of a long run (``_long_runs``) but its first are checked by byte
     compares and stand for the first's row. Every other line is scanned once
     as one JSON value, and the rows checked as they stand. ``last`` is the
-    text before the tail of the block before's last line and its row, when
-    that line lies in a long run: a run at the block's head whose first line
-    has that text continues it, and is not parsed again. If a line does not
-    scan or its row is malformed, the block's lines are parsed and checked
-    one by one (``_line_by_line``), for the error naming the first line at
-    fault or for rows that json.loads accepts, such as one with spaces
-    around it."""
+    text before the tail of the block's last line and its row, when the
+    block is ASCII and that line lies in a long run, for ``_carried_lines``
+    to go on with the run in the next block. If a line does not scan or its
+    row is malformed, the block's lines are parsed and checked one by one
+    (``_line_by_line``), for the error naming the first line at fault or for
+    rows that json.loads accepts, such as one with spaces around it."""
     buf, starts, ends = offsets
     linenos = np.arange(lineno, lineno + starts.shape[0])
     # a line that does not start with "{" may be blank, and blank lines are
@@ -327,44 +351,33 @@ def _block_columns(path, text: str, offsets: tuple, t0: int, lineno: int, d: int
         return None
     t = np.arange(t0 + 1, t0 + n + 1)
     runs = _long_runs(buf, starts, ends, t)
-
-    def rest(k):
-        # the text of line k, which lies in a long run, before its tail
-        return buf[starts[k]:ends[k] - len(_T_HEAD) - len(str(t0 + k + 1)) - len(_T_TAIL)]
-
     copy = np.zeros(n, dtype=bool)
     for first, end in runs:
         copy[first + 1:end + 1] = True
     heads = np.flatnonzero(~copy)
-    carried = runs and runs[0][0] == 0 and last is not None and np.array_equal(last[0], rest(0))
-    new = heads[1:] if carried else heads
-    columns = ()
-    if new.size:
-        stops = (ends[new] - (buf[ends[new] - 1] == 10)).tolist()
-        try:
-            # each line must scan as one JSON value that stops before its
-            # newline; a line with no value at its start raises
-            # StopIteration, which ends the map early
-            scans = list(map(_scan, repeat(text), starts[new].tolist()))
-            columns = (_row_columns([row for row, _ in scans], d)
-                       if [end for _, end in scans] == stops else None)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            columns = None
-        if columns is None:
-            lines = [text[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
-            return (*_line_by_line(path, lines, linenos, d, t0, num_groups)[1:],
-                    np.ones(n, dtype=np.int64), None)
-        # a run's other lines repeat its first line's checks
-        t_new, groups, codes, dists, losses, expected = columns
-        _check_rows(lambda k: f"{path} line {linenos[new[k]]}", t[new],
-                    t_new, groups, dists, losses, expected, num_groups)
-        columns = columns[1:]
-    if carried:
-        columns = tuple(np.concatenate(pair) for pair in zip(last[1], columns)) if columns else last[1]
-    if runs and runs[-1][1] == n - 1:
-        last = (rest(n - 1).copy(), tuple(col[-1:] for col in columns))
-    else:
-        last = None
+    stops = (ends[heads] - (buf[ends[heads] - 1] == 10)).tolist()
+    try:
+        # each line must scan as one JSON value that stops before its
+        # newline; a line with no value at its start raises StopIteration,
+        # which ends the map early
+        scans = list(map(_scan, repeat(text), starts[heads].tolist()))
+        columns = (_row_columns([row for row, _ in scans], d)
+                   if [end for _, end in scans] == stops else None)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        columns = None
+    if columns is None:
+        lines = [text[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+        return (*_line_by_line(path, lines, linenos, d, t0, num_groups)[1:],
+                np.ones(n, dtype=np.int64), None)
+    # a run's other lines repeat its first line's checks
+    t_heads, groups, codes, dists, losses, expected = columns
+    _check_rows(lambda k: f"{path} line {linenos[heads[k]]}", t[heads],
+                t_heads, groups, dists, losses, expected, num_groups)
+    columns = columns[1:]
+    last = None
+    if runs and runs[-1][1] == n - 1 and buf.dtype == np.uint8:
+        rest = buf[starts[-1]:ends[-1] - len(_T_HEAD) - len(str(t0 + n)) - len(_T_TAIL)]
+        last = (rest.tobytes(), tuple(col[-1:] for col in columns))
     return (*columns, np.diff(heads, append=n), last)
 
 
@@ -418,12 +431,14 @@ def write_files(trace, jsonl: str | Path | None = None, csv: str | Path | None =
 def read_columns(path: str | Path, num_groups: int | None = None) -> tuple[np.ndarray, ...]:
     """The checked group, outcome code, p, losses and expected_loss columns
     of a JSONL trace, read by blocks of whole lines of about _READ_CHARS
-    characters (``_block_columns``), each row checked as soon as its block is
-    read, its t continuing from the block before. Only the distinct rows and
-    the number of lines each stands for are kept, and each column is
-    expanded once the file is read. A malformed file raises ConfigError
-    naming the file and its first line at fault; a group must lie in
-    0..num_groups - 1 when num_groups is given."""
+    characters, each row checked as soon as its block is read, its t
+    continuing from the block before. The lines at a block's head that go on
+    with the long run the block before ended in (``_carried_lines``) stand
+    for its row; the rest of the block is read by ``_block_columns``. Only
+    the distinct rows and the number of lines each stands for are kept, and
+    each column is expanded once the file is read. A malformed file raises
+    ConfigError naming the file and its first line at fault; a group must
+    lie in 0..num_groups - 1 when num_groups is given."""
     # a list of block columns for each of the five columns, and for the
     # number of rows each distinct row stands for
     parts: tuple[list[np.ndarray], ...] = ([], [], [], [], [], [])
@@ -433,8 +448,18 @@ def read_columns(path: str | Path, num_groups: int | None = None) -> tuple[np.nd
             while text := fh.read(_READ_CHARS):
                 if not text.endswith("\n"):
                     text += fh.readline()
+                if last is not None and text.isascii():
+                    # the lines that go on with the run the block before
+                    # ended in stand for its row
+                    lines, pos = _carried_lines(text.encode("ascii"), last[0], t0)
+                    if lines:
+                        for part, col in zip(parts, (*last[1], np.array([lines]))):
+                            part.append(col)
+                        t0, lineno, text = t0 + lines, lineno + lines, text[pos:]
+                        if not text:
+                            continue
                 offsets = _line_offsets(text)
-                block = _block_columns(path, text, offsets, t0, lineno, d, num_groups, last)
+                block = _block_columns(path, text, offsets, t0, lineno, d, num_groups)
                 lineno += offsets[1].shape[0]
                 if block is None:
                     continue

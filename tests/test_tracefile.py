@@ -226,7 +226,7 @@ _REPEAT_CASES = {
     # long runs, runs of 31 and 32 rows and single rows side by side
     "runs_and_singles": (lambda: _runs_trace([45, 1, 1, 32, 31, 1, 200, 2, 1, 33] * 25, 3, True),
                          100, 100),
-    "signed_zero_runs": (_signed_zero_runs_trace, 60, 60),
+    "signed_zero_runs": (_signed_zero_runs_trace, 60, 62),
     # short runs whose lines change width, between long runs
     "short_between_long": (lambda: _runs_trace(_MIXED_RUNS, 2, True), 4, 6),
 }
@@ -247,23 +247,47 @@ def _ref_long_runs(trace):
 
 
 def _ref_read_runs(path):
-    """(first, last) round of each stretch of at least 32 lines in one read
-    block that are alike but for their ', "t": N}' tails and whose t have one
-    number of digits: the lines a reader checks by byte compares."""
+    """(first, last) round of each stretch of lines that a reader checks by
+    byte compares. In one read block, these are the stretches of at least 32
+    lines alike but for their ', "t": N}' tails whose t have one number of
+    digits. When the block before ended in such a stretch, or carried one on
+    to its end, the lines at the block's head that are alike with its last
+    line carry it on, in any number; they are listed cut where t gains a
+    digit."""
     text = Path(path).read_text()
-    runs, pos, t = [], 0, 0
+    runs, pos, t, carry = [], 0, 0, None
     while pos < len(text):
         end = text.find("\n", pos + tracefile._READ_CHARS - 1) + 1 or len(text)
-        lines = text[pos:end].split("\n")[:-1]
-        for k, line in enumerate(lines):
-            key = (line[:line.rindex(', "t": ')], len(str(t + k + 1)))
-            if k == 0 or key != last:
-                runs.append([t + k + 1, t + k + 1])
+        lines = [line[:line.rindex(', "t": ')] for line in text[pos:end].split("\n")[:-1]]
+        k = 0
+        while k < len(lines) and lines[k] == carry:
+            k += 1
+        stretches = []
+        for j, line in enumerate(lines):
+            key = (line, len(str(t + j + 1)), j < k)
+            if j == 0 or key != last:
+                stretches.append([t + j + 1, t + j + 1, j < k])
                 last = key
-            runs[-1][1] = t + k + 1
+            stretches[-1][1] = t + j + 1
+        kept = [(lo, hi) for lo, hi, carried in stretches if carried or hi - lo + 1 >= 32]
+        runs += kept
+        if k < len(lines):
+            carry = lines[-1] if kept and kept[-1][1] == t + len(lines) else None
         t += len(lines)
         pos = end
-    return [tuple(run) for run in runs if run[1] - run[0] + 1 >= 32]
+    return runs
+
+
+def _block_heads(lines):
+    """The line, from 1, that each read block of a file of these lines
+    starts with."""
+    heads, size = [1], 0
+    for k, line in enumerate(lines[:-1], 1):
+        size += len(line)
+        if size >= tracefile._READ_CHARS:
+            heads.append(k + 1)
+            size = 0
+    return heads
 
 
 def _edit_field(name, value):
@@ -300,10 +324,12 @@ def memo_calls(monkeypatch):
     each long run of rounds first..last that a writer lays out as byte
     blocks, ("read", first, last) for each long run of those rounds that the
     reader checks by byte compares, and ("lines", first, last) for each read
-    block of file lines first..last parsed line by line."""
+    block of file lines first..last parsed line by line. A stretch of a run
+    that a block carries on from the block before is cut where t gains a
+    digit, as a block's own runs are."""
     calls = []
     write_lines, long_runs = tracefile._write_lines, tracefile._long_runs
-    line_by_line = tracefile._line_by_line
+    carried_lines, line_by_line = tracefile._carried_lines, tracefile._line_by_line
 
     def write_spy(fh, lines, runs, split):
         calls.extend(("write", first, last) for _, first, last in runs)
@@ -314,12 +340,18 @@ def memo_calls(monkeypatch):
         calls.extend(("read", int(t[first]), int(t[last])) for first, last in runs)
         return runs
 
+    def carried_spy(buf, rest, t0):
+        lines, pos = carried_lines(buf, rest, t0)
+        calls.extend(("read", lo, hi) for lo, hi in tracefile._same_width(t0 + 1, t0 + lines))
+        return lines, pos
+
     def lines_spy(path, lines, linenos, *args):
         calls.append(("lines", int(linenos[0]), int(linenos[-1])))
         return line_by_line(path, lines, linenos, *args)
 
     monkeypatch.setattr(tracefile, "_write_lines", write_spy)
     monkeypatch.setattr(tracefile, "_long_runs", read_spy)
+    monkeypatch.setattr(tracefile, "_carried_lines", carried_spy)
     monkeypatch.setattr(tracefile, "_line_by_line", lines_spy)
     return calls
 
@@ -540,6 +572,23 @@ class TestTraceFileOracle:
         _runs_trace(_MIXED_RUNS, 2, True).to_jsonl(path)
         return path.read_text().splitlines(keepends=True)
 
+    @pytest.fixture(scope="class")
+    def long_run_lines(self, tmp_path_factory):
+        """The lines of a JSONL trace of runs over rounds 1..40 and
+        41..10,050: every read block after the first carries the second
+        run on, over t = 9999 -> 10000."""
+        path = tmp_path_factory.mktemp("long") / "long.jsonl"
+        _runs_trace([40, 10_010], 2, False).to_jsonl(path)
+        return path.read_text().splitlines(keepends=True)
+
+    @pytest.fixture(scope="class")
+    def t100k_lines(self, tmp_path_factory):
+        """As ``long_run_lines``, with the second run over rounds
+        41..100,050, over t = 99999 -> 100000."""
+        path = tmp_path_factory.mktemp("t100k") / "t100k.jsonl"
+        _runs_trace([40, 100_010], 2, False).to_jsonl(path)
+        return path.read_text().splitlines(keepends=True)
+
     def _read_like_reference(self, path, memo_calls):
         """Read path and check its columns against the reference reader's;
         returns the runs read by byte compares. No block may be parsed line
@@ -563,7 +612,7 @@ class TestTraceFileOracle:
         path.write_text("".join(lines), encoding="utf-8")
         self._read_like_reference(path, memo_calls)
 
-    def _one_byte_error(self, tmp_path, lines, t, edit):
+    def _one_byte_error(self, tmp_path, lines, t, edit, reference=True):
         lines = list(lines)
         line = lines[t - 1]
         at = {"t": len(line) - 3, "expected_loss": line.index(": ") + 2,
@@ -572,8 +621,9 @@ class TestTraceFileOracle:
         lines[t - 1] = line[:at] + new + line[at + 1:]
         path = tmp_path / "edited.jsonl"
         path.write_text("".join(lines))
-        with pytest.raises(_REF_ERRORS):
-            _ref_from_jsonl(path)
+        if reference:
+            with pytest.raises(_REF_ERRORS):
+                _ref_from_jsonl(path)
         error = {"t": f"t is {lines[t - 1][lines[t - 1].rindex(' ') + 1:-2]}, expected {t}$",
                  "expected_loss": r"expected_loss \S+ disagrees with p \. losses = \S+$",
                  "not_json": r"not JSON \(Expecting property name enclosed in double quotes\)$"}[edit]
@@ -634,6 +684,53 @@ class TestTraceFileOracle:
         path = tmp_path / "edited.jsonl"
         path.write_text("".join(lines))
         assert self._read_like_reference(path, memo_calls)
+
+    # a line of the fourth read block, which carries the run on whole: its
+    # first, one in its middle or its last, or one on either side of t's
+    # gaining a digit
+    _CARRIED_T = ["first", "middle", "last", 9999, 10_000]
+
+    @staticmethod
+    def _carried_t(lines, where):
+        heads = _block_heads(lines)
+        assert 41 < heads[1] and heads[4] < 9999
+        return {"first": heads[3], "middle": (heads[3] + heads[4]) // 2, "last": heads[4] - 1}.get(where, where)
+
+    @pytest.mark.parametrize("where", _CARRIED_T)
+    @pytest.mark.parametrize("edit", ["t", "expected_loss", "not_json"])
+    def test_one_byte_error_in_a_carried_run(self, tmp_path, long_run_lines, where, edit):
+        self._one_byte_error(tmp_path, long_run_lines, self._carried_t(long_run_lines, where), edit)
+
+    @pytest.mark.parametrize("t", [99_999, 100_000])
+    @pytest.mark.parametrize("edit", ["t", "expected_loss", "not_json"])
+    def test_one_byte_error_in_a_carried_run_across_t_100000(self, tmp_path, t100k_lines, t, edit):
+        # the reference reader would parse 100,050 lines for each case
+        self._one_byte_error(tmp_path, t100k_lines, t, edit, reference=False)
+
+    @pytest.mark.parametrize("where", _CARRIED_T)
+    @pytest.mark.parametrize("edit", ["blank", "group", "non_ascii"])
+    def test_valid_edit_in_a_carried_run(self, tmp_path, long_run_lines, memo_calls, where, edit):
+        self._valid_edit(tmp_path, long_run_lines, memo_calls, self._carried_t(long_run_lines, where), edit)
+
+    def test_crlf_line_endings_in_a_carried_run(self, tmp_path, long_run_lines, memo_calls):
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes("".join(long_run_lines).replace("\n", "\r\n").encode())
+        heads = _block_heads(long_run_lines)
+        reads = self._read_like_reference(path, memo_calls)
+        assert reads == [("read", *run) for run in _ref_read_runs(path)]
+        # the third block is carried on whole
+        assert ("read", heads[2], heads[3] - 1) in reads
+
+    @pytest.mark.parametrize("cut", [1, 20])
+    def test_truncated_last_line_in_a_carried_run(self, tmp_path, long_run_lines, memo_calls, cut):
+        # the last line loses its newline, or its last 20 characters
+        path = tmp_path / "cut.jsonl"
+        path.write_text("".join(long_run_lines)[:-cut])
+        if cut == 1:
+            assert self._read_like_reference(path, memo_calls)
+        else:
+            with pytest.raises(ConfigError, match=f"{path} line 10050: not JSON"):
+                Trace.from_jsonl(path)
 
     # rounds 10 and 24 are single lines, 40 and 465 lie in short runs, 56
     # and 455 start and end a long run, 1000 follows t's gaining a digit in
@@ -756,6 +853,41 @@ class TestTraceFileOracle:
         returned = sum(getattr(back, name).nbytes for name in names)
         assert len(back) == 30_000
         assert peak <= 2.5 * returned, (peak, returned)
+
+
+def test_long_runs_skip_the_line_scan(tmp_path, monkeypatch):
+    # A 100k-round FPL trace on t4: four long runs hold all but 280 rows and
+    # span 79 read blocks. A block that a run goes on through from the block
+    # before is read by one compare, so only the blocks where a run starts or
+    # ends, or that hold a line outside one, reach the newline scan; and only
+    # the lines outside long runs, and fewer than 32 for each run, are
+    # scanned as JSON. Counts, not timings, so a change that loses the path
+    # fails here.
+    tr = run({"kind": "fpl", "eta": 0.1}, {"kind": "t4"}, 100_000, 3, retain="full")
+    path = tmp_path / "fpl.jsonl"
+    tr.to_jsonl(path)
+    calls = {"offsets": 0, "scanned": 0}
+    line_offsets, scan = tracefile._line_offsets, tracefile._scan
+
+    def offsets_spy(text):
+        calls["offsets"] += 1
+        return line_offsets(text)
+
+    def scan_spy(text, k):
+        calls["scanned"] += 1
+        return scan(text, k)
+
+    monkeypatch.setattr(tracefile, "_line_offsets", offsets_spy)
+    monkeypatch.setattr(tracefile, "_scan", scan_spy)
+    _same_trace(Trace.from_jsonl(path), tr)
+    runs = _ref_long_runs(tr)
+    heads = _block_heads(path.read_text().splitlines(keepends=True))
+    carried = sum(any(first < a and b - 1 <= last for first, last in runs)
+                  for a, b in zip(heads, heads[1:] + [len(tr) + 1]))
+    outside = len(tr) - sum(last - first + 1 for first, last in runs)
+    assert (len(runs), outside, len(heads)) == (4, 280, 79)
+    assert calls["offsets"] <= len(heads) - carried
+    assert calls["scanned"] <= outside + tracefile._RUN * len(runs)
 
 
 def test_trace_io_leaves_numpy_ma_unimported(tmp_path):
