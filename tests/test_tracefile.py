@@ -324,9 +324,9 @@ def memo_calls(monkeypatch):
     each long run of rounds first..last that a writer lays out as byte
     blocks, ("read", first, last) for each long run of those rounds that the
     reader checks by byte compares, and ("lines", first, last) for each read
-    block of file lines first..last parsed line by line. A stretch of a run
-    that a block carries on from the block before is cut where t gains a
-    digit, as a block's own runs are."""
+    block of file lines first..last parsed line by line. The stretch of a run
+    that a block carries on from the block before is recorded whatever its
+    length, cut where t gains a digit, as a block's own runs are."""
     calls = []
     write_lines, long_runs = tracefile._write_lines, tracefile._long_runs
     carried_lines, line_by_line = tracefile._carried_lines, tracefile._line_by_line
