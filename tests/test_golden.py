@@ -4,7 +4,10 @@
 The manifest covers ``config.json``, ``report.json``, ``summary.csv`` and
 ``run`` stdout of the five presets (``theorem2`` at ``--reps 2``), the
 ``runs/`` JSONL and CSV traces of ``theorem4``, ``theorem5`` and FPL on t4,
-``fair-experts audit`` of those three JSONL traces and of a labeled one
+of ``theorem2`` at T = 60,600 (its 600 adaptive rounds cross the two-expert
+kernel's chunk edge), of ``theorem3`` at ``--reps 2`` and of ``per_group_mw``
+on ``random_iid`` with d = 3 and 3 groups (per-group chunk edges fall
+mid-block), ``fair-experts audit`` of those three JSONL traces and of a labeled one
 (``theorem1`` at ``--reps 1 --retain full``) with ``--metric`` ``eer``,
 ``fnr`` and ``fpr``, and ``fair-experts preset`` for all five. An audit
 runs inside its run directory, so the ``"trace"`` path it prints is
@@ -46,6 +49,11 @@ RUNS = {
     "fpl_t4": ["--preset", "theorem4", "--learner", '{"kind": "fpl", "eta": 0.1}', "--retain", "full"],
     # a labeled trace, for the audits that need labels
     "theorem1_full": ["--preset", "theorem1", "--reps", "1", "--retain", "full"],
+    # the adaptive plays themselves, and per-group tables over several chunks
+    "theorem2_full": ["--preset", "theorem2", "--T", "60600", "--reps", "1", "--retain", "full"],
+    "theorem3_full": ["--preset", "theorem3", "--reps", "2", "--retain", "full"],
+    "per_group_mw_iid": ["--preset", "theorem3", "--scenario", '{"kind": "random_iid", "d": 3, "groups": 3}',
+                         "--T", "30000", "--reps", "1", "--retain", "full"],
 }
 PRESETS = ("theorem1", "theorem2", "theorem3", "theorem4", "theorem5")
 # runs whose JSONL trace is audited, and the metrics it is audited with;
