@@ -7,6 +7,8 @@ Three subcommands:
   audit   recompute per-group rates and gaps from a saved trace file
 
 Progress notes go to stderr; the machine-readable result goes to stdout.
+A reader that closes stdout early (``| head``) ends the command with exit
+code 141, as a shell reports a process ended by SIGPIPE, and no traceback.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -170,12 +173,16 @@ def _cmd_audit(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = {"run": _cmd_run, "preset": _cmd_preset, "audit": _cmd_audit}[args.command]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "preset":
-            return _cmd_preset(args)
-        return _cmd_audit(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone; point stdout at devnull, so that the
+        # interpreter's last flush of what is left does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

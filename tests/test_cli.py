@@ -258,3 +258,47 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["shifting_K"] == 2
+
+
+def _closed_stdout(args, read=0):
+    """Exit code and stderr of ``fair-experts`` whose stdout is a pipe that
+    its reader closes after ``read`` bytes, or before the command starts."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    r, w = os.pipe()
+    if not read:
+        os.close(r)
+    proc = subprocess.Popen([sys.executable, "-m", "fair_experts.cli", *args],
+                            stdout=w, stderr=subprocess.PIPE, env=env)
+    os.close(w)
+    if read:
+        assert len(os.read(r, read)) > 0
+        os.close(r)
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, err.decode()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as ``| head -c 100`` does, ends the
+    command with code 141 and no traceback."""
+
+    def test_audit_closed_after_a_few_bytes(self, tmp_path):
+        # 40 experts and 100 groups print about 150 kB, more than a pipe holds,
+        # so the command is still writing when the reader goes
+        cfg = ExperimentConfig(
+            scenario={"kind": "random_iid", "d": 40, "groups": 100},
+            learner={"kind": "single_mw", "eta": 0.1},
+            T=2000, reps=1, retain="full", out_dir=str(tmp_path / "exp"),
+        )
+        run_experiment(cfg)
+        code, err = _closed_stdout(["audit", "--trace", str(tmp_path / "exp" / "runs" / "run_000.jsonl")],
+                                   read=100)
+        assert (code, err) == (141, "")
+
+    @pytest.mark.parametrize("args", [["preset", "theorem5"], ["run", "--config", None]],
+                             ids=["preset", "run"])
+    def test_closed_before_the_first_write(self, tmp_path, args):
+        args = [str(_small_config_file(tmp_path)) if a is None else a for a in args]
+        code, err = _closed_stdout(args)
+        assert code == 141
+        assert "Traceback" not in err and "BrokenPipeError" not in err
