@@ -27,7 +27,7 @@ from typing import ClassVar, Iterator, Mapping
 import numpy as np
 
 from .experts import ExpertModel
-from .protocol import AdaptiveBlock, ObliviousBlock
+from .protocol import AdaptiveBlock, ObliviousBlock, ThresholdStep
 from .types import (
     ConfigError,
     NEGATIVE_CODE,
@@ -269,16 +269,12 @@ class T2Scenario(Scenario):
             asymptote_fnr_gap=(0.49 - 0.99 * self.b) / (1.0 - self.b),
         )
         qualifying = 0
-
-        def step(i: int, g: int, p: tuple) -> int:
-            nonlocal qualifying
-            if g == GROUP_A and p[0] >= gamma:
-                qualifying += 1
-                return 1
-            return 0
-
         if phase1:
-            yield AdaptiveBlock(groups[:phase1], outcomes.losses, outcomes.outcome_codes, step)
+            # outcome 1 on a group A round whose play puts at least gamma on
+            # expert 0 (p0 * 1.0 + p1 * 0.0 is p0); group B's level is never met
+            step = ThresholdStep((1.0, 0.0), (gamma, math.inf), above=1, below=0)
+            p = yield AdaptiveBlock(groups[:phase1], outcomes.losses, outcomes.outcome_codes, step)
+            qualifying = int(np.count_nonzero(p[groups[:phase1] == GROUP_A, 0] >= gamma))
         world = self.forced_world or ("a" if qualifying < count_threshold else "b")
         run.info.update(qualifying_rounds=qualifying, world=world)
         rest = groups[phase1:]
@@ -445,7 +441,7 @@ class T5Scenario(Scenario):
         penalties = [0, 0]
         if half:
             p = yield AdaptiveBlock(np.zeros(half, dtype=np.int64), _T5_ROWS,
-                                    np.full(2, UNLABELED_CODE), _t5_leader)
+                                    np.full(2, UNLABELED_CODE), _T5_LEADER)
             # the rows where the step chose expert 1; no play is NaN, as
             # every block's plays pass the simplex check before they return
             penalties[1] = int(np.count_nonzero(p[:, 0] < p[:, 1]))
@@ -473,12 +469,10 @@ class T5Scenario(Scenario):
 
 
 _T5_ROWS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-
-def _t5_leader(i: int, g: int, p: tuple) -> int:
-    """t5's phase-one step: the index of the expert the play favors, ties
-    to expert 0; that expert takes loss 1."""
-    return 0 if p[0] >= p[1] else 1
+# t5's phase-one step: the expert the play favors takes loss 1, ties to
+# expert 0. p0 * 1.0 + p1 * -1.0 is p0 - p1 exactly, which is >= 0.0 exactly
+# when p0 >= p1.
+_T5_LEADER = ThresholdStep((1.0, -1.0), (0.0, 0.0), above=0, below=1)
 
 
 # ---------------------------------------------------------------------------

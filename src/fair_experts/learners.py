@@ -23,7 +23,10 @@ so the plays are bit-identical to the loop. The arriving group's table
 stays in locals while the group repeats. A fixed share round makes no
 Python call but an adaptive stretch's step; an MW round also calls
 ``_play2``, for numpy's ``exp``. An adaptive stretch takes its declared
-rows' update terms once. An oblivious fixed share stretch finds its runs of
+rows' update terms once. A stretch whose step is a declared
+``ThresholdStep`` runs ``_threshold_rounds`` instead, which plays the
+step's rule inline and so calls no step; any other callable is called
+once per round. An oblivious fixed share stretch finds its runs of
 rows on one table with one loss row once, steps each run of at least
 ``_RUN`` rows only until its table is a fixed point of the update, and plays
 its other rows in chunks of ``_ROUNDS_CHUNK``.
@@ -42,6 +45,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from .protocol import ThresholdStep
 from .types import (_IO_CHUNK, _RUN, ConfigError, ContractError, GroupId, _check_groups, _first_off_unit,
                     _numbers, _run_bounds, require_type)
 
@@ -139,12 +143,14 @@ class Learner:
         for g in np.unique(groups):
             yield g, np.flatnonzero(groups == g)
 
-    def _stretch(self, groups, losses, adaptive: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def _stretch(self, groups, losses, step=None) -> tuple[np.ndarray, np.ndarray]:
         """The group ids and float64 losses of a stretch, as ``run_rounds``
         and ``run_block`` take them: (n,) integer ids in range(num_groups)
         (-1 would play the last group's table) and (n, d) losses in [0, 1],
-        or an adaptive stretch's (K, d) declared rows. Else ContractError."""
+        or, with a step, an adaptive stretch's (K, d) declared rows, which a
+        ``ThresholdStep`` must fit. Else ContractError."""
         self._started()
+        adaptive = step is not None
         groups = _check_groups(groups)
         n = groups.shape[0]
         losses = _numbers(losses, "declared loss rows" if adaptive else "losses")
@@ -160,6 +166,8 @@ class Learner:
             k = int(np.argmax((groups < 0) | (groups >= self.num_groups)))
             raise ContractError(f"group id {groups[k]} at row {k} of the stretch lies outside "
                                 f"range({self.num_groups})")
+        if isinstance(step, ThresholdStep):
+            step.check(self.d, self.num_groups, rows.shape[0])
         return groups, rows
 
     def next_distribution(self, group: GroupId) -> np.ndarray:
@@ -188,12 +196,13 @@ class Learner:
         from and ``step(i, group, p)``, which sees round i's play as a tuple
         of d Python floats and returns the index of its row, a Python int in
         range(K); choices holds those indices. Losses that are ragged, not
-        numbers, of the wrong shape or outside [0, 1], and group ids that are
-        not (n,) integers in range(num_groups), raise ContractError before
-        the first round, and a choice that is not an int in range(K) once
-        the rounds before it are observed.
+        numbers, of the wrong shape or outside [0, 1], group ids that are
+        not (n,) integers in range(num_groups), and a ``ThresholdStep`` that
+        does not fit d, num_groups and K raise ContractError before the
+        first round, and a choice that is not an int in range(K) once the
+        rounds before it are observed.
         """
-        groups, rows = self._stretch(groups, losses, step is not None)
+        groups, rows = self._stretch(groups, losses, step)
         if self.d == 2 and self.two_expert_kernel:
             return self._two_expert_rounds(groups, rows, step)
         n = groups.shape[0]
@@ -218,10 +227,13 @@ class Learner:
         A kind supplies ``_state()``, its (tables, 2) state array;
         ``_loss_terms(losses)``, the numpy part of ``observe`` applied to a
         block of loss rows; and ``_pair_rounds``, the per-round loop, which
-        runs ``next_distribution`` and the rest of ``_update`` inline.
+        runs ``next_distribution`` and the rest of ``_update`` inline, and
+        ``_threshold_rounds``, its adaptive form for a ``ThresholdStep``.
 
         An adaptive stretch takes its declared rows' terms once and is played
-        in chunks of _ROUNDS_CHUNK rounds. An oblivious stretch finds its runs
+        in chunks of _ROUNDS_CHUNK rounds: a ``ThresholdStep``'s by
+        ``_threshold_rounds``, which calls no step, and any other step's by
+        ``_pair_rounds``, which calls it once per round. An oblivious stretch finds its runs
         of rows on one table with one loss row, bit for bit, once. A run of at
         least _RUN rows is stepped only until its table is a fixed point of
         the update, as the update is deterministic and every later round of
@@ -237,6 +249,8 @@ class Learner:
             terms = self._loss_terms(rows).tolist()
             choices = np.empty(n, dtype=np.intp)
             chosen = memoryview(choices)
+            if isinstance(step, ThresholdStep):
+                rounds = self._threshold_rounds
             for s in range(0, n, _ROUNDS_CHUNK):
                 rounds(tables, out, s, groups[s:s + _ROUNDS_CHUNK].tolist(), terms, step, chosen)
             self._state()[:] = tables
@@ -280,6 +294,15 @@ class Learner:
         of non-negative numbers, and its total weight is at least half its
         table's sum, as each factor (1 - eta)^loss is.
         """
+        raise NotImplementedError
+
+    def _threshold_rounds(self, tables, out, s, groups, terms, step, chosen):
+        """``_pair_rounds`` on adaptive rounds whose step is a
+        ``ThresholdStep``. The step's rule is played inline with the
+        operations of its ``__call__``, c0 * p0 + c1 * p1 >= levels[g], each
+        choice is stored as it is made, and the chosen row's terms are
+        applied. No choice can lie out of range, as ``_stretch`` fitted the
+        step to the rows."""
         raise NotImplementedError
 
 
@@ -424,6 +447,29 @@ class _MultiplicativeWeights(CumulativeLossLearner):
             chosen[i] = k
             a0, a1 = terms[k]
             table = table[0] + a0, table[1] + a1
+        tables[t] = table
+
+    def _threshold_rounds(self, tables, out, s, groups, terms, step, chosen):
+        play, per_group = self._play2, self.per_group
+        (c0, c1), levels, above, below = step.weights, step.levels, step.above, step.below
+        (a0, a1), (b0, b1) = terms[above], terms[below]
+        t, cur = 0, None
+        table = tables[0]
+        for i, g in zip(count(s), groups):
+            if g != cur:
+                tables[t] = table
+                cur, t = g, g if per_group else 0
+                table = tables[t]
+                level = levels[g]
+            q0, q1 = play(table)
+            out[2 * i] = q0
+            out[2 * i + 1] = q1
+            if c0 * q0 + c1 * q1 >= level:
+                chosen[i] = above
+                table = table[0] + a0, table[1] + a1
+            else:
+                chosen[i] = below
+                table = table[0] + b0, table[1] + b1
         tables[t] = table
 
 
@@ -599,6 +645,33 @@ class FixedShare(Learner):
             p1 = n1
         tables[t] = p0, p1
         return None
+
+    def _threshold_rounds(self, tables, out, s, groups, terms, step, chosen):
+        keep, share, per_group = self._keep, self._share, self.per_group
+        (c0, c1), levels, above, below = step.weights, step.levels, step.above, step.below
+        (a0, a1), (b0, b1) = terms[above], terms[below]
+        t, cur = 0, None
+        p0, p1 = tables[0]
+        for i, g in zip(count(s), groups):
+            if g != cur:
+                tables[t] = p0, p1
+                cur, t = g, g if per_group else 0
+                p0, p1 = tables[t]
+                level = levels[g]
+            out[2 * i] = p0
+            out[2 * i + 1] = p1
+            if c0 * p0 + c1 * p1 >= level:
+                chosen[i] = above
+                w0 = p0 * a0
+                w1 = p1 * a1
+            else:
+                chosen[i] = below
+                w0 = p0 * b0
+                w1 = p1 * b1
+            total = w0 + w1
+            p0 = keep * (w0 / total) + share
+            p1 = keep * (w1 / total) + share
+        tables[t] = p0, p1
 
 
 class PerGroupFixedShare(FixedShare):

@@ -17,10 +17,17 @@ their vectorized ``run_block``, and with two experts MW's adaptive blocks
 and every fixed share block run an exact scalar kernel. An adaptive block's
 losses and outcome codes are its declared rows and codes taken at the
 step's choices.
+
+A step is any callable. One kind is declared rather than called: a
+``ThresholdStep`` picks one of two rows by comparing a weighted sum of the
+play with a level per group, and the two-expert kernels evaluate that rule
+inline, with the same operations as its ``__call__``, so its rounds make no
+Python call. t2's bait and t5's penalize-the-leader are threshold steps.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -70,9 +77,11 @@ class AdaptiveBlock:
     and outcome codes. ``step(i, group, p)`` is called once per round with
     the block-local index, the group and the committed play as a tuple of d
     Python floats, and returns the index k, a Python int in range(K), of the
-    round's outcome: losses ``rows[k]``, code ``codes[k]``. Group ids that
-    are not integers, and malformed rows or codes, raise ContractError here;
-    the learner checks the rows' width and range.
+    round's outcome: losses ``rows[k]``, code ``codes[k]``. A
+    ``ThresholdStep`` is not called by the two-expert kernels, which play
+    its rule inline. Group ids that are not integers, and malformed rows or
+    codes, raise ContractError here; the learner checks the rows' width and
+    range, and a threshold step against its d, its groups and K.
     """
 
     groups: np.ndarray
@@ -94,6 +103,61 @@ class AdaptiveBlock:
 
     def __len__(self) -> int:
         return int(np.asarray(self.groups).shape[0])
+
+
+def _threshold_reals(name: str, values) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)) or not values or any(
+            isinstance(x, bool) or not isinstance(x, numbers.Real) or math.isnan(x) for x in values):
+        raise ContractError(f"threshold step {name} must be a non-empty list of numbers, "
+                            f"none of them NaN, got {values!r}")
+    return tuple(float(x) for x in values)
+
+
+@dataclass(frozen=True)
+class ThresholdStep:
+    """A declared step: round i of group g picks row ``above`` when the
+    weighted play, w_0 p_0 + w_1 p_1 + ... summed left to right, is at least
+    ``levels[g]``, and row ``below`` otherwise.
+
+    ``__call__`` is the rule, so the step runs wherever a step runs; the
+    two-expert kernels evaluate it inline on their floats, with the same
+    operations, and call nothing. Weights and levels that are not non-empty
+    lists of numbers, or hold a NaN or a bool, and rows that are not
+    integers >= 0 raise ContractError here; a level may be infinite.
+    ``check`` fits the step to a stretch before its first round.
+    """
+
+    weights: tuple[float, ...]
+    levels: tuple[float, ...]
+    above: int
+    below: int
+
+    def __post_init__(self) -> None:
+        for name in ("weights", "levels"):
+            object.__setattr__(self, name, _threshold_reals(name, getattr(self, name)))
+        for name in ("above", "below"):
+            k = getattr(self, name)
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+                raise ContractError(f"threshold step row {name} must be an integer >= 0, got {k!r}")
+            object.__setattr__(self, name, int(k))
+
+    def __call__(self, i: int, g: int, p: tuple) -> int:
+        w = self.weights
+        total = w[0] * p[0]
+        for f in range(1, len(w)):
+            total += w[f] * p[f]
+        return self.above if total >= self.levels[g] else self.below
+
+    def check(self, d: int, num_groups: int, K: int) -> None:
+        """ContractError unless the step has d weights, num_groups levels,
+        and rows ``above`` and ``below`` in range(K)."""
+        if len(self.weights) != d:
+            raise ContractError(f"threshold step has {len(self.weights)} weights for {d} experts")
+        if len(self.levels) != num_groups:
+            raise ContractError(f"threshold step has {len(self.levels)} levels for {num_groups} groups")
+        for name in ("above", "below"):
+            if getattr(self, name) >= K:
+                raise ContractError(f"threshold step row {name} = {getattr(self, name)} lies outside range({K})")
 
 
 def _execute_block(learner, block, builder: TraceBuilder) -> np.ndarray:

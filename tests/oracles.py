@@ -90,3 +90,24 @@ def ref_fpl_run_block(lrn, losses):
         for f in range(lrn.d):
             p[s:e, f] = (leaders == f).mean(axis=1)
     return p
+
+
+def ref_t5_leader(i, g, p):
+    """t5's phase-one step as a plain callable: the index of the expert the
+    play favors, ties to expert 0; that expert takes loss 1."""
+    return 0 if p[0] >= p[1] else 1
+
+
+def ref_t2_bait(gamma):
+    """t2's phase-one step as a plain callable: outcome 1 on a group A (0)
+    round whose play puts at least gamma on expert 0, else outcome 0. The
+    step's ``qualifying`` attribute counts the rounds it picked outcome 1."""
+
+    def step(i, g, p):
+        if g == 0 and p[0] >= gamma:
+            step.qualifying += 1
+            return 1
+        return 0
+
+    step.qualifying = 0
+    return step

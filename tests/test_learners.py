@@ -22,9 +22,9 @@ from fair_experts.learners import (
     default_eta,
     make_learner,
 )
-from fair_experts.protocol import AdaptiveBlock, ObliviousBlock, _execute_block, run
+from fair_experts.protocol import AdaptiveBlock, ObliviousBlock, ThresholdStep, _execute_block, run
 from fair_experts.types import ConfigError, ContractError, TraceBuilder
-from oracles import ref_fpl_run_block, ref_mw_block, ref_rounds
+from oracles import ref_fpl_run_block, ref_mw_block, ref_rounds, ref_t2_bait, ref_t5_leader
 
 
 class TestEtaDomain:
@@ -646,6 +646,208 @@ class TestTwoExpertKernelOracle:
         step = _reading_step(3)
         got, want = new.run_rounds(groups, rows[:3], step), ref_rounds(ref, groups, rows[:3], step)
         _assert_same([got], [want], new, ref)
+
+
+_FOUR_KINDS = ("single_mw", "per_group_mw", "fixed_share", "per_group_fixed_share")
+
+
+def _three_ways(kind, groups, rows, declared, plain, G=2, prefix=(), state=None):
+    """Play one adaptive stretch three ways on fresh learners that start from
+    the same state: the declared step through the d=2 kernel, the declared
+    step through the generic loop (which calls it), and ``plain``, a plain
+    callable of the same rule, through the kernel. Asserts the plays,
+    choices and final state agree bit for bit; returns the choices."""
+    outs = []
+    for how in ("declared", "loop", "plain"):
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(2, G)
+        for g, row in prefix:
+            lrn.observe(g, row)
+        if state is not None:
+            lrn._state()[:] = state[:lrn._state().shape[0]]
+        if how == "loop":
+            lrn.two_expert_kernel = False
+        p, choices = lrn.run_rounds(groups, rows, plain if how == "plain" else declared)
+        outs.append((p, choices, lrn._state().copy()))
+    for got in outs[1:]:
+        for a, b in zip(got, outs[0]):
+            assert _same_bits(a, b)
+    return outs[0][1]
+
+
+def _t5_rule(G=2, level=0.0):
+    return ThresholdStep((1.0, -1.0), (level,) * G, above=0, below=1)
+
+
+class TestThresholdStep:
+    """A declared step must choose as its ``__call__`` does, and as the
+    callables t5 and t2 used before it, in the kernels and in the loop."""
+
+    @pytest.mark.parametrize("kind", _FOUR_KINDS)
+    @pytest.mark.parametrize("G", [2, 3])
+    def test_scenario_rules_over_interleaved_groups(self, kind, G):
+        # 600 rounds cross the kernel's 256-round chunk edge twice; a fresh
+        # table's first play is an exact tie, and the prefix leaves every
+        # table in another state
+        rng = np.random.default_rng(G + len(kind))
+        groups = rng.integers(0, G, 600).astype(np.int64)
+        prefix = [(g % G, row) for g, row in enumerate(rng.random((4, 2)))]
+        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+        choices = _three_ways(kind, groups, rows, _t5_rule(G), ref_t5_leader, G)
+        assert 0 < choices.sum() < 600
+        _three_ways(kind, groups, rows, _t5_rule(G), ref_t5_leader, G, prefix)
+        # t2's rule with a level that its rows keep group 0's play around;
+        # every other group's level is +inf
+        gamma = 0.52
+        bait = ThresholdStep((1.0, 0.0), (gamma,) + (math.inf,) * (G - 1), above=1, below=0)
+        old = ref_t2_bait(gamma)
+        choices = _three_ways(kind, groups, rows[::-1], bait, old, G, prefix)
+        assert 0 < old.qualifying == int(choices.sum()) < int((groups == 0).sum())
+        assert choices[groups != 0].sum() == 0
+
+    @pytest.mark.parametrize("kind", _FOUR_KINDS)
+    def test_exact_ties(self, kind):
+        # t5's rows on single_mw tie every other round; equal rows keep a
+        # fixed share table at (0.5, 0.5)
+        groups = np.zeros(300, dtype=np.int64)
+        choices = _three_ways(kind, groups, np.array([[1.0, 0.0], [0.0, 1.0]]), _t5_rule(), ref_t5_leader)
+        if kind == "single_mw":
+            assert choices[::2].tolist() == [0] * 150
+        choices = _three_ways(kind, groups, np.array([[0.5, 0.5], [0.5, 0.5]]), _t5_rule(), ref_t5_leader)
+        assert choices.tolist() == [0] * 300
+
+    @pytest.mark.parametrize("kind", ["fixed_share", "per_group_fixed_share"])
+    @pytest.mark.parametrize("toward", [0.0, 1.0])
+    def test_plays_one_ulp_apart(self, kind, toward):
+        # fixed share tables one ulp off the tie, in either direction: the
+        # first group's favors expert 0 when toward is 1, the second's expert 1
+        x = float(np.nextafter(0.5, toward))
+        state = np.array([[x, 0.5], [0.5, x]])
+        groups = np.array([0, 1] * 3, dtype=np.int64)
+        choices = _three_ways(kind, groups, np.full((2, 2), 0.5), _t5_rule(), ref_t5_leader, state=state)
+        first = [1 if toward == 0.0 else 0, 0 if toward == 0.0 else 1]
+        n = 2 if kind.startswith("per_group") else 1
+        assert choices[:n].tolist() == first[:n]
+
+    @pytest.mark.parametrize("kind", _FOUR_KINDS)
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (1.0, -1.0), (0.25, 3.0)])
+    def test_levels_one_ulp_either_side_of_the_play(self, kind, ulps, weights):
+        # every round plays the same pair: MW on zero losses, and fixed share
+        # from a fixed point of its one loss row. The level sits at that
+        # pair's weighted sum, or one ulp above or below it.
+        if "mw" in kind:
+            prefix, rows, state = [(0, np.array([0.75, 0.125])), (1, np.array([0.0, 0.5]))], np.zeros((2, 2)), None
+        else:
+            probe = _KERNEL_KINDS[kind]()
+            probe.start(2, 2)
+            probe.run_rounds(np.zeros(3000, dtype=np.int64), np.tile([0.75, 0.125], (3000, 1)))
+            prefix, rows, state = (), np.tile([0.75, 0.125], (2, 1)), np.tile(probe._state()[:1], (2, 1))
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(2, 2)
+        for g, row in prefix:
+            lrn.observe(g, row)
+        if state is not None:
+            lrn._state()[:] = state[:lrn._state().shape[0]]
+        p0, p1 = lrn.next_distribution(0).tolist()
+        level = weights[0] * p0 + weights[1] * p1
+        level = float(np.nextafter(level, math.copysign(math.inf, ulps))) if ulps else level
+        step = ThresholdStep(weights, (level, -math.inf), above=1, below=0)
+        groups = np.zeros(600, dtype=np.int64)
+        groups[::5] = 1
+
+        def plain(i, g, p):
+            return 1 if weights[0] * p[0] + weights[1] * p[1] >= (level, -math.inf)[g] else 0
+
+        choices = _three_ways(kind, groups, rows, step, plain, prefix=prefix, state=state)
+        on_group_0 = choices[groups == 0].tolist()
+        assert on_group_0 == [0 if ulps > 0 else 1] * len(on_group_0)
+        assert choices[groups == 1].tolist() == [1] * 120
+
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("step, match", [
+        (ThresholdStep((1.0,), (0.0, 0.0), 0, 1), "1 weights for 2 experts"),
+        (ThresholdStep((1.0, -1.0, 0.0), (0.0, 0.0), 0, 1), "3 weights for 2 experts"),
+        (ThresholdStep((1.0, -1.0), (0.0,), 0, 1), "1 levels for 2 groups"),
+        (ThresholdStep((1.0, -1.0), (0.0, 0.0, 0.0), 0, 1), "3 levels for 2 groups"),
+        (ThresholdStep((1.0, -1.0), (0.0, 0.0), 2, 1), r"row above = 2 lies outside range\(2\)"),
+        (ThresholdStep((1.0, -1.0), (0.0, 0.0), 0, 5), r"row below = 5 lies outside range\(2\)"),
+    ])
+    def test_a_step_that_does_not_fit_is_refused_before_round_one(self, kind, step, match):
+        lrn = _KERNEL_KINDS[kind]()
+        lrn.start(2, 2)
+        lrn.observe(1, np.array([0.25, 0.5]))
+        start = _final_state(lrn).copy()
+        with pytest.raises(ContractError, match=match):
+            lrn.run_rounds(np.array([0, 1, 0], dtype=np.int64), np.eye(2), step)
+        assert _same_bits(_final_state(lrn), start)
+
+    @pytest.mark.parametrize("args, match", [
+        (((math.nan, 0.0), (0.0, 0.0), 0, 1), "weights"),
+        (((1.0, 0.0), (0.0, math.nan), 0, 1), "levels"),
+        (((1.0, 0.0), (0.0, np.float64("nan")), 0, 1), "levels"),
+        (((True, 0.0), (0.0, 0.0), 0, 1), "weights"),
+        (((1.0, 0.0), (False, 0.0), 0, 1), "levels"),
+        (((1.0, 0.0), (0.0, 0.0), True, 0), "above"),
+        (((1.0, 0.0), (0.0, 0.0), 0, False), "below"),
+        (((1.0, 0.0), (0.0, 0.0), 1.0, 0), "above"),
+        (((1.0, 0.0), (0.0, 0.0), -1, 0), "above"),
+        (((), (0.0, 0.0), 0, 1), "weights"),
+        (((1.0, 0.0), (), 0, 1), "levels"),
+        ((np.array([1.0, 0.0]), (0.0, 0.0), 0, 1), "weights"),
+        ((("1", 0.0), (0.0, 0.0), 0, 1), "weights"),
+    ])
+    def test_malformed_values_are_refused_when_built(self, args, match):
+        with pytest.raises(ContractError, match=match):
+            ThresholdStep(*args)
+
+    def test_values_are_python_numbers(self):
+        step = ThresholdStep([1, np.float32(-1.0)], [np.int64(0), 0.5], np.int64(1), 0)
+        assert step.weights == (1.0, -1.0) and step.levels == (0.0, 0.5)
+        assert {type(x) for x in step.weights + step.levels} == {float}
+        assert type(step.above) is int and type(step(0, 0, (0.25, 0.75))) is int
+        assert step(0, 0, (0.5, 0.5)) == 1 and step(0, 1, (0.5, 0.5)) == 0
+
+    @pytest.mark.parametrize("scenario, T, rounds", [
+        ({"kind": "t5"}, 2001, 1000),
+        ({"kind": "t2", "b": 0.25, "epsilon": 0.01}, 60_600, 600),
+    ])
+    @pytest.mark.parametrize("kind", _FOUR_KINDS)
+    def test_the_kernels_call_no_step(self, scenario, T, rounds, kind, monkeypatch):
+        # t5's and t2's adaptive rounds run with no call of the step; the
+        # generic loop calls it once per round
+        calls = []
+        rule = ThresholdStep.__call__
+
+        def counted(self, i, g, p):
+            calls.append(i)
+            return rule(self, i, g, p)
+
+        monkeypatch.setattr(ThresholdStep, "__call__", counted)
+        fast = run(_KERNEL_KINDS[kind](), scenario, T, seed=3)
+        assert calls == []
+        slow = _KERNEL_KINDS[kind]()
+        slow.two_expert_kernel = False
+        assert _same_bits(run(slow, scenario, T, seed=3).distributions, fast.distributions)
+        assert calls == list(range(rounds))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_t2_counts_the_rounds_its_old_step_counted(self, seed):
+        # the old step counted qualifying rounds as it chose them; t2 now
+        # counts them from the plays it gets back
+        scn = make_scenario({"kind": "t2", "b": 0.45, "epsilon": 0.01})
+        srun = scn.start(60_600, np.random.SeedSequence(seed))
+        gen = srun.segments()
+        block = next(gen)
+        assert isinstance(block.step, ThresholdStep)
+        old = ref_t2_bait(scn.gamma)
+        lrn = SingleMW(0.05)
+        lrn.start(2, 2)
+        p, choices = lrn.run_rounds(block.groups, block.rows, old)
+        with pytest.raises(StopIteration):
+            gen.send(p)
+            gen.send(None)
+        assert srun.info["qualifying_rounds"] == old.qualifying == int(choices.sum()) > 0
 
 
 def _counting_updates(lrn):
