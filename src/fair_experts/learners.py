@@ -19,17 +19,17 @@ run an exact scalar kernel instead: each table is a pair of Python floats,
 and each kind's per-round loop, ``_pair_rounds``, writes out the play and
 the update, doing the same IEEE operations in the same order as
 ``next_distribution``/``observe`` (numpy's ``exp`` and ``power`` included),
-so the plays are bit-identical to the loop. The arriving group's table
-stays in locals while the group repeats. A fixed share round makes no
-Python call but an adaptive stretch's step; an MW round also calls
-``_play2``, for numpy's ``exp``. An adaptive stretch takes its declared
-rows' update terms once. A stretch whose step is a declared
-``ThresholdStep`` runs ``_threshold_rounds`` instead, which plays the
-step's rule inline and so calls no step; any other callable is called
-once per round. An oblivious fixed share stretch finds its runs of
-rows on one table with one loss row once, steps each run of at least
-``_RUN`` rows only until its table is a fixed point of the update, and plays
-its other rows in chunks of ``_ROUNDS_CHUNK``.
+so the plays are bit-identical to the loop. The arriving group's table stays
+in locals while the group repeats. A fixed share round makes no Python call
+but an adaptive stretch's step; an MW round also calls ``_play2``, for
+numpy's ``exp``. An adaptive stretch takes its declared rows' update terms
+once. A stretch whose step is a declared ``ThresholdStep`` runs
+``_threshold_rounds`` instead, which plays the step's rule inline and so
+calls no step; any other callable is called once per round. An oblivious
+fixed share stretch finds its runs of rows on one table with one loss row
+once, steps each run of at least ``_RUN`` rows only until its table is a
+fixed point of the update, and plays its other rows in chunks of
+``_ROUNDS_CHUNK``.
 
 Group handling is the one axis of variation: single-table kinds ignore the
 group argument entirely, per-group kinds keep one independent table per

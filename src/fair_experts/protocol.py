@@ -105,14 +105,6 @@ class AdaptiveBlock:
         return int(np.asarray(self.groups).shape[0])
 
 
-def _threshold_reals(name: str, values) -> tuple[float, ...]:
-    if not isinstance(values, (list, tuple)) or not values or any(
-            isinstance(x, bool) or not isinstance(x, numbers.Real) or math.isnan(x) for x in values):
-        raise ContractError(f"threshold step {name} must be a non-empty list of numbers, "
-                            f"none of them NaN, got {values!r}")
-    return tuple(float(x) for x in values)
-
-
 @dataclass(frozen=True)
 class ThresholdStep:
     """A declared step: round i of group g picks row ``above`` when the
@@ -134,7 +126,12 @@ class ThresholdStep:
 
     def __post_init__(self) -> None:
         for name in ("weights", "levels"):
-            object.__setattr__(self, name, _threshold_reals(name, getattr(self, name)))
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not values or any(
+                    isinstance(x, bool) or not isinstance(x, numbers.Real) or math.isnan(x) for x in values):
+                raise ContractError(f"threshold step {name} must be a non-empty list of numbers, "
+                                    f"none of them NaN, got {values!r}")
+            object.__setattr__(self, name, tuple(float(x) for x in values))
         for name in ("above", "below"):
             k = getattr(self, name)
             if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:

@@ -765,6 +765,31 @@ class TestThresholdStep:
         assert choices[groups == 1].tolist() == [1] * 120
 
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_paths_without_a_kernel_call_the_rule(self, kind, d):
+        # three experts, and fpl, play a declared step through the generic
+        # loop, which calls it as it calls any step
+        weights = (1.0, -1.5, 0.5)[:d]
+        levels = (0.0, math.inf, -math.inf)
+
+        def plain(i, g, p):
+            total = weights[0] * p[0]
+            for w, x in zip(weights[1:], p[1:]):
+                total += w * x
+            return 2 if total >= levels[g] else 0
+
+        rng = np.random.default_rng(d)
+        groups = rng.integers(0, 3, 400).astype(np.int64)
+        rows = _declared_rows(rng, 3, d)
+        new, ref = _KERNEL_KINDS[kind](), _KERNEL_KINDS[kind]()
+        new.start(d, 3)
+        ref.start(d, 3)
+        got = new.run_rounds(groups, rows, ThresholdStep(weights, levels, above=2, below=0))
+        want = ref_rounds(ref, groups, rows, plain)
+        _assert_same([got], [want], new, ref)
+        assert 0 < np.count_nonzero(got[1]) < 400
+
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("step, match", [
         (ThresholdStep((1.0,), (0.0, 0.0), 0, 1), "1 weights for 2 experts"),
         (ThresholdStep((1.0, -1.0, 0.0), (0.0, 0.0), 0, 1), "3 weights for 2 experts"),
