@@ -233,12 +233,12 @@ class Learner:
         An adaptive stretch takes its declared rows' terms once and is played
         in chunks of _ROUNDS_CHUNK rounds: a ``ThresholdStep``'s by
         ``_threshold_rounds``, which calls no step, and any other step's by
-        ``_pair_rounds``, which calls it once per round. An oblivious stretch finds its runs
-        of rows on one table with one loss row, bit for bit, once. A run of at
-        least _RUN rows is stepped only until its table is a fixed point of
-        the update, as the update is deterministic and every later round of
-        the run plays the same pair; the other rows are played in chunks of
-        _ROUNDS_CHUNK rows on their own rows' terms.
+        ``_pair_rounds``, which calls it once per round. An oblivious stretch
+        finds its runs of rows on one table with one loss row, bit for bit,
+        once. A run of at least _RUN rows is stepped only until its table is a
+        fixed point of the update, as the update is deterministic and every
+        later round of the run plays the same pair; the other rows are played
+        in chunks of _ROUNDS_CHUNK rows on their own rows' terms.
         """
         n = groups.shape[0]
         p = np.empty((n, 2), dtype=np.float64)

@@ -153,8 +153,9 @@ class ThresholdStep:
         if len(self.levels) != num_groups:
             raise ContractError(f"threshold step has {len(self.levels)} levels for {num_groups} groups")
         for name in ("above", "below"):
-            if getattr(self, name) >= K:
-                raise ContractError(f"threshold step row {name} = {getattr(self, name)} lies outside range({K})")
+            k = getattr(self, name)
+            if k >= K:
+                raise ContractError(f"threshold step row {name} = {k} lies outside range({K})")
 
 
 def _execute_block(learner, block, builder: TraceBuilder) -> np.ndarray:

@@ -675,8 +675,9 @@ def _three_ways(kind, groups, rows, declared, plain, G=2, prefix=(), state=None)
     return outs[0][1]
 
 
-def _t5_rule(G=2, level=0.0):
-    return ThresholdStep((1.0, -1.0), (level,) * G, above=0, below=1)
+def _t5_rule(G=2):
+    """t5's declared step, for G groups."""
+    return ThresholdStep((1.0, -1.0), (0.0,) * G, above=0, below=1)
 
 
 class TestThresholdStep:
