@@ -11,7 +11,12 @@ mid-block), ``fair-experts audit`` of those three JSONL traces and of a labeled 
 (``theorem1`` at ``--reps 1 --retain full``) with ``--metric`` ``eer``,
 ``fnr`` and ``fpr``, and ``fair-experts preset`` for all five. An audit
 runs inside its run directory, so the ``"trace"`` path it prints is
-``runs/run_000.jsonl`` wherever the outputs are written. The bytes depend
+``runs/run_000.jsonl`` wherever the outputs are written. It also holds a
+grid of ``protocol.run`` calls: each of six scenarios (t1, t2, t3_synthetic,
+t4, t5 and ``random_iid`` with d = 3 and 3 groups) against each learner kind,
+at T = 0, 1, 7 and 5050, two seeds and both retain modes, one digest per
+(scenario, learner) pair over every run's columns, plays, losses (so the
+adaptive choices), accumulators and scenario info. The bytes depend
 on numpy's ``exp``, so the manifest names the numpy version and the
 platform it was recorded with, and the comparison is skipped on another
 one.
@@ -35,6 +40,8 @@ import numpy as np
 import pytest
 
 from fair_experts import cli
+from fair_experts.learners import LEARNER_KINDS
+from fair_experts.protocol import run
 
 MANIFEST = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
 
@@ -60,6 +67,19 @@ PRESETS = ("theorem1", "theorem2", "theorem3", "theorem4", "theorem5")
 # t4 and t5 label no round, so their fnr and fpr audits are refused
 AUDITS = ("theorem4", "theorem5", "fpl_t4", "theorem1_full")
 AUDIT_METRICS = ("eer", "fnr", "fpr")
+# the protocol.run grid: scenario name -> config, each played by every
+# learner kind at every horizon, seed and retain mode below
+GRID_SCENARIOS = {
+    "t1": {"kind": "t1", "epsilon": 0.01},
+    "t2": {"kind": "t2", "b": 0.25, "epsilon": 0.01},
+    "t3_synthetic": {"kind": "t3_synthetic", "rates": [0.1, 0.3]},
+    "t4": {"kind": "t4"},
+    "t5": {"kind": "t5"},
+    "random_iid": {"kind": "random_iid", "d": 3, "groups": 3},
+}
+GRID_T = (0, 1, 7, 5050)
+GRID_SEEDS = (0, 1)
+GRID_RETAIN = ("summary", "full")
 
 
 def recorded_with() -> dict:
@@ -84,6 +104,26 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _grid_digest(scenario: dict, learner: str) -> str:
+    """One digest over the grid's runs of a scenario and a learner kind: each
+    array's dtype, shape and bytes, and the scenario info, run by run."""
+    h = hashlib.sha256()
+    for T in GRID_T:
+        for seed in GRID_SEEDS:
+            for retain in GRID_RETAIN:
+                trace = run({"kind": learner, "eta": 0.1}, scenario, T, seed, retain)
+                acc = trace.accumulators
+                for a in (trace.groups, trace.outcome_codes, trace.expected_loss, trace.distributions,
+                          trace.losses, acc.counts, acc.learner_loss, acc.expert_loss):
+                    if a is None:
+                        h.update(b"none")
+                    else:
+                        h.update(f"{a.dtype.str} {a.shape}".encode())
+                        h.update(np.ascontiguousarray(a).tobytes())
+                h.update(json.dumps(trace.scenario_info, sort_keys=True).encode())
+    return h.hexdigest()
+
+
 def golden_digests(workdir: Path) -> dict:
     """Digest of every golden output, written under ``workdir``."""
     digests = {}
@@ -101,6 +141,9 @@ def golden_digests(workdir: Path) -> dict:
                 # stdout of an audit that succeeds, the exit code and the
                 # error line of one that is refused
                 digests[f"{name}/audit_{metric}"] = _sha(out if code == 0 else b"exit %d\n%s" % (code, err))
+    for name, scenario in GRID_SCENARIOS.items():
+        for learner in LEARNER_KINDS:
+            digests[f"grid/{name}/{learner}"] = _grid_digest(scenario, learner)
     return digests
 
 
