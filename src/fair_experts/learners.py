@@ -13,23 +13,23 @@ table's losses in round order, so ``run_block``, ``run_rounds`` and the
 vectorized, per table in chunks of 8192 rows.
 
 ``run_rounds`` plays a stretch round by round, oblivious or adaptive. Its
-generic form is the ``next_distribution``/``observe`` loop. For two experts,
-multiplicative weights (adaptive stretches) and fixed share (every stretch)
-run an exact scalar kernel instead: each table is a pair of Python floats,
-and each kind's per-round loop, ``_pair_rounds``, writes out the play and
-the update, doing the same IEEE operations in the same order as
-``next_distribution``/``observe`` (numpy's ``exp`` and ``power`` included),
-so the plays are bit-identical to the loop. The arriving group's table stays
-in locals while the group repeats. A fixed share round makes no Python call
-but an adaptive stretch's step; an MW round also calls ``_play2``, for
-numpy's ``exp``. An adaptive stretch takes its declared rows' update terms
-once. A stretch whose step is a declared ``ThresholdStep`` runs
-``_threshold_rounds`` instead, which plays the step's rule inline and so
-calls no step; any other callable is called once per round. An oblivious
-fixed share stretch finds its runs of rows on one table with one loss row
-once, steps each run of at least ``_RUN`` rows only until its table is a
-fixed point of the update, and plays its other rows in chunks of
-``_ROUNDS_CHUNK``.
+generic form is the ``next_distribution``/``observe`` loop, which calls an
+adaptive stretch's step once per round. For two experts, multiplicative
+weights and fixed share run an exact scalar kernel instead on every stretch
+whose step is a declared ``ThresholdStep``, and fixed share on every
+oblivious stretch too; a stretch with any other step runs through the
+generic loop. In the kernel each table is a pair of Python floats, and each
+kind's per-round loops write out the play and the update, doing the same
+IEEE operations in the same order as ``next_distribution``/``observe``
+(numpy's ``exp`` and ``power`` included), so the plays are bit-identical to
+the loop. ``_threshold_rounds`` plays the step's rule inline, so the kernel
+calls no step. The arriving group's table stays in locals while the group
+repeats. A fixed share round makes no Python call; an MW round calls
+``_play2``, for numpy's ``exp``. An adaptive stretch takes its declared
+rows' update terms once. An oblivious fixed share stretch finds its runs of
+rows on one table with one loss row once, steps each run of at least
+``_RUN`` rows only until its table is a fixed point of the update, and plays
+its other rows in chunks of ``_ROUNDS_CHUNK`` (``_pair_rounds``).
 
 Group handling is the one axis of variation: single-table kinds ignore the
 group argument entirely, per-group kinds keep one independent table per
@@ -195,15 +195,18 @@ class Learner:
         None. An adaptive stretch passes the (K, d) loss rows it may choose
         from and ``step(i, group, p)``, which sees round i's play as a tuple
         of d Python floats and returns the index of its row, a Python int in
-        range(K); choices holds those indices. Losses that are ragged, not
-        numbers, of the wrong shape or outside [0, 1], group ids that are
-        not (n,) integers in range(num_groups), and a ``ThresholdStep`` that
-        does not fit d, num_groups and K raise ContractError before the
-        first round, and a choice that is not an int in range(K) once the
-        rounds before it are observed.
+        range(K); choices holds those indices. With two experts, a kind with
+        a scalar kernel plays an oblivious stretch, or one whose step is a
+        declared ``ThresholdStep``, there; any other step runs through the
+        generic loop below, which calls it once per round. Losses that are
+        ragged, not numbers, of the wrong shape or outside [0, 1], group ids
+        that are not (n,) integers in range(num_groups), and a
+        ``ThresholdStep`` that does not fit d, num_groups and K raise
+        ContractError before the first round, and a choice that is not an int
+        in range(K) once the rounds before it are observed.
         """
         groups, rows = self._stretch(groups, losses, step)
-        if self.d == 2 and self.two_expert_kernel:
+        if self.d == 2 and self.two_expert_kernel and (step is None or isinstance(step, ThresholdStep)):
             return self._two_expert_rounds(groups, rows, step)
         n = groups.shape[0]
         p = np.empty((n, self.d), dtype=np.float64)
@@ -216,43 +219,42 @@ class Learner:
             if step is not None:
                 k = step(i, g, tuple(pi.tolist()))
                 if type(k) is not int or not 0 <= k < K:
-                    raise _choice_error(k, i, K)
+                    raise ContractError(f"step returned choice {k!r} at row {i} of the stretch, "
+                                        f"not an int in range({K})")
                 choices[i] = k
             self._update(self._table(g), rows[k])
         return p, choices
 
     def _two_expert_rounds(self, groups, rows, step):
-        """``run_rounds`` for d=2 on tables held as pairs of Python floats.
+        """``run_rounds`` for d=2 on tables held as pairs of Python floats,
+        for an oblivious stretch or a declared ``ThresholdStep``; no step is
+        called here.
 
         A kind supplies ``_state()``, its (tables, 2) state array;
         ``_loss_terms(losses)``, the numpy part of ``observe`` applied to a
-        block of loss rows; and ``_pair_rounds``, the per-round loop, which
-        runs ``next_distribution`` and the rest of ``_update`` inline, and
-        ``_threshold_rounds``, its adaptive form for a ``ThresholdStep``.
+        block of loss rows; and ``_threshold_rounds``, the per-round loop of
+        an adaptive stretch, which runs ``next_distribution``, the step's
+        rule and the rest of ``_update`` inline. A kind that plays oblivious
+        stretches here also supplies ``_pair_rounds``, their per-round loop.
 
         An adaptive stretch takes its declared rows' terms once and is played
-        in chunks of _ROUNDS_CHUNK rounds: a ``ThresholdStep``'s by
-        ``_threshold_rounds``, which calls no step, and any other step's by
-        ``_pair_rounds``, which calls it once per round. An oblivious stretch
-        finds its runs of rows on one table with one loss row, bit for bit,
-        once. A run of at least _RUN rows is stepped only until its table is a
-        fixed point of the update, as the update is deterministic and every
-        later round of the run plays the same pair; the other rows are played
-        in chunks of _ROUNDS_CHUNK rows on their own rows' terms.
+        in chunks of _ROUNDS_CHUNK rounds. An oblivious stretch finds its runs
+        of rows on one table with one loss row, bit for bit, once. A run of at
+        least _RUN rows is stepped only until its table is a fixed point of
+        the update, as the update is deterministic and every later round of
+        the run plays the same pair; the other rows are played in chunks of
+        _ROUNDS_CHUNK rows on their own rows' terms.
         """
         n = groups.shape[0]
         p = np.empty((n, 2), dtype=np.float64)
         out = memoryview(p.reshape(-1))
         tables = [tuple(table) for table in self._state().tolist()]
-        rounds = self._pair_rounds
         if step is not None:
             terms = self._loss_terms(rows).tolist()
             choices = np.empty(n, dtype=np.intp)
             chosen = memoryview(choices)
-            if isinstance(step, ThresholdStep):
-                rounds = self._threshold_rounds
             for s in range(0, n, _ROUNDS_CHUNK):
-                rounds(tables, out, s, groups[s:s + _ROUNDS_CHUNK].tolist(), terms, step, chosen)
+                self._threshold_rounds(tables, out, s, groups[s:s + _ROUNDS_CHUNK].tolist(), terms, step, chosen)
             self._state()[:] = tables
             return p, choices
         columns = (rows[:, 0], rows[:, 1], groups) if self.per_group else (rows[:, 0], rows[:, 1])
@@ -264,45 +266,25 @@ class Learner:
         for a, e in zip(heads + [n], ends + [n]):
             for c in range(s, a, _ROUNDS_CHUNK):
                 b = min(a, c + _ROUNDS_CHUNK)
-                rounds(tables, out, c, groups[c:b].tolist(), self._loss_terms(rows[c:b]).tolist())
+                self._pair_rounds(tables, out, c, groups[c:b].tolist(), self._loss_terms(rows[c:b]).tolist())
             if a < e:
                 (term,) = self._loss_terms(rows[a:a + 1]).tolist()
-                i = rounds(tables, out, a, repeat(int(groups[a]), e - a), repeat(term, e - a), stop=True)
+                i = self._pair_rounds(tables, out, a, repeat(int(groups[a]), e - a), repeat(term, e - a), stop=True)
                 if i is not None:
                     p[i + 1:e] = p[i]
             s = e
         self._state()[:] = tables
         return p, None
 
-    def _pair_rounds(self, tables, out, s, groups, terms, step=None, chosen=None, stop=False):
-        """Rounds s, s+1, ... of a two-expert stretch, one per group id in
-        ``groups``, on ``tables``, the list of each table's pair of floats,
-        which it updates. Round i's play goes to out[2i] and out[2i + 1].
-
-        Oblivious rounds take one term pair of ``terms`` each, in order. An
-        adaptive round passes its play to ``step``, stores the choice k in
-        ``chosen[i]`` and takes ``terms[k]``; a choice that is not an int in
-        range(len(terms)) writes the tables to the state and raises. With
-        ``stop``, every round is of one table and one loss row, and the loop
-        returns the first round i whose update leaves the table as it was:
-        the later rounds play round i's pair. Otherwise it returns None.
-        MW plays only adaptive rounds here, as its oblivious stretches are
-        its block play.
-
-        ``==`` on two tables is bit equality here, since no state entry is
-        NaN or -0.0: fixed share's entries are sums, products and quotients
-        of non-negative numbers, and its total weight is at least half its
-        table's sum, as each factor (1 - eta)^loss is.
-        """
-        raise NotImplementedError
-
     def _threshold_rounds(self, tables, out, s, groups, terms, step, chosen):
-        """``_pair_rounds`` on adaptive rounds whose step is a
-        ``ThresholdStep``. The step's rule is played inline with the
-        operations of its ``__call__``, c0 * p0 + c1 * p1 >= levels[g], each
-        choice is stored as it is made, and the chosen row's terms are
-        applied. No choice can lie out of range, as ``_stretch`` fitted the
-        step to the rows."""
+        """Rounds s, s+1, ... of a two-expert stretch whose step is a
+        ``ThresholdStep``, one per group id in ``groups``, on ``tables``, the
+        list of each table's pair of floats, which it updates. Round i's play
+        goes to out[2i] and out[2i + 1]. The step's rule is played inline
+        with the operations of its ``__call__``, c0 * p0 + c1 * p1 >=
+        levels[g], each choice k is stored in ``chosen[i]`` as it is made,
+        and ``terms[k]`` are applied. No choice can lie out of range, as
+        ``_stretch`` fitted the step to the rows."""
         raise NotImplementedError
 
 
@@ -312,10 +294,6 @@ def _check_loss_block(losses: np.ndarray, where: str = "row {} of the stretch") 
     k = _first_off_unit(losses)
     if k is not None:
         raise ContractError(f"loss row {losses[k].tolist()!r} at {where.format(k)} lies outside [0, 1]")
-
-
-def _choice_error(k, i: int, K: int) -> ContractError:
-    return ContractError(f"step returned choice {k!r} at row {i} of the stretch, not an int in range({K})")
 
 
 def _row_softmax(log_w: np.ndarray) -> np.ndarray:
@@ -427,27 +405,6 @@ class _MultiplicativeWeights(CumulativeLossLearner):
         e = float(np.exp(lw0 - lw1))
         total = e + 1.0
         return e / total, 1.0 / total
-
-    def _pair_rounds(self, tables, out, s, groups, terms, step, chosen):
-        play, per_group, K = self._play2, self.per_group, len(terms)
-        t, cur = 0, None
-        table = tables[0]
-        for i, g in zip(count(s), groups):
-            if g != cur:
-                tables[t] = table
-                cur, t = g, g if per_group else 0
-                table = tables[t]
-            pair = play(table)
-            out[2 * i], out[2 * i + 1] = pair
-            k = step(i, g, pair)
-            if type(k) is not int or not 0 <= k < K:
-                tables[t] = table
-                self._state()[:] = tables
-                raise _choice_error(k, i, K)
-            chosen[i] = k
-            a0, a1 = terms[k]
-            table = table[0] + a0, table[1] + a1
-        tables[t] = table
 
     def _threshold_rounds(self, tables, out, s, groups, terms, step, chosen):
         play, per_group = self._play2, self.per_group
@@ -612,27 +569,29 @@ class FixedShare(Learner):
     def _loss_terms(self, losses: np.ndarray) -> np.ndarray:
         return np.power(1.0 - self.eta, losses)
 
-    def _pair_rounds(self, tables, out, s, groups, terms, step=None, chosen=None, stop=False):
+    def _pair_rounds(self, tables, out, s, groups, terms, stop=False):
+        """Oblivious rounds s, s+1, ... of a two-expert stretch, one per group
+        id in ``groups``, each taking the next term pair of ``terms``, on
+        ``tables`` as in ``_threshold_rounds``. With ``stop``, every round is
+        of one table and one loss row, and the loop returns the first round i
+        whose update leaves the table as it was: the later rounds play round
+        i's pair. Otherwise it returns None.
+
+        ``==`` on two tables is bit equality here, since no state entry is
+        NaN or -0.0: the entries are sums, products and quotients of
+        non-negative numbers, and the total weight is at least half its
+        table's sum, as each factor (1 - eta)^loss is.
+        """
         keep, share, per_group = self._keep, self._share, self.per_group
-        K = len(terms) if step is not None else 0
         t, cur = 0, None
         p0, p1 = tables[0]
-        for i, g, term in zip(count(s), groups, terms if step is None else repeat(None)):
+        for i, g, (f0, f1) in zip(count(s), groups, terms):
             if g != cur:
                 tables[t] = p0, p1
                 cur, t = g, g if per_group else 0
                 p0, p1 = tables[t]
             out[2 * i] = p0
             out[2 * i + 1] = p1
-            if step is not None:
-                k = step(i, g, (p0, p1))
-                if type(k) is not int or not 0 <= k < K:
-                    tables[t] = p0, p1
-                    self._state()[:] = tables
-                    raise _choice_error(k, i, K)
-                chosen[i] = k
-                term = terms[k]
-            f0, f1 = term
             w0 = p0 * f0
             w1 = p1 * f1
             total = w0 + w1

@@ -13,16 +13,19 @@ branching between scenario phases is implemented.
 Every block is one ``Learner.run_rounds`` call, which owns the per-round
 loop and plays as the ``next_distribution``/``observe`` loop does, bit for
 bit: the cumulative-loss kinds (MW and FPL) play an oblivious block through
-their vectorized ``run_block``, and with two experts MW's adaptive blocks
-and every fixed share block run an exact scalar kernel. An adaptive block's
-losses and outcome codes are its declared rows and codes taken at the
-step's choices.
+their vectorized ``run_block``, and with two experts an oblivious fixed
+share block, and an MW or fixed share block whose step is a declared
+``ThresholdStep``, run an exact scalar kernel. An adaptive block's losses
+and outcome codes are its declared rows and codes taken at the step's
+choices.
 
 A step is any callable. One kind is declared rather than called: a
 ``ThresholdStep`` picks one of two rows by comparing a weighted sum of the
-play with a level per group, and the two-expert kernels evaluate that rule
-inline, with the same operations as its ``__call__``, so its rounds make no
-Python call. t2's bait and t5's penalize-the-leader are threshold steps.
+play with a level per group. The two-expert kernels play only this kind,
+evaluating its rule inline with the same operations as its ``__call__``,
+so its rounds make no Python call; any other callable runs through the
+generic ``next_distribution``/``observe`` loop, one call per round. t2's
+bait and t5's penalize-the-leader are threshold steps.
 """
 
 from __future__ import annotations
@@ -79,9 +82,11 @@ class AdaptiveBlock:
     Python floats, and returns the index k, a Python int in range(K), of the
     round's outcome: losses ``rows[k]``, code ``codes[k]``. A
     ``ThresholdStep`` is not called by the two-expert kernels, which play
-    its rule inline. Group ids that are not integers, and malformed rows or
-    codes, raise ContractError here; the learner checks the rows' width and
-    range, and a threshold step against its d, its groups and K.
+    its rule inline; they play no other step, so any other callable runs
+    through the generic per-round loop. Group ids that are not integers,
+    and malformed rows or codes, raise ContractError here; the learner
+    checks the rows' width and range, and a threshold step against its d,
+    its groups and K.
     """
 
     groups: np.ndarray
@@ -114,9 +119,11 @@ class ThresholdStep:
     ``__call__`` is the rule, so the step runs wherever a step runs; the
     two-expert kernels evaluate it inline on their floats, with the same
     operations, and call nothing. Weights and levels that are not non-empty
-    lists of numbers, or hold a NaN or a bool, and rows that are not
-    integers >= 0 raise ContractError here; a level may be infinite.
-    ``check`` fits the step to a stretch before its first round.
+    lists of numbers, or hold a NaN or a bool, an infinite weight and rows
+    that are not integers >= 0 raise ContractError here. A level may be
+    infinite; a weight may not, as an infinite weight times a play of 0
+    makes the sum NaN, which meets no level. ``check`` fits the step to a
+    stretch before its first round.
     """
 
     weights: tuple[float, ...]
@@ -132,6 +139,8 @@ class ThresholdStep:
                 raise ContractError(f"threshold step {name} must be a non-empty list of numbers, "
                                     f"none of them NaN, got {values!r}")
             object.__setattr__(self, name, tuple(float(x) for x in values))
+        if not all(map(math.isfinite, self.weights)):
+            raise ContractError(f"threshold step weights must be finite, got {self.weights!r}")
         for name in ("above", "below"):
             k = getattr(self, name)
             if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:

@@ -443,14 +443,18 @@ def _assert_same(new_out, ref_out, new, ref):
     assert _same_bits(_final_state(new), _final_state(ref))
 
 
-def _reading_step(K):
-    """An adaptive step whose choice among K rows depends on the play and on
-    the round."""
-
-    def step(i, g, p):
-        return (int(p[0] * 4096.0) + (i % 3) + g) % K
-
-    return step
+def _drawn_step(rng, rows, G):
+    """A ``ThresholdStep`` on the declared ``rows`` for G <= 3 groups: drawn
+    weights, ``above`` and ``below`` drawn from range(K), two different rows
+    when K > 1, and the groups' levels drawn from the weighted value of a
+    drawn play, -inf (always ``above``) and +inf (always ``below``). So a
+    stretch over three groups picks both rows whatever the learner's state,
+    while one group's choices compare its play with its level."""
+    K, d = rows.shape
+    weights = rng.uniform(-1.0, 1.0, d)
+    levels = rng.permutation([float(weights @ rng.dirichlet(np.ones(d))), -math.inf, math.inf])[:G]
+    above, below = rng.permutation(K)[:2].tolist() if K > 1 else (0, 0)
+    return ThresholdStep(weights.tolist(), levels.tolist(), above, below)
 
 
 def _declared_rows(rng, K, d):
@@ -510,8 +514,9 @@ def _chosen_in_order(i, g, p):
 class TestPlayPathsAreBitIdentical:
     """Every path of a cumulative-loss kind adds a table's losses in round
     order, so the block play, an oblivious and an adaptive ``run_rounds``
-    (the d=2 kernel and the generic loop) and the next_distribution/observe
-    loop give the same plays and state, bit for bit."""
+    (the generic loop, as its step is a plain callable) and the
+    next_distribution/observe loop give the same plays and state, bit for
+    bit. ``TestThresholdStep`` plays the d=2 kernel's adaptive rounds."""
 
     @pytest.mark.parametrize("kind", _BLOCK_KINDS)
     @pytest.mark.parametrize("d", [2, 3])
@@ -527,15 +532,12 @@ class TestPlayPathsAreBitIdentical:
             "run_block": lambda lrn: (lrn.run_block(groups, losses),),
             "oblivious": lambda lrn: lrn.run_rounds(groups, losses)[:1],
             "adaptive": lambda lrn: lrn.run_rounds(groups, losses, _chosen_in_order),
-            "adaptive_loop": lambda lrn: lrn.run_rounds(groups, losses, _chosen_in_order),
             "loop": lambda lrn: ref_rounds(lrn, groups, losses, _chosen_in_order),
         }
         plays, states = {}, {}
         for name, play in paths.items():
             lrn = _KERNEL_KINDS[kind]()
             lrn.start(d, 3)
-            if name == "adaptive_loop":
-                lrn.two_expert_kernel = False
             # a non-zero state in every table to start from
             for g, row in enumerate(prefix):
                 lrn.observe(g % 3, row)
@@ -575,7 +577,8 @@ class TestTwoExpertKernelOracle:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_losses_over_mixed_blocks(self, kind, d, seed):
         # oblivious stretches of random rows alternate with adaptive ones that
-        # declare 1 to 8 rows, groups interleave, and stretches cross chunk edges
+        # declare 1 to 8 rows and a drawn threshold step, groups interleave,
+        # and stretches cross chunk edges
         rng = np.random.default_rng(d * 100 + len(kind) + 1000 * seed)
         G = 3
         new, ref = _started_pair(kind, d, G)
@@ -586,7 +589,7 @@ class TestTwoExpertKernelOracle:
                 if k % 4 == 3:
                     groups = (np.arange(n) // 100 % G).astype(np.int64)
                 rows = _declared_rows(rng, int(rng.integers(1, 9)), d)
-                step = _reading_step(rows.shape[0])
+                step = _drawn_step(rng, rows, G)
                 got, want = new.run_rounds(groups, rows, step), ref_rounds(ref, groups, rows, step)
                 assert len(set(got[1].tolist())) > 1 or n < 300 or rows.shape[0] == 1
             else:
@@ -606,8 +609,10 @@ class TestTwoExpertKernelOracle:
         new, ref = SingleMW(0.3), SingleMW(0.3)
         new.start(2)
         ref.start(2)
-        got = new.run_rounds(groups, rows, _reading_step(8))
-        want = ref_rounds(ref, groups, rows, _reading_step(8))
+        step = _drawn_step(rng, rows, 1)
+        got = new.run_rounds(groups, rows, step)
+        want = ref_rounds(ref, groups, rows, step)
+        assert len(set(got[1].tolist())) > 1
         _assert_same([got], [want], new, ref)
         # numpy uses its own exp only where the CPU has the SIMD code for it;
         # elsewhere it calls the C library's, as math.exp does
@@ -643,7 +648,7 @@ class TestTwoExpertKernelOracle:
         groups = np.zeros(150, dtype=np.int64)
         got, want = new.run_rounds(groups, rows), ref_rounds(ref, groups, rows)
         _assert_same([got], [want], new, ref)
-        step = _reading_step(3)
+        step = ThresholdStep((1.0, -1.0), (0.0,), above=0, below=2)
         got, want = new.run_rounds(groups, rows[:3], step), ref_rounds(ref, groups, rows[:3], step)
         _assert_same([got], [want], new, ref)
 
@@ -655,8 +660,9 @@ def _three_ways(kind, groups, rows, declared, plain, G=2, prefix=(), state=None)
     """Play one adaptive stretch three ways on fresh learners that start from
     the same state: the declared step through the d=2 kernel, the declared
     step through the generic loop (which calls it), and ``plain``, a plain
-    callable of the same rule, through the kernel. Asserts the plays,
-    choices and final state agree bit for bit; returns the choices."""
+    callable of the same rule, which always takes the generic loop. Asserts
+    the plays, choices and final state agree bit for bit; returns the
+    choices."""
     outs = []
     for how in ("declared", "loop", "plain"):
         lrn = _KERNEL_KINDS[kind]()
@@ -822,6 +828,9 @@ class TestThresholdStep:
         (((1.0, 0.0), (), 0, 1), "levels"),
         ((np.array([1.0, 0.0]), (0.0, 0.0), 0, 1), "weights"),
         ((("1", 0.0), (0.0, 0.0), 0, 1), "weights"),
+        # an infinite weight times a play of 0 would make the sum NaN
+        (((math.inf, 0.0), (-math.inf, -math.inf), 0, 1), "weights must be finite"),
+        (((1.0, -np.float64("inf")), (0.0, 0.0), 0, 1), "weights"),
     ])
     def test_malformed_values_are_refused_when_built(self, args, match):
         with pytest.raises(ContractError, match=match):
@@ -857,6 +866,35 @@ class TestThresholdStep:
         assert _same_bits(run(slow, scenario, T, seed=3).distributions, fast.distributions)
         assert calls == list(range(rounds))
 
+    @pytest.mark.parametrize("kind", _FOUR_KINDS)
+    def test_a_plain_step_takes_the_generic_loop(self, kind, monkeypatch):
+        # a plain callable, as a tracer's wrapper is, runs through the
+        # next_distribution/_update loop, one next_distribution call per
+        # round; the declared step it wraps runs through the kernel, with none
+        calls = []
+        cls = type(_KERNEL_KINDS[kind]())
+        play = cls.next_distribution
+
+        def counted(self, group):
+            calls.append(group)
+            return play(self, group)
+
+        monkeypatch.setattr(cls, "next_distribution", counted)
+        rng = np.random.default_rng(len(kind))
+        groups = rng.integers(0, 3, 600).astype(np.int64)
+        rows = _declared_rows(rng, 5, 2)
+        declared = _drawn_step(rng, rows, 3)
+        outs = {}
+        for name, step in (("declared", declared), ("plain", lambda i, g, p: declared(i, g, p))):
+            lrn = _KERNEL_KINDS[kind]()
+            lrn.start(2, 3)
+            calls.clear()
+            outs[name] = lrn.run_rounds(groups, rows, step) + (lrn._state().copy(), len(calls))
+        assert outs["declared"][3] == 0 and outs["plain"][3] == 600
+        for a, b in zip(outs["declared"][:3], outs["plain"][:3]):
+            assert _same_bits(a, b)
+        assert len(set(outs["declared"][1].tolist())) > 1
+
     @pytest.mark.parametrize("seed", [3, 4])
     def test_t2_counts_the_rounds_its_old_step_counted(self, seed):
         # the old step counted qualifying rounds as it chose them; t2 now
@@ -877,10 +915,20 @@ class TestThresholdStep:
 
 
 def _counting_updates(lrn):
-    """Count in ``lrn.updates`` the rounds that the learner's per-round loop
-    ``_pair_rounds`` steps: the group ids it takes from its ``groups``
-    argument, one per round, up to the round it stops at."""
+    """Count in ``lrn.updates`` the rounds that the learner steps one at a
+    time: each ``_update`` call, and the group ids that fixed share's
+    per-round loop ``_pair_rounds`` takes from its ``groups`` argument, one
+    per round, up to the round it stops at."""
     lrn.updates = 0
+    update = lrn._update
+
+    def counted_update(table, losses):
+        lrn.updates += 1
+        update(table, losses)
+
+    lrn._update = counted_update
+    if not isinstance(lrn, FixedShare):
+        return lrn
     pair_rounds = lrn._pair_rounds
 
     def taken(groups):
@@ -1372,7 +1420,7 @@ class TestRunRoundsContract:
             np.array([[1, 0], [0, 1]]), np.array([[False, True], [True, True]]),
         ]
         groups = np.arange(11) % 2
-        step = _reading_step(2)
+        step = _t5_rule()
         new, ref = _started_pair(kind, 2)
         for rows in forms:
             _assert_same([new.run_rounds(groups, rows, step)],
