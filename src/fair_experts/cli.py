@@ -7,6 +7,8 @@ Three subcommands:
   audit   recompute per-group rates and gaps from a saved trace file
 
 Progress notes go to stderr; the machine-readable result goes to stdout.
+A config, trace or output path that cannot be read or written ends the
+command with an ``error:`` line and exit code 2, as a bad config does.
 A reader that closes stdout early (``| head``) ends the command with exit
 code 141, as a shell reports a process ended by SIGPIPE, and no traceback.
 """
@@ -78,11 +80,9 @@ def _json_override(raw: str, what: str) -> dict:
 def _cmd_run(args) -> int:
     if args.config is not None:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         config = ExperimentConfig.from_dict(data)
     else:
@@ -133,10 +133,7 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    try:
-        trace = Trace.from_jsonl(args.trace)
-    except OSError as exc:
-        raise ConfigError(f"cannot read trace file {args.trace}: {exc.strerror}") from exc
+    trace = Trace.from_jsonl(args.trace)
     labels = [group_label(g) for g in range(trace.num_groups)]
     values = rate_values(rate_table(trace, args.metric)[0], 0)
     learner_block: dict = {
@@ -183,7 +180,9 @@ def main(argv=None) -> int:
         # interpreter's last flush of what is left does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # a bad config, or a file named on the command line that cannot be
+        # read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FairExpertsError as exc:

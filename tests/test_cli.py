@@ -45,6 +45,13 @@ class TestPresetCommand:
             main(["preset", "theorem9"])
         assert exc.value.code == 2
 
+    def test_out_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["preset", "theorem4", "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err and str(taken) in err
+
 
 class TestRunCommand:
     def test_from_config_file(self, tmp_path, capsys):
@@ -91,6 +98,25 @@ class TestRunCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("case, reason", [
+        ("config_is_a_directory", "Is a directory"),
+        ("config_not_utf8", "config file is not valid JSON: 'utf-8' codec can't decode"),
+        ("out_is_a_file", "File exists"),
+    ])
+    def test_unusable_path(self, tmp_path, capsys, case, reason):
+        cfg = _small_config_file(tmp_path)
+        args = ["run", "--config", str(cfg)]
+        if case == "config_is_a_directory":
+            args = ["run", "--config", str(tmp_path)]
+        elif case == "config_not_utf8":
+            cfg.write_bytes(b"\xff" + cfg.read_bytes())
+        else:
+            (tmp_path / "taken").write_text("")
+            args += ["--out", str(tmp_path / "taken")]
+        assert main(args) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and reason in last
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = _small_config_file(tmp_path, horizon=10)
@@ -218,7 +244,8 @@ class TestAuditCommand:
 
     def test_trace_path_is_a_directory(self, tmp_path, capsys):
         assert main(["audit", "--trace", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: cannot read trace file")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and str(tmp_path) in err
 
     @pytest.mark.parametrize("line,edit", [
         pytest.param(1, None, id="empty"),
