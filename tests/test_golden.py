@@ -2,16 +2,19 @@
 ``tests/data/golden_outputs.json`` and compared byte for byte.
 
 The manifest covers ``config.json``, ``report.json``, ``summary.csv`` and
-``run`` stdout of the five presets (``theorem2`` at ``--reps 2``), the
-``runs/`` JSONL and CSV traces of ``theorem4``, ``theorem5`` and FPL on t4,
-of ``theorem2`` at T = 60,600 (its 600 adaptive rounds cross the two-expert
-kernel's chunk edge), of ``theorem3`` at ``--reps 2`` and of ``per_group_mw``
-on ``random_iid`` with d = 3 and 3 groups (per-group chunk edges fall
-mid-block), ``fair-experts audit`` of those three JSONL traces and of a labeled one
-(``theorem1`` at ``--reps 1 --retain full``) with ``--metric`` ``eer``,
-``fnr`` and ``fpr``, and ``fair-experts preset`` for all five. An audit
-runs inside its run directory, so the ``"trace"`` path it prints is
-``runs/run_000.jsonl`` wherever the outputs are written. It also holds a
+``run`` stdout of the five presets (``theorem2`` at ``--reps 2``, and again
+at T = 2,000,000, whose 19,801 adaptive rounds MW plays in summary mode),
+the ``runs/`` JSONL and CSV traces of ``theorem4``, ``theorem5`` and FPL on
+t4, of ``theorem2`` at T = 60,600 (its 600 adaptive rounds cross the
+two-expert kernel's chunk edge), of ``theorem3`` at ``--reps 2``, of
+``per_group_mw`` on ``random_iid`` with d = 3 and 3 groups (per-group chunk
+edges fall mid-block) and of t5 at T = 40,000 against ``single_mw``,
+``per_group_mw`` and ``fpl`` (20,000 adaptive rounds, which cross two
+8192-row chunks), ``fair-experts audit`` of the first three JSONL traces
+and of a labeled one (``theorem1`` at ``--reps 1 --retain full``) with
+``--metric`` ``eer``, ``fnr`` and ``fpr``, and ``fair-experts preset`` for
+all five. An audit runs inside its run directory, so the ``"trace"`` path
+it prints is ``runs/run_000.jsonl`` wherever the outputs are written. It also holds a
 grid of ``protocol.run`` calls: each of six scenarios (t1, t2, t3_synthetic,
 t4, t5 and ``random_iid`` with d = 3 and 3 groups) against each learner kind,
 at T = 0, 1, 7 and 5050, two seeds and both retain modes, one digest per
@@ -61,6 +64,11 @@ RUNS = {
     "theorem3_full": ["--preset", "theorem3", "--reps", "2", "--retain", "full"],
     "per_group_mw_iid": ["--preset", "theorem3", "--scenario", '{"kind": "random_iid", "d": 3, "groups": 3}',
                          "--T", "30000", "--reps", "1", "--retain", "full"],
+    # declared steps played by the cumulative-loss kinds: t5's 20,000
+    # adaptive rounds cross two 8192-row chunks, and t2's 19,801 in summary mode
+    **{f"t5_{kind}": ["--preset", "theorem5", "--learner", f'{{"kind": "{kind}", "eta": 0.05}}',
+                      "--T", "40000", "--retain", "full"] for kind in ("single_mw", "per_group_mw", "fpl")},
+    "theorem2_2m": ["--preset", "theorem2", "--T", "2000000", "--reps", "1"],
 }
 PRESETS = ("theorem1", "theorem2", "theorem3", "theorem4", "theorem5")
 # runs whose JSONL trace is audited, and the metrics it is audited with;
