@@ -7,29 +7,16 @@ Multiplicative weights and the perturbed leader play a fixed function of
 each table's cumulative loss, so they share one state, one update and one
 block play (``CumulativeLossLearner``) and each supplies only ``_play``, the
 plays of a block of cumulative losses. Every one of their paths sums a
-table's losses in round order, so ``run_block``, ``run_rounds`` and the
-``next_distribution``/``observe`` loop give the same bits, and an oblivious
-``run_rounds`` of these kinds is ``run_block``, which plays the stretch
-vectorized, per table in chunks of 8192 rows.
+table's losses in round order, so all give the same bits.
 
-``run_rounds`` plays a stretch round by round, oblivious or adaptive. Its
+``run_rounds`` plays a stretch of rounds, oblivious or adaptive. Its
 generic form is the ``next_distribution``/``observe`` loop, which calls an
-adaptive stretch's step once per round. For two experts, multiplicative
-weights and fixed share run an exact scalar kernel instead on every stretch
-whose step is a declared ``ThresholdStep``, and fixed share on every
-oblivious stretch too; a stretch with any other step runs through the
-generic loop. In the kernel each table is a pair of Python floats, and each
-kind's per-round loops write out the play and the update, doing the same
-IEEE operations in the same order as ``next_distribution``/``observe``
-(numpy's ``exp`` and ``power`` included), so the plays are bit-identical to
-the loop. ``_threshold_rounds`` plays the step's rule inline, so the kernel
-calls no step. The arriving group's table stays in locals while the group
-repeats. A fixed share round makes no Python call; an MW round calls
-``_play2``, for numpy's ``exp``. An adaptive stretch takes its declared
-rows' update terms once. An oblivious fixed share stretch finds its runs of
-rows on one table with one loss row once, steps each run of at least
-``_RUN`` rows only until its table is a fixed point of the update, and plays
-its other rows in chunks of ``_ROUNDS_CHUNK`` (``_pair_rounds``).
+adaptive stretch's step once per round; a kind overrides it for the
+stretches it plays faster, with the loop's bits. MW and FPL play an
+oblivious stretch as a block (``run_block``), and one whose step is a
+declared ``ThresholdStep`` as checked block plays on guessed rows
+(``_threshold_block``). Fixed share, for two experts, plays both in an exact
+scalar kernel (``_two_expert_rounds``) on tables held as Python floats.
 
 Group handling is the one axis of variation: single-table kinds ignore the
 group argument entirely, per-group kinds keep one independent table per
@@ -63,6 +50,9 @@ DEFAULT_SWITCH_BUDGET = 2
 # did, 1024-row chunks by 0.13 MB and 256-row chunks by 0.04 MB.
 _ROUNDS_CHUNK = 256
 
+# Rows in the first chunk of ``CumulativeLossLearner._threshold_block``.
+_GUESS_CHUNK = 64
+
 
 def _check_eta(eta: float) -> float:
     require_type("eta", eta, numbers.Real, "a number")
@@ -83,10 +73,6 @@ class Learner:
     # The keys a config of this kind may hold besides its kind.
     config_keys = frozenset({"eta"})
     per_group = False
-    # Kinds with an exact scalar kernel for d=2 (see ``_two_expert_rounds``).
-    # The kernel repeats this class's next_distribution and _update without
-    # calling them, so a subclass that overrides either must set it False.
-    two_expert_kernel = False
 
     def __init__(self) -> None:
         self.d: int | None = None
@@ -195,19 +181,15 @@ class Learner:
         None. An adaptive stretch passes the (K, d) loss rows it may choose
         from and ``step(i, group, p)``, which sees round i's play as a tuple
         of d Python floats and returns the index of its row, a Python int in
-        range(K); choices holds those indices. With two experts, a kind with
-        a scalar kernel plays an oblivious stretch, or one whose step is a
-        declared ``ThresholdStep``, there; any other step runs through the
-        generic loop below, which calls it once per round. Losses that are
-        ragged, not numbers, of the wrong shape or outside [0, 1], group ids
-        that are not (n,) integers in range(num_groups), and a
+        range(K); choices holds those indices. This is the generic loop, one
+        step call per round; a kind that overrides it keeps its bits. Losses
+        that are ragged, not numbers, of the wrong shape or outside [0, 1],
+        group ids that are not (n,) integers in range(num_groups), and a
         ``ThresholdStep`` that does not fit d, num_groups and K raise
         ContractError before the first round, and a choice that is not an int
         in range(K) once the rounds before it are observed.
         """
         groups, rows = self._stretch(groups, losses, step)
-        if self.d == 2 and self.two_expert_kernel and (step is None or isinstance(step, ThresholdStep)):
-            return self._two_expert_rounds(groups, rows, step)
         n = groups.shape[0]
         p = np.empty((n, self.d), dtype=np.float64)
         choices = None if step is None else np.empty(n, dtype=np.intp)
@@ -225,68 +207,6 @@ class Learner:
             self._update(self._table(g), rows[k])
         return p, choices
 
-    def _two_expert_rounds(self, groups, rows, step):
-        """``run_rounds`` for d=2 on tables held as pairs of Python floats,
-        for an oblivious stretch or a declared ``ThresholdStep``; no step is
-        called here.
-
-        A kind supplies ``_state()``, its (tables, 2) state array;
-        ``_loss_terms(losses)``, the numpy part of ``observe`` applied to a
-        block of loss rows; and ``_threshold_rounds``, the per-round loop of
-        an adaptive stretch, which runs ``next_distribution``, the step's
-        rule and the rest of ``_update`` inline. A kind that plays oblivious
-        stretches here also supplies ``_pair_rounds``, their per-round loop.
-
-        An adaptive stretch takes its declared rows' terms once and is played
-        in chunks of _ROUNDS_CHUNK rounds. An oblivious stretch finds its runs
-        of rows on one table with one loss row, bit for bit, once. A run of at
-        least _RUN rows is stepped only until its table is a fixed point of
-        the update, as the update is deterministic and every later round of
-        the run plays the same pair; the other rows are played in chunks of
-        _ROUNDS_CHUNK rows on their own rows' terms.
-        """
-        n = groups.shape[0]
-        p = np.empty((n, 2), dtype=np.float64)
-        out = memoryview(p.reshape(-1))
-        tables = [tuple(table) for table in self._state().tolist()]
-        if step is not None:
-            terms = self._loss_terms(rows).tolist()
-            choices = np.empty(n, dtype=np.intp)
-            chosen = memoryview(choices)
-            for s in range(0, n, _ROUNDS_CHUNK):
-                self._threshold_rounds(tables, out, s, groups[s:s + _ROUNDS_CHUNK].tolist(), terms, step, chosen)
-            self._state()[:] = tables
-            return p, choices
-        columns = (rows[:, 0], rows[:, 1], groups) if self.per_group else (rows[:, 0], rows[:, 1])
-        starts, counts = _run_bounds(columns, n)
-        long = counts >= _RUN
-        heads, ends = starts[long].tolist(), (starts[long] + counts[long]).tolist()
-        s = 0
-        # rows s..a-1 row by row, then the run a..e-1 up to its fixed point
-        for a, e in zip(heads + [n], ends + [n]):
-            for c in range(s, a, _ROUNDS_CHUNK):
-                b = min(a, c + _ROUNDS_CHUNK)
-                self._pair_rounds(tables, out, c, groups[c:b].tolist(), self._loss_terms(rows[c:b]).tolist())
-            if a < e:
-                (term,) = self._loss_terms(rows[a:a + 1]).tolist()
-                i = self._pair_rounds(tables, out, a, repeat(int(groups[a]), e - a), repeat(term, e - a), stop=True)
-                if i is not None:
-                    p[i + 1:e] = p[i]
-            s = e
-        self._state()[:] = tables
-        return p, None
-
-    def _threshold_rounds(self, tables, out, s, groups, terms, step, chosen):
-        """Rounds s, s+1, ... of a two-expert stretch whose step is a
-        ``ThresholdStep``, one per group id in ``groups``, on ``tables``, the
-        list of each table's pair of floats, which it updates. Round i's play
-        goes to out[2i] and out[2i + 1]. The step's rule is played inline
-        with the operations of its ``__call__``, c0 * p0 + c1 * p1 >=
-        levels[g], each choice k is stored in ``chosen[i]`` as it is made,
-        and ``terms[k]`` are applied. No choice can lie out of range, as
-        ``_stretch`` fitted the step to the rows."""
-        raise NotImplementedError
-
 
 def _check_loss_block(losses: np.ndarray, where: str = "row {} of the stretch") -> None:
     """ContractError naming the first row of an (n, d) loss block with a loss
@@ -303,10 +223,10 @@ def _row_softmax(log_w: np.ndarray) -> np.ndarray:
 
 
 def _two_expert_softmax(log_w: np.ndarray) -> np.ndarray:
-    """``_row_softmax`` of an (n, 2) block by ``_play2``'s operations on
-    whole columns: with e = exp(-|lw0 - lw1|), the larger weight gets
-    1/(1+e) and the smaller e/(1+e). The bits are ``_row_softmax``'s, whose
-    larger z is 0 (exp(0) = 1 exactly) and smaller z is -|lw0 - lw1|."""
+    """``_row_softmax`` of an (n, 2) block on whole columns: with
+    e = exp(-|lw0 - lw1|), the larger weight gets 1/(1+e) and the smaller
+    e/(1+e). The bits are ``_row_softmax``'s, whose larger z is 0
+    (exp(0) = 1 exactly) and smaller z is -|lw0 - lw1|."""
     x = log_w[:, 0] - log_w[:, 1]
     first = x >= 0.0
     e = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
@@ -316,6 +236,15 @@ def _two_expert_softmax(log_w: np.ndarray) -> np.ndarray:
     return np.column_stack([np.where(first, big, small), np.where(first, small, big)])
 
 
+def _cum_before(cum: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The cumulative losses before each row of an (n, d) block, n >= 1, on a
+    table at ``cum``: the per-round adds' sums, by one seeded cumsum."""
+    before = np.empty_like(block)
+    before[0] = cum
+    before[1:] = block[:-1]
+    return np.cumsum(before, axis=0, out=before)
+
+
 class CumulativeLossLearner(Learner):
     """A learner whose play is a fixed function of its table's cumulative
     loss, the one state it keeps: ``_cum``, of shape (tables, d), to which
@@ -323,15 +252,12 @@ class CumulativeLossLearner(Learner):
     an (n, d) block of cumulative losses, row by row.
 
     Every path adds a table's losses one round at a time, in round order, so
-    the block play, the two-expert kernel and the
+    the block plays (``run_block`` and ``_threshold_block``) and the
     ``next_distribution``/``observe`` loop give the same bits.
     """
 
     def _init_state(self) -> None:
         self._cum = np.zeros((self._tables(), self.d), dtype=np.float64)
-
-    def _state(self) -> np.ndarray:
-        return self._cum
 
     def _play(self, cum: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -348,10 +274,8 @@ class CumulativeLossLearner(Learner):
         on an oblivious stretch, checked as it checks one.
 
         Each table's rows are played in chunks of _IO_CHUNK rows, so that
-        the work arrays do not grow with the block. A chunk's cumulative
-        losses before each row are one cumsum seeded with the table's
-        ``_cum``, and the chunk's last sum is stored back, so every sum is
-        the one the per-round adds give.
+        the work arrays do not grow with the block, each on its cumulative
+        losses (``_cum_before``), and the chunk's last sum is stored back.
         """
         groups, losses = self._stretch(groups, losses)
         p = np.empty(losses.shape, dtype=np.float64)
@@ -360,26 +284,73 @@ class CumulativeLossLearner(Learner):
             for s in range(0, losses.shape[0] if rows is None else rows.shape[0], _IO_CHUNK):
                 chunk = slice(s, s + _IO_CHUNK) if rows is None else rows[s:s + _IO_CHUNK]
                 block = losses[chunk]
-                before = np.empty_like(block)
-                before[0] = cum
-                before[1:] = block[:-1]
-                np.cumsum(before, axis=0, out=before)
+                before = _cum_before(cum, block)
                 p[chunk] = self._play(before)
                 np.add(before[-1], block[-1], out=cum)
         return p
 
     def run_rounds(self, groups: np.ndarray, losses, step=None):
-        """``Learner.run_rounds``, whose oblivious stretch is ``run_block``."""
+        """``Learner.run_rounds``, whose oblivious stretch is ``run_block``
+        and whose stretch with a ``ThresholdStep`` is ``_threshold_block``."""
         if step is None:
             return self.run_block(groups, losses), None
+        if isinstance(step, ThresholdStep):
+            return self._threshold_block(*self._stretch(groups, losses, step), step)
         return super().run_rounds(groups, losses, step)
+
+    def _threshold_block(self, groups, rows, step):
+        """(plays, choices) of a checked stretch whose step is a
+        ``ThresholdStep``. Each table plays its rounds in chunks on guessed
+        rows: at the table's even and at its odd rounds, a group repeats the
+        choice it last made there (at first ``above`` and ``below``), so a
+        table that one group plays repeats its last two choices, alternating.
+        The step's rule, with the operations of its ``__call__``, is applied
+        to a chunk's plays, and the rounds up to and including the first
+        whose choice is not its guess are kept: each depends only on rows
+        guessed right, so it is the loop's, bit for bit. That choice replaces
+        its guess. A chunk whose guesses all hold doubles the next, up to
+        _IO_CHUNK rows; after a failed guess the next is the larger of half
+        the chunk and twice the rounds it kept, so a step that the guess
+        cannot follow plays short chunks."""
+        n = groups.shape[0]
+        p = np.empty((n, self.d), dtype=np.float64)
+        choices = np.empty(n, dtype=np.intp)
+        weights, levels, above, below = step.weights, np.array(step.levels), step.above, step.below
+        # guess[g, i % 2] is group g's guess for its table's i-th round
+        guess = np.tile(np.array([above, below], dtype=np.intp), (self.num_groups, 1))
+        for table, idx in self._table_rows(groups):
+            cum = self._cum[table]
+            own = groups if idx is None else groups[idx]
+            s, size = 0, _GUESS_CHUNK
+            while s < own.shape[0]:
+                g = own[s:s + size]
+                j = np.arange(s, s + g.shape[0]) & 1
+                guessed = guess[g, j]
+                before = _cum_before(cum, rows[guessed])
+                q = self._play(before)
+                total = weights[0] * q[:, 0]
+                for f in range(1, self.d):
+                    total += weights[f] * q[:, f]
+                rule = np.where(total >= levels[g], above, below)
+                missed = np.flatnonzero(rule != guessed)
+                kept = int(missed[0]) + 1 if missed.size else g.shape[0]
+                out = slice(s, s + kept) if idx is None else idx[s:s + kept]
+                p[out] = q[:kept]
+                choices[out] = rule[:kept]
+                last = kept - 1
+                np.add(before[last], rows[rule[last]], out=cum)
+                if missed.size:
+                    guess[g[last], j[last]] = rule[last]
+                    size = max(size // 2, 2 * kept)
+                else:
+                    size = min(2 * size, _IO_CHUNK)
+                s += kept
+        return p, choices
 
 
 class _MultiplicativeWeights(CumulativeLossLearner):
     """Weights w_f = (1 - eta)^(cumulative loss), played as the softmax of
     the log weights log(1 - eta) * cumulative loss."""
-
-    two_expert_kernel = True
 
     def __init__(self, eta: float) -> None:
         super().__init__()
@@ -389,45 +360,6 @@ class _MultiplicativeWeights(CumulativeLossLearner):
     def _play(self, cum: np.ndarray) -> np.ndarray:
         log_w = self._log_decay * cum
         return _two_expert_softmax(log_w) if self.d == 2 else _row_softmax(log_w)
-
-    def _loss_terms(self, losses: np.ndarray) -> np.ndarray:
-        return losses
-
-    def _play2(self, table: tuple) -> tuple[float, float]:
-        # The larger log weight has z = 0, and exp(0) = 1 exactly. The other z
-        # goes through numpy's exp: math.exp differs from it in the last bit
-        # on some inputs, and one bit can flip a scenario's threshold on p.
-        lw0, lw1 = self._log_decay * table[0], self._log_decay * table[1]
-        if lw0 >= lw1:
-            e = float(np.exp(lw1 - lw0))
-            total = 1.0 + e
-            return 1.0 / total, e / total
-        e = float(np.exp(lw0 - lw1))
-        total = e + 1.0
-        return e / total, 1.0 / total
-
-    def _threshold_rounds(self, tables, out, s, groups, terms, step, chosen):
-        play, per_group = self._play2, self.per_group
-        (c0, c1), levels, above, below = step.weights, step.levels, step.above, step.below
-        (a0, a1), (b0, b1) = terms[above], terms[below]
-        t, cur = 0, None
-        table = tables[0]
-        for i, g in zip(count(s), groups):
-            if g != cur:
-                tables[t] = table
-                cur, t = g, g if per_group else 0
-                table = tables[t]
-                level = levels[g]
-            q0, q1 = play(table)
-            out[2 * i] = q0
-            out[2 * i + 1] = q1
-            if c0 * q0 + c1 * q1 >= level:
-                chosen[i] = above
-                table = table[0] + a0, table[1] + a1
-            else:
-                chosen[i] = below
-                table = table[0] + b0, table[1] + b1
-        tables[t] = table
 
 
 class SingleMW(_MultiplicativeWeights):
@@ -537,7 +469,6 @@ class FixedShare(Learner):
 
     kind = "fixed_share"
     config_keys = frozenset({"eta", "rho", "switches"})
-    two_expert_kernel = True
 
     def __init__(self, eta: float, rho: float) -> None:
         super().__init__()
@@ -563,11 +494,63 @@ class FixedShare(Learner):
         w /= w.sum()
         self._p[table] = self._keep * w + self._share
 
-    def _state(self) -> np.ndarray:
-        return self._p
-
     def _loss_terms(self, losses: np.ndarray) -> np.ndarray:
         return np.power(1.0 - self.eta, losses)
+
+    def run_rounds(self, groups: np.ndarray, losses, step=None):
+        """``Learner.run_rounds``, whose d=2 stretch, oblivious or with a
+        ``ThresholdStep``, is ``_two_expert_rounds``."""
+        if self.d == 2 and (step is None or isinstance(step, ThresholdStep)):
+            return self._two_expert_rounds(*self._stretch(groups, losses, step), step)
+        return super().run_rounds(groups, losses, step)
+
+    def _two_expert_rounds(self, groups, rows, step):
+        """``run_rounds`` of a checked d=2 stretch, oblivious or with a
+        ``ThresholdStep``, on tables held as pairs of Python floats. The
+        per-round loops, ``_threshold_rounds`` and ``_pair_rounds``, write out
+        the play and the update with the IEEE operations of
+        ``next_distribution`` and ``_update`` (numpy's ``power`` included), in
+        their order, so the plays are the loop's, bit for bit, and call no
+        step. The arriving group's table stays in locals while it repeats.
+
+        An adaptive stretch takes its declared rows' terms once and is played
+        in chunks of _ROUNDS_CHUNK rounds. An oblivious stretch finds its runs
+        of rows on one table with one loss row, bit for bit, once. A run of at
+        least _RUN rows is stepped only until its table is a fixed point of
+        the update, as the update is deterministic and every later round of
+        the run plays the same pair; the other rows are played in chunks of
+        _ROUNDS_CHUNK rows on their own rows' terms.
+        """
+        n = groups.shape[0]
+        p = np.empty((n, 2), dtype=np.float64)
+        out = memoryview(p.reshape(-1))
+        tables = [tuple(table) for table in self._p.tolist()]
+        if step is not None:
+            terms = self._loss_terms(rows).tolist()
+            choices = np.empty(n, dtype=np.intp)
+            chosen = memoryview(choices)
+            for s in range(0, n, _ROUNDS_CHUNK):
+                self._threshold_rounds(tables, out, s, groups[s:s + _ROUNDS_CHUNK].tolist(), terms, step, chosen)
+            self._p[:] = tables
+            return p, choices
+        columns = (rows[:, 0], rows[:, 1], groups) if self.per_group else (rows[:, 0], rows[:, 1])
+        starts, counts = _run_bounds(columns, n)
+        long = counts >= _RUN
+        heads, ends = starts[long].tolist(), (starts[long] + counts[long]).tolist()
+        s = 0
+        # rows s..a-1 row by row, then the run a..e-1 up to its fixed point
+        for a, e in zip(heads + [n], ends + [n]):
+            for c in range(s, a, _ROUNDS_CHUNK):
+                b = min(a, c + _ROUNDS_CHUNK)
+                self._pair_rounds(tables, out, c, groups[c:b].tolist(), self._loss_terms(rows[c:b]).tolist())
+            if a < e:
+                (term,) = self._loss_terms(rows[a:a + 1]).tolist()
+                i = self._pair_rounds(tables, out, a, repeat(int(groups[a]), e - a), repeat(term, e - a), stop=True)
+                if i is not None:
+                    p[i + 1:e] = p[i]
+            s = e
+        self._p[:] = tables
+        return p, None
 
     def _pair_rounds(self, tables, out, s, groups, terms, stop=False):
         """Oblivious rounds s, s+1, ... of a two-expert stretch, one per group
@@ -606,6 +589,14 @@ class FixedShare(Learner):
         return None
 
     def _threshold_rounds(self, tables, out, s, groups, terms, step, chosen):
+        """Rounds s, s+1, ... of a two-expert stretch whose step is a
+        ``ThresholdStep``, one per group id in ``groups``, on ``tables``, the
+        list of each table's pair of floats, which it updates. Round i's play
+        goes to out[2i] and out[2i + 1]. The step's rule is played inline
+        with the operations of its ``__call__``, c0 * p0 + c1 * p1 >=
+        levels[g], each choice k is stored in ``chosen[i]`` as it is made,
+        and ``terms[k]`` are applied. No choice can lie out of range, as
+        ``_stretch`` fitted the step to the rows."""
         keep, share, per_group = self._keep, self._share, self.per_group
         (c0, c1), levels, above, below = step.weights, step.levels, step.above, step.below
         (a0, a1), (b0, b1) = terms[above], terms[below]

@@ -73,3 +73,15 @@ def test_one_row_surface_is_gone(name):
     for module in (fair_experts, fair_experts.types, fair_experts.experts):
         owner = getattr(module, head, None) if head else module
         assert owner is None or not hasattr(owner, attr), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("name", [
+    "SingleMW._play2", "SingleMW._threshold_rounds", "SingleMW._loss_terms", "Learner.two_expert_kernel",
+    "Learner._two_expert_rounds", "Learner._threshold_rounds", "CumulativeLossLearner._state",
+])
+def test_mw_scalar_kernel_is_gone(name):
+    # the two-expert scalar kernel is fixed share's alone; MW and FPL play
+    # declared steps as checked block plays
+    head, _, attr = name.rpartition(".")
+    assert not hasattr(getattr(fair_experts.learners, head), attr), name
+    assert hasattr(fair_experts.learners.FixedShare, "_two_expert_rounds")

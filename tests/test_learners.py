@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fair_experts import adversaries
+from fair_experts import adversaries, learners
 from fair_experts.adversaries import make_scenario
 from fair_experts.harness import run_experiment
 from fair_experts.learners import (
+    _GUESS_CHUNK,
     CumulativeLossLearner,
     FixedShare,
     FollowPerturbedLeader,
-    Learner,
     PerGroupFixedShare,
     PerGroupMW,
     SingleMW,
@@ -395,7 +395,9 @@ _BLOCK_KINDS = ("single_mw", "per_group_mw", "fpl")
 
 
 def _final_state(lrn):
-    return lrn._state()
+    """The learner's state array itself: MW's and FPL's cumulative losses, or
+    fixed share's plays."""
+    return lrn._cum if isinstance(lrn, CumulativeLossLearner) else lrn._p
 
 
 def _started_pair(kind, d, G=2):
@@ -425,6 +427,25 @@ def _drive(lrn, scenario, T, seed, rounds, max_blocks=None):
         except StopIteration:
             block = None
     return out
+
+
+def _own_rounds(lrn, *args):
+    """``run_rounds`` as the learner's kind plays it, for ``_drive``."""
+    return lrn.run_rounds(*args)
+
+
+def _block_plays(monkeypatch):
+    """Record each block play of MW and FPL: the table's cumulative loss it
+    starts from and its number of rows."""
+    plays = []
+    before = learners._cum_before
+
+    def recorded(cum, block):
+        plays.append((cum.copy(), block.shape[0]))
+        return before(cum, block)
+
+    monkeypatch.setattr(learners, "_cum_before", recorded)
+    return plays
 
 
 def _same_bits(a, b):
@@ -516,7 +537,8 @@ class TestPlayPathsAreBitIdentical:
     order, so the block play, an oblivious and an adaptive ``run_rounds``
     (the generic loop, as its step is a plain callable) and the
     next_distribution/observe loop give the same plays and state, bit for
-    bit. ``TestThresholdStep`` plays the d=2 kernel's adaptive rounds."""
+    bit. ``TestThresholdStep`` plays declared steps, whose rounds these kinds
+    play as checked block plays."""
 
     @pytest.mark.parametrize("kind", _BLOCK_KINDS)
     @pytest.mark.parametrize("d", [2, 3])
@@ -559,7 +581,7 @@ class TestTwoExpertKernelOracle:
     def test_t5(self, kind):
         cfg = {"kind": kind, "eta": 0.05, "switches": 2}
         new, ref = make_learner(cfg, T=100_000), make_learner(cfg, T=100_000)
-        new_out = _drive(new, {"kind": "t5"}, 100_000, 7, Learner.run_rounds)
+        new_out = _drive(new, {"kind": "t5"}, 100_000, 7, _own_rounds)
         ref_out = _drive(ref, {"kind": "t5"}, 100_000, 7, ref_rounds)
         assert len(new_out) == 3
         _assert_same(new_out, ref_out, new, ref)
@@ -567,7 +589,7 @@ class TestTwoExpertKernelOracle:
     def test_t2_phase_one(self):
         scenario = {"kind": "t2", "b": 0.25, "epsilon": 0.01}
         new, ref = SingleMW(0.005), SingleMW(0.005)
-        new_out = _drive(new, scenario, 4_000_000, 7, Learner.run_rounds, max_blocks=1)
+        new_out = _drive(new, scenario, 4_000_000, 7, _own_rounds, max_blocks=1)
         ref_out = _drive(ref, scenario, 4_000_000, 7, ref_rounds, max_blocks=1)
         assert new_out[0][0].shape == (39_603, 2)
         _assert_same(new_out, ref_out, new, ref)
@@ -636,10 +658,10 @@ class TestTwoExpertKernelOracle:
         groups = np.zeros(3, dtype=np.int64)
         with pytest.raises(ContractError, match=r"\[2000.0, 2000.0\] at row 1 "):
             lrn.run_rounds(groups, rows)
-        assert np.array_equal(lrn._state(), [[0.5, 0.5]])
+        assert np.array_equal(lrn._p, [[0.5, 0.5]])
         with pytest.raises(ContractError, match=r"\[2000.0, 2000.0\] at declared index 1 "):
             lrn.run_rounds(groups, rows, lambda i, g, p: 0)
-        assert np.array_equal(lrn._state(), [[0.5, 0.5]])
+        assert np.array_equal(lrn._p, [[0.5, 0.5]])
         # the extreme losses that are allowed: the kernel still matches the loop
         new, ref = FixedShare(0.4, 0.01), FixedShare(0.4, 0.01)
         new.start(2)
@@ -656,25 +678,29 @@ class TestTwoExpertKernelOracle:
 _FOUR_KINDS = ("single_mw", "per_group_mw", "fixed_share", "per_group_fixed_share")
 
 
+def _wrapped(step):
+    """A plain callable that calls ``step``, so that a stretch takes the
+    generic loop, as a tracer's wrapper does."""
+    return lambda i, g, p: step(i, g, p)
+
+
 def _three_ways(kind, groups, rows, declared, plain, G=2, prefix=(), state=None):
     """Play one adaptive stretch three ways on fresh learners that start from
-    the same state: the declared step through the d=2 kernel, the declared
-    step through the generic loop (which calls it), and ``plain``, a plain
-    callable of the same rule, which always takes the generic loop. Asserts
-    the plays, choices and final state agree bit for bit; returns the
-    choices."""
+    the same state: the declared step through the kind's own path (fixed
+    share's d=2 kernel, MW's and FPL's checked block plays), the declared
+    step through the generic loop (wrapped, so that the loop calls it), and
+    ``plain``, a plain callable of the same rule. Asserts the plays, choices
+    and final state agree bit for bit; returns the choices."""
     outs = []
-    for how in ("declared", "loop", "plain"):
+    for step in (declared, _wrapped(declared), plain):
         lrn = _KERNEL_KINDS[kind]()
         lrn.start(2, G)
         for g, row in prefix:
             lrn.observe(g, row)
         if state is not None:
-            lrn._state()[:] = state[:lrn._state().shape[0]]
-        if how == "loop":
-            lrn.two_expert_kernel = False
-        p, choices = lrn.run_rounds(groups, rows, plain if how == "plain" else declared)
-        outs.append((p, choices, lrn._state().copy()))
+            _final_state(lrn)[:] = state[:_final_state(lrn).shape[0]]
+        p, choices = lrn.run_rounds(groups, rows, step)
+        outs.append((p, choices, _final_state(lrn).copy()))
     for got in outs[1:]:
         for a, b in zip(got, outs[0]):
             assert _same_bits(a, b)
@@ -688,7 +714,8 @@ def _t5_rule(G=2):
 
 class TestThresholdStep:
     """A declared step must choose as its ``__call__`` does, and as the
-    callables t5 and t2 used before it, in the kernels and in the loop."""
+    callables t5 and t2 used before it: in fixed share's kernel, in MW's and
+    FPL's checked block plays and in the generic loop."""
 
     @pytest.mark.parametrize("kind", _FOUR_KINDS)
     @pytest.mark.parametrize("G", [2, 3])
@@ -749,13 +776,13 @@ class TestThresholdStep:
             probe = _KERNEL_KINDS[kind]()
             probe.start(2, 2)
             probe.run_rounds(np.zeros(3000, dtype=np.int64), np.tile([0.75, 0.125], (3000, 1)))
-            prefix, rows, state = (), np.tile([0.75, 0.125], (2, 1)), np.tile(probe._state()[:1], (2, 1))
+            prefix, rows, state = (), np.tile([0.75, 0.125], (2, 1)), np.tile(probe._p[:1], (2, 1))
         lrn = _KERNEL_KINDS[kind]()
         lrn.start(2, 2)
         for g, row in prefix:
             lrn.observe(g, row)
         if state is not None:
-            lrn._state()[:] = state[:lrn._state().shape[0]]
+            lrn._p[:] = state[:lrn._p.shape[0]]
         p0, p1 = lrn.next_distribution(0).tolist()
         level = weights[0] * p0 + weights[1] * p1
         level = float(np.nextafter(level, math.copysign(math.inf, ulps))) if ulps else level
@@ -773,9 +800,10 @@ class TestThresholdStep:
 
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("d", [2, 3])
-    def test_paths_without_a_kernel_call_the_rule(self, kind, d):
-        # three experts, and fpl, play a declared step through the generic
-        # loop, which calls it as it calls any step
+    def test_every_kind_and_width_chooses_as_the_rule(self, kind, d):
+        # MW and FPL play a declared step as checked block plays for any d,
+        # fixed share with three experts through the generic loop, which
+        # calls it as it calls any step
         weights = (1.0, -1.5, 0.5)[:d]
         levels = (0.0, math.inf, -math.inf)
 
@@ -795,6 +823,89 @@ class TestThresholdStep:
         want = ref_rounds(ref, groups, rows, plain)
         _assert_same([got], [want], new, ref)
         assert 0 < np.count_nonzero(got[1]) < 400
+
+    @pytest.mark.parametrize("kind, d, where", [
+        (kind, d, where) for kind in _BLOCK_KINDS for d in (2, 3) for where in ("round_one", "last_row_of_a_chunk")
+        # one unit of loss does not move fpl's leader, so its choices do not alternate
+        if kind != "fpl" or where == "round_one"])
+    def test_a_guess_that_fails(self, kind, d, where, monkeypatch):
+        # Rows e0 and e1, and a rule that picks the expert that a play favors
+        # (ties to expert 1), which then takes loss 1: from a fresh MW table,
+        # group 0's choices alternate above, below, as its first guesses do.
+        # A group's first guess is ``above`` at an even round of its table and
+        # ``below`` at an odd one; a level of +inf picks ``below``, and one of
+        # -inf ``above``.
+        plays = _block_plays(monkeypatch)
+        n = 300
+        groups = np.zeros(n, dtype=np.int64)
+        levels = [0.0, -math.inf]
+        if where == "round_one":
+            levels[0] = math.inf
+        else:
+            groups[_GUESS_CHUNK - 1] = 1
+        rows = np.eye(2, d)
+        new, ref = _started_pair(kind, d)
+        p0, p1 = new.next_distribution(0)[:2].tolist()
+        lead = 0 if p0 > p1 else 1
+        weights = [0.0] * d
+        weights[lead], weights[1 - lead] = 1.0, -1.0
+        step = ThresholdStep(weights, levels, above=lead, below=1 - lead)
+        got, want = new.run_rounds(groups, rows, step), ref_rounds(ref, groups, rows, step)
+        _assert_same([got], [want], new, ref)
+        if where == "round_one":
+            # the first block play keeps one round, group 0's below
+            assert got[1].tolist() == [1 - lead] * n
+            assert _same_bits(plays[1][0], rows[1 - lead])
+        else:
+            assert got[1][:_GUESS_CHUNK].tolist() == [lead, 1 - lead] * (_GUESS_CHUNK // 2 - 1) + [lead, lead]
+        if where == "last_row_of_a_chunk" and kind != "per_group_mw":
+            # on a shared table the first block play keeps all its rows; its
+            # last, group 1's first round, picks above against its guess, and
+            # the next play starts from the table moved by that row
+            probe = _KERNEL_KINDS[kind]()
+            probe.start(d, 2)
+            ref_rounds(probe, groups[:_GUESS_CHUNK], rows, step)
+            assert plays[0][1] == _GUESS_CHUNK and _same_bits(plays[1][0], probe._cum[0])
+
+    @pytest.mark.parametrize("kind", _BLOCK_KINDS)
+    @pytest.mark.parametrize("n", [8191, 8192, 8193])
+    def test_stretches_at_the_chunk_cap(self, kind, n, monkeypatch):
+        # from a non-zero state, t5's rule alternates and every guess holds
+        # after the first few, so the chunks double up to 8192 rows
+        plays = _block_plays(monkeypatch)
+        rng = np.random.default_rng(n)
+        groups = np.zeros(n, dtype=np.int64)
+        new, ref = _started_pair(kind, 2)
+        for lrn in (new, ref):
+            lrn.observe(0, [0.25, 0.5])
+        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+        got, want = new.run_rounds(groups, rows, _t5_rule()), ref_rounds(ref, groups, rows, _t5_rule())
+        _assert_same([got], [want], new, ref)
+        assert len(plays) < 16
+        # and a stretch that ends at a chunk edge leaves the state right for the next
+        more = rng.integers(0, 2, 700).astype(np.int64)
+        _assert_same([new.run_rounds(more, rows, _t5_rule())], [ref_rounds(ref, more, rows, _t5_rule())], new, ref)
+
+    @pytest.mark.parametrize("kind", _BLOCK_KINDS)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_interleaved_groups(self, kind, d, monkeypatch):
+        # t5's rule for every group: on per-group tables each group's own
+        # choices alternate, and on a shared MW table the choices alternate
+        # with the table's rounds, whichever group arrives, so in both the
+        # guesses soon hold. fpl's choices do not alternate, which costs
+        # block plays but no bit.
+        plays = _block_plays(monkeypatch)
+        rng = np.random.default_rng(d + len(kind))
+        n, G = 9000, 3
+        groups = rng.integers(0, G, n).astype(np.int64)
+        rows = np.eye(2, d)
+        step = ThresholdStep((1.0, -1.0, 0.0)[:d], (0.0,) * G, above=0, below=1)
+        new, ref = _started_pair(kind, d, G)
+        got, want = new.run_rounds(groups, rows, step), ref_rounds(ref, groups, rows, step)
+        _assert_same([got], [want], new, ref)
+        assert 0 < got[1].sum() < n
+        if kind != "fpl":
+            assert len(plays) < 12 * G
 
     @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
     @pytest.mark.parametrize("step, match", [
@@ -847,10 +958,10 @@ class TestThresholdStep:
         ({"kind": "t5"}, 2001, 1000),
         ({"kind": "t2", "b": 0.25, "epsilon": 0.01}, 60_600, 600),
     ])
-    @pytest.mark.parametrize("kind", _FOUR_KINDS)
+    @pytest.mark.parametrize("kind", list(_KERNEL_KINDS))
     def test_the_kernels_call_no_step(self, scenario, T, rounds, kind, monkeypatch):
         # t5's and t2's adaptive rounds run with no call of the step; the
-        # generic loop calls it once per round
+        # generic loop, which a wrapped step takes, calls it once per round
         calls = []
         rule = ThresholdStep.__call__
 
@@ -861,10 +972,24 @@ class TestThresholdStep:
         monkeypatch.setattr(ThresholdStep, "__call__", counted)
         fast = run(_KERNEL_KINDS[kind](), scenario, T, seed=3)
         assert calls == []
-        slow = _KERNEL_KINDS[kind]()
-        slow.two_expert_kernel = False
-        assert _same_bits(run(slow, scenario, T, seed=3).distributions, fast.distributions)
-        assert calls == list(range(rounds))
+        wrapped = _counting_steps(monkeypatch)
+        slow = run(_KERNEL_KINDS[kind](), scenario, T, seed=3)
+        assert _same_bits(slow.distributions, fast.distributions)
+        assert calls == wrapped == list(range(rounds))
+
+    @pytest.mark.parametrize("scenario, T, learner, count", [
+        ({"kind": "t5"}, 100_000, {"kind": "single_mw", "eta": 0.05}, 13),
+        ({"kind": "t5"}, 100_000, {"kind": "per_group_mw", "eta": 0.05}, 13),
+        ({"kind": "t5"}, 100_000, {"kind": "fpl", "eta": 0.05}, 17),
+        ({"kind": "t2", "b": 0.25, "epsilon": 0.01}, 4_000_000, {"kind": "single_mw", "eta": 0.005}, 22),
+    ])
+    def test_block_plays_of_a_scenarios_declared_rounds(self, scenario, T, learner, count, monkeypatch):
+        # t5's 50,000 and t2's 39,603 declared rounds take a handful of block
+        # plays: each group's choices repeat a pattern of two for long runs,
+        # so few guesses fail. A guess that stops holding adds block plays.
+        plays = _block_plays(monkeypatch)
+        _drive(make_learner(learner), scenario, T, 7, _own_rounds, max_blocks=1)
+        assert len(plays) == count
 
     @pytest.mark.parametrize("kind", _FOUR_KINDS)
     def test_a_plain_step_takes_the_generic_loop(self, kind, monkeypatch):
@@ -889,7 +1014,7 @@ class TestThresholdStep:
             lrn = _KERNEL_KINDS[kind]()
             lrn.start(2, 3)
             calls.clear()
-            outs[name] = lrn.run_rounds(groups, rows, step) + (lrn._state().copy(), len(calls))
+            outs[name] = lrn.run_rounds(groups, rows, step) + (_final_state(lrn).copy(), len(calls))
         assert outs["declared"][3] == 0 and outs["plain"][3] == 600
         for a, b in zip(outs["declared"][:3], outs["plain"][:3]):
             assert _same_bits(a, b)
@@ -1471,10 +1596,10 @@ class TestRunRoundsContract:
 
 class TestTwoExpertSoftmax:
     @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1e1, 1e3, 1e4])
-    def test_block_form_row_softmax_and_play2_agree(self, scale):
-        # MW's d=2 block play, its general softmax and the kernel's scalar
-        # play are one rule written three times; on the log weights of a
-        # block of cumulative losses they agree bit for bit
+    def test_block_form_and_row_softmax_agree(self, scale):
+        # MW's d=2 block play and its general softmax are one rule written
+        # twice; on the log weights of a block of cumulative losses they
+        # agree bit for bit
         rng = np.random.default_rng(round(math.log10(scale)) + 10)
         cum = rng.standard_normal((20_000, 2)) * scale
         cum[::7, 1] = cum[::7, 0]
@@ -1485,7 +1610,6 @@ class TestTwoExpertSoftmax:
         block = _two_expert_softmax(log_w)
         assert _same_bits(block, _row_softmax(log_w))
         assert _same_bits(block, lrn._play(cum))
-        assert _same_bits(block, np.array([lrn._play2(tuple(row)) for row in cum.tolist()]))
 
 
 class TestScalarIsOneRowOfBlock:
