@@ -208,9 +208,10 @@ def _majority_world(reports: list[MetricReport]) -> str:
 def run_experiment(config: ExperimentConfig | Mapping) -> ExperimentResult:
     """Run all repetitions, aggregate, and (optionally) write the out_dir
     layout: config.json, report.json, summary.csv, and per-run traces under
-    runs/ when retain is "full". Each repetition's trace files are written
-    as soon as its report is built, and its trace is then dropped unless
-    keep_traces is set, so a sweep holds one trace at a time."""
+    runs/ when retain is "full", made before the first repetition. Each
+    repetition's trace files are written as soon as its report is built, and
+    its trace is then dropped unless keep_traces is set, so a sweep holds one
+    trace at a time."""
     if not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_dict(config)
     config.validate()
@@ -221,6 +222,13 @@ def run_experiment(config: ExperimentConfig | Mapping) -> ExperimentResult:
         config.learner, T=config.T, epsilon=config.epsilon, alpha=config.alpha
     ).config()
 
+    if config.world_mode == "two_pass" and scenario.kind not in ("t1", "t2"):
+        raise ConfigError(f"two_pass world mode applies to t1/t2 scenarios, not {scenario.kind!r}")
+    out = None if config.out_dir is None else Path(config.out_dir)
+    write_runs = out is not None and config.retain == "full"
+    if out is not None:  # so that a path that cannot be a directory fails at once
+        (out / "runs" if write_runs else out).mkdir(parents=True, exist_ok=True)
+
     def one_run(i: int, scn, retain: str) -> tuple[MetricReport, Trace]:
         # the echo holds every resolved default, so it builds the same learner
         learner = make_learner(resolved["learner"])
@@ -228,18 +236,10 @@ def run_experiment(config: ExperimentConfig | Mapping) -> ExperimentResult:
         return build_report(trace, config.epsilon, config.shifting_K), trace
 
     if config.world_mode == "two_pass":
-        if scenario.kind not in ("t1", "t2"):
-            raise ConfigError(
-                f"two_pass world mode applies to t1/t2 scenarios, not {scenario.kind!r}"
-            )
         world = _majority_world([one_run(i, scenario, "summary")[0] for i in range(config.reps)])
         scenario = dataclasses.replace(scenario, forced_world=world)
         resolved["scenario"] = scenario.config()
 
-    out = None if config.out_dir is None else Path(config.out_dir)
-    write_runs = out is not None and config.retain == "full"
-    if write_runs:
-        (out / "runs").mkdir(parents=True, exist_ok=True)
     runs: list = []
     traces = [] if config.keep_traces else None
 
@@ -260,7 +260,6 @@ def run_experiment(config: ExperimentConfig | Mapping) -> ExperimentResult:
 
     paths: dict = {}
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         paths["config"] = out / "config.json"
         _dump_json(paths["config"], resolved)
         paths["report"] = out / "report.json"

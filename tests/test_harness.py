@@ -1,11 +1,13 @@
 import csv
 import filecmp
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fair_experts import harness
 from fair_experts.harness import (
     DEFAULT_BASE_SEED,
     ExperimentConfig,
@@ -287,6 +289,21 @@ class TestOneTraceAtATime:
             run_experiment(_small_config(out_dir=str(tmp_path / "b"), retain="full",
                                          world_mode="two_pass"))
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("retain", ["summary", "full"])
+    @pytest.mark.parametrize("world_mode", ["realized", "two_pass"])
+    def test_unusable_out_dir_fails_before_the_first_repetition(self, tmp_path, monkeypatch, retain, world_mode):
+        # a summary run made its directory only after every repetition, so
+        # an out_dir that could not be one failed once the whole run was spent
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: calls.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = ExperimentConfig(scenario={"kind": "t1", "epsilon": 0.01}, learner={"kind": "single_mw", "eta": 0.01},
+                               T=2000, reps=3, retain=retain, world_mode=world_mode, out_dir=str(taken))
+        with pytest.raises(OSError, match=re.escape(str(taken))):
+            run_experiment(cfg)
+        assert calls == []
 
 
 class TestWorldModes:
