@@ -870,8 +870,9 @@ class TestThresholdStep:
     @pytest.mark.parametrize("kind", _BLOCK_KINDS)
     @pytest.mark.parametrize("n", [8191, 8192, 8193])
     def test_stretches_at_the_chunk_cap(self, kind, n, monkeypatch):
-        # from a non-zero state, t5's rule alternates and every guess holds
-        # after the first few, so the chunks double up to 8192 rows
+        # stretches about the 8192-row cap: from a non-zero state t5's rule
+        # alternates, every guess holds after the first few, and the chunks
+        # double from 64 rows, so each stretch ends mid-chunk
         plays = _block_plays(monkeypatch)
         rng = np.random.default_rng(n)
         groups = np.zeros(n, dtype=np.int64)
@@ -882,7 +883,7 @@ class TestThresholdStep:
         got, want = new.run_rounds(groups, rows, _t5_rule()), ref_rounds(ref, groups, rows, _t5_rule())
         _assert_same([got], [want], new, ref)
         assert len(plays) < 16
-        # and a stretch that ends at a chunk edge leaves the state right for the next
+        # and the state the stretch leaves plays the next one right
         more = rng.integers(0, 2, 700).astype(np.int64)
         _assert_same([new.run_rounds(more, rows, _t5_rule())], [ref_rounds(ref, more, rows, _t5_rule())], new, ref)
 
