@@ -16,7 +16,9 @@ stretches it plays faster, with the loop's bits. MW and FPL play an
 oblivious stretch as a block (``run_block``), and one whose step is a
 declared ``ThresholdStep`` as checked block plays on guessed rows
 (``_threshold_block``). Fixed share, for two experts, plays both in an exact
-scalar kernel (``_two_expert_rounds``) on tables held as Python floats.
+scalar kernel (``_two_expert_rounds``) on tables held as Python floats, a
+declared step's stretch one table at a time with the rule inline. All three
+take a declared step's choices from their plays by ``ThresholdStep.choose``.
 
 Group handling is the one axis of variation: single-table kinds ignore the
 group argument entirely, per-group kinds keep one independent table per
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -44,8 +46,9 @@ _FPL_GRID_SEED = 104729
 DEFAULT_GRID_M = 1024
 DEFAULT_SWITCH_BUDGET = 2
 
-# Rows per chunk of a two-expert stretch. A chunk's groups and loss terms are
-# held as Python objects, and the allocator keeps the memory they free: on
+# Rows per chunk of a two-expert stretch. A chunk's groups and loss terms, or
+# under a declared step a shared table's levels, are held as Python objects,
+# and the allocator keeps the memory they free: on
 # theorem5, 8192-row chunks grew the process by 1 MB more than the numpy loop
 # did, 1024-row chunks by 0.13 MB and 256-row chunks by 0.04 MB.
 _ROUNDS_CHUNK = 256
@@ -121,12 +124,17 @@ class Learner:
 
     def _table_rows(self, groups: np.ndarray) -> Iterator[tuple[int, np.ndarray | None]]:
         """(table, rows) pairs that cover a block, in table order: a per-group
-        table's row indices, or None for a shared table, which takes every
-        row, so that its chunks are slices and copy nothing."""
+        table's row indices, or None for a table that takes every row, so
+        that its chunks are slices and copy nothing. The tables are found by
+        counting, as np.unique would import numpy.ma."""
         if not self.per_group:
             yield 0, None
             return
-        for g in np.unique(groups):
+        tables = np.flatnonzero(np.bincount(groups, minlength=self.num_groups))
+        if tables.shape[0] == 1:
+            yield int(tables[0]), None
+            return
+        for g in tables.tolist():
             yield g, np.flatnonzero(groups == g)
 
     def _stretch(self, groups, losses, step=None) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +323,7 @@ class CumulativeLossLearner(Learner):
         n = groups.shape[0]
         p = np.empty((n, self.d), dtype=np.float64)
         choices = np.empty(n, dtype=np.intp)
-        weights, levels, above, below = step.weights, np.array(step.levels), step.above, step.below
+        above, below = step.above, step.below
         # guess[g, i % 2] is group g's guess for its table's i-th round
         guess = np.tile(np.array([above, below], dtype=np.intp), (self.num_groups, 1))
         for table, idx in self._table_rows(groups):
@@ -328,10 +336,7 @@ class CumulativeLossLearner(Learner):
                 guessed = guess[g, j]
                 before = _cum_before(cum, rows[guessed])
                 q = self._play(before)
-                total = weights[0] * q[:, 0]
-                for f in range(1, self.d):
-                    total += weights[f] * q[:, f]
-                rule = np.where(total >= levels[g], above, below)
+                rule = step.choose(q, g)
                 missed = np.flatnonzero(rule != guessed)
                 kept = int(missed[0]) + 1 if missed.size else g.shape[0]
                 out = slice(s, s + kept) if idx is None else idx[s:s + kept]
@@ -437,11 +442,16 @@ class FollowPerturbedLeader(CumulativeLossLearner):
         grid play compares the rounded before_f - g_f instead, which can round
         the other way when x lies within a few ulps of some D_k; those rows go
         through the grid play itself, so the result is bit-identical to it.
+        A tie, x = 0, is before0 == before1 exactly, so under a grid row
+        with g0 == g1 (D_k = 0) the grid play compares identical operands and
+        expert 0 leads, as the search counts it: the margin check of a tie
+        skips those rows and takes the first D_k > 0 as its nearest above.
         """
         m = self.grid_m
         diffs = self._sorted_diffs
         x = before[:, 0] - before[:, 1]
         idx = np.searchsorted(diffs, x, side="left")
+        up = np.where(x == 0.0, np.searchsorted(diffs, 0.0, side="right"), idx)
         lead0 = m - idx
         p = np.empty((before.shape[0], 2), dtype=np.float64)
         p[:, 0] = lead0 / m
@@ -453,7 +463,7 @@ class FollowPerturbedLeader(CumulativeLossLearner):
         # the margin doubles that bound.
         margin = 4.0 * np.finfo(np.float64).eps * (np.abs(before).max() + self._grid.max())
         below = np.abs(x - diffs[np.maximum(idx - 1, 0)])
-        above = np.abs(x - diffs[np.minimum(idx, m - 1)])
+        above = np.abs(x - diffs[np.minimum(up, m - 1)])
         near = np.flatnonzero(np.minimum(below, above) <= margin)
         if near.size:
             p[near] = self._grid_play(before[near])
@@ -507,14 +517,18 @@ class FixedShare(Learner):
     def _two_expert_rounds(self, groups, rows, step):
         """``run_rounds`` of a checked d=2 stretch, oblivious or with a
         ``ThresholdStep``, on tables held as pairs of Python floats. The
-        per-round loops, ``_threshold_rounds`` and ``_pair_rounds``, write out
+        per-round loops, ``_threshold_plays`` and ``_pair_rounds``, write out
         the play and the update with the IEEE operations of
         ``next_distribution`` and ``_update`` (numpy's ``power`` included), in
         their order, so the plays are the loop's, bit for bit, and call no
-        step. The arriving group's table stays in locals while it repeats.
+        step. The table being played stays in locals.
 
         An adaptive stretch takes its declared rows' terms once and is played
-        in chunks of _ROUNDS_CHUNK rounds. An oblivious stretch finds its runs
+        one table at a time: a per-group table's rounds all take its group's
+        level, and a shared table takes its rounds' levels by group in chunks
+        of _ROUNDS_CHUNK rounds. The choices are then taken from the whole
+        stretch's plays by ``ThresholdStep.choose``, the rule the loop
+        applied to each round. An oblivious stretch finds its runs
         of rows on one table with one loss row, bit for bit, once. A run of at
         least _RUN rows is stepped only until its table is a fixed point of
         the update, as the update is deterministic and every later round of
@@ -523,16 +537,21 @@ class FixedShare(Learner):
         """
         n = groups.shape[0]
         p = np.empty((n, 2), dtype=np.float64)
-        out = memoryview(p.reshape(-1))
-        tables = [tuple(table) for table in self._p.tolist()]
         if step is not None:
             terms = self._loss_terms(rows).tolist()
-            choices = np.empty(n, dtype=np.intp)
-            chosen = memoryview(choices)
-            for s in range(0, n, _ROUNDS_CHUNK):
-                self._threshold_rounds(tables, out, s, groups[s:s + _ROUNDS_CHUNK].tolist(), terms, step, chosen)
-            self._p[:] = tables
-            return p, choices
+            for table, idx in self._table_rows(groups):
+                plays = p if idx is None else np.empty((idx.shape[0], 2), dtype=np.float64)
+                if self.per_group:
+                    levels = repeat(step.levels[table], plays.shape[0])
+                else:
+                    levels = chain.from_iterable(np.take(step.levels, groups[c:c + _ROUNDS_CHUNK]).tolist()
+                                                 for c in range(0, n, _ROUNDS_CHUNK))
+                self._p[table] = self._threshold_plays(self._p[table].tolist(), plays, levels, step, terms)
+                if idx is not None:
+                    p[idx] = plays
+            return p, step.choose(p, groups)
+        out = memoryview(p.reshape(-1))
+        tables = [tuple(table) for table in self._p.tolist()]
         columns = (rows[:, 0], rows[:, 1], groups) if self.per_group else (rows[:, 0], rows[:, 1])
         starts, counts = _run_bounds(columns, n)
         long = counts >= _RUN
@@ -555,10 +574,11 @@ class FixedShare(Learner):
     def _pair_rounds(self, tables, out, s, groups, terms, stop=False):
         """Oblivious rounds s, s+1, ... of a two-expert stretch, one per group
         id in ``groups``, each taking the next term pair of ``terms``, on
-        ``tables`` as in ``_threshold_rounds``. With ``stop``, every round is
-        of one table and one loss row, and the loop returns the first round i
-        whose update leaves the table as it was: the later rounds play round
-        i's pair. Otherwise it returns None.
+        ``tables``, the list of each table's pair of floats, which it
+        updates. Round i's play goes to out[2i] and out[2i + 1]. With
+        ``stop``, every round is of one table and one loss row, and the loop
+        returns the first round i whose update leaves the table as it was:
+        the later rounds play round i's pair. Otherwise it returns None.
 
         ``==`` on two tables is bit equality here, since no state entry is
         NaN or -0.0: the entries are sums, products and quotients of
@@ -588,40 +608,30 @@ class FixedShare(Learner):
         tables[t] = p0, p1
         return None
 
-    def _threshold_rounds(self, tables, out, s, groups, terms, step, chosen):
-        """Rounds s, s+1, ... of a two-expert stretch whose step is a
-        ``ThresholdStep``, one per group id in ``groups``, on ``tables``, the
-        list of each table's pair of floats, which it updates. Round i's play
-        goes to out[2i] and out[2i + 1]. The step's rule is played inline
-        with the operations of its ``__call__``, c0 * p0 + c1 * p1 >=
-        levels[g], each choice k is stored in ``chosen[i]`` as it is made,
-        and ``terms[k]`` are applied. No choice can lie out of range, as
-        ``_stretch`` fitted the step to the rows."""
-        keep, share, per_group = self._keep, self._share, self.per_group
-        (c0, c1), levels, above, below = step.weights, step.levels, step.above, step.below
-        (a0, a1), (b0, b1) = terms[above], terms[below]
-        t, cur = 0, None
-        p0, p1 = tables[0]
-        for i, g in zip(count(s), groups):
-            if g != cur:
-                tables[t] = p0, p1
-                cur, t = g, g if per_group else 0
-                p0, p1 = tables[t]
-                level = levels[g]
-            out[2 * i] = p0
-            out[2 * i + 1] = p1
+    def _threshold_plays(self, table, plays, levels, step, terms):
+        """The plays of one table's rounds of a two-expert stretch whose step
+        is a ``ThresholdStep``, one round per level in ``levels``, from the
+        table's pair of floats ``table``; returns the pair after the last
+        round. Round i's play goes to row i of ``plays``. The step's rule is
+        played inline with the operations of its ``__call__``, c0 * p0 +
+        c1 * p1 >= level, and the chosen row's ``terms`` are applied."""
+        keep, share = self._keep, self._share
+        p0, p1 = table
+        (c0, c1), (a0, a1), (b0, b1) = step.weights, terms[step.above], terms[step.below]
+        out0, out1 = memoryview(plays[:, 0]), memoryview(plays[:, 1])
+        for i, level in zip(count(), levels):
+            out0[i] = p0
+            out1[i] = p1
             if c0 * p0 + c1 * p1 >= level:
-                chosen[i] = above
                 w0 = p0 * a0
                 w1 = p1 * a1
             else:
-                chosen[i] = below
                 w0 = p0 * b0
                 w1 = p1 * b1
             total = w0 + w1
             p0 = keep * (w0 / total) + share
             p1 = keep * (w1 / total) + share
-        tables[t] = p0, p1
+        return p0, p1
 
 
 class PerGroupFixedShare(FixedShare):

@@ -10,8 +10,8 @@ reported as None; gaps are taken over the defined groups only.
 Regret compares the learner's total expected loss to the best single
 expert in hindsight; the epsilon-approximate variant charges the comparator
 a (1 + epsilon) factor, and the shifting variant lets the comparator switch
-experts a bounded number of times, computed exactly by one prefix-minimum
-pass per switch level.
+experts a bounded number of times, computed exactly from each expert's
+cumulative loss by one prefix-minimum pass per switch level below the top.
 """
 
 from __future__ import annotations
@@ -138,23 +138,35 @@ def switch_count(experts: Sequence[int]) -> int:
     return int((arr[1:] != arr[:-1]).sum())
 
 
-def _level_losses(column: np.ndarray, prev_min: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-    """Best loss of a path that ends on one expert in each round, with at most
-    k switches, written into ``out``.
+def _level_min(sums: list, mins: list, k: int, rounds: slice, out: np.ndarray) -> np.ndarray:
+    """Level k's per-round minimum over experts in ``rounds``. ``sums`` holds
+    each expert's cumulative loss and ``mins[k]`` the minimum of level
+    k >= 1; level 0's is the minimum of ``sums``, taken into ``out`` rather
+    than held."""
+    if k:
+        return mins[k][rounds]
+    low = sums[0][rounds]
+    for column in sums[1:]:
+        low = np.minimum(low, column[rounds], out=out)
+    return low
 
-    ``column`` is the expert's per-round losses and ``prev_min`` the per-round
-    minimum over experts at k - 1 switches (None for k = 0). With C the
-    cumulative loss, the value at round t is C(t) plus the most negative
-    prev_min(s - 1) - C(s - 1) over 1 <= s <= t, the gain from switching onto
-    the expert at round s, or plus 0 when no switch gains.
-    """
-    np.cumsum(column, out=out)
-    if prev_min is not None and out.shape[0] > 1:
-        gain = prev_min[:-1] - out[:-1]
-        np.minimum.accumulate(gain, out=gain)
-        np.minimum(gain, 0.0, out=gain)
-        out[1:] += gain
-    return out
+
+def _switch_gains(sums: list, mins: list, k: int, f: int, m: int, out: np.ndarray) -> np.ndarray:
+    """The gain of switching onto expert f after each of rounds 0..m-1 from
+    level k: level k's per-round minimum less f's cumulative loss, written
+    into out[:m]."""
+    gain = out[:m]
+    return np.subtract(_level_min(sums, mins, k, slice(m), gain), sums[f][:m], out=gain)
+
+
+def _level_loss(sums: list, mins: list, k: int, f: int, s: int, out: np.ndarray) -> np.float64:
+    """Best loss of a path with at most k switches that ends on expert f in
+    round s: f's cumulative loss plus the most negative switching gain from
+    level k - 1 over rounds before s, or plus 0 when no switch gains.
+    ``out`` is the gain buffer of ``_switch_gains``."""
+    if k == 0 or s == 0:
+        return sums[f][s]
+    return sums[f][s] + np.minimum(_switch_gains(sums, mins, k - 1, f, s, out).min(), 0.0)
 
 
 def best_shifting_comparator(
@@ -163,17 +175,20 @@ def best_shifting_comparator(
     """Minimum-loss expert sequence using at most K switches.
 
     Accepts a full trace (optionally restricted to one group's rounds) or a
-    raw (n, d) loss matrix of finite values. Each switch level k is one
-    prefix-minimum pass per expert over the level below (``_level_losses``);
-    only each level's per-round minimum is kept. K is capped at n - 1, and
-    the levels stop once one repeats the level below, since every higher
-    level then equals it. The path is rebuilt backwards: at level k the
-    switch onto the current expert happens after the first round where the
-    switching gain reaches its minimum, if that gain is negative, and comes
-    from the lowest-index best expert of level k - 1 in that round. So on
-    equal loss the path keeps the current expert rather than switching,
-    switch sources and the final expert take the lowest index, and at equal
-    loss and expert the path with fewer switches wins.
+    raw (n, d) loss matrix of finite values. Each expert's cumulative loss is
+    taken once. Each switch level k below the top is one prefix-minimum pass
+    per expert over the switching gains from the level below
+    (``_switch_gains``); only its per-round minimum over experts is kept, and
+    level 0's is derived from the cumulative losses. The top level needs
+    only its last round, one minimum over the gains (``_level_loss``). K is
+    capped at n - 1, and the levels stop once one repeats the level below,
+    since every higher level then equals it. The path is rebuilt backwards:
+    at level k the switch onto the current expert happens after the first
+    round where the switching gain reaches its minimum, if that gain is
+    negative, and comes from the lowest-index best expert of level k - 1 in
+    that round. So on equal loss the path keeps the current expert rather
+    than switching, switch sources and the final expert take the lowest
+    index, and at equal loss and expert the path with fewer switches wins.
     """
     require_type("K", K, numbers.Integral, "an integer")
     if K < 0:
@@ -200,21 +215,36 @@ def best_shifting_comparator(
     n, d = losses.shape
     if n == 0:
         return ComparatorPath(np.zeros(0, dtype=np.int64), 0.0, 0)
-    column = np.empty(n)
-    mins: list[np.ndarray] = []  # per-round minimum over experts, per level
-    finals: list[np.ndarray] = []  # last-round loss of each expert, per level
-    for _ in range(min(K, n - 1) + 1):
-        prev_min = mins[-1] if mins else None
-        low = np.full(n, np.inf)
-        final = np.empty(d)
-        for f in range(d):
-            _level_losses(losses[:, f], prev_min, column)
-            np.minimum(low, column, out=low)
-            final[f] = column[-1]
-        mins.append(low)
-        finals.append(final)
-        if prev_min is not None and np.array_equal(low, prev_min):
+    sums = [np.cumsum(losses[:, f]) for f in range(d)]
+    gain = np.empty(n - 1)
+    mins: list = [None]  # per-round minimum over experts of levels 1 .. top - 1
+    finals = [[column[-1] for column in sums]]  # last-round loss of each expert, per level
+    top = min(K, n - 1)
+    for k in range(1, top + 1):
+        if k == top:
+            finals.append([_level_loss(sums, mins, k, f, n - 1, gain) for f in range(d)])
             break
+        # level k's losses of each expert in rounds 1 .. n-1 pass through
+        # the gain buffer; round 0's are the cumulative losses
+        low = np.empty(n)
+        low[0] = sums[0][0]
+        final = []
+        for f, column in enumerate(sums):
+            if f:
+                low[0] = np.minimum(low[0], column[0])
+            level = _switch_gains(sums, mins, k - 1, f, n - 1, gain)
+            np.minimum.accumulate(level, out=level)
+            np.minimum(level, 0.0, out=level)
+            np.add(column[1:], level, out=level)
+            if f:
+                np.minimum(low[1:], level, out=low[1:])
+            else:
+                low[1:] = level
+            final.append(level[-1])
+        finals.append(final)
+        if np.array_equal(low[1:], _level_min(sums, mins, k - 1, slice(1, n), gain)):
+            break
+        mins.append(low)
     # Final cell: smallest loss, then lowest expert, then fewest switches.
     finals = np.array(finals)
     f = int(finals.min(axis=0).argmin())
@@ -223,22 +253,17 @@ def best_shifting_comparator(
     path = np.empty(n, dtype=np.int64)
     end = n  # path[:end] is not yet filled
     while k > 0 and end > 1:
-        # gain borrows column's storage; the source row below overwrites it
-        gain = np.cumsum(losses[: end - 1, f], out=column[: end - 1])
-        np.subtract(mins[k - 1][: end - 1], gain, out=gain)
-        s = int(gain.argmin())
-        if not gain[s] < 0.0:
+        gains = _switch_gains(sums, mins, k - 1, f, end - 1, gain)
+        s = int(gains.argmin())
+        if not gains[s] < 0.0:
             break
         path[s + 1 : end] = f
-        below = mins[k - 2][: s + 1] if k > 1 else None
-        row = [_level_losses(losses[: s + 1, g], below, column[: s + 1])[-1] for g in range(d)]
+        row = [_level_loss(sums, mins, k - 1, g, s, gain) for g in range(d)]
         f = int(np.argmin(row))
         k -= 1
         end = s + 1
     path[:end] = f
     return ComparatorPath(path, loss, switch_count(path))
-
-
 def shifting_approx_regret(trace: Trace, epsilon: float, K: int) -> dict:
     """Learner total versus (1 + epsilon) times the best K-switch comparator."""
     path = best_shifting_comparator(trace, K)

@@ -22,10 +22,12 @@ A step is any callable. One kind is declared rather than called: a
 ``ThresholdStep`` picks one of two rows by comparing a weighted sum of the
 play with a level per group. The learners apply its rule themselves, with
 the operations of its ``__call__``: MW and FPL to a chunk of plays on
-guessed rows, fixed share's kernel inline. So its rounds make no Python
-call; any other callable runs through the generic
-``next_distribution``/``observe`` loop, one call per round. t2's bait and
-t5's penalize-the-leader are threshold steps.
+guessed rows (``ThresholdStep.choose``), and fixed share's kernel inline to
+pick each round's row, one table at a time, then by ``choose`` on the
+stretch's plays for the choices. So its rounds make no Python call; any
+other callable runs through the generic ``next_distribution``/``observe``
+loop, one call per round. t2's bait and t5's penalize-the-leader are
+threshold steps.
 """
 
 from __future__ import annotations
@@ -118,10 +120,10 @@ class ThresholdStep:
 
     ``__call__`` is the rule, so the step runs wherever a step runs; the
     learners apply it with the same operations and call nothing (MW and FPL
-    on a chunk's plays, fixed share's kernel inline). Weights and levels
-    that are not non-empty lists of numbers, or hold a NaN or a bool, an
-    infinite weight and rows that are not integers >= 0 raise ContractError
-    here. A level may be infinite; a weight may not, as an infinite weight
+    on a chunk's plays, by ``choose``; fixed share's kernel inline, then by
+    ``choose`` on the stretch's plays). Weights and levels that are not
+    non-empty lists of numbers, or hold a NaN or a bool, an infinite weight
+    and rows that are not integers >= 0 raise ContractError here. A level may be infinite; a weight may not, as an infinite weight
     times a play of 0 makes the sum NaN, which meets no level. ``check``
     fits the step to a stretch before its first round.
     """
@@ -153,6 +155,16 @@ class ThresholdStep:
         for f in range(1, len(w)):
             total += w[f] * p[f]
         return self.above if total >= self.levels[g] else self.below
+
+    def choose(self, plays: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        """The rule of ``__call__`` on each row of (n, d) ``plays`` whose
+        group is the row's entry of (n,) ``groups``, with its operations,
+        taken over whole columns: the (n,) rows chosen."""
+        w = self.weights
+        total = w[0] * plays[:, 0]
+        for f in range(1, len(w)):
+            total += w[f] * plays[:, f]
+        return np.where(total >= np.array(self.levels)[groups], self.above, self.below)
 
     def check(self, d: int, num_groups: int, K: int) -> None:
         """ContractError unless the step has d weights, num_groups levels,

@@ -111,3 +111,60 @@ def ref_t2_bait(gamma):
 
     step.qualifying = 0
     return step
+
+
+def _ref_level_losses(column, prev_min, out):
+    """One switch level of ``ref_best_shifting_comparator`` for one expert:
+    its cumulative loss plus the best switching gain so far, into ``out``."""
+    np.cumsum(column, out=out)
+    if prev_min is not None and out.shape[0] > 1:
+        gain = prev_min[:-1] - out[:-1]
+        np.minimum.accumulate(gain, out=gain)
+        np.minimum(gain, 0.0, out=gain)
+        out[1:] += gain
+    return out
+
+
+def ref_best_shifting_comparator(losses, K):
+    """``best_shifting_comparator`` on an (n, d) loss matrix as it was before
+    it took each expert's cumulative loss once: every switch level is one
+    prefix-minimum pass per expert (``_ref_level_losses``), each level keeps
+    its per-round minimum over experts, and the backtrack recomputes level
+    k - 1 by a prefix pass. Returns (path, loss, switches)."""
+    n, d = losses.shape
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), 0.0, 0
+    column = np.empty(n)
+    mins, finals = [], []
+    for _ in range(min(K, n - 1) + 1):
+        prev_min = mins[-1] if mins else None
+        low = np.full(n, np.inf)
+        final = np.empty(d)
+        for f in range(d):
+            _ref_level_losses(losses[:, f], prev_min, column)
+            np.minimum(low, column, out=low)
+            final[f] = column[-1]
+        mins.append(low)
+        finals.append(final)
+        if prev_min is not None and np.array_equal(low, prev_min):
+            break
+    finals = np.array(finals)
+    f = int(finals.min(axis=0).argmin())
+    k = int(finals[:, f].argmin())
+    loss = float(finals[k, f])
+    path = np.empty(n, dtype=np.int64)
+    end = n
+    while k > 0 and end > 1:
+        gain = np.cumsum(losses[: end - 1, f], out=column[: end - 1])
+        np.subtract(mins[k - 1][: end - 1], gain, out=gain)
+        s = int(gain.argmin())
+        if not gain[s] < 0.0:
+            break
+        path[s + 1 : end] = f
+        below = mins[k - 2][: s + 1] if k > 1 else None
+        row = [_ref_level_losses(losses[: s + 1, g], below, column[: s + 1])[-1] for g in range(d)]
+        f = int(np.argmin(row))
+        k -= 1
+        end = s + 1
+    path[:end] = f
+    return path, loss, int((path[1:] != path[:-1]).sum())

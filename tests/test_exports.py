@@ -78,10 +78,12 @@ def test_one_row_surface_is_gone(name):
 @pytest.mark.parametrize("name", [
     "SingleMW._play2", "SingleMW._threshold_rounds", "SingleMW._loss_terms", "Learner.two_expert_kernel",
     "Learner._two_expert_rounds", "Learner._threshold_rounds", "CumulativeLossLearner._state",
+    "FixedShare._threshold_rounds",
 ])
 def test_mw_scalar_kernel_is_gone(name):
     # the two-expert scalar kernel is fixed share's alone; MW and FPL play
-    # declared steps as checked block plays
+    # declared steps as checked block plays, and fixed share plays them one
+    # table at a time (_threshold_plays)
     head, _, attr = name.rpartition(".")
     assert not hasattr(getattr(fair_experts.learners, head), attr), name
     assert hasattr(fair_experts.learners.FixedShare, "_two_expert_rounds")

@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,6 +375,40 @@ class TestFPLKernelOracle:
             # equal losses keep the difference at diff up to rounding
             shifts = np.array([[0.0, 0.0], [0.5, 0.5], [0.1, 0.1], [0.0, 0.0], [1.0, 1.0], [0.3, 0.3]])
             _assert_blocks_match(new, ref, [shifts, shifts[::-1]])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 5e7])
+    def test_tied_rows_match_the_grid_play(self, scale):
+        # a tie, before0 == before1, meets the grid rows whose difference is
+        # exactly 0; rows 1e-12 or one ulp off a tie sit beside them
+        rng = np.random.default_rng(int(scale))
+        lrn, _ = _fpl_pair(2)
+        assert (lrn._sorted_diffs == 0.0).any()
+        for _ in range(100):
+            b0 = np.floor(rng.random(64) * scale * 4) / 4
+            b1 = b0.copy()
+            off = rng.integers(0, 5, 64)
+            b1[off == 1] += 1e-12
+            b1[off == 2] -= 1e-12
+            b1[off == 3] = np.nextafter(b1[off == 3], np.inf)
+            b1[off == 4] = np.nextafter(b1[off == 4], -np.inf)
+            before = np.column_stack([b0, b1] if rng.random() < 0.5 else [b1, b0])
+            assert _same_bits(lrn._two_expert_play(before), lrn._grid_play(before))
+
+    def test_t5_phase_one_takes_no_grid_row(self, monkeypatch):
+        # t5's leader penalty ties the cumulative losses every other round;
+        # each tie is played by the search alone
+        rows = []
+        grid_play = FollowPerturbedLeader._grid_play
+
+        def counted(self, before):
+            rows.append(before.shape[0])
+            return grid_play(self, before)
+
+        monkeypatch.setattr(FollowPerturbedLeader, "_grid_play", counted)
+        ((p, choices),) = _drive(make_learner({"kind": "fpl", "eta": 0.05}), {"kind": "t5"}, 100_000, 7,
+                                 _own_rounds, max_blocks=1)
+        assert choices.shape == (50_000,) and 0 < choices.sum() < 50_000
+        assert sum(rows) == 0
 
     def test_three_experts_take_the_grid_path(self, monkeypatch):
         def refuse(self, before):
@@ -1038,6 +1076,93 @@ class TestThresholdStep:
             gen.send(p)
             gen.send(None)
         assert srun.info["qualifying_rounds"] == old.qualifying == int(choices.sum()) > 0
+
+
+def _swing_rule(levels):
+    """A plain callable of ``_swing_step``'s rule."""
+    return lambda i, g, p: 0 if 0.3 * p[0] + 0.9 * p[1] >= levels[g] else 1
+
+
+def _swing_step(levels):
+    """A step whose choices turn with the play: 0.3 p0 + 0.9 p1 is 0.3 +
+    0.6 p1, so a group at level 0.6 chooses row 0 while p1 >= 1/2 and one
+    at 0.55 while p1 >= 5/12; on ``_SWING_ROWS`` row 0 lowers p1 and row 1
+    raises it."""
+    return ThresholdStep((0.3, 0.9), levels, above=0, below=1)
+
+
+_SWING_ROWS = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+class TestFixedShareStepPath:
+    """Fixed share plays a declared step one table at a time and takes the
+    choices from the plays afterward (``ThresholdStep.choose``): its plays,
+    choices and final tables are the generic loop's, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["fixed_share", "per_group_fixed_share"])
+    @pytest.mark.parametrize("n", [1, 257, 600])
+    @pytest.mark.parametrize("arrivals", ["interleaved", "group 1 alone", "group 1 absent"])
+    def test_plays_choices_and_tables_match_the_loop(self, kind, n, arrivals):
+        # 257 rounds cross the 256-row chunk of a shared table's levels; a
+        # per-group table that one group plays alone is played unsliced
+        rng = np.random.default_rng(n)
+        G = 3 if arrivals == "group 1 absent" else 2
+        groups = {"interleaved": rng.integers(0, 2, n), "group 1 alone": np.ones(n),
+                  "group 1 absent": 2 * rng.integers(0, 2, n)}[arrivals].astype(np.int64)
+        levels = (0.6, 0.55, 0.5)[:G]
+        prefix = [(g, row) for g in range(G) for row in rng.random((2, 2))]
+        choices = _three_ways(kind, groups, _SWING_ROWS, _swing_step(levels), _swing_rule(levels), G, prefix)
+        if n > 1:
+            assert 0 < choices.sum() < n
+
+    @pytest.mark.parametrize("kind", ["fixed_share", "per_group_fixed_share"])
+    @pytest.mark.parametrize("levels", [(math.inf, -math.inf), (-math.inf, math.inf), (math.inf, math.inf)])
+    def test_infinite_levels(self, kind, levels):
+        groups = np.random.default_rng(1).integers(0, 2, 300).astype(np.int64)
+        choices = _three_ways(kind, groups, _SWING_ROWS, _swing_step(levels), _swing_rule(levels))
+        assert choices.tolist() == [0 if levels[g] == -math.inf else 1 for g in groups.tolist()]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_choose_is_the_rule_row_by_row(self, d):
+        # each group's level is the weighted play of one of its rows, which
+        # so lies exactly on its level
+        rng = np.random.default_rng(d)
+        plays = rng.random((400, d))
+        groups = rng.integers(0, 3, 400).astype(np.int64)
+        groups[:3] = [0, 1, 2]
+        weights = tuple(rng.normal(size=d).tolist())
+        levels = [sum(w * x for w, x in zip(weights, row)) for row in plays[:3].tolist()]
+        step = ThresholdStep(weights, levels, above=1, below=2)
+        chosen = step.choose(plays, groups)
+        assert chosen.tolist() == [step(i, g, tuple(row)) for i, (g, row) in
+                                   enumerate(zip(groups.tolist(), plays.tolist()))]
+        assert chosen[:3].tolist() == [1, 1, 1] and 2 in chosen.tolist()
+
+
+def test_per_group_tables_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma, about 1 MB of RSS; per-group tables are
+    # found by counting. The subprocess starts without it, and does not
+    # inherit pytest's pythonpath setting.
+    code = """if True:
+        import sys
+        import numpy as np
+        from fair_experts import PerGroupMW, run
+        from fair_experts.harness import get_preset, run_experiment
+        assert "numpy.ma" not in sys.modules
+        lrn = PerGroupMW(0.1)
+        lrn.start(2, 3)
+        lrn.run_block(np.array([0, 2, 0, 1, 2]), np.random.default_rng(0).random((5, 2)))
+        run({"kind": "per_group_mw", "eta": 0.05}, {"kind": "t5"}, 2000, 1, retain="full")
+        cfg = get_preset("theorem5", out_dir=None, T=2000)
+        assert cfg.learner["kind"] == "per_group_fixed_share" and cfg.shifting_K == 2
+        run_experiment(cfg)
+        assert "numpy.ma" not in sys.modules
+    """
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _counting_updates(lrn):

@@ -1,8 +1,10 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from fair_experts.adversaries import GROUP_B, RandomIID
@@ -33,7 +35,7 @@ from fair_experts.types import (
     _BIN_POS,
     max_pairwise_gap,
 )
-from oracles import NEG, POS, UNL, hand_trace
+from oracles import NEG, POS, UNL, hand_trace, ref_best_shifting_comparator
 
 
 def _trace(rows, num_groups=2, scenario_info=None):
@@ -433,6 +435,64 @@ class TestShiftingComparatorOracle:
     def test_non_finite_losses_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             best_shifting_comparator(np.array([[bad, 0.0], [0.0, 1.0]]), 1)
+
+@st.composite
+def _loss_matrices(draw):
+    """(losses, K): an (n, d) matrix of uniform, 0/1 or half-integer losses,
+    some entries -0.0, and a switch budget."""
+    n, d, K = draw(st.integers(1, 80)), draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "0/1", "half"]))
+    if kind == "uniform":
+        losses = rng.random((n, d))
+    else:
+        losses = rng.integers(0, 2 if kind == "0/1" else 3, size=(n, d)) / (1.0 if kind == "0/1" else 2.0)
+    losses[rng.random((n, d)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = -0.0
+    return losses, K
+
+
+class TestShiftingComparatorPrefixOracle:
+    """The DP that sums each expert once against the prefix-minimum form it
+    replaced, kept in ``oracles.ref_best_shifting_comparator``: path, loss
+    bits and switch count."""
+
+    @staticmethod
+    def _assert_same(losses, K):
+        path = best_shifting_comparator(losses, K)
+        ref_path, ref_loss, ref_switches = ref_best_shifting_comparator(losses, K)
+        np.testing.assert_array_equal(path.experts, ref_path)
+        assert np.float64(path.loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert path.switches == ref_switches
+
+    @settings(max_examples=300, deadline=None)
+    @given(_loss_matrices())
+    def test_drawn_matrices(self, case):
+        self._assert_same(*case)
+
+    def test_negative_zero_sums(self):
+        # -0.0 + -0.0 keeps the sign, so whole columns of -0.0 sum to -0.0
+        losses = np.array([[-0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]])
+        for K in range(4):
+            self._assert_same(losses, K)
+            self._assert_same(losses[:, ::-1], K)
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 3, 5])
+    def test_theorem5_trace(self, theorem5_trace, K):
+        self._assert_same(theorem5_trace.losses, K)
+
+    @pytest.mark.parametrize("K, parent_peak", [(2, 4_169_838), (5, 7_004_575)])
+    def test_peak_memory_on_the_theorem5_trace(self, theorem5_trace, K, parent_peak):
+        # the prefix-minimum form's tracemalloc peak: it held each level's
+        # per-round minimum, a column buffer and a temporary per expert
+        best_shifting_comparator(theorem5_trace, K)
+        tracemalloc.start()
+        try:
+            best_shifting_comparator(theorem5_trace, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_peak
+
 
 class TestReports:
     def test_build_report_hand_values(self):
