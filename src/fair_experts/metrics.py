@@ -227,11 +227,9 @@ def best_shifting_comparator(
         # level k's losses of each expert in rounds 1 .. n-1 pass through
         # the gain buffer; round 0's are the cumulative losses
         low = np.empty(n)
-        low[0] = sums[0][0]
+        low[:1] = _level_min(sums, mins, 0, slice(1), low[:1])
         final = []
         for f, column in enumerate(sums):
-            if f:
-                low[0] = np.minimum(low[0], column[0])
             level = _switch_gains(sums, mins, k - 1, f, n - 1, gain)
             np.minimum.accumulate(level, out=level)
             np.minimum(level, 0.0, out=level)
