@@ -162,11 +162,11 @@ def _switch_gains(sums: list, mins: list, k: int, f: int, m: int, out: np.ndarra
 def _level_loss(sums: list, mins: list, k: int, f: int, s: int, out: np.ndarray) -> np.float64:
     """Best loss of a path with at most k switches that ends on expert f in
     round s: f's cumulative loss plus the most negative switching gain from
-    level k - 1 over rounds before s, or plus 0 when no switch gains.
-    ``out`` is the gain buffer of ``_switch_gains``."""
+    level k - 1 over rounds before s. ``out`` is the gain buffer of
+    ``_switch_gains``."""
     if k == 0 or s == 0:
         return sums[f][s]
-    return sums[f][s] + np.minimum(_switch_gains(sums, mins, k - 1, f, s, out).min(), 0.0)
+    return sums[f][s] + _switch_gains(sums, mins, k - 1, f, s, out).min()
 
 
 def best_shifting_comparator(
@@ -180,15 +180,18 @@ def best_shifting_comparator(
     per expert over the switching gains from the level below
     (``_switch_gains``); only its per-round minimum over experts is kept, and
     level 0's is derived from the cumulative losses. The top level needs
-    only its last round, one minimum over the gains (``_level_loss``). K is
-    capped at n - 1, and the levels stop once one repeats the level below,
-    since every higher level then equals it. The path is rebuilt backwards:
-    at level k the switch onto the current expert happens after the first
-    round where the switching gain reaches its minimum, if that gain is
-    negative, and comes from the lowest-index best expert of level k - 1 in
-    that round. So on equal loss the path keeps the current expert rather
-    than switching, switch sources and the final expert take the lowest
-    index, and at equal loss and expert the path with fewer switches wins.
+    only its last round, one minimum over the gains (``_level_loss``). No
+    minimum needs a floor at 0, the gain of not switching: the gain after
+    round 0 is min_g C_g(0) - C_f(0) <= 0, as every level's round 0 is the
+    cumulative loss. K is capped at n - 1, and the levels stop once one
+    repeats the level below, since every higher level then equals it. The
+    path is rebuilt backwards: at level k the switch onto the current expert
+    happens after the first round where the switching gain reaches its
+    minimum, if that gain is negative, and comes from the lowest-index best
+    expert of level k - 1 in that round. So on equal loss the path keeps the
+    current expert rather than switching, switch sources and the final
+    expert take the lowest index, and at equal loss and expert the path with
+    fewer switches wins.
     """
     require_type("K", K, numbers.Integral, "an integer")
     if K < 0:
@@ -232,7 +235,6 @@ def best_shifting_comparator(
         for f, column in enumerate(sums):
             level = _switch_gains(sums, mins, k - 1, f, n - 1, gain)
             np.minimum.accumulate(level, out=level)
-            np.minimum(level, 0.0, out=level)
             np.add(column[1:], level, out=level)
             if f:
                 np.minimum(low[1:], level, out=low[1:])

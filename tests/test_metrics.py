@@ -438,15 +438,17 @@ class TestShiftingComparatorOracle:
 
 @st.composite
 def _loss_matrices(draw):
-    """(losses, K): an (n, d) matrix of uniform, 0/1 or half-integer losses,
-    some entries -0.0, and a switch budget."""
+    """(losses, K): an (n, d) matrix of uniform, 0/1, half-integer or signed
+    half-integer losses (a raw matrix may hold any finite value), some
+    entries -0.0, and a switch budget."""
     n, d, K = draw(st.integers(1, 80)), draw(st.integers(1, 4)), draw(st.integers(0, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["uniform", "0/1", "half"]))
+    kind = draw(st.sampled_from(["uniform", "0/1", "half", "signed"]))
     if kind == "uniform":
         losses = rng.random((n, d))
     else:
-        losses = rng.integers(0, 2 if kind == "0/1" else 3, size=(n, d)) / (1.0 if kind == "0/1" else 2.0)
+        low, high = {"0/1": (0, 2), "half": (0, 3), "signed": (-2, 3)}[kind]
+        losses = rng.integers(low, high, size=(n, d)) / (1.0 if kind == "0/1" else 2.0)
     losses[rng.random((n, d)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = -0.0
     return losses, K
 
